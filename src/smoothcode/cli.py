@@ -36,7 +36,6 @@ from .smooth_renyi import (
 class RunConfig:
     """Resolved global options shared by the subcommands."""
 
-    subcommand: str
     unit: str = "nats"
     fmt: str = "json"
     seed: int = 0
@@ -297,7 +296,6 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     cap_arg = getattr(args, "cap", None)
     cfg = RunConfig(
-        subcommand=args.subcommand,
         unit=getattr(args, "unit", "nats"),
         fmt=getattr(args, "format", "json"),
         seed=getattr(args, "seed", 0),

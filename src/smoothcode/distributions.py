@@ -10,10 +10,11 @@ exact multinomial count.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import BadMixture, EmptyDistribution, NotNormalized, TooLarge
 from .logspace import logsumexp
@@ -41,12 +42,13 @@ def atom_cap() -> int:
     return cap
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeightedAtom:
     """One probability level: log-prob of a single symbol and how many symbols share it."""
 
     log_prob: float
     multiplicity: int
+    # index, in input or enumeration order, of the first entry merged into this level
     tag: int | None = None
 
     def log_mass(self) -> float:
@@ -97,23 +99,23 @@ class Distribution:
         return out
 
 
-def _normalize_atoms(entries: Sequence[tuple[float, int, int | None]]) -> tuple[WeightedAtom, ...]:
-    """Sort (log_prob, multiplicity, tag) triples descending and merge equal levels.
+def _normalize_atoms(entries: list[tuple[float, int, int]]) -> tuple[WeightedAtom, ...]:
+    """Sort (-log_prob, index, multiplicity) triples in place and merge equal levels.
 
-    Ties across merged levels keep the smallest tag (enumeration order) as the
-    representative, so rebuilding from the same inputs is deterministic.
+    The indices must be distinct, so the sort never compares multiplicities.
+    A merged level keeps the smallest index (input or enumeration order) as
+    its tag, so rebuilding from the same inputs is deterministic.
     """
-    keyed = sorted(
-        enumerate(entries),
-        key=lambda item: (-item[1][0], item[1][2] if item[1][2] is not None else item[0]),
-    )
-    merged: list[list] = []
-    for _, (lp, mult, tag) in keyed:
-        if merged and abs(lp - merged[-1][0]) <= MERGE_TOL:
-            merged[-1][1] += mult
-        else:
-            merged.append([lp, mult, tag])
-    return tuple(WeightedAtom(lp, mult, tag) for lp, mult, tag in merged)
+    entries.sort()
+    atoms: list[WeightedAtom] = []
+    run_lp, run_tag, run_mult = entries[0][0], entries[0][1], 0
+    for neg_lp, index, mult in entries:
+        if neg_lp - run_lp > MERGE_TOL:  # sorted, so never negative
+            atoms.append(WeightedAtom(-run_lp, run_mult, run_tag))
+            run_lp, run_tag, run_mult = neg_lp, index, 0
+        run_mult += mult
+    atoms.append(WeightedAtom(-run_lp, run_mult, run_tag))
+    return tuple(atoms)
 
 
 def _check_mass(dist: Distribution) -> Distribution:
@@ -123,34 +125,45 @@ def _check_mass(dist: Distribution) -> Distribution:
     return dist
 
 
+def _checked_probs(probs: Sequence[float]) -> list[float]:
+    probs = [float(p) for p in probs]
+    if not all(math.isfinite(p) for p in probs):
+        raise NotNormalized("probability entries must be finite")
+    if any(p < 0.0 for p in probs):
+        raise NotNormalized("negative probability entry")
+    return probs
+
+
+def _check_sum(probs: list[float]) -> None:
+    total = math.fsum(probs)
+    if abs(total - 1.0) > MASS_TOL:
+        raise NotNormalized(f"probabilities sum to {total!r}, expected 1")
+
+
 def new_distribution(probs: Sequence[float]) -> Distribution:
     """Build a single-letter distribution from raw probabilities.
 
     Zero entries are dropped, equal probabilities merge into one atom, and
     atoms come out sorted with the largest probability first.
     """
-    probs = [float(p) for p in probs]
-    if any(p < 0.0 for p in probs):
-        raise NotNormalized("negative probability entry")
-    entries = [(math.log(p), 1, None) for p in probs if p > 0.0]
+    probs = _checked_probs(probs)
+    entries = [(-math.log(p), i, 1) for i, p in enumerate(probs) if p > 0.0]
     if not entries:
         raise EmptyDistribution("no strictly positive probability entry")
-    total = math.fsum(probs)
-    if abs(total - 1.0) > MASS_TOL:
-        raise NotNormalized(f"probabilities sum to {total!r}, expected 1")
+    _check_sum(probs)
     return Distribution(_normalize_atoms(entries), n=1)
 
 
 def distribution_from_atoms(pairs: Sequence[tuple[float, int]], n: int = 1) -> Distribution:
     """Build a distribution from (log_prob, multiplicity) pairs, validating total mass."""
-    entries: list[tuple[float, int, int | None]] = []
-    for lp, mult in pairs:
+    entries: list[tuple[float, int, int]] = []
+    for index, (lp, mult) in enumerate(pairs):
         lp = float(lp)
         if not math.isfinite(lp) or lp > 0.0:
             raise NotNormalized(f"log-probabilities must be finite and <= 0, got {lp!r}")
         if int(mult) != mult or mult < 1:
             raise NotNormalized(f"multiplicities must be positive integers, got {mult!r}")
-        entries.append((lp, int(mult), None))
+        entries.append((-lp, index, int(mult)))
     if not entries:
         raise EmptyDistribution("no atoms supplied")
     return _check_mass(Distribution(_normalize_atoms(entries), n=n))
@@ -158,12 +171,8 @@ def distribution_from_atoms(pairs: Sequence[tuple[float, int]], n: int = 1) -> D
 
 def shannon_entropy(probs: Sequence[float]) -> float:
     """Shannon entropy in nats, with 0 log(1/0) read as 0."""
-    probs = [float(p) for p in probs]
-    if any(p < 0.0 for p in probs):
-        raise NotNormalized("negative probability entry")
-    total = math.fsum(probs)
-    if abs(total - 1.0) > MASS_TOL:
-        raise NotNormalized(f"probabilities sum to {total!r}, expected 1")
+    probs = _checked_probs(probs)
+    _check_sum(probs)
     return -math.fsum(p * math.log(p) for p in probs if p > 0.0)
 
 
@@ -191,8 +200,10 @@ class MixtureSpec:
         for comp in self.components:
             if len(comp.probs) != k:
                 raise BadMixture("all components must share one alphabet size")
-            if not 0.0 < comp.weight <= 1.0:
+            if not 0.0 < comp.weight <= 1.0:  # also rejects nan
                 raise BadMixture("component weights must lie in (0, 1]")
+            if not all(math.isfinite(p) for p in comp.probs):
+                raise BadMixture("component probabilities must be finite")
             if any(p < 0.0 for p in comp.probs):
                 raise BadMixture("negative component probability")
             if abs(math.fsum(comp.probs) - 1.0) > 1e-12:
@@ -228,24 +239,61 @@ def mixture_spec(pairs: Sequence[tuple[float, Sequence[float]]]) -> MixtureSpec:
     )
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All ways to split `total` into `parts` nonnegative ordered counts."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+def _scaled_logs(log_p: float, n: int) -> list[float]:
+    """h * log_p for h = 0..n, reading 0 * log 0 as 0."""
+    if log_p == -math.inf:
+        return [0.0] + [-math.inf] * n
+    return [h * log_p for h in range(n + 1)]
 
 
-def _multinomial(n: int, counts: Sequence[int]) -> int:
-    """Exact number of length-n sequences with the given per-bin counts."""
-    coef = 1
-    rem = n
-    for c in counts:
-        coef *= math.comb(rem, c)
-        rem -= c
-    return coef
+def _type_class_atoms(
+    n: int,
+    log_weights: Sequence[float],
+    level_log_probs: Sequence[Sequence[float]],
+    level_mults: Sequence[int],
+) -> list[tuple[float, int, int]]:
+    """One (-log_prob, class_index, multiplicity) entry per type class of positive mass.
+
+    The source is a mixture of memoryless components over bins: component c
+    has log weight log_weights[c] and gives each of the level_mults[j]
+    symbols of bin j the log-prob level_log_probs[c][j] (-inf for zero). A
+    type class counts how many of the n positions fall in each bin. Classes
+    are walked in lexicographic order of their counts, which fixes
+    class_index, and classes of zero mass under every component are skipped.
+
+    The walk goes down the prefix tree of counts. A node that has placed all
+    but rem positions carries each component's partial log-sum and the exact
+    integer product of C(rem_i, h_i) * m_i**h_i over the bins fixed so far,
+    times m_last**rem for the positions the last bin takes if no other bin
+    does. Raising bin j's count from h - 1 to h multiplies that integer by
+    m_j * (rem - h + 1) and divides it, exactly, by h * m_last; the log-sums
+    move by table lookups. A class thus costs one big-int update and
+    O(components) float adds, and its count is an exact integer.
+    """
+    bins = len(level_mults)
+    m_last = level_mults[-1]
+    tables = [[_scaled_logs(comp[j], n) for comp in level_log_probs] for j in range(bins)]
+    last_tables = tables[-1]
+    single = len(log_weights) == 1
+    entries: list[tuple[float, int, int]] = []
+    index = itertools.count()
+
+    def walk(j: int, rem: int, count: int, sums: list[float]) -> None:
+        if j == bins - 1:
+            lps = [w + (s + t[rem]) for w, s, t in zip(log_weights, sums, last_tables)]
+            lp = lps[0] if single else logsumexp(lps)
+            idx = next(index)
+            if lp != -math.inf:
+                entries.append((-lp, idx, count))
+            return
+        m, bin_tables = level_mults[j], tables[j]
+        for h in range(rem + 1):
+            if h:
+                count = count * (m * (rem - h + 1)) // (h * m_last)
+            walk(j + 1, rem - h, count, [s + t[h] for s, t in zip(sums, bin_tables)])
+
+    walk(0, n, m_last**n, [0.0] * len(log_weights))
+    return entries
 
 
 def _guard_class_count(n: int, bins: int, cap: int | None) -> int:
@@ -272,14 +320,9 @@ def iid_extension(base: Distribution, n: int, cap: int | None = None) -> Distrib
         return base
     levels = base.atoms
     _guard_class_count(n, len(levels), cap)
-    entries: list[tuple[float, int, int | None]] = []
-    for idx, counts in enumerate(_compositions(n, len(levels))):
-        lp = math.fsum(c * a.log_prob for c, a in zip(counts, levels))
-        mult = _multinomial(n, counts)
-        for c, a in zip(counts, levels):
-            if a.multiplicity > 1:
-                mult *= a.multiplicity**c
-        entries.append((lp, mult, idx))
+    entries = _type_class_atoms(
+        n, [0.0], [[a.log_prob for a in levels]], [a.multiplicity for a in levels]
+    )
     return _check_mass(Distribution(_normalize_atoms(entries), n=n))
 
 
@@ -288,7 +331,8 @@ def mixture_extension(spec: MixtureSpec, n: int, cap: int | None = None) -> Dist
 
     The probability of a sequence depends only on its symbol counts, so one
     atom per type class over the shared alphabet; classes whose mixture
-    probabilities coincide merge into a single atom.
+    probabilities coincide merge into a single atom. Classes of zero mass under
+    every component are left out.
     """
     if n < 1:
         raise ValueError("blocklength must be >= 1")
@@ -298,23 +342,7 @@ def mixture_extension(spec: MixtureSpec, n: int, cap: int | None = None) -> Dist
     log_p = [
         [math.log(p) if p > 0.0 else -math.inf for p in c.probs] for c in spec.components
     ]
-    entries: list[tuple[float, int, int | None]] = []
-    for idx, counts in enumerate(_compositions(n, k)):
-        per_comp = []
-        for lw, lps in zip(log_w, log_p):
-            s = 0.0
-            for c, lq in zip(counts, lps):
-                if c == 0:
-                    continue
-                if lq == -math.inf:
-                    s = -math.inf
-                    break
-                s += c * lq
-            if s != -math.inf:
-                per_comp.append(lw + s)
-        if not per_comp:
-            continue  # zero probability under every component
-        entries.append((logsumexp(per_comp), _multinomial(n, counts), idx))
+    entries = _type_class_atoms(n, log_w, log_p, [1] * k)
     if not entries:
         raise EmptyDistribution("mixture extension has empty support")
     return _check_mass(Distribution(_normalize_atoms(entries), n=n))

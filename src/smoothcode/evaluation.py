@@ -85,11 +85,19 @@ def exponential_moment(code: StochasticCode, dist: Distribution, lam: float) -> 
             terms.append(lp + math.log(g) + lam * bits * LN2)
         if g < 1.0:
             terms.append(lp + math.log1p(-g) + lam * reject_len * LN2)
-    return math.exp(logsumexp(terms))
+    return _exp_or_inf(logsumexp(terms))
 
 
-def _exp_lambda_entropy(dist: Distribution, eps: float, lam: float) -> float:
-    """exp(lam * smooth entropy of order 1/(1+lam)); 0 once eps reaches 1.
+def _exp_or_inf(log_x: float) -> float:
+    """exp(log_x), reading a result beyond float range as inf."""
+    try:
+        return math.exp(log_x)
+    except OverflowError:
+        return math.inf
+
+
+def _lambda_entropy(dist: Distribution, eps: float, lam: float) -> float:
+    """lam * smooth entropy of order 1/(1+lam); -inf once eps reaches 1.
 
     The budget eps + gamma_eps of the all-or-nothing code can equal 1 exactly
     (when even the single most probable symbol already covers 1 - eps), so
@@ -98,26 +106,27 @@ def _exp_lambda_entropy(dist: Distribution, eps: float, lam: float) -> float:
     if not 0.0 <= eps <= 1.0 + 1e-12:
         raise BadEpsilon("eps must be in [0, 1] for the moment bounds")
     if eps >= 1.0:
-        return 0.0
+        return -math.inf
     alpha = 1.0 / (1.0 + lam)
     # lam * H equals (1 + lam) * log r, since 1 - alpha = lam / (1 + lam)
-    lam_entropy = (1.0 + lam) * log_r_alpha_eps(dist, alpha, eps)
-    try:
-        return math.exp(lam_entropy)
-    except OverflowError:
-        return math.inf
+    return (1.0 + lam) * log_r_alpha_eps(dist, alpha, eps)
 
 
 def converse_bound(dist: Distribution, eps: float, lam: float) -> float:
     """Lower bound on the moment of any code with credited error within eps."""
     check_lambda(lam)
-    return _exp_lambda_entropy(dist, eps, lam)
+    return _exp_or_inf(_lambda_entropy(dist, eps, lam))
 
 
 def direct_bound(dist: Distribution, eps: float, lam: float) -> float:
-    """Achievable upper bound: 2**(2 lam) * exp(lam * H) + eps * 2**lam."""
+    """Achievable upper bound: 2**(2 lam) * exp(lam * H) + eps * 2**lam.
+
+    Summed in the log domain, so a large lam gives inf rather than an error.
+    """
     check_lambda(lam)
-    return 2.0 ** (2.0 * lam) * _exp_lambda_entropy(dist, eps, lam) + eps * 2.0**lam
+    lam_entropy = _lambda_entropy(dist, eps, lam)
+    log_eps = math.log(eps) if eps > 0.0 else -math.inf
+    return _exp_or_inf(logsumexp([2.0 * lam * LN2 + lam_entropy, log_eps + lam * LN2]))
 
 
 def evaluate_code(

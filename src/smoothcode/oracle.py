@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
-import numpy as np
-
 from .codes import assign_canonical_codewords
 from .distributions import Distribution
 from .errors import Infeasible, TooLarge, check_alpha, check_eps, check_lambda
@@ -138,6 +136,8 @@ def smoothing_feasible_search(
     split across symbols by random proportions and clipped at zero, so every
     draw is feasible by construction. eps = 0 returns sum(P**alpha) exactly.
     """
+    import numpy as np  # imported here so the rest of the package starts without it
+
     check_alpha(alpha)
     check_eps(eps)
     probs = np.asarray(dist.probabilities(), dtype=float)

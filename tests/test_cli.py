@@ -406,3 +406,46 @@ def test_module_entry_point(dist_file):
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["k_star"] == 3
+
+
+def test_non_finite_inputs_exit_2(capsys, tmp_path):
+    # json.load parses NaN and Infinity, so these reach the validators
+    dist = tmp_path / "nan_dist.json"
+    dist.write_text('{"probs": [1.0, NaN]}')
+    rc, out, err = run_cli(
+        capsys, ["entropy", "--dist", str(dist), "--alpha", "0.5", "--eps", "0"]
+    )
+    assert rc == 2 and out == "" and err.startswith("error:")
+
+    spec = tmp_path / "bad_mixture.json"
+    argv = ["mixture", "--spec", str(spec), "--alpha", "0.5", "--eps", "0.1", "--n-list", "4"]
+    for component in (
+        '{"weight": 1.0, "probs": [NaN, 1.0]}',
+        '{"weight": Infinity, "probs": [0.5, 0.5]}',
+    ):
+        spec.write_text('{"components": [%s]}' % component)
+        rc, out, err = run_cli(capsys, argv)
+        assert rc == 2 and out == "" and err.startswith("error:")
+
+
+def test_huge_lambda_reports_inf(capsys, dist_file):
+    rc, out, err = run_cli(
+        capsys, ["evaluate", "--dist", dist_file, "--eps", "0.1", "--lambda", "2000"]
+    )
+    assert rc == 0 and err == ""
+    report = json.loads(out)
+    assert report["exp_moment"] == math.inf and report["direct_bound"] == math.inf
+
+    rc, out, err = run_cli(
+        capsys, ["sweep", "--dist", dist_file, "--epsilons", "0,0.1", "--lambdas", "1,2000"]
+    )
+    assert rc == 0 and err == ""
+    reports = json.loads(out)["reports"]
+    assert [r["exp_moment"] == math.inf for r in reports] == [False, True, False, True]
+
+
+def test_import_leaves_numpy_out():
+    code = "import sys, smoothcode, smoothcode.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import smoothcode as sc
+from smoothcode.distributions import _type_class_atoms
 
 H_SKEWED_COIN = 0.34651533691866615  # Shannon entropy of (0.89, 0.11) in nats
 
@@ -72,6 +73,11 @@ def test_new_distribution_validation():
         sc.new_distribution([])
     with pytest.raises(sc.EmptyDistribution):
         sc.new_distribution([0.0, 0.0])
+    for bad in ([1.0, math.nan], [math.nan], [1.0, math.inf], [math.inf, -math.inf]):
+        with pytest.raises(sc.NotNormalized):
+            sc.new_distribution(bad)
+    with pytest.raises(sc.NotNormalized):
+        sc.shannon_entropy([1.0, math.nan])
 
 
 def test_total_mass_and_probabilities():
@@ -182,6 +188,93 @@ def test_mixture_with_zero_prob_symbol():
     assert d.total_mass() == pytest.approx(1.0, abs=1e-12)
 
 
+def lexicographic_classes(n, bins):
+    """Per-bin counts summing to n, in lexicographic order."""
+    for head in product(range(n + 1), repeat=bins - 1):
+        if sum(head) <= n:
+            yield head + (n - sum(head),)
+
+
+def comb_product(counts, mults):
+    """Exact class size: one math.comb per bin, times m**c for m symbols per bin."""
+    size, rem = 1, sum(counts)
+    for c, m in zip(counts, mults):
+        size *= math.comb(rem, c) * m**c
+        rem -= c
+    return size
+
+
+def reference_log_prob(counts, pairs):
+    """Log-prob of one sequence in the class, fsum per component then logsumexp."""
+    per_comp = []
+    for w, ps in pairs:
+        if any(c and p == 0.0 for c, p in zip(counts, ps)):
+            continue
+        per_comp.append(math.log(w) + math.fsum(c * math.log(p) for c, p in zip(counts, ps) if c))
+    if not per_comp:
+        return -math.inf
+    m = max(per_comp)
+    return m + math.log(math.fsum(math.exp(v - m) for v in per_comp))
+
+
+ENGINE_SOURCES = [
+    # (components as (weight, per-bin probability of one symbol), symbols per bin)
+    ([(1.0, [0.7, 0.3])], [1, 1]),
+    ([(1.0, [0.5, 0.25])], [1, 2]),  # base [0.25, 0.25, 0.5]: a repeated level
+    ([(1.0, [0.4, 0.2, 0.1])], [1, 2, 2]),
+    ([(1.0, [0.41, 0.29, 0.19, 0.11])], [1, 1, 1, 1]),
+    ([(0.6, [0.5, 0.5]), (0.4, [0.89, 0.11])], [1, 1]),
+    ([(0.5, [0.4, 0.3, 0.3]), (0.5, [0.9, 0.1, 0.0])], [1, 1, 1]),  # -inf path
+    ([(0.5, [0.4, 0.35, 0.25]), (0.3, [0.6, 0.3, 0.1]), (0.2, [0.8, 0.15, 0.05])], [1, 1, 1]),
+    ([(0.7, [0.25, 0.25, 0.25, 0.25]), (0.3, [0.7, 0.1, 0.1, 0.1])], [1, 1, 1, 1]),
+]
+
+
+@pytest.mark.parametrize("pairs, mults", ENGINE_SOURCES)
+def test_engine_counts_match_comb_products(pairs, mults):
+    log_w = [math.log(w) for w, _ in pairs]
+    log_p = [[math.log(p) if p > 0.0 else -math.inf for p in ps] for _, ps in pairs]
+    for n in (1, 2, 7, 25):
+        entries = _type_class_atoms(n, log_w, log_p, mults)
+        expected = []
+        for index, counts in enumerate(lexicographic_classes(n, len(mults))):
+            lp = reference_log_prob(counts, pairs)
+            if lp != -math.inf:
+                expected.append((lp, index, comb_product(counts, mults)))
+        assert [(i, m) for _, i, m in entries] == [(i, m) for _, i, m in expected]
+        for (neg_lp, _, _), (lp, _, _) in zip(entries, expected):
+            assert -neg_lp == pytest.approx(lp, abs=1e-12)
+
+
+@pytest.mark.parametrize("probs", [[0.25, 0.25, 0.5], [0.7, 0.3], [0.4, 0.3, 0.2, 0.1]])
+def test_iid_extension_counts_match_comb_products(probs):
+    base = sc.new_distribution(probs)
+    for n in (2, 9, 25):
+        classes = []
+        for counts in lexicographic_classes(n, len(probs)):
+            lp = math.fsum(c * math.log(p) for c, p in zip(counts, probs))
+            classes.append((lp, comb_product(counts, [1] * len(probs))))
+        expected = []  # merge classes of equal probability, largest first
+        for lp, size in sorted(classes, reverse=True):
+            if expected and expected[-1][0] - lp <= 1e-9:
+                expected[-1][1] += size
+            else:
+                expected.append([lp, size])
+        dist = sc.iid_extension(base, n)
+        assert [a.multiplicity for a in dist.atoms] == [m for _, m in expected]
+        for atom, (lp, _) in zip(dist.atoms, expected):
+            assert atom.log_prob == pytest.approx(lp, abs=1e-9)
+        assert dist.support_size == len(probs) ** n
+
+
+def test_mixture_extension_at_blocklength_16384():
+    spec = sc.mixture_spec([(0.6, [0.5, 0.5]), (0.4, [0.89, 0.11])])
+    d = sc.mixture_extension(spec, 16384)
+    assert d.support_size == 2**16384
+    assert d.total_mass() == pytest.approx(1.0, abs=1e-9)
+    assert len(d.atoms) == 4535
+
+
 def test_mixture_validation():
     with pytest.raises(sc.BadMixture):
         sc.mixture_spec([(0.5, [0.5, 0.5]), (0.4, [0.89, 0.11])])  # weights != 1
@@ -196,6 +289,16 @@ def test_mixture_validation():
     with pytest.raises(sc.BadMixture):
         # equal entropies are not strictly decreasing
         sc.mixture_spec([(0.5, [0.2, 0.8]), (0.5, [0.8, 0.2])])
+    for bad in (
+        [(1.0, [1.0, math.nan])],
+        [(1.0, [math.nan, math.nan])],
+        [(1.0, [math.inf, 0.0])],
+        [(math.nan, [0.5, 0.5])],
+        [(math.inf, [0.5, 0.5])],
+        [(0.6, [0.5, 0.5]), (0.4, [0.89, math.nan])],
+    ):
+        with pytest.raises(sc.BadMixture):
+            sc.mixture_spec(bad)
 
 
 def test_cumulative_weights_endpoints():

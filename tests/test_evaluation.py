@@ -183,3 +183,13 @@ def test_stochastic_moment_between_bounds_on_random_grid():
                 lo = report.converse_bound * (1 - 1e-9)
                 hi = report.direct_bound * (1 + 1e-9)
                 assert lo <= report.exp_moment <= hi
+
+
+def test_moment_and_bounds_beyond_float_range():
+    dist = sc.new_distribution(WORKED)
+    code = sc.build_stochastic_code(dist, 0.1, 2000.0)
+    assert sc.exponential_moment(code, dist, 2000.0) == math.inf
+    assert sc.converse_bound(dist, 0.1, 2000.0) == math.inf
+    assert sc.direct_bound(dist, 0.1, 2000.0) == math.inf
+    # 2**(2 lam) overflows on its own, but the bound is eps * 2**lam here
+    assert sc.direct_bound(dist, 1.0, 600.0) == pytest.approx(2.0**600, rel=1e-12)
