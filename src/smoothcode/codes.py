@@ -5,16 +5,22 @@ a tilted copy of Q fixes integer codeword lengths, canonical assignment turns
 lengths into binary words, and each symbol x is accepted with probability
 Q(x)/P(x). Accepted symbols emit '0' followed by their inner word, everything
 else emits the single-bit reject word '1'.
+
+Every symbol of one probability level gets the same length and the same
+acceptance probability, so a code is stored as runs of consecutive symbols
+and built one level at a time. Per-symbol words exist only when asked for.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import Iterable, NamedTuple, Sequence
 
-from .distributions import Distribution, WeightedAtom
-from .errors import KraftViolated, check_lambda
+from .distributions import Distribution, WeightedAtom, _expand, _expand_atoms
+from .errors import KraftViolated, Misaligned, check_lambda
 from .logspace import LN2, logsumexp
 from .smooth_renyi import SubDistribution, optimal_smoothing
 
@@ -64,10 +70,7 @@ def _length_bits(log_qt: float) -> int:
 
 def shannon_lengths(tilted: TiltedDistribution) -> list[int]:
     """Per-symbol codeword lengths in bits: -log2 of the tilted probability, rounded up."""
-    out: list[int] = []
-    for a in tilted.atoms:
-        out.extend([_length_bits(a.log_prob)] * a.multiplicity)
-    return out
+    return _expand_atoms(tilted.atoms, _length_bits)
 
 
 def ideal_real_lengths(sub: SubDistribution, lam: float) -> list[float]:
@@ -77,11 +80,7 @@ def ideal_real_lengths(sub: SubDistribution, lam: float) -> list[float]:
     condition with equality: sum(exp(-length)) == 1.
     """
     check_lambda(lam)
-    tilted = _tilt_atoms(sub.atoms, lam)
-    out: list[float] = []
-    for a in tilted.atoms:
-        out.extend([-a.log_prob] * a.multiplicity)
-    return out
+    return _expand_atoms(_tilt_atoms(sub.atoms, lam).atoms, lambda lp: -lp)
 
 
 @dataclass(frozen=True)
@@ -129,28 +128,140 @@ def assign_canonical_codewords(lengths_bits: Sequence[int]) -> PrefixCode:
     return PrefixCode(tuple(words))
 
 
+def _canonical_starts(runs: Sequence[tuple[int, int]]) -> list[int]:
+    """Value of the first canonical word of each (length, count) run.
+
+    The lengths must be nondecreasing. A run takes the count smallest values
+    of its length that extend no earlier word, which are the words
+    assign_canonical_codewords gives symbol by symbol. Kraft is checked
+    exactly, in integers, as each run closes.
+    """
+    starts: list[int] = []
+    value = prev = 0  # value: first free word at the previous run's length
+    for length, count in runs:
+        value <<= length - prev
+        if value + count > 1 << length:
+            raise KraftViolated(f"{count} words of length {length} overfill the binary tree")
+        starts.append(value)
+        value += count
+        prev = length
+    return starts
+
+
+def _run_words(length: int, start: int, count: int) -> Iterable[str]:
+    if length == 0:
+        return itertools.repeat("", count)
+    return map(format, range(start, start + count), itertools.repeat(f"0{length}b"))
+
+
+class CodeRun(NamedTuple):
+    """count consecutive symbols, in the distribution's sorted order, coded alike.
+
+    Each is accepted with probability gamma and then emits a word of
+    accept_bits bits, flag bit included; accept_bits is None for symbols
+    without a word.
+    """
+
+    count: int
+    gamma: float
+    accept_bits: int | None
+
+
+class Segment(NamedTuple):
+    """Symbols that share one probability level and the same coding.
+
+    first is the position of the segment's first symbol in the sorted order.
+    """
+
+    log_prob: float
+    count: int
+    gamma: float
+    accept_bits: int | None
+    first: int
+
+
+def _packed(runs: Iterable[tuple[int, float, int | None]]) -> tuple[CodeRun, ...]:
+    """Join neighbouring (count, gamma, accept_bits) runs that code alike.
+
+    Packed runs are maximal, so cutting them at level boundaries gives the
+    same segments however the code was made.
+    """
+    return tuple(
+        CodeRun(sum(run[0] for run in group), gamma, bits)
+        for (gamma, bits), group in itertools.groupby(runs, key=lambda run: run[1:])
+    )
+
+
+def _segments(runs: Sequence[CodeRun], atoms: Sequence[WeightedAtom]) -> list[Segment]:
+    """Cut the runs at the level boundaries of the atoms they cover.
+
+    Raises Misaligned when the runs and the atoms count different numbers of
+    symbols.
+    """
+    coded = sum(r.count for r in runs)
+    support = sum(a.multiplicity for a in atoms)
+    if coded != support:
+        raise Misaligned(f"code covers {coded} symbols, distribution has {support}")
+    out: list[Segment] = []
+    run_iter = iter(runs)
+    run_left = first = 0
+    for atom in atoms:
+        atom_left = atom.multiplicity
+        while atom_left:
+            if not run_left:
+                run_left, gamma, bits = next(run_iter)
+            take = min(run_left, atom_left)
+            out.append(Segment(atom.log_prob, take, gamma, bits, first))
+            first += take
+            run_left -= take
+            atom_left -= take
+    return out
+
+
 @dataclass(frozen=True)
 class StochasticCode:
     """Flag-bit code: accepted symbols emit '0' + inner word, rejects emit '1'.
 
-    Symbol i (in the distribution's sorted order) is accepted with probability
-    gamma[i]; only the leading len(inner) symbols can be accepted and carry an
-    inner codeword. The reject word decodes to decoder_for_reject, the symbol
-    whose rejected mass is largest.
+    runs covers the symbols in the distribution's sorted order; only a
+    leading block of runs carries words. A built code numbers its inner words
+    canonically along the runs, while a code read from a codebook keeps the
+    inner words it was given in explicit_words. The reject word decodes to
+    decoder_for_reject, the symbol whose rejected mass is largest. The
+    per-symbol views gamma and inner are expanded on first use, within
+    atom_cap().
     """
 
-    gamma: tuple[float, ...]
-    inner: PrefixCode
+    runs: tuple[CodeRun, ...]
     decoder_for_reject: int
     reject: str = "1"
+    explicit_words: tuple[str, ...] | None = None
 
     @property
     def num_symbols(self) -> int:
-        return len(self.gamma)
+        return sum(r.count for r in self.runs)
 
     @property
     def is_deterministic(self) -> bool:
-        return all(g in (0.0, 1.0) for g in self.gamma)
+        return all(r.gamma in (0.0, 1.0) for r in self.runs)
+
+    @cached_property
+    def gamma(self) -> tuple[float, ...]:
+        """Acceptance probability of each symbol."""
+        return tuple(_expand([(r.count, itertools.repeat(r.gamma, r.count)) for r in self.runs]))
+
+    @cached_property
+    def inner(self) -> PrefixCode:
+        """Inner words, flag bit excluded, of the leading symbols that have one."""
+        if self.explicit_words is not None:
+            return PrefixCode(self.explicit_words)
+        coded = [(r.accept_bits - 1, r.count) for r in self.runs if r.accept_bits is not None]
+        words = _expand(
+            [
+                (count, _run_words(length, start, count))
+                for (length, count), start in zip(coded, _canonical_starts(coded))
+            ]
+        )
+        return PrefixCode(tuple(words))
 
     def accept_word(self, i: int) -> str | None:
         if 0 <= i < len(self.inner.codewords):
@@ -171,38 +282,65 @@ class StochasticCode:
                 return self.inner.codewords.index(inner)
         raise ValueError(f"not a codeword: {word!r}")
 
+    def segments(self, dist: Distribution) -> list[Segment]:
+        """The runs cut at the distribution's levels; Misaligned if the sizes differ."""
+        return _segments(self.runs, dist.atoms)
+
 
 @dataclass(frozen=True)
 class DeterministicCode(StochasticCode):
     """Flag-bit code whose acceptance probabilities are all 0 or 1."""
 
 
-def _assemble(
+def _reject_target(segments: Iterable[Segment]) -> int:
+    """First symbol with the largest rejected mass P(x) * (1 - gamma(x))."""
+    best, target = -1.0, 0
+    for s in segments:
+        rejected = math.exp(s.log_prob) * (1.0 - s.gamma)
+        if rejected > best:
+            best, target = rejected, s.first
+    return target
+
+
+def _flag_code(
     cls,
-    probs: list[float],
-    atoms: Sequence[WeightedAtom],
-    gamma: list[float],
+    dist: Distribution,
+    coded: Sequence[WeightedAtom],
+    last_gamma: float,
     lam: float,
 ) -> StochasticCode:
-    if atoms:
-        tilted = _tilt_atoms(atoms, lam)
-        lengths = shannon_lengths(tilted)
-        inner = assign_canonical_codewords(lengths)
-    else:
-        inner = PrefixCode(())
-    decoder = 0
-    best = probs[0] * (1.0 - gamma[0])
-    for i, (p, g) in enumerate(zip(probs, gamma)):
-        rejected = p * (1.0 - g)
-        if rejected > best:
-            best = rejected
-            decoder = i
-    return cls(gamma=tuple(gamma), inner=inner, decoder_for_reject=decoder)
+    """Code whose words go to the leading atoms `coded` of the smoothing truncation.
+
+    One length per tilted atom. The symbols of the last coded atom are
+    accepted with probability last_gamma, the others surely; every later
+    symbol of dist rejects.
+    """
+    runs = []
+    if coded:
+        lengths = [_length_bits(a.log_prob) for a in _tilt_atoms(coded, lam).atoms]
+        # checks Kraft exactly; tilting keeps the sorted order, so the lengths
+        # are nondecreasing as canonical numbering needs
+        _canonical_starts([(l, a.multiplicity) for l, a in zip(lengths, coded)])
+        runs = [(a.multiplicity, 1.0, 1 + l) for a, l in zip(coded, lengths)]
+        runs[-1] = (coded[-1].multiplicity, last_gamma, 1 + lengths[-1])
+    rest = dist.support_size - sum(r[0] for r in runs)
+    if rest:
+        runs.append((rest, 0.0, None))
+    packed = _packed(runs)
+    decoder = _reject_target(_segments(packed, dist.atoms))
+    return cls(runs=packed, decoder_for_reject=decoder)
 
 
-def build_stochastic_code(
-    dist: Distribution, eps: float, lam: float, cap: int | None = None
-) -> StochasticCode:
+def _level_at(dist: Distribution, index: int) -> float:
+    """log-prob of the symbol at a position of the sorted order."""
+    for a in dist.atoms:
+        if index < a.multiplicity:
+            return a.log_prob
+        index -= a.multiplicity
+    raise IndexError("position beyond the support")
+
+
+def build_stochastic_code(dist: Distribution, eps: float, lam: float) -> StochasticCode:
     """Flag-bit code for the smoothing truncation at budget eps.
 
     The k_star - 1 most probable symbols are always accepted, the boundary
@@ -211,16 +349,12 @@ def build_stochastic_code(
     """
     check_lambda(lam)
     sub = optimal_smoothing(dist, eps)
-    probs = dist.probabilities(cap)
-    boundary_p = probs[sub.k_star - 1]
+    boundary_p = math.exp(_level_at(dist, sub.k_star - 1))
     gamma_b = 1.0 if boundary_p == 0.0 else min(sub.gamma_eps / boundary_p, 1.0)
-    gamma = [1.0] * (sub.k_star - 1) + [gamma_b] + [0.0] * (len(probs) - sub.k_star)
-    return _assemble(StochasticCode, probs, sub.atoms, gamma, lam)
+    return _flag_code(StochasticCode, dist, sub.atoms, gamma_b, lam)
 
 
-def build_deterministic_code(
-    dist: Distribution, eps: float, lam: float, cap: int | None = None
-) -> DeterministicCode:
+def build_deterministic_code(dist: Distribution, eps: float, lam: float) -> DeterministicCode:
     """All-or-nothing variant: only the k_star - 1 most probable symbols are coded.
 
     Dropping the boundary symbol entirely raises the error probability to
@@ -228,10 +362,8 @@ def build_deterministic_code(
     """
     check_lambda(lam)
     sub = optimal_smoothing(dist, eps)
-    probs = dist.probabilities(cap)
-    kept = sub.atoms[:-1]  # everything except the clipped boundary symbol
-    gamma = [1.0] * (sub.k_star - 1) + [0.0] * (len(probs) - sub.k_star + 1)
-    return _assemble(DeterministicCode, probs, kept, gamma, lam)
+    # everything except the clipped boundary symbol
+    return _flag_code(DeterministicCode, dist, sub.atoms[:-1], 1.0, lam)
 
 
 def codebook_to_json(code: StochasticCode) -> dict:
@@ -247,12 +379,16 @@ def codebook_to_json(code: StochasticCode) -> dict:
 
 
 def codebook_from_json(obj: dict) -> StochasticCode:
-    """Rebuild a code from its wire format, revalidating the prefix property."""
+    """Rebuild a code from its wire format, revalidating the prefix property.
+
+    The words are kept as given; consecutive entries with equal gamma and
+    word length share one run, as in a built code, so both evaluate alike.
+    """
     entries = obj["entries"]
     if not entries:
         raise ValueError("codebook has no entries")
     reject = str(obj["reject"])
-    gamma = []
+    codings = []
     inner_words = []
     for i, e in enumerate(entries):
         g = float(e["gamma"])
@@ -262,19 +398,25 @@ def codebook_from_json(obj: dict) -> StochasticCode:
         if word is None:
             if g > 0.0:
                 raise ValueError(f"entry {i} can be accepted but has no codeword")
+            codings.append((1, g, None))
         else:
             if len(inner_words) != i:
                 raise ValueError("coded symbols must form a leading block of the entries")
             if not word.startswith("0"):
                 raise ValueError(f"accept codeword must start with the flag bit '0': {word!r}")
             inner_words.append(word[1:])
-        gamma.append(g)
-    inner = PrefixCode(tuple(inner_words))
+            codings.append((1, g, len(word)))
+    runs = _packed(codings)
     full = PrefixCode(tuple("0" + w for w in inner_words) + (reject,))
     if not full.is_prefix_free():
         raise KraftViolated("codebook words are not prefix-free")
     decoder = int(obj.get("decoder_for_reject", 0))
     if not 0 <= decoder < len(entries):
         raise ValueError("decoder_for_reject out of range")
-    cls = DeterministicCode if all(g in (0.0, 1.0) for g in gamma) else StochasticCode
-    return cls(gamma=tuple(gamma), inner=inner, decoder_for_reject=decoder, reject=reject)
+    cls = DeterministicCode if all(r.gamma in (0.0, 1.0) for r in runs) else StochasticCode
+    return cls(
+        runs=runs,
+        decoder_for_reject=decoder,
+        reject=reject,
+        explicit_words=tuple(inner_words),
+    )

@@ -14,7 +14,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import BadMixture, EmptyDistribution, NotNormalized, TooLarge
 from .logspace import logsumexp
@@ -23,6 +23,8 @@ MASS_TOL = 1e-9
 # two probability levels merge into one atom iff their log-probs are this close
 MERGE_TOL = 1e-12
 DEFAULT_ATOM_CAP = 2_000_000
+
+T = TypeVar("T")
 
 
 def atom_cap() -> int:
@@ -40,6 +42,20 @@ def atom_cap() -> int:
     if cap < 1:
         raise ValueError("SMOOTHCODE_CAP must be >= 1")
     return cap
+
+
+def _expand(runs: Sequence[tuple[int, Iterable[T]]], cap: int | None = None) -> list[T]:
+    """One entry per symbol, concatenated from (count, values) runs.
+
+    Each run's values yield its count entries lazily, so the size cap
+    (atom_cap() unless given) is enforced before any of them is produced.
+    Every per-symbol expansion in the package goes through here.
+    """
+    cap = atom_cap() if cap is None else cap
+    size = sum(count for count, _ in runs)
+    if size > cap:
+        raise TooLarge(f"support of size {size} exceeds cap {cap}")
+    return list(itertools.chain.from_iterable(values for _, values in runs))
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,13 +106,17 @@ class Distribution:
 
     def probabilities(self, cap: int | None = None) -> list[float]:
         """Expand to one probability per symbol, largest first."""
-        cap = atom_cap() if cap is None else cap
-        if self.support_size > cap:
-            raise TooLarge(f"support of size {self.support_size} exceeds cap {cap}")
-        out: list[float] = []
-        for a in self.atoms:
-            out.extend([math.exp(a.log_prob)] * a.multiplicity)
-        return out
+        return _expand_atoms(self.atoms, math.exp, cap)
+
+
+def _expand_atoms(
+    atoms: Sequence[WeightedAtom], value: Callable[[float], T], cap: int | None = None
+) -> list[T]:
+    """value(log_prob) once per symbol of each atom, through the capped _expand."""
+    return _expand(
+        [(a.multiplicity, itertools.repeat(value(a.log_prob), a.multiplicity)) for a in atoms],
+        cap,
+    )
 
 
 def _normalize_atoms(entries: list[tuple[float, int, int]]) -> tuple[WeightedAtom, ...]:

@@ -1,5 +1,7 @@
 """Exception types and parameter checks shared across the package."""
 
+import math
+
 
 class SmoothcodeError(Exception):
     """Base class for every error raised by this package."""
@@ -26,7 +28,7 @@ class BadAlpha(SmoothcodeError):
 
 
 class BadLambda(SmoothcodeError):
-    """Moment tilt must be strictly positive."""
+    """Moment tilt must be finite and strictly positive."""
 
 
 class KraftViolated(SmoothcodeError):
@@ -60,5 +62,6 @@ def check_alpha(alpha: float) -> None:
 
 
 def check_lambda(lam: float) -> None:
-    if not lam > 0.0:
-        raise BadLambda("lambda must be > 0")
+    # lambda = inf would reach the entropy order 1/(1 + lambda) = 0
+    if not (lam > 0.0 and math.isfinite(lam)):
+        raise BadLambda(f"lambda must be finite and > 0, got {lam!r}")

@@ -4,6 +4,10 @@ For a flag-bit code the moment E[exp(lam * length-in-nats)] averages over both
 the source and the encoder's acceptance coin. The converse bound exp(lam * H)
 uses the smooth Renyi entropy of order 1/(1 + lam) at the same budget; the
 direct bound adds the two-bit overhead factor and the reject-word term.
+
+Every sum runs over segments (StochasticCode.segments): the symbols of one
+probability level that the code treats alike, weighted by their count, so
+no source is ever expanded symbol by symbol.
 """
 
 from __future__ import annotations
@@ -42,50 +46,46 @@ class CodeReport:
         }
 
 
-def _aligned_probs(code: StochasticCode, dist: Distribution) -> list[float]:
-    probs = dist.probabilities()
-    if len(probs) != code.num_symbols:
-        raise Misaligned(
-            f"code covers {code.num_symbols} symbols, distribution has {len(probs)}"
-        )
-    return probs
-
-
 def error_probability(code: StochasticCode, dist: Distribution) -> tuple[float, float]:
     """(raw, credited) error probability of the code on the distribution.
 
     Raw is the total rejected mass. Credited forgives the symbol the reject
     word decodes to, since that symbol survives decoding.
     """
-    probs = _aligned_probs(code, dist)
-    rejected = [p * (1.0 - g) for p, g in zip(probs, code.gamma)]
+    rejected = []
+    forgiven = 0.0
+    for s in code.segments(dist):
+        if s.gamma < 1.0:
+            rejected.append(math.exp(s.log_prob + math.log(s.count)) * (1.0 - s.gamma))
+            if s.first <= code.decoder_for_reject < s.first + s.count:
+                forgiven = math.exp(s.log_prob) * (1.0 - s.gamma)
     raw = math.fsum(rejected)
-    credited = raw - rejected[code.decoder_for_reject]
-    return raw, max(credited, 0.0)
+    return raw, max(raw - forgiven, 0.0)
+
+
+def _log_moment(code: StochasticCode, dist: Distribution, lam: float) -> float:
+    """log E[exp(lam * codeword length in nats)], summed level by level in logs."""
+    reject_nats = lam * len(code.reject) * LN2
+    terms = []
+    for s in code.segments(dist):
+        log_mass = s.log_prob + math.log(s.count)
+        if s.gamma > 0.0:
+            if s.accept_bits is None:
+                raise Misaligned(f"symbol {s.first} has gamma > 0 but no codeword")
+            terms.append(log_mass + math.log(s.gamma) + lam * s.accept_bits * LN2)
+        if s.gamma < 1.0:
+            terms.append(log_mass + math.log1p(-s.gamma) + reject_nats)
+    return logsumexp(terms)
 
 
 def exponential_moment(code: StochasticCode, dist: Distribution, lam: float) -> float:
     """E[exp(lam * codeword length in nats)], exact up to float rounding.
 
     Accumulated in the log domain so large tilts cannot overflow
-    intermediate terms.
+    intermediate terms; a moment beyond float range reads inf.
     """
     check_lambda(lam)
-    probs = _aligned_probs(code, dist)
-    reject_len = len(code.reject)
-    terms = []
-    for i, (p, g) in enumerate(zip(probs, code.gamma)):
-        if p == 0.0:
-            continue
-        lp = math.log(p)
-        if g > 0.0:
-            bits = code.accept_length_bits(i)
-            if bits is None:
-                raise Misaligned(f"symbol {i} has gamma > 0 but no codeword")
-            terms.append(lp + math.log(g) + lam * bits * LN2)
-        if g < 1.0:
-            terms.append(lp + math.log1p(-g) + lam * reject_len * LN2)
-    return _exp_or_inf(logsumexp(terms))
+    return _exp_or_inf(_log_moment(code, dist, lam))
 
 
 def _exp_or_inf(log_x: float) -> float:
@@ -124,9 +124,13 @@ def direct_bound(dist: Distribution, eps: float, lam: float) -> float:
     Summed in the log domain, so a large lam gives inf rather than an error.
     """
     check_lambda(lam)
+    return _exp_or_inf(_log_direct(dist, eps, lam))
+
+
+def _log_direct(dist: Distribution, eps: float, lam: float) -> float:
     lam_entropy = _lambda_entropy(dist, eps, lam)
     log_eps = math.log(eps) if eps > 0.0 else -math.inf
-    return _exp_or_inf(logsumexp([2.0 * lam * LN2 + lam_entropy, log_eps + lam * LN2]))
+    return logsumexp([2.0 * lam * LN2 + lam_entropy, log_eps + lam * LN2])
 
 
 def evaluate_code(
@@ -152,19 +156,29 @@ def sandwich_report(
 
     Raises SandwichViolated if the credited error exceeds eps or the exact
     moment escapes [converse, direct] beyond the relative slack; either one
-    would mean an implementation bug, not a property of the input.
+    would mean an implementation bug, not a property of the input. The
+    moment and the bounds are compared as logs, so the check still holds
+    where they overflow a float.
     """
     code = build_stochastic_code(dist, eps, lam)
-    report = evaluate_code(code, dist, eps, lam)
-    lo = report.converse_bound * (1.0 - slack)
-    hi = report.direct_bound * (1.0 + slack)
-    if report.error_prob > eps + 1e-12:
+    raw, credited = error_probability(code, dist)
+    log_moment = _log_moment(code, dist, lam)
+    log_converse = _lambda_entropy(dist, eps, lam)
+    log_direct = _log_direct(dist, eps, lam)
+    report = CodeReport(
+        eps=eps,
+        lam=lam,
+        error_prob=credited,
+        error_prob_raw=raw,
+        exp_moment=_exp_or_inf(log_moment),
+        converse_bound=_exp_or_inf(log_converse),
+        direct_bound=_exp_or_inf(log_direct),
+    )
+    if credited > eps + 1e-12:
+        raise SandwichViolated(f"credited error {credited} exceeds budget {eps}")
+    if not log_converse + math.log1p(-slack) <= log_moment <= log_direct + math.log1p(slack):
         raise SandwichViolated(
-            f"credited error {report.error_prob} exceeds budget {eps}"
-        )
-    if not lo <= report.exp_moment <= hi:
-        raise SandwichViolated(
-            f"moment {report.exp_moment} outside [{report.converse_bound}, "
-            f"{report.direct_bound}] at eps={eps}, lambda={lam}"
+            f"log moment {log_moment} outside [{log_converse}, {log_direct}] "
+            f"at eps={eps}, lambda={lam}"
         )
     return report

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .distributions import Distribution, WeightedAtom
+from .distributions import Distribution, WeightedAtom, _expand_atoms
 from .errors import check_alpha, check_eps
 from .logspace import ceil_exp, logsumexp
 
@@ -42,10 +42,8 @@ class SubDistribution:
         return self.atoms[-1].log_prob
 
     def probabilities(self) -> list[float]:
-        out: list[float] = []
-        for a in self.atoms:
-            out.extend([math.exp(a.log_prob)] * a.multiplicity)
-        return out
+        """Expand to one kept mass per symbol; TooLarge beyond atom_cap()."""
+        return _expand_atoms(self.atoms, math.exp)
 
 
 def optimal_smoothing(dist: Distribution, eps: float) -> SubDistribution:

@@ -449,3 +449,28 @@ def test_import_leaves_numpy_out():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_infinite_lambda_is_a_bad_lambda(capsys, dist_file):
+    for argv in (
+        ["evaluate", "--dist", dist_file, "--eps", "0.1", "--lambda", "inf"],
+        ["code", "--dist", dist_file, "--eps", "0.1", "--lambda", "inf"],
+        ["sweep", "--dist", dist_file, "--epsilons", "0.1", "--lambdas", "1,inf"],
+    ):
+        rc, out, err = run_cli(capsys, argv)
+        assert rc == 2 and out == ""
+        assert "lambda" in err
+
+
+def test_cap_limits_only_printed_codebooks(capsys, dist_file, monkeypatch):
+    # evaluation works per probability level, so only the codebook expands
+    monkeypatch.setenv("SMOOTHCODE_CAP", "2")
+    rc, _, err = run_cli(capsys, ["code", "--dist", dist_file, "--eps", "0.1", "--lambda", "1"])
+    assert rc == 3 and err.startswith("error:")
+    for argv in (
+        ["evaluate", "--dist", dist_file, "--eps", "0.1", "--lambda", "1"],
+        ["evaluate", "--dist", dist_file, "--eps", "0.1", "--lambda", "1", "--mode", "deterministic"],
+        ["sweep", "--dist", dist_file, "--epsilons", "0,0.1", "--lambdas", "1,2"],
+    ):
+        rc, out, err = run_cli(capsys, argv)
+        assert rc == 0 and err == ""

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -285,3 +286,67 @@ def test_codebook_from_json_validation():
 
     with pytest.raises(ValueError):
         sc.codebook_from_json({"reject": "1", "entries": []})
+
+
+def per_symbol_code(dist, eps, lam, deterministic):
+    """gamma, inner words and reject target of the flag-bit code, symbol by symbol."""
+    sub = sc.optimal_smoothing(dist, eps)
+    probs = dist.probabilities()
+    k = sub.k_star
+    if deterministic:
+        gamma = [1.0] * (k - 1) + [0.0] * (len(probs) - k + 1)
+        sub = dataclasses.replace(sub, atoms=sub.atoms[:-1])
+    else:
+        g_b = min(sub.gamma_eps / probs[k - 1], 1.0)
+        gamma = [1.0] * (k - 1) + [g_b] + [0.0] * (len(probs) - k)
+    lengths = sc.shannon_lengths(sc.tilted_distribution(sub, lam))
+    words = sc.assign_canonical_codewords(lengths).codewords
+    rejected = [p * (1.0 - g) for p, g in zip(probs, gamma)]
+    return tuple(gamma), words, rejected.index(max(rejected))
+
+
+def referee_sources():
+    rng = np.random.default_rng(73)
+    sources = [sc.new_distribution(rng.dirichlet(np.ones(int(rng.integers(2, 9))))) for _ in range(15)]
+    sources += [
+        sc.new_distribution([0.25] * 4),
+        sc.new_distribution([0.3, 0.2, 0.2, 0.1, 0.1, 0.1]),
+        sc.iid_extension(sc.new_distribution(WORKED), 8),
+    ]
+    return sources
+
+
+@pytest.mark.parametrize("deterministic", [False, True])
+def test_level_built_codes_match_per_symbol_construction(deterministic):
+    build = sc.build_deterministic_code if deterministic else sc.build_stochastic_code
+    for dist in referee_sources():
+        for eps, lam in ((0.0, 1.0), (0.05, 0.5), (0.2, 2.0), (0.5, 1.0)):
+            code = build(dist, eps, lam)
+            gamma, words, decoder = per_symbol_code(dist, eps, lam, deterministic)
+            assert code.gamma == gamma
+            assert code.inner.codewords == words
+            assert code.decoder_for_reject == decoder
+            assert code.num_symbols == dist.support_size
+
+
+def test_codebook_from_json_packs_equal_entries():
+    dist = sc.new_distribution([0.25] * 4)
+    code = sc.build_stochastic_code(dist, 0.3, 1.0)
+    clone = sc.codebook_from_json(sc.codebook_to_json(code))
+    assert [(r.count, r.gamma, r.accept_bits) for r in clone.runs] == [
+        (2, 1.0, 3),
+        (1, pytest.approx(0.8), 3),
+        (1, 0.0, None),
+    ]
+    assert clone.inner.codewords == code.inner.codewords == ("00", "01", "10")
+
+
+def test_code_views_respect_the_cap(monkeypatch):
+    code = sc.build_stochastic_code(sc.iid_extension(sc.new_distribution(WORKED), 4), 0.0, 1.0)
+    monkeypatch.setenv("SMOOTHCODE_CAP", "80")
+    with pytest.raises(sc.TooLarge):
+        code.gamma
+    with pytest.raises(sc.TooLarge):
+        code.inner
+    monkeypatch.setenv("SMOOTHCODE_CAP", "81")
+    assert len(code.gamma) == 81

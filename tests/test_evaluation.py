@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import smoothcode as sc
+from smoothcode import evaluation
 
 WORKED = [0.5, 0.3, 0.2]
 R_WORKED = math.sqrt(0.5) + math.sqrt(0.3) + math.sqrt(0.1)
@@ -193,3 +194,74 @@ def test_moment_and_bounds_beyond_float_range():
     assert sc.direct_bound(dist, 0.1, 2000.0) == math.inf
     # 2**(2 lam) overflows on its own, but the bound is eps * 2**lam here
     assert sc.direct_bound(dist, 1.0, 600.0) == pytest.approx(2.0**600, rel=1e-12)
+
+
+def per_symbol_error_and_moment(code, dist, lam):
+    """(raw, credited, moment) summed symbol by symbol with fsum."""
+    probs = dist.probabilities()
+    rejected = [p * (1.0 - g) for p, g in zip(probs, code.gamma)]
+    raw = math.fsum(rejected)
+    reject_weight = 2.0 ** (lam * len(code.reject))
+    moment = math.fsum(
+        p * (g * 2.0 ** (lam * code.accept_length_bits(i)) if g > 0.0 else 0.0)
+        + p * (1.0 - g) * reject_weight
+        for i, (p, g) in enumerate(zip(probs, code.gamma))
+    )
+    return raw, raw - rejected[code.decoder_for_reject], moment
+
+
+def test_level_sums_match_per_symbol_sums():
+    rng = np.random.default_rng(79)
+    sources = [sc.new_distribution(rng.dirichlet(np.ones(int(rng.integers(2, 9))))) for _ in range(15)]
+    sources += [
+        sc.new_distribution([0.3, 0.2, 0.2, 0.1, 0.1, 0.1]),
+        sc.iid_extension(sc.new_distribution(WORKED), 8),
+    ]
+    for dist in sources:
+        for eps, lam in ((0.0, 1.0), (0.05, 0.5), (0.2, 2.0), (0.5, 1.0)):
+            for build in (sc.build_stochastic_code, sc.build_deterministic_code):
+                code = build(dist, eps, lam)
+                raw, credited, moment = per_symbol_error_and_moment(code, dist, lam)
+                got_raw, got_credited = sc.error_probability(code, dist)
+                assert got_raw == pytest.approx(raw, rel=1e-12)
+                # credited = raw - forgiven can cancel, so measure it against raw
+                assert abs(got_credited - max(credited, 0.0)) <= 1e-12 * raw
+                assert sc.exponential_moment(code, dist, lam) == pytest.approx(moment, rel=1e-12)
+
+
+def test_built_and_read_codes_evaluate_alike():
+    for dist in (
+        sc.new_distribution(WORKED),
+        sc.new_distribution([0.25] * 4),
+        sc.iid_extension(sc.new_distribution(WORKED), 6),
+    ):
+        for eps, lam in ((0.0, 1.0), (0.1, 0.5), (0.3, 2.0)):
+            for build in (sc.build_stochastic_code, sc.build_deterministic_code):
+                code = build(dist, eps, lam)
+                clone = sc.codebook_from_json(sc.codebook_to_json(code))
+                assert sc.evaluate_code(clone, dist, eps, lam) == sc.evaluate_code(
+                    code, dist, eps, lam
+                )
+
+
+def test_sandwich_on_a_mixture_beyond_the_cap():
+    spec = sc.mixture_spec([(0.6, [0.5, 0.5]), (0.4, [0.89, 0.11])])
+    dist = sc.mixture_extension(spec, 1024)
+    assert dist.support_size == 2**1024
+    for eps in (0.1, 0.3, 0.7):
+        report = sc.sandwich_report(dist, eps, 1.0)
+        assert report.error_prob <= eps + 1e-12
+        assert report.converse_bound <= report.exp_moment <= report.direct_bound
+
+
+def test_sandwich_compares_logs_beyond_float_range(monkeypatch):
+    dist = sc.new_distribution(WORKED)
+    report = sc.sandwich_report(dist, 0.1, 600.0)
+    assert report.exp_moment == math.inf and report.direct_bound == math.inf
+
+    def above_direct(code, dist, lam):
+        return evaluation._log_direct(dist, 0.1, lam) + 1.0
+
+    monkeypatch.setattr(evaluation, "_log_moment", above_direct)
+    with pytest.raises(sc.SandwichViolated):
+        sc.sandwich_report(dist, 0.1, 600.0)

@@ -180,3 +180,13 @@ def test_log_domain_path_at_huge_blocklength():
         h = sc.smooth_renyi_entropy(dist, alpha, 0.1)
         expected = n * math.log(2) + math.log(0.9) / (1.0 - alpha)
         assert h == pytest.approx(expected, abs=1e-6)
+
+
+def test_sub_distribution_expansion_is_capped(monkeypatch):
+    dist = sc.iid_extension(sc.new_distribution(WORKED), 4)
+    sub = sc.optimal_smoothing(dist, 0.0)
+    monkeypatch.setenv("SMOOTHCODE_CAP", "80")
+    with pytest.raises(sc.TooLarge):
+        sub.probabilities()
+    monkeypatch.setenv("SMOOTHCODE_CAP", "81")
+    assert len(sub.probabilities()) == 81
