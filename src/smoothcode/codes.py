@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable, NamedTuple, Sequence
 
 from .distributions import Distribution, WeightedAtom, _expand, _expand_atoms
@@ -228,7 +228,9 @@ class StochasticCode:
     inner words it was given in explicit_words. The reject word decodes to
     decoder_for_reject, the symbol whose rejected mass is largest. The
     per-symbol views gamma and inner are expanded on first use, within
-    atom_cap().
+    atom_cap(). Two codes are equal when their runs, reject word, decode
+    target and inner words agree, so a built code equals its codebook
+    round-trip.
     """
 
     runs: tuple[CodeRun, ...]
@@ -244,21 +246,54 @@ class StochasticCode:
     def is_deterministic(self) -> bool:
         return all(r.gamma in (0.0, 1.0) for r in self.runs)
 
+    def __eq__(self, other: object) -> bool:
+        # equal codes share their runs and words however they were made: a
+        # built code's canonical words follow from its runs, so words are
+        # compared only when one side keeps explicit ones
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self._key() != other._key():
+            return False
+        if self.explicit_words is None and other.explicit_words is None:
+            return True
+        return self.inner.codewords == other.inner.codewords
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def _key(self) -> tuple:
+        return self.runs, self.decoder_for_reject, self.reject
+
     @cached_property
     def gamma(self) -> tuple[float, ...]:
         """Acceptance probability of each symbol."""
-        return tuple(_expand([(r.count, itertools.repeat(r.gamma, r.count)) for r in self.runs]))
+        return tuple(
+            _expand([(r.count, partial(itertools.repeat, r.gamma, r.count)) for r in self.runs])
+        )
+
+    @cached_property
+    def _word_runs(self) -> tuple[tuple[int, int, int], ...]:
+        """Canonical (inner length, first value, count) of each run that has words.
+
+        The runs' lengths are nondecreasing. Kraft is checked exactly, in
+        integers, as each run closes; builders call this once so a code that
+        overfills the tree is never returned.
+        """
+        coded = [(r.accept_bits - 1, r.count) for r in self.runs if r.accept_bits is not None]
+        return tuple(
+            (length, start, count)
+            for (length, count), start in zip(coded, _canonical_starts(coded))
+        )
 
     @cached_property
     def inner(self) -> PrefixCode:
         """Inner words, flag bit excluded, of the leading symbols that have one."""
         if self.explicit_words is not None:
             return PrefixCode(self.explicit_words)
-        coded = [(r.accept_bits - 1, r.count) for r in self.runs if r.accept_bits is not None]
         words = _expand(
             [
-                (count, _run_words(length, start, count))
-                for (length, count), start in zip(coded, _canonical_starts(coded))
+                (count, partial(_run_words, length, start, count))
+                for length, start, count in self._word_runs
             ]
         )
         return PrefixCode(tuple(words))
@@ -287,7 +322,7 @@ class StochasticCode:
         return _segments(self.runs, dist.atoms)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # keeps StochasticCode's equality
 class DeterministicCode(StochasticCode):
     """Flag-bit code whose acceptance probabilities are all 0 or 1."""
 
@@ -317,10 +352,9 @@ def _flag_code(
     """
     runs = []
     if coded:
+        # tilting keeps the sorted order, so the lengths are nondecreasing as
+        # canonical numbering needs
         lengths = [_length_bits(a.log_prob) for a in _tilt_atoms(coded, lam).atoms]
-        # checks Kraft exactly; tilting keeps the sorted order, so the lengths
-        # are nondecreasing as canonical numbering needs
-        _canonical_starts([(l, a.multiplicity) for l, a in zip(lengths, coded)])
         runs = [(a.multiplicity, 1.0, 1 + l) for a, l in zip(coded, lengths)]
         runs[-1] = (coded[-1].multiplicity, last_gamma, 1 + lengths[-1])
     rest = dist.support_size - sum(r[0] for r in runs)
@@ -328,7 +362,9 @@ def _flag_code(
         runs.append((rest, 0.0, None))
     packed = _packed(runs)
     decoder = _reject_target(_segments(packed, dist.atoms))
-    return cls(runs=packed, decoder_for_reject=decoder)
+    code = cls(runs=packed, decoder_for_reject=decoder)
+    code._word_runs  # checks Kraft; inner reuses the cached starts
+    return code
 
 
 def _level_at(dist: Distribution, index: int) -> float:

@@ -14,6 +14,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import BadMixture, EmptyDistribution, NotNormalized, TooLarge
@@ -44,18 +45,22 @@ def atom_cap() -> int:
     return cap
 
 
-def _expand(runs: Sequence[tuple[int, Iterable[T]]], cap: int | None = None) -> list[T]:
-    """One entry per symbol, concatenated from (count, values) runs.
+def _expand(
+    runs: Sequence[tuple[int, Callable[[], Iterable[T]]]], cap: int | None = None
+) -> list[T]:
+    """One entry per symbol, concatenated from (count, make_values) runs.
 
-    Each run's values yield its count entries lazily, so the size cap
-    (atom_cap() unless given) is enforced before any of them is produced.
-    Every per-symbol expansion in the package goes through here.
+    make_values() yields the run's count entries. The size cap (atom_cap()
+    unless given) is checked on the counts before any make_values is
+    called, so a run too long to expand raises TooLarge rather than failing
+    inside the iterator it would build. Every per-symbol expansion in the
+    package goes through here.
     """
     cap = atom_cap() if cap is None else cap
     size = sum(count for count, _ in runs)
     if size > cap:
         raise TooLarge(f"support of size {size} exceeds cap {cap}")
-    return list(itertools.chain.from_iterable(values for _, values in runs))
+    return list(itertools.chain.from_iterable(make() for _, make in runs))
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,10 +118,11 @@ def _expand_atoms(
     atoms: Sequence[WeightedAtom], value: Callable[[float], T], cap: int | None = None
 ) -> list[T]:
     """value(log_prob) once per symbol of each atom, through the capped _expand."""
-    return _expand(
-        [(a.multiplicity, itertools.repeat(value(a.log_prob), a.multiplicity)) for a in atoms],
-        cap,
-    )
+    runs = [
+        (a.multiplicity, partial(itertools.repeat, value(a.log_prob), a.multiplicity))
+        for a in atoms
+    ]
+    return _expand(runs, cap)
 
 
 def _normalize_atoms(entries: list[tuple[float, int, int]]) -> tuple[WeightedAtom, ...]:

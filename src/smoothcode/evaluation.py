@@ -46,26 +46,11 @@ class CodeReport:
         }
 
 
-def error_probability(code: StochasticCode, dist: Distribution) -> tuple[float, float]:
-    """(raw, credited) error probability of the code on the distribution.
-
-    Raw is the total rejected mass. Credited forgives the symbol the reject
-    word decodes to, since that symbol survives decoding.
-    """
+def _walk(code: StochasticCode, dist: Distribution, lam: float) -> tuple[float, float, float]:
+    """(raw error, credited error, log moment at lam) from one pass over the segments."""
+    reject_nats = lam * len(code.reject) * LN2
     rejected = []
     forgiven = 0.0
-    for s in code.segments(dist):
-        if s.gamma < 1.0:
-            rejected.append(math.exp(s.log_prob + math.log(s.count)) * (1.0 - s.gamma))
-            if s.first <= code.decoder_for_reject < s.first + s.count:
-                forgiven = math.exp(s.log_prob) * (1.0 - s.gamma)
-    raw = math.fsum(rejected)
-    return raw, max(raw - forgiven, 0.0)
-
-
-def _log_moment(code: StochasticCode, dist: Distribution, lam: float) -> float:
-    """log E[exp(lam * codeword length in nats)], summed level by level in logs."""
-    reject_nats = lam * len(code.reject) * LN2
     terms = []
     for s in code.segments(dist):
         log_mass = s.log_prob + math.log(s.count)
@@ -74,8 +59,22 @@ def _log_moment(code: StochasticCode, dist: Distribution, lam: float) -> float:
                 raise Misaligned(f"symbol {s.first} has gamma > 0 but no codeword")
             terms.append(log_mass + math.log(s.gamma) + lam * s.accept_bits * LN2)
         if s.gamma < 1.0:
+            rejected.append(math.exp(log_mass) * (1.0 - s.gamma))
             terms.append(log_mass + math.log1p(-s.gamma) + reject_nats)
-    return logsumexp(terms)
+            if s.first <= code.decoder_for_reject < s.first + s.count:
+                forgiven = math.exp(s.log_prob) * (1.0 - s.gamma)
+    raw = math.fsum(rejected)
+    return raw, max(raw - forgiven, 0.0), logsumexp(terms)
+
+
+def error_probability(code: StochasticCode, dist: Distribution) -> tuple[float, float]:
+    """(raw, credited) error probability of the code on the distribution.
+
+    Raw is the total rejected mass. Credited forgives the symbol the reject
+    word decodes to, since that symbol survives decoding.
+    """
+    raw, credited, _ = _walk(code, dist, 0.0)
+    return raw, credited
 
 
 def exponential_moment(code: StochasticCode, dist: Distribution, lam: float) -> float:
@@ -85,7 +84,7 @@ def exponential_moment(code: StochasticCode, dist: Distribution, lam: float) -> 
     intermediate terms; a moment beyond float range reads inf.
     """
     check_lambda(lam)
-    return _exp_or_inf(_log_moment(code, dist, lam))
+    return _exp_or_inf(_walk(code, dist, lam)[2])
 
 
 def _exp_or_inf(log_x: float) -> float:
@@ -133,20 +132,31 @@ def _log_direct(dist: Distribution, eps: float, lam: float) -> float:
     return logsumexp([2.0 * lam * LN2 + lam_entropy, log_eps + lam * LN2])
 
 
-def evaluate_code(
+def _evaluate(
     code: StochasticCode, dist: Distribution, eps: float, lam: float
-) -> CodeReport:
-    """Evaluate a given code against the bounds at budget eps (no assertions)."""
-    raw, credited = error_probability(code, dist)
-    return CodeReport(
+) -> tuple[CodeReport, float, float, float]:
+    """The report together with log moment, log converse and log direct bound."""
+    check_lambda(lam)
+    raw, credited, log_moment = _walk(code, dist, lam)
+    log_converse = _lambda_entropy(dist, eps, lam)
+    log_direct = _log_direct(dist, eps, lam)
+    report = CodeReport(
         eps=eps,
         lam=lam,
         error_prob=credited,
         error_prob_raw=raw,
-        exp_moment=exponential_moment(code, dist, lam),
-        converse_bound=converse_bound(dist, eps, lam),
-        direct_bound=direct_bound(dist, eps, lam),
+        exp_moment=_exp_or_inf(log_moment),
+        converse_bound=_exp_or_inf(log_converse),
+        direct_bound=_exp_or_inf(log_direct),
     )
+    return report, log_moment, log_converse, log_direct
+
+
+def evaluate_code(
+    code: StochasticCode, dist: Distribution, eps: float, lam: float
+) -> CodeReport:
+    """Evaluate a given code against the bounds at budget eps (no assertions)."""
+    return _evaluate(code, dist, eps, lam)[0]
 
 
 def sandwich_report(
@@ -161,21 +171,9 @@ def sandwich_report(
     where they overflow a float.
     """
     code = build_stochastic_code(dist, eps, lam)
-    raw, credited = error_probability(code, dist)
-    log_moment = _log_moment(code, dist, lam)
-    log_converse = _lambda_entropy(dist, eps, lam)
-    log_direct = _log_direct(dist, eps, lam)
-    report = CodeReport(
-        eps=eps,
-        lam=lam,
-        error_prob=credited,
-        error_prob_raw=raw,
-        exp_moment=_exp_or_inf(log_moment),
-        converse_bound=_exp_or_inf(log_converse),
-        direct_bound=_exp_or_inf(log_direct),
-    )
-    if credited > eps + 1e-12:
-        raise SandwichViolated(f"credited error {credited} exceeds budget {eps}")
+    report, log_moment, log_converse, log_direct = _evaluate(code, dist, eps, lam)
+    if report.error_prob > eps + 1e-12:
+        raise SandwichViolated(f"credited error {report.error_prob} exceeds budget {eps}")
     if not log_converse + math.log1p(-slack) <= log_moment <= log_direct + math.log1p(slack):
         raise SandwichViolated(
             f"log moment {log_moment} outside [{log_converse}, {log_direct}] "

@@ -474,3 +474,14 @@ def test_cap_limits_only_printed_codebooks(capsys, dist_file, monkeypatch):
     ):
         rc, out, err = run_cli(capsys, argv)
         assert rc == 0 and err == ""
+
+
+def test_codebook_of_a_huge_level_exits_3(capsys, tmp_path):
+    atoms = {"atoms": [{"log_prob": -70 * math.log(2), "multiplicity": 2**70}], "n": 1}
+    path = tmp_path / "atoms.json"
+    path.write_text(json.dumps(atoms))
+    base = ["--dist", str(path), "--eps", "0.1", "--lambda", "1"]
+    rc, out, err = run_cli(capsys, ["code"] + base)
+    assert rc == 3 and out == "" and err.startswith("error:")
+    rc, out, err = run_cli(capsys, ["evaluate"] + base)
+    assert rc == 0 and err == ""

@@ -350,3 +350,22 @@ def test_code_views_respect_the_cap(monkeypatch):
         code.inner
     monkeypatch.setenv("SMOOTHCODE_CAP", "81")
     assert len(code.gamma) == 81
+
+
+def test_code_equality_ignores_how_the_code_was_made():
+    dist = sc.new_distribution([0.3, 0.2, 0.2, 0.1, 0.1, 0.1])
+    for build in (sc.build_stochastic_code, sc.build_deterministic_code):
+        code = build(dist, 0.15, 1.0)
+        clone = sc.codebook_from_json(sc.codebook_to_json(code))
+        assert clone == code and code == clone
+        assert hash(clone) == hash(code)
+        assert code == build(dist, 0.15, 1.0)
+    # same runs, gammas and lengths, but two words swapped
+    code = sc.build_stochastic_code(dist, 0.15, 1.0)
+    book = sc.codebook_to_json(code)
+    first, second = book["entries"][1]["codeword"], book["entries"][2]["codeword"]
+    assert len(first) == len(second)
+    book["entries"][1]["codeword"], book["entries"][2]["codeword"] = second, first
+    swapped = sc.codebook_from_json(book)
+    assert swapped.runs == code.runs
+    assert swapped != code

@@ -358,3 +358,17 @@ def test_random_extensions_keep_mass(seed=7):
         d = sc.iid_extension(base, n)
         assert d.total_mass() == pytest.approx(1.0, abs=1e-9)
         assert d.support_size == k**n
+
+
+def test_expansions_of_huge_runs_raise_too_large():
+    # one atom of 2**100 symbols: too long even to build a run iterator for
+    dist = sc.iid_extension(sc.new_distribution([0.5, 0.5]), 100)
+    with pytest.raises(sc.TooLarge):
+        dist.probabilities()
+    with pytest.raises(sc.TooLarge):
+        sc.optimal_smoothing(dist, 0.1).probabilities()
+    code = sc.build_stochastic_code(dist, 0.1, 1.0)
+    with pytest.raises(sc.TooLarge):
+        code.gamma
+    with pytest.raises(sc.TooLarge):
+        code.inner

@@ -259,9 +259,12 @@ def test_sandwich_compares_logs_beyond_float_range(monkeypatch):
     report = sc.sandwich_report(dist, 0.1, 600.0)
     assert report.exp_moment == math.inf and report.direct_bound == math.inf
 
-    def above_direct(code, dist, lam):
-        return evaluation._log_direct(dist, 0.1, lam) + 1.0
+    walk = evaluation._walk
 
-    monkeypatch.setattr(evaluation, "_log_moment", above_direct)
+    def above_direct(code, dist, lam):
+        raw, credited, _ = walk(code, dist, lam)
+        return raw, credited, evaluation._log_direct(dist, 0.1, lam) + 1.0
+
+    monkeypatch.setattr(evaluation, "_walk", above_direct)
     with pytest.raises(sc.SandwichViolated):
         sc.sandwich_report(dist, 0.1, 600.0)
