@@ -7,6 +7,7 @@ is exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -205,6 +206,7 @@ def _cmd_sweep(args, cfg: RunConfig) -> int:
     return 0
 
 
+@functools.cache  # built on first use, not at import; parse_args keeps no state
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="smoothcode",

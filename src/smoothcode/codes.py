@@ -60,17 +60,33 @@ def tilted_distribution(sub: SubDistribution, lam: float) -> TiltedDistribution:
     return _tilt_atoms(sub.atoms, lam)
 
 
-def _length_bits(log_qt: float) -> int:
-    x = -log_qt / LN2
-    nearest = round(x)
-    if abs(x - nearest) <= LENGTH_SNAP:
-        return max(int(nearest), 0)
-    return max(math.ceil(x), 0)
+def _atom_lengths(tilted: Sequence[WeightedAtom]) -> list[int]:
+    """Codeword length in bits of each tilted atom: -log2 of its probability, rounded up.
+
+    A length within LENGTH_SNAP above an integer snaps down to it when the
+    snapped lengths still fit the binary tree, checked exactly in integers.
+    When they do not (a tilted probability a hair below 1 snaps to the empty
+    word), every length is rounded up. Either way the lengths stay
+    nondecreasing along atoms in decreasing order.
+    """
+    xs = [-a.log_prob / LN2 for a in tilted]
+    ceiled = [max(math.ceil(x), 0) for x in xs]
+    snapped = [
+        max(round(x), 0) if abs(x - round(x)) <= LENGTH_SNAP else l for x, l in zip(xs, ceiled)
+    ]
+    top = max(ceiled, default=0)
+    if sum(a.multiplicity << (top - l) for a, l in zip(tilted, snapped)) <= 1 << top:
+        return snapped
+    return ceiled
 
 
 def shannon_lengths(tilted: TiltedDistribution) -> list[int]:
     """Per-symbol codeword lengths in bits: -log2 of the tilted probability, rounded up."""
-    return _expand_atoms(tilted.atoms, _length_bits)
+    runs = [
+        (a.multiplicity, partial(itertools.repeat, l, a.multiplicity))
+        for a, l in zip(tilted.atoms, _atom_lengths(tilted.atoms))
+    ]
+    return _expand(runs)
 
 
 def ideal_real_lengths(sub: SubDistribution, lam: float) -> list[float]:
@@ -354,7 +370,7 @@ def _flag_code(
     if coded:
         # tilting keeps the sorted order, so the lengths are nondecreasing as
         # canonical numbering needs
-        lengths = [_length_bits(a.log_prob) for a in _tilt_atoms(coded, lam).atoms]
+        lengths = _atom_lengths(_tilt_atoms(coded, lam).atoms)
         runs = [(a.multiplicity, 1.0, 1 + l) for a, l in zip(coded, lengths)]
         runs[-1] = (coded[-1].multiplicity, last_gamma, 1 + lengths[-1])
     rest = dist.support_size - sum(r[0] for r in runs)

@@ -68,10 +68,16 @@ def optimal_code_bruteforce(
     """Minimum moment over all deterministic prefix codes within the error budget.
 
     Enumerates the number of codewords, every Kraft-feasible length multiset
-    up to max_len, the canonical word set for each, and every surjective
-    symbol-to-word assignment. Decoding maps each word to its most probable
-    preimage, which is the error-minimizing decoder; a code is admissible when
-    that credited error is at most eps (with 1e-12 float slack).
+    up to max_len, and every surjective symbol-to-word assignment; the
+    winning lengths get canonical words. Decoding maps each word to its most
+    probable preimage, which is the error-minimizing decoder; a code is
+    admissible when that credited error is at most eps (with 1e-12 float
+    slack).
+
+    The credited error does not depend on the lengths, so each word count
+    scores its assignments once; each length multiset then sums only the
+    admissible ones over a table of p_i * 2**(lam * l_a) terms. Every pair
+    (assignment, length multiset) is still counted in search_space_size.
     """
     check_eps(eps)
     check_lambda(lam)
@@ -83,31 +89,41 @@ def optimal_code_bruteforce(
 
     best_moment = math.inf
     best_assign: tuple[int, ...] | None = None
-    best_words: tuple[str, ...] | None = None
+    best_lengths: tuple[int, ...] | None = None
     space = 0
     for c in range(1, s + 1):
-        for lengths in enumerate_kraft_length_multisets(c, max_len, max_k=max_support):
-            words = assign_canonical_codewords(lengths).codewords
+        multisets = enumerate_kraft_length_multisets(c, max_len, max_k=max_support)
+        if not multisets:
+            continue
+        # (assignment, flat indices i*c + a into the term table) of each
+        # surjection whose credited error fits the budget, in product order
+        admissible = []
+        surjections = 0
+        for assign in product(range(c), repeat=s):
+            if len(set(assign)) != c:
+                continue  # every codeword must be used
+            surjections += 1
+            survivors = [0.0] * c
+            for i, a in enumerate(assign):
+                if probs[i] > survivors[a]:
+                    survivors[a] = probs[i]
+            if total - math.fsum(survivors) <= eps + 1e-12:
+                admissible.append((assign, [i * c + a for i, a in enumerate(assign)]))
+        space += surjections * len(multisets)
+        for lengths in multisets:
             weight = [2.0 ** (lam * l) for l in lengths]
-            for assign in product(range(c), repeat=s):
-                if len(set(assign)) != c:
-                    continue  # every codeword must be used
-                space += 1
-                survivors = [0.0] * c
-                for i, a in enumerate(assign):
-                    if probs[i] > survivors[a]:
-                        survivors[a] = probs[i]
-                error = total - math.fsum(survivors)
-                if error > eps + 1e-12:
-                    continue
-                moment = math.fsum(probs[i] * weight[a] for i, a in enumerate(assign))
+            terms = [p * w for p in probs for w in weight]
+            for assign, cells in admissible:
+                # fsum is exactly rounded, so the order of the terms is moot
+                moment = math.fsum(map(terms.__getitem__, cells))
                 if moment < best_moment:
                     best_moment = moment
                     best_assign = assign
-                    best_words = words
+                    best_lengths = lengths
     if best_assign is None:
         raise Infeasible(f"no code with at most {max_len}-bit words meets eps={eps}")
 
+    best_words = assign_canonical_codewords(best_lengths).codewords
     encoder = tuple(best_words[a] for a in best_assign)
     decoder: dict[str, int] = {}
     for j, w in enumerate(best_words):

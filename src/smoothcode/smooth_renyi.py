@@ -68,8 +68,13 @@ def optimal_smoothing(dist: Distribution, eps: float) -> SubDistribution:
     if b is None:
         # float deficit: the parent's mass fell a hair short of the target
         b = len(atoms) - 1
-    boundary = atoms[b]
     cum_before = math.fsum(masses[:b])
+    while b > 0 and cum_before >= target:
+        # the running sum came out below the exact prefix sum: the atoms
+        # before b already reach the target, so the boundary is earlier
+        b -= 1
+        cum_before = math.fsum(masses[:b])
+    boundary = atoms[b]
     need = target - cum_before
 
     p = math.exp(boundary.log_prob)

@@ -485,3 +485,39 @@ def test_codebook_of_a_huge_level_exits_3(capsys, tmp_path):
     assert rc == 3 and out == "" and err.startswith("error:")
     rc, out, err = run_cli(capsys, ["evaluate"] + base)
     assert rc == 0 and err == ""
+
+
+def test_cached_parser_keeps_no_state(capsys, dist_file):
+    smoothing = ["oracle", "--dist", dist_file, "--mode", "smoothing"]
+    smoothing += ["--alpha", "0.5", "--eps", "0.1", "--trials", "50"]
+    rc, out, _ = run_cli(capsys, smoothing + ["--seed", "5"])
+    assert rc == 0 and json.loads(out)["seed"] == 5
+    rc, out, _ = run_cli(capsys, smoothing)
+    assert rc == 0 and json.loads(out)["seed"] == 0
+
+    argv = ["entropy", "--dist", dist_file, "--alpha", "0.5", "--eps", "0.1"]
+    fresh = subprocess.run(
+        [sys.executable, "-m", "smoothcode", *argv], capture_output=True, text=True
+    )
+    assert fresh.returncode == 0
+    rc, _, _ = run_cli(capsys, argv + ["--unit", "bits", "--bogus"])
+    assert rc == 2
+    rc, out, _ = run_cli(capsys, argv)
+    assert rc == 0 and out == fresh.stdout
+
+    rc, out, _ = run_cli(capsys, ["--version"])
+    assert rc == 0 and out.strip() == f"smoothcode {sc.__version__}"
+
+
+def test_code_with_a_tilted_probability_just_below_one(capsys, tmp_path):
+    # 1 - 0.7 rounds above 0.3, so the 0.2 level keeps about 6e-17 of mass and
+    # the 0.3 level's tilted probability falls a hair below 1; snapping its
+    # length down to the empty word would overfill the tree
+    path = tmp_path / "six.json"
+    path.write_text(json.dumps({"probs": [0.3, 0.2, 0.2, 0.1, 0.1, 0.1]}))
+    rc, out, err = run_cli(capsys, ["code", "--dist", str(path), "--eps", "0.7", "--lambda", "0.5"])
+    assert rc == 0 and err == ""
+    book = json.loads(out)
+    words = [e["codeword"] for e in book["entries"] if e["codeword"] is not None]
+    assert [len(w) for w in words] == [2, 36]
+    assert sc.PrefixCode(tuple(words) + (book["reject"],)).is_prefix_free()

@@ -1,8 +1,11 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import smoothcode as sc
 
@@ -118,6 +121,99 @@ def test_bruteforce_encoder_error_is_credited():
             survivors[i] = probs[i]
     error = 1.0 - math.fsum(survivors.values())
     assert error <= eps + 1e-12
+
+
+def reference_code_search(dist, eps, lam, max_len):
+    """Unfactored exhaustive search: every length multiset rescores every assignment.
+
+    Same enumeration order and strict improvement rule as the oracle, with the
+    credited error and the moment recomputed inside the innermost loop.
+    """
+    probs = dist.probabilities()
+    s = len(probs)
+    total = math.fsum(probs)
+    best_moment, best_assign, best_words, space = math.inf, None, None, 0
+    for c in range(1, s + 1):
+        for lengths in sc.enumerate_kraft_length_multisets(c, max_len):
+            words = sc.assign_canonical_codewords(lengths).codewords
+            weight = [2.0 ** (lam * l) for l in lengths]
+            for assign in product(range(c), repeat=s):
+                if len(set(assign)) != c:
+                    continue
+                space += 1
+                survivors = [0.0] * c
+                for i, a in enumerate(assign):
+                    if probs[i] > survivors[a]:
+                        survivors[a] = probs[i]
+                if total - math.fsum(survivors) > eps + 1e-12:
+                    continue
+                moment = math.fsum(probs[i] * weight[a] for i, a in enumerate(assign))
+                if moment < best_moment:
+                    best_moment, best_assign, best_words = moment, assign, words
+    if best_assign is None:
+        raise sc.Infeasible(f"no code with at most {max_len}-bit words meets eps={eps}")
+    decoder = {}
+    for j, w in enumerate(best_words):
+        group = [i for i, a in enumerate(best_assign) if a == j]
+        decoder[w] = max(group, key=lambda i: probs[i])
+    return sc.OracleResult(
+        best_moment=best_moment,
+        encoder=tuple(best_words[a] for a in best_assign),
+        decoder=decoder,
+        search_space_size=space,
+    )
+
+
+def _outcome(search, *args):
+    try:
+        return search(*args)
+    except sc.Infeasible as exc:
+        return ("Infeasible", str(exc))
+
+
+_weights = st.one_of(
+    st.integers(1, 5).map(lambda s: [1] * s),  # uniform: every assignment ties
+    st.lists(st.integers(1, 9), min_size=1, max_size=5),
+    st.lists(st.floats(0.01, 1.0), min_size=1, max_size=5),
+)
+
+
+@settings(deadline=None)
+@given(
+    weights=_weights,
+    eps=st.floats(0.0, 0.6),
+    lam=st.sampled_from([0.5, 1.0, 2.0]),
+    max_len=st.integers(1, 5),
+)
+def test_bruteforce_matches_unfactored_search(weights, eps, lam, max_len):
+    total = math.fsum(weights)
+    dist = sc.new_distribution([w / total for w in weights])
+    fast = _outcome(sc.optimal_code_bruteforce, dist, eps, lam, max_len)
+    slow = _outcome(reference_code_search, dist, eps, lam, max_len)
+    assert fast == slow  # moments compared with ==, not approx
+
+
+def _stirling2(n, k):
+    """Ways to split n labelled items into k nonempty unlabelled blocks."""
+    table = [[1] + [0] * k] + [[0] * (k + 1) for _ in range(n)]
+    for i in range(1, n + 1):
+        for j in range(1, k + 1):
+            table[i][j] = j * table[i - 1][j] + table[i - 1][j - 1]
+    return table[n][k]
+
+
+def test_bruteforce_search_space_closed_form():
+    for s in range(1, 6):
+        dist = sc.new_distribution([1.0 / s] * s)
+        for max_len in range(1, 6):
+            result = sc.optimal_code_bruteforce(dist, 0.9, 1.0, max_len)
+            expected = sum(
+                len(sc.enumerate_kraft_length_multisets(c, max_len))
+                * math.factorial(c)
+                * _stirling2(s, c)
+                for c in range(1, s + 1)
+            )
+            assert result.search_space_size == expected
 
 
 def test_smoothing_search_at_eps_zero_is_exact():

@@ -83,6 +83,24 @@ def test_matches_scalar_reference_on_random_grid():
             assert all(q <= p + 1e-15 for q, p in zip(got, parent))
 
 
+def test_boundary_agrees_with_the_exact_prefix_sum():
+    # eps lands on a partial sum that a running float sum misses by one ulp
+    probs = [
+        0.1827956989247312,
+        0.1720430107526882,
+        0.16129032258064518,
+        0.13978494623655915,
+        0.05376344086021506,
+        0.07526881720430108,
+        0.09677419354838711,
+        0.11827956989247314,
+    ]
+    eps = 0.22580645161290314
+    sub = sc.optimal_smoothing(sc.new_distribution(probs), eps)
+    assert sub.k_star == 5
+    assert sub.total_mass == 1.0 - eps
+
+
 def test_parameter_validation():
     dist = sc.new_distribution(WORKED)
     for eps in (-0.01, 1.0, 1.5):
