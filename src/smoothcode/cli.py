@@ -20,7 +20,7 @@ from .codes import (
     codebook_from_json,
     codebook_to_json,
 )
-from .distributions import atom_cap, distribution_from_json, mixture_from_json
+from .distributions import distribution_from_json, mixture_from_json, resolve_cap
 from .errors import SmoothcodeError, TooLarge
 from .evaluation import evaluate_code, sandwich_report
 from .logspace import LN2
@@ -296,14 +296,13 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    cap_arg = getattr(args, "cap", None)
-    cfg = RunConfig(
-        unit=getattr(args, "unit", "nats"),
-        fmt=getattr(args, "format", "json"),
-        seed=getattr(args, "seed", 0),
-        cap=cap_arg if cap_arg is not None else atom_cap(),
-    )
     try:
+        cfg = RunConfig(
+            unit=getattr(args, "unit", "nats"),
+            fmt=getattr(args, "format", "json"),
+            seed=getattr(args, "seed", 0),
+            cap=resolve_cap(getattr(args, "cap", None)),
+        )
         return _HANDLERS[args.subcommand](args, cfg)
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,6 +15,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import partial
+from operator import add, floordiv, mul, neg, sub
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import BadMixture, EmptyDistribution, NotNormalized, TooLarge
@@ -40,8 +41,17 @@ def atom_cap() -> int:
         cap = int(raw)
     except ValueError as exc:
         raise ValueError(f"SMOOTHCODE_CAP must be an integer, got {raw!r}") from exc
+    return _at_least_one(cap, "SMOOTHCODE_CAP")
+
+
+def resolve_cap(cap: int | None = None) -> int:
+    """The size cap to apply: cap when given, else atom_cap(); it must be >= 1."""
+    return atom_cap() if cap is None else _at_least_one(cap, "cap")
+
+
+def _at_least_one(cap: int, name: str) -> int:
     if cap < 1:
-        raise ValueError("SMOOTHCODE_CAP must be >= 1")
+        raise ValueError(f"{name} must be >= 1, got {cap}")
     return cap
 
 
@@ -56,7 +66,7 @@ def _expand(
     inside the iterator it would build. Every per-symbol expansion in the
     package goes through here.
     """
-    cap = atom_cap() if cap is None else cap
+    cap = resolve_cap(cap)
     size = sum(count for count, _ in runs)
     if size > cap:
         raise TooLarge(f"support of size {size} exceeds cap {cap}")
@@ -125,21 +135,24 @@ def _expand_atoms(
     return _expand(runs, cap)
 
 
-def _normalize_atoms(entries: list[tuple[float, int, int]]) -> tuple[WeightedAtom, ...]:
-    """Sort (-log_prob, index, multiplicity) triples in place and merge equal levels.
+def _normalize_atoms(
+    neg_lps: Sequence[float], tags: Sequence[int], mults: Sequence[int]
+) -> tuple[WeightedAtom, ...]:
+    """Merge equal levels of (-log_prob, tag, multiplicity) columns into sorted atoms.
 
-    The indices must be distinct, so the sort never compares multiplicities.
-    A merged level keeps the smallest index (input or enumeration order) as
-    its tag, so rebuilding from the same inputs is deterministic.
+    The tags must increase along the columns, so one stable sort on -log_prob
+    orders ties by tag. A merged level keeps the tag of its first entry, so
+    rebuilding from the same inputs is deterministic.
     """
-    entries.sort()
+    order = sorted(range(len(neg_lps)), key=neg_lps.__getitem__)
     atoms: list[WeightedAtom] = []
-    run_lp, run_tag, run_mult = entries[0][0], entries[0][1], 0
-    for neg_lp, index, mult in entries:
+    run_lp, run_tag, run_mult = neg_lps[order[0]], tags[order[0]], 0
+    for i in order:
+        neg_lp = neg_lps[i]
         if neg_lp - run_lp > MERGE_TOL:  # sorted, so never negative
             atoms.append(WeightedAtom(-run_lp, run_mult, run_tag))
-            run_lp, run_tag, run_mult = neg_lp, index, 0
-        run_mult += mult
+            run_lp, run_tag, run_mult = neg_lp, tags[i], 0
+        run_mult += mults[i]
     atoms.append(WeightedAtom(-run_lp, run_mult, run_tag))
     return tuple(atoms)
 
@@ -173,26 +186,30 @@ def new_distribution(probs: Sequence[float]) -> Distribution:
     atoms come out sorted with the largest probability first.
     """
     probs = _checked_probs(probs)
-    entries = [(-math.log(p), i, 1) for i, p in enumerate(probs) if p > 0.0]
-    if not entries:
+    tags = [i for i, p in enumerate(probs) if p > 0.0]
+    if not tags:
         raise EmptyDistribution("no strictly positive probability entry")
     _check_sum(probs)
-    return Distribution(_normalize_atoms(entries), n=1)
+    neg_lps = [-math.log(probs[i]) for i in tags]
+    return Distribution(_normalize_atoms(neg_lps, tags, [1] * len(tags)), n=1)
 
 
 def distribution_from_atoms(pairs: Sequence[tuple[float, int]], n: int = 1) -> Distribution:
     """Build a distribution from (log_prob, multiplicity) pairs, validating total mass."""
-    entries: list[tuple[float, int, int]] = []
-    for index, (lp, mult) in enumerate(pairs):
+    neg_lps: list[float] = []
+    mults: list[int] = []
+    for lp, mult in pairs:
         lp = float(lp)
         if not math.isfinite(lp) or lp > 0.0:
             raise NotNormalized(f"log-probabilities must be finite and <= 0, got {lp!r}")
         if int(mult) != mult or mult < 1:
             raise NotNormalized(f"multiplicities must be positive integers, got {mult!r}")
-        entries.append((-lp, index, int(mult)))
-    if not entries:
+        neg_lps.append(-lp)
+        mults.append(int(mult))
+    if not neg_lps:
         raise EmptyDistribution("no atoms supplied")
-    return _check_mass(Distribution(_normalize_atoms(entries), n=n))
+    atoms = _normalize_atoms(neg_lps, range(len(neg_lps)), mults)
+    return _check_mass(Distribution(atoms, n=n))
 
 
 def shannon_entropy(probs: Sequence[float]) -> float:
@@ -272,13 +289,31 @@ def _scaled_logs(log_p: float, n: int) -> list[float]:
     return [h * log_p for h in range(n + 1)]
 
 
+def _count_rows(n: int, low: int, m_pen: int, m_last: int) -> dict[int, list[int]]:
+    """rows[rem][h] = C(rem, h) * m_pen**h * m_last**(rem - h) for low <= rem <= n.
+
+    Exact integers: the last two bins' share of a class count. Along row n,
+    raising h by one multiplies the entry by m_pen * (n - h + 1) and divides
+    it, exactly, by h * m_last; each lower row then follows from the one
+    above as a column step, C(rem, h) = C(rem + 1, h + 1) * (h + 1) / (rem + 1).
+    """
+    row = [m_last**n]
+    for h in range(1, n + 1):
+        row.append(row[-1] * (m_pen * (n - h + 1)) // (h * m_last))
+    rows = {n: row}
+    for rem in range(n - 1, low - 1, -1):
+        scaled = map(mul, row[1:], range(1, rem + 2))
+        row = rows[rem] = list(map(floordiv, scaled, itertools.repeat((rem + 1) * m_pen)))
+    return rows
+
+
 def _type_class_atoms(
     n: int,
     log_weights: Sequence[float],
     level_log_probs: Sequence[Sequence[float]],
     level_mults: Sequence[int],
-) -> list[tuple[float, int, int]]:
-    """One (-log_prob, class_index, multiplicity) entry per type class of positive mass.
+) -> tuple[list[float], list[int], list[int]]:
+    """Columns (-log_prob, class_index, multiplicity), one entry per type class of positive mass.
 
     The source is a mixture of memoryless components over bins: component c
     has log weight log_weights[c] and gives each of the level_mults[j]
@@ -287,47 +322,74 @@ def _type_class_atoms(
     are walked in lexicographic order of their counts, which fixes
     class_index, and classes of zero mass under every component are skipped.
 
-    The walk goes down the prefix tree of counts. A node that has placed all
-    but rem positions carries each component's partial log-sum and the exact
-    integer product of C(rem_i, h_i) * m_i**h_i over the bins fixed so far,
-    times m_last**rem for the positions the last bin takes if no other bin
-    does. Raising bin j's count from h - 1 to h multiplies that integer by
-    m_j * (rem - h + 1) and divides it, exactly, by h * m_last; the log-sums
-    move by table lookups. A class thus costs one big-int update and
-    O(components) float adds, and its count is an exact integer.
+    The walk goes down the prefix tree of counts to the second-to-last bin. A
+    node that has placed all but rem positions carries each component's
+    partial log-sum and the exact integer product of C(rem_i, h_i) * m_i**h_i
+    over the bins fixed so far; raising bin j's count from h - 1 to h
+    multiplies that prefix by m_j * (rem - h + 1) and divides it, exactly, by
+    h. The rem + 1 classes below a second-to-last-bin node, h positions there
+    and rem - h in the last bin, are then taken at once as columns: each
+    component's log-probs by table lookups, the mixture's logsumexp per class
+    as column operations (bit-identical to logspace.logsumexp, since fsum is
+    exactly rounded and exp(-inf) is 0), and the counts as the prefix times
+    row rem of _count_rows. Per node of the walk the Python work is
+    constant; per class it runs inside the builtins.
     """
+    if len(level_mults) == 1:
+        # one bin: walk it as two, behind an empty bin that every class leaves at 0
+        level_log_probs = [[-math.inf, *comp] for comp in level_log_probs]
+        level_mults = [1, *level_mults]
     bins = len(level_mults)
-    m_last = level_mults[-1]
+    m_pen, m_last = level_mults[-2], level_mults[-1]
     tables = [[_scaled_logs(comp[j], n) for comp in level_log_probs] for j in range(bins)]
-    last_tables = tables[-1]
-    single = len(log_weights) == 1
-    entries: list[tuple[float, int, int]] = []
-    index = itertools.count()
+    pen_tables, last_tables = tables[-2], tables[-1]
+    # a two-bin walk reaches the second-to-last bin only with rem = n
+    rows = _count_rows(n, n if bins == 2 else 0, m_pen, m_last)
+    neg_lps: list[float] = []
+    indices: list[int] = []
+    counts: list[int] = []
+    next_index = 0
 
-    def walk(j: int, rem: int, count: int, sums: list[float]) -> None:
-        if j == bins - 1:
-            lps = [w + (s + t[rem]) for w, s, t in zip(log_weights, sums, last_tables)]
-            lp = lps[0] if single else logsumexp(lps)
-            idx = next(index)
-            if lp != -math.inf:
-                entries.append((-lp, idx, count))
+    def leaves(rem: int, prefix: int, sums: list[float]) -> None:
+        nonlocal next_index
+        # class h puts h positions in the second-to-last bin and rem - h in the last:
+        # w + ((s + pen[h]) + last[rem - h]), summed in the order of a per-class walk
+        cols = []
+        for w, s, pen, last in zip(log_weights, sums, pen_tables, last_tables):
+            pen_sums = map(add, itertools.repeat(s), pen[: rem + 1])
+            cols.append(list(map(add, itertools.repeat(w), map(add, pen_sums, last[rem::-1]))))
+        if len(cols) == 1:
+            lps = cols[0]
+        else:
+            # a class of zero mass has max -inf and comes out nan; the filter drops it
+            mx = list(map(max, *cols))
+            shifted = [map(math.exp, map(sub, col, mx)) for col in cols]
+            lps = list(map(add, mx, map(math.log, map(math.fsum, zip(*shifted)))))
+        keep = list(map(math.isfinite, lps))
+        neg_lps.extend(map(neg, itertools.compress(lps, keep)))
+        indices.extend(itertools.compress(range(next_index, next_index + rem + 1), keep))
+        counts.extend(itertools.compress(map(mul, itertools.repeat(prefix), rows[rem]), keep))
+        next_index += rem + 1
+
+    def walk(j: int, rem: int, prefix: int, sums: list[float]) -> None:
+        if j == bins - 2:
+            leaves(rem, prefix, sums)
             return
         m, bin_tables = level_mults[j], tables[j]
         for h in range(rem + 1):
             if h:
-                count = count * (m * (rem - h + 1)) // (h * m_last)
-            walk(j + 1, rem - h, count, [s + t[h] for s, t in zip(sums, bin_tables)])
+                prefix = prefix * (m * (rem - h + 1)) // h
+            walk(j + 1, rem - h, prefix, [s + t[h] for s, t in zip(sums, bin_tables)])
 
-    walk(0, n, m_last**n, [0.0] * len(log_weights))
-    return entries
+    walk(0, n, 1, [0.0] * len(log_weights))
+    return neg_lps, indices, counts
 
 
-def _guard_class_count(n: int, bins: int, cap: int | None) -> int:
-    cap = atom_cap() if cap is None else cap
+def _guard_class_count(n: int, bins: int, cap: int | None) -> None:
+    cap = resolve_cap(cap)
     n_classes = math.comb(n + bins - 1, bins - 1)
     if n_classes > cap:
         raise TooLarge(f"{n_classes} type classes at blocklength {n} exceed cap {cap}")
-    return cap
 
 
 def iid_extension(base: Distribution, n: int, cap: int | None = None) -> Distribution:
@@ -346,10 +408,10 @@ def iid_extension(base: Distribution, n: int, cap: int | None = None) -> Distrib
         return base
     levels = base.atoms
     _guard_class_count(n, len(levels), cap)
-    entries = _type_class_atoms(
+    columns = _type_class_atoms(
         n, [0.0], [[a.log_prob for a in levels]], [a.multiplicity for a in levels]
     )
-    return _check_mass(Distribution(_normalize_atoms(entries), n=n))
+    return _check_mass(Distribution(_normalize_atoms(*columns), n=n))
 
 
 def mixture_extension(spec: MixtureSpec, n: int, cap: int | None = None) -> Distribution:
@@ -368,10 +430,10 @@ def mixture_extension(spec: MixtureSpec, n: int, cap: int | None = None) -> Dist
     log_p = [
         [math.log(p) if p > 0.0 else -math.inf for p in c.probs] for c in spec.components
     ]
-    entries = _type_class_atoms(n, log_w, log_p, [1] * k)
-    if not entries:
+    columns = _type_class_atoms(n, log_w, log_p, [1] * k)
+    if not columns[0]:
         raise EmptyDistribution("mixture extension has empty support")
-    return _check_mass(Distribution(_normalize_atoms(entries), n=n))
+    return _check_mass(Distribution(_normalize_atoms(*columns), n=n))
 
 
 def distribution_from_json(obj: dict) -> Distribution:

@@ -370,6 +370,31 @@ def test_env_cap_applies(capsys, spec_file, monkeypatch):
     assert err.startswith("error:")
 
 
+def test_malformed_env_cap_exits_2(capsys, dist_file, monkeypatch):
+    for raw, message in (
+        ("abc", "SMOOTHCODE_CAP must be an integer"),
+        ("0", "SMOOTHCODE_CAP must be >= 1"),
+    ):
+        monkeypatch.setenv("SMOOTHCODE_CAP", raw)
+        rc, out, err = run_cli(
+            capsys, ["entropy", "--dist", dist_file, "--alpha", "0.5", "--eps", "0.1"]
+        )
+        assert rc == 2 and out == ""
+        assert err.startswith(f"error: {message}")
+
+
+def test_nonpositive_cap_flag_exits_2(capsys, spec_file):
+    for cap in ("0", "-3"):
+        for argv in (
+            ["mixture", "--spec", spec_file, "--alpha", "0.5", "--eps", "0.3", "--n-list", "8"],
+            ["spectrum", "--spec", spec_file, "--n", "8", "--direction", "ge",
+             "--threshold", "0.5"],
+        ):
+            rc, out, err = run_cli(capsys, argv + ["--cap", cap])
+            assert rc == 2 and out == ""
+            assert err.startswith(f"error: cap must be >= 1, got {cap}")
+
+
 def test_usage_errors_exit_2(capsys, dist_file):
     assert cli.run(["bogus"]) == 2
     capsys.readouterr()

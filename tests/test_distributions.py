@@ -1,11 +1,21 @@
+import itertools
 import math
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import smoothcode as sc
-from smoothcode.distributions import _type_class_atoms
+from smoothcode.distributions import (
+    MERGE_TOL,
+    WeightedAtom,
+    _normalize_atoms,
+    _scaled_logs,
+    _type_class_atoms,
+)
+from smoothcode.logspace import logsumexp
 
 H_SKEWED_COIN = 0.34651533691866615  # Shannon entropy of (0.89, 0.11) in nats
 
@@ -235,7 +245,7 @@ def test_engine_counts_match_comb_products(pairs, mults):
     log_w = [math.log(w) for w, _ in pairs]
     log_p = [[math.log(p) if p > 0.0 else -math.inf for p in ps] for _, ps in pairs]
     for n in (1, 2, 7, 25):
-        entries = _type_class_atoms(n, log_w, log_p, mults)
+        entries = list(zip(*_type_class_atoms(n, log_w, log_p, mults)))
         expected = []
         for index, counts in enumerate(lexicographic_classes(n, len(mults))):
             lp = reference_log_prob(counts, pairs)
@@ -372,3 +382,114 @@ def test_expansions_of_huge_runs_raise_too_large():
         code.gamma
     with pytest.raises(sc.TooLarge):
         code.inner
+
+
+def test_nonpositive_cap_is_rejected():
+    base = sc.new_distribution([0.5, 0.3, 0.2])
+    spec = sc.mixture_spec([(1.0, [0.5, 0.5])])
+    for cap in (0, -3):
+        with pytest.raises(ValueError, match="cap must be >= 1"):
+            sc.iid_extension(base, 4, cap=cap)
+        with pytest.raises(ValueError, match="cap must be >= 1"):
+            sc.mixture_extension(spec, 4, cap=cap)
+        with pytest.raises(ValueError, match="cap must be >= 1"):
+            base.probabilities(cap=cap)
+
+
+def reference_walk(n, log_weights, level_log_probs, level_mults):
+    """The per-class recursive walk the column engine replaced, kept as its referee.
+
+    One (-log_prob, class_index, multiplicity) tuple per class of positive
+    mass, every class visited by Python code in lexicographic order.
+    """
+    bins = len(level_mults)
+    m_last = level_mults[-1]
+    tables = [[_scaled_logs(comp[j], n) for comp in level_log_probs] for j in range(bins)]
+    last_tables = tables[-1]
+    single = len(log_weights) == 1
+    entries = []
+    index = itertools.count()
+
+    def walk(j, rem, count, sums):
+        if j == bins - 1:
+            lps = [w + (s + t[rem]) for w, s, t in zip(log_weights, sums, last_tables)]
+            lp = lps[0] if single else logsumexp(lps)
+            idx = next(index)
+            if lp != -math.inf:
+                entries.append((-lp, idx, count))
+            return
+        m, bin_tables = level_mults[j], tables[j]
+        for h in range(rem + 1):
+            if h:
+                count = count * (m * (rem - h + 1)) // (h * m_last)
+            walk(j + 1, rem - h, count, [s + t[h] for s, t in zip(sums, bin_tables)])
+
+    walk(0, n, m_last**n, [0.0] * len(log_weights))
+    return entries
+
+
+def reference_merge(entries):
+    """The tuple sort and merge the columnar merge replaced."""
+    entries = sorted(entries)
+    atoms = []
+    run_lp, run_tag, run_mult = entries[0][0], entries[0][1], 0
+    for neg_lp, index, mult in entries:
+        if neg_lp - run_lp > MERGE_TOL:
+            atoms.append(WeightedAtom(-run_lp, run_mult, run_tag))
+            run_lp, run_tag, run_mult = neg_lp, index, 0
+        run_mult += mult
+    atoms.append(WeightedAtom(-run_lp, run_mult, run_tag))
+    return tuple(atoms)
+
+
+def float_bits(x):
+    """A float's value and sign bit, so that 0.0 and -0.0 compare unequal."""
+    return (x, math.copysign(1.0, x))
+
+
+def atom_bits(atoms):
+    return [(*float_bits(a.log_prob), a.multiplicity, a.tag) for a in atoms]
+
+
+@st.composite
+def engine_sources(draw):
+    """(log_weights, level_log_probs, level_mults) of a normalized mixture over bins."""
+    bins = draw(st.integers(1, 4))
+    mults = draw(st.lists(st.integers(1, 3), min_size=bins, max_size=bins))
+    n_comps = draw(st.integers(1, 3))
+    raw_w = draw(st.lists(st.floats(0.05, 1.0), min_size=n_comps, max_size=n_comps))
+    log_weights = [math.log(w / math.fsum(raw_w)) for w in raw_w]
+    level = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+    level_log_probs = []
+    for _ in range(n_comps):
+        raw = draw(st.lists(level, min_size=bins, max_size=bins).filter(any))
+        total = math.fsum(m * p for m, p in zip(mults, raw))
+        level_log_probs.append([math.log(p / total) if p > 0.0 else -math.inf for p in raw])
+    return log_weights, level_log_probs, mults
+
+
+@given(source=engine_sources(), n=st.integers(1, 30))
+def test_column_engine_matches_reference_walk(source, n):
+    log_weights, level_log_probs, mults = source
+    columns = _type_class_atoms(n, log_weights, level_log_probs, mults)
+    expected = reference_walk(n, log_weights, level_log_probs, mults)
+    got = list(zip(*columns))
+    assert got == expected
+    assert [float_bits(e[0]) for e in got] == [float_bits(e[0]) for e in expected]
+    assert atom_bits(_normalize_atoms(*columns)) == atom_bits(reference_merge(expected))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 100])
+def test_one_bin_and_two_bin_builders_match_reference(n):
+    # a one-level base: the whole walk is a single class
+    base = sc.new_distribution([0.5, 0.5])
+    got = sc.iid_extension(base, n)
+    expected = reference_merge(reference_walk(n, [0.0], [[math.log(0.5)]], [2]))
+    assert atom_bits(got.atoms) == atom_bits(expected)
+    # two bins: the whole walk is the inner column step
+    spec = sc.mixture_spec([(0.6, [0.5, 0.5]), (0.4, [0.89, 0.11])])
+    got = sc.mixture_extension(spec, n)
+    log_w = [math.log(0.6), math.log(0.4)]
+    log_p = [[math.log(0.5)] * 2, [math.log(0.89), math.log(0.11)]]
+    expected = reference_merge(reference_walk(n, log_w, log_p, [1, 1]))
+    assert atom_bits(got.atoms) == atom_bits(expected)
