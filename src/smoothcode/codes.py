@@ -17,10 +17,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Iterable, NamedTuple, Sequence
+from operator import itemgetter
+from typing import Iterable, NamedTuple, NoReturn, Sequence
 
 from .distributions import Distribution, WeightedAtom, _expand, _expand_atoms
-from .errors import KraftViolated, Misaligned, check_lambda
+from .errors import KraftViolated, Misaligned, check_lambda, count_text
 from .logspace import LN2, logsumexp
 from .smooth_renyi import SubDistribution, optimal_smoothing
 
@@ -114,7 +115,7 @@ class PrefixCode:
 
     def is_prefix_free(self) -> bool:
         words = sorted(self.codewords)
-        return not any(b.startswith(a) for a, b in zip(words, words[1:]))
+        return not any(map(str.startswith, words[1:], words[:-1]))
 
 
 def assign_canonical_codewords(lengths_bits: Sequence[int]) -> PrefixCode:
@@ -157,7 +158,9 @@ def _canonical_starts(runs: Sequence[tuple[int, int]]) -> list[int]:
     for length, count in runs:
         value <<= length - prev
         if value + count > 1 << length:
-            raise KraftViolated(f"{count} words of length {length} overfill the binary tree")
+            raise KraftViolated(
+                f"{count_text(count)} words of length {length} overfill the binary tree"
+            )
         starts.append(value)
         value += count
         prev = length
@@ -196,6 +199,9 @@ class Segment(NamedTuple):
     first: int
 
 
+_COUNT, _CODING = itemgetter(0), itemgetter(1, 2)
+
+
 def _packed(runs: Iterable[tuple[int, float, int | None]]) -> tuple[CodeRun, ...]:
     """Join neighbouring (count, gamma, accept_bits) runs that code alike.
 
@@ -203,8 +209,8 @@ def _packed(runs: Iterable[tuple[int, float, int | None]]) -> tuple[CodeRun, ...
     same segments however the code was made.
     """
     return tuple(
-        CodeRun(sum(run[0] for run in group), gamma, bits)
-        for (gamma, bits), group in itertools.groupby(runs, key=lambda run: run[1:])
+        CodeRun(sum(map(_COUNT, group)), gamma, bits)
+        for (gamma, bits), group in itertools.groupby(runs, key=_CODING)
     )
 
 
@@ -217,7 +223,9 @@ def _segments(runs: Sequence[CodeRun], atoms: Sequence[WeightedAtom]) -> list[Se
     coded = sum(r.count for r in runs)
     support = sum(a.multiplicity for a in atoms)
     if coded != support:
-        raise Misaligned(f"code covers {coded} symbols, distribution has {support}")
+        raise Misaligned(
+            f"code covers {count_text(coded)} symbols, distribution has {count_text(support)}"
+        )
     out: list[Segment] = []
     run_iter = iter(runs)
     run_left = first = 0
@@ -420,14 +428,19 @@ def build_deterministic_code(dist: Distribution, eps: float, lam: float) -> Dete
 
 def codebook_to_json(code: StochasticCode) -> dict:
     """Wire format: reject word, decode target, and per-symbol codeword + gamma."""
-    entries = []
-    for i, g in enumerate(code.gamma):
-        entries.append({"codeword": code.accept_word(i), "gamma": g})
+    gammas = code.gamma
+    words = code.inner.codewords
+    codewords = itertools.chain(
+        map("0".__add__, words), itertools.repeat(None, len(gammas) - len(words))
+    )
     return {
         "reject": code.reject,
         "decoder_for_reject": code.decoder_for_reject,
-        "entries": entries,
+        "entries": [{"codeword": w, "gamma": g} for w, g in zip(codewords, gammas)],
     }
+
+
+_GAMMA, _CODEWORD, _INNER = itemgetter("gamma"), itemgetter("codeword"), itemgetter(slice(1, None))
 
 
 def codebook_from_json(obj: dict) -> StochasticCode:
@@ -435,34 +448,30 @@ def codebook_from_json(obj: dict) -> StochasticCode:
 
     The words are kept as given; consecutive entries with equal gamma and
     word length share one run, as in a built code, so both evaluate alike.
+    Input of the wrong shape raises ValueError, a missing key KeyError.
+    The entries are checked column by column; once a check fails, they are
+    walked one by one to report the first bad entry.
     """
+    if not isinstance(obj, dict):
+        raise ValueError("codebook JSON must be an object")
     entries = obj["entries"]
     if not entries:
         raise ValueError("codebook has no entries")
     reject = str(obj["reject"])
-    codings = []
-    inner_words = []
-    for i, e in enumerate(entries):
-        g = float(e["gamma"])
-        if not 0.0 <= g <= 1.0:
-            raise ValueError(f"gamma out of [0, 1] at entry {i}")
-        word = e["codeword"]
-        if word is None:
-            if g > 0.0:
-                raise ValueError(f"entry {i} can be accepted but has no codeword")
-            codings.append((1, g, None))
-        else:
-            if len(inner_words) != i:
-                raise ValueError("coded symbols must form a leading block of the entries")
-            if not word.startswith("0"):
-                raise ValueError(f"accept codeword must start with the flag bit '0': {word!r}")
-            inner_words.append(word[1:])
-            codings.append((1, g, len(word)))
-    runs = _packed(codings)
-    full = PrefixCode(tuple("0" + w for w in inner_words) + (reject,))
-    if not full.is_prefix_free():
+    if not isinstance(entries, list):
+        raise ValueError("codebook entries must be a list")
+    columns = _entry_columns(entries)
+    if columns is None:
+        _raise_first_bad_entry(entries)
+    gammas, flagged = columns
+    lengths = itertools.chain(map(len, flagged), itertools.repeat(None, len(gammas) - len(flagged)))
+    runs = _packed(zip(itertools.repeat(1), gammas, lengths))
+    if not PrefixCode((*flagged, reject)).is_prefix_free():
         raise KraftViolated("codebook words are not prefix-free")
-    decoder = int(obj.get("decoder_for_reject", 0))
+    try:
+        decoder = int(obj.get("decoder_for_reject", 0))
+    except (TypeError, OverflowError):
+        raise ValueError("decoder_for_reject must be an integer") from None
     if not 0 <= decoder < len(entries):
         raise ValueError("decoder_for_reject out of range")
     cls = DeterministicCode if all(r.gamma in (0.0, 1.0) for r in runs) else StochasticCode
@@ -470,5 +479,60 @@ def codebook_from_json(obj: dict) -> StochasticCode:
         runs=runs,
         decoder_for_reject=decoder,
         reject=reject,
-        explicit_words=tuple(inner_words),
+        explicit_words=tuple(map(_INNER, flagged)),
     )
+
+
+def _entry_columns(entries: list) -> tuple[list[float], list[str]] | None:
+    """Each entry's gamma, and the words of the leading entries that have one.
+
+    None once an entry fails a check; the checks run column by column.
+    """
+    try:
+        gammas = list(map(float, map(_GAMMA, entries)))
+        words = list(map(_CODEWORD, entries))
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return None
+    coded = words.index(None) if None in words else len(words)
+    flagged = words[:coded]
+    if not (
+        all(map((0.0).__le__, gammas))
+        and all(map((1.0).__ge__, gammas))
+        and words.count(None) == len(words) - coded  # no word after the first null
+        and not any(gammas[coded:])  # entries without a word are never accepted
+        and all(map(isinstance, flagged, itertools.repeat(str)))
+        and all(map(str.startswith, flagged, itertools.repeat("0")))
+    ):
+        return None
+    return gammas, flagged
+
+
+def _raise_first_bad_entry(entries: list) -> NoReturn:
+    """Raise the error of the first bad entry, checking each entry in turn."""
+    coded = 0  # entries with a word so far; they must be all the entries so far
+    for i, e in enumerate(entries):
+        try:
+            g = e["gamma"]
+        except TypeError:
+            raise ValueError(f"entry {i} is not a JSON object") from None
+        try:
+            g = float(g)
+        except TypeError:
+            raise ValueError(f"gamma at entry {i} is not a number") from None
+        except OverflowError:
+            g = math.nan  # out of range
+        if not 0.0 <= g <= 1.0:
+            raise ValueError(f"gamma out of [0, 1] at entry {i}")
+        word = e["codeword"]
+        if word is None:
+            if g > 0.0:
+                raise ValueError(f"entry {i} can be accepted but has no codeword")
+            continue
+        if coded != i:
+            raise ValueError("coded symbols must form a leading block of the entries")
+        if not isinstance(word, str):
+            raise ValueError(f"codeword at entry {i} is neither a string nor null")
+        if not word.startswith("0"):
+            raise ValueError(f"accept codeword must start with the flag bit '0': {word!r}")
+        coded += 1
+    raise AssertionError("a column check failed on entries that all pass")

@@ -18,7 +18,7 @@ from functools import partial
 from operator import add, floordiv, mul, neg, sub
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from .errors import BadMixture, EmptyDistribution, NotNormalized, TooLarge
+from .errors import BadMixture, EmptyDistribution, NotNormalized, TooLarge, count_text
 from .logspace import logsumexp
 
 MASS_TOL = 1e-9
@@ -69,7 +69,7 @@ def _expand(
     cap = resolve_cap(cap)
     size = sum(count for count, _ in runs)
     if size > cap:
-        raise TooLarge(f"support of size {size} exceeds cap {cap}")
+        raise TooLarge(f"support of size {count_text(size)} exceeds cap {cap}")
     return list(itertools.chain.from_iterable(make() for _, make in runs))
 
 
@@ -165,7 +165,10 @@ def _check_mass(dist: Distribution) -> Distribution:
 
 
 def _checked_probs(probs: Sequence[float]) -> list[float]:
-    probs = [float(p) for p in probs]
+    try:
+        probs = [float(p) for p in probs]
+    except TypeError:
+        raise NotNormalized("probability entries must be numbers") from None
     if not all(math.isfinite(p) for p in probs):
         raise NotNormalized("probability entries must be finite")
     if any(p < 0.0 for p in probs):
@@ -199,10 +202,17 @@ def distribution_from_atoms(pairs: Sequence[tuple[float, int]], n: int = 1) -> D
     neg_lps: list[float] = []
     mults: list[int] = []
     for lp, mult in pairs:
-        lp = float(lp)
+        try:
+            lp = float(lp)
+        except TypeError:
+            raise NotNormalized(f"log-probabilities must be numbers, got {lp!r}") from None
         if not math.isfinite(lp) or lp > 0.0:
             raise NotNormalized(f"log-probabilities must be finite and <= 0, got {lp!r}")
-        if int(mult) != mult or mult < 1:
+        try:
+            whole = int(mult) == mult
+        except (TypeError, ValueError, OverflowError):  # not a number, nan or inf
+            whole = False
+        if not whole or mult < 1:
             raise NotNormalized(f"multiplicities must be positive integers, got {mult!r}")
         neg_lps.append(-lp)
         mults.append(int(mult))
@@ -277,9 +287,11 @@ class MixtureSpec:
 
 def mixture_spec(pairs: Sequence[tuple[float, Sequence[float]]]) -> MixtureSpec:
     """Build a MixtureSpec from (weight, probs) pairs."""
-    return MixtureSpec(
-        tuple(MixtureComponent(float(w), tuple(float(p) for p in ps)) for w, ps in pairs)
-    )
+    try:
+        comps = tuple(MixtureComponent(float(w), tuple(map(float, ps))) for w, ps in pairs)
+    except TypeError:
+        raise BadMixture("mixture weights and probabilities must be numbers") from None
+    return MixtureSpec(comps)
 
 
 def _scaled_logs(log_p: float, n: int) -> list[float]:
@@ -389,7 +401,9 @@ def _guard_class_count(n: int, bins: int, cap: int | None) -> None:
     cap = resolve_cap(cap)
     n_classes = math.comb(n + bins - 1, bins - 1)
     if n_classes > cap:
-        raise TooLarge(f"{n_classes} type classes at blocklength {n} exceed cap {cap}")
+        raise TooLarge(
+            f"{count_text(n_classes)} type classes at blocklength {n} exceed cap {cap}"
+        )
 
 
 def iid_extension(base: Distribution, n: int, cap: int | None = None) -> Distribution:
@@ -437,18 +451,36 @@ def mixture_extension(spec: MixtureSpec, n: int, cap: int | None = None) -> Dist
 
 
 def distribution_from_json(obj: dict) -> Distribution:
-    """Read either {"probs": [...]} or {"atoms": [{"log_prob": r, "multiplicity": k}, ...]}."""
+    """Read either {"probs": [...]} or {"atoms": [{"log_prob": r, "multiplicity": k}, ...]}.
+
+    Input of the wrong shape raises NotNormalized, a missing key KeyError.
+    """
+    if not isinstance(obj, dict):
+        raise NotNormalized("distribution JSON must be an object")
     if "probs" in obj:
+        if not isinstance(obj["probs"], list):
+            raise NotNormalized("'probs' must be a list")
         return new_distribution(obj["probs"])
     if "atoms" in obj:
-        pairs = [(a["log_prob"], a["multiplicity"]) for a in obj["atoms"]]
-        return distribution_from_atoms(pairs, n=int(obj.get("n", 1)))
+        atoms = obj["atoms"]
+        if not isinstance(atoms, list) or not all(isinstance(a, dict) for a in atoms):
+            raise NotNormalized("'atoms' must be a list of objects")
+        try:
+            n = int(obj.get("n", 1))
+        except (TypeError, OverflowError):
+            raise NotNormalized("'n' must be an integer") from None
+        return distribution_from_atoms([(a["log_prob"], a["multiplicity"]) for a in atoms], n=n)
     raise NotNormalized("distribution JSON needs a 'probs' or 'atoms' key")
 
 
 def mixture_from_json(obj: dict) -> MixtureSpec:
-    """Read {"components": [{"weight": w, "probs": [...]}, ...]}."""
-    comps = obj.get("components")
-    if not comps:
+    """Read {"components": [{"weight": w, "probs": [...]}, ...]}.
+
+    Input of the wrong shape raises BadMixture, a missing key KeyError.
+    """
+    comps = obj.get("components") if isinstance(obj, dict) else None
+    if not comps or not isinstance(comps, list):
         raise BadMixture("mixture JSON needs a nonempty 'components' list")
+    if not all(isinstance(c, dict) for c in comps):
+        raise BadMixture("mixture components must be objects")
     return mixture_spec([(c["weight"], c["probs"]) for c in comps])

@@ -51,6 +51,17 @@ class BadMixture(SmoothcodeError):
     """Mixture weights or components fail validation."""
 
 
+def count_text(n: int) -> str:
+    """A count for an error message: decimal up to 64 bits, then its bit length.
+
+    Python refuses to print an int of more than 4300 decimal digits, and the
+    exact counts of long type classes pass that size.
+    """
+    if n.bit_length() <= 64:
+        return str(n)
+    return f"2**{n.bit_length() - 1} or more"
+
+
 def check_eps(eps: float) -> None:
     if not 0.0 <= eps < 1.0:
         raise BadEpsilon("eps must be in [0, 1)")

@@ -16,6 +16,10 @@ from .distributions import Distribution, WeightedAtom, _expand_atoms
 from .errors import check_alpha, check_eps
 from .logspace import ceil_exp, logsumexp
 
+# mass still missing within this many ulps of the target 1 - eps counts as
+# reached: 1 - 0.7 is 0.30000000000000004, one ulp above a 0.3 level
+NEED_ULPS = 4
+
 
 @dataclass(frozen=True)
 class SubDistribution:
@@ -69,9 +73,11 @@ def optimal_smoothing(dist: Distribution, eps: float) -> SubDistribution:
         # float deficit: the parent's mass fell a hair short of the target
         b = len(atoms) - 1
     cum_before = math.fsum(masses[:b])
-    while b > 0 and cum_before >= target:
-        # the running sum came out below the exact prefix sum: the atoms
-        # before b already reach the target, so the boundary is earlier
+    reached = target - NEED_ULPS * math.ulp(target)
+    while b > 0 and cum_before >= reached:
+        # the running sum came out below the exact prefix sum, or the mass
+        # still missing is float noise: the atoms before b already reach the
+        # target, so the boundary is earlier
         b -= 1
         cum_before = math.fsum(masses[:b])
     boundary = atoms[b]

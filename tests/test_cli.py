@@ -4,6 +4,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import smoothcode as sc
 from smoothcode import cli
@@ -535,14 +537,146 @@ def test_cached_parser_keeps_no_state(capsys, dist_file):
 
 
 def test_code_with_a_tilted_probability_just_below_one(capsys, tmp_path):
-    # 1 - 0.7 rounds above 0.3, so the 0.2 level keeps about 6e-17 of mass and
-    # the 0.3 level's tilted probability falls a hair below 1; snapping its
-    # length down to the empty word would overfill the tree
+    # the 0.2 level keeps 1e-10 of mass, so at lambda 0.01 the 0.3 level's
+    # tilted probability falls 4e-10 below 1; snapping its length down to the
+    # empty word would overfill the tree
     path = tmp_path / "six.json"
     path.write_text(json.dumps({"probs": [0.3, 0.2, 0.2, 0.1, 0.1, 0.1]}))
-    rc, out, err = run_cli(capsys, ["code", "--dist", str(path), "--eps", "0.7", "--lambda", "0.5"])
+    argv = ["code", "--dist", str(path), "--eps", "0.6999999999", "--lambda", "0.01"]
+    rc, out, err = run_cli(capsys, argv)
     assert rc == 0 and err == ""
     book = json.loads(out)
     words = [e["codeword"] for e in book["entries"] if e["codeword"] is not None]
-    assert [len(w) for w in words] == [2, 36]
+    assert [len(w) for w in words] == [2, 33]
     assert sc.PrefixCode(tuple(words) + (book["reject"],)).is_prefix_free()
+
+
+ENTRY = {"codeword": "00", "gamma": 1.0}
+BAD_INPUTS = [
+    ("code", {"reject": "1", "entries": [{"codeword": 5, "gamma": 1.0}]}),
+    ("code", {"reject": "1", "entries": [{"codeword": "00", "gamma": [1]}]}),
+    ("code", {"reject": "1", "entries": [1, 2]}),
+    ("code", [ENTRY]),
+    ("code", {"reject": "1", "entries": ENTRY}),
+    ("code", {"reject": "1", "entries": [{"codeword": "00", "gamma": 10**400}]}),
+    ("code", {"reject": "1", "decoder_for_reject": None, "entries": [ENTRY]}),
+    ("code", {"reject": "1", "decoder_for_reject": 1e400, "entries": [ENTRY]}),
+    ("dist", {"probs": [0.5, None]}),
+    ("dist", {"probs": 0.5}),
+    ("dist", [0.5, 0.5]),
+    ("dist", {"atoms": [[-0.7, 2]]}),
+    ("dist", {"atoms": [{"log_prob": None, "multiplicity": 1}]}),
+    ("dist", {"atoms": [{"log_prob": 0.0, "multiplicity": 1e400}]}),
+    ("dist", {"atoms": [{"log_prob": 0.0, "multiplicity": 1}], "n": None}),
+    ("spec", {"components": [1]}),
+    ("spec", {"components": [{"weight": 1.0, "probs": None}]}),
+    ("spec", {"components": [{"weight": None, "probs": [1.0]}]}),
+    ("spec", ["components"]),
+]
+
+
+@pytest.mark.parametrize("kind, payload", BAD_INPUTS)
+def test_malformed_input_files_exit_2(capsys, tmp_path, dist_file, kind, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))  # 1e400 is written as Infinity
+    argv = {
+        "code": ["evaluate", "--dist", dist_file, "--eps", "0.1", "--lambda", "1", "--code"],
+        "dist": ["entropy", "--alpha", "0.5", "--eps", "0.1", "--dist"],
+        "spec": ["mixture", "--alpha", "0.5", "--eps", "0.1", "--n-list", "4", "--spec"],
+    }[kind]
+    rc, out, err = run_cli(capsys, argv + [str(path)])
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_code_prints_the_codebook_as_json_dumps_does(capsys, tmp_path):
+    dist = sc.iid_extension(sc.new_distribution([0.5, 0.3, 0.2]), 6)
+    atoms = [{"log_prob": a.log_prob, "multiplicity": a.multiplicity} for a in dist.atoms]
+    path = tmp_path / "p6.json"
+    path.write_text(json.dumps({"atoms": atoms, "n": 6}))
+    for eps, lam, mode in ((0.1, 1.0, "stochastic"), (0.3, 0.5, "deterministic")):
+        argv = ["code", "--dist", str(path), "--eps", str(eps), "--lambda", str(lam)]
+        rc, out, _ = run_cli(capsys, argv + ["--mode", mode])
+        assert rc == 0
+        build = sc.build_stochastic_code if mode == "stochastic" else sc.build_deterministic_code
+        code = build(sc.distribution_from_json(json.loads(path.read_text())), eps, lam)
+        assert out == json.dumps(sc.codebook_to_json(code), indent=2, sort_keys=True) + "\n"
+
+
+def json_trees():
+    scalars = (
+        st.none()
+        | st.booleans()
+        | st.integers(min_value=-(2**200), max_value=2**200)
+        | st.floats(allow_nan=True, allow_infinity=True)
+        | st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 1e300, 5e-324])
+        | st.text()
+        | st.sampled_from(["\x00", "\u2028", "é", "\U0001f600", '"{}"', "\\", "{", "}}"])
+    )
+    keys = st.text(max_size=4) | st.sampled_from(["codeword", "gamma", "{}", "{0}", "é"])
+    return st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(keys, inner, max_size=4)
+        | st.tuples(inner, inner),
+        max_leaves=25,
+    )
+
+
+@given(json_trees())
+@settings(max_examples=300)
+def test_printer_matches_json_dumps(obj):
+    assert cli._dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+def records(columns):
+    """Lists of dicts with one key set, each key's values drawn from one of columns."""
+    keys = st.text(max_size=3) | st.sampled_from(["codeword", "gamma", "{x}", "}"])
+    return st.dictionaries(keys, columns, min_size=1, max_size=3).flatmap(
+        lambda kinds: st.lists(st.fixed_dictionaries(kinds), min_size=1, max_size=6)
+    )
+
+
+COLUMNS = st.sampled_from(  # the strategy of one column's values
+    [
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.none() | st.text(),  # a codeword column
+        st.booleans() | st.integers(),
+        st.integers(min_value=-(2**70), max_value=2**70),
+        st.none() | st.booleans() | st.floats() | st.text(max_size=2),
+        st.lists(st.integers(), max_size=2),  # not flat
+        st.dictionaries(st.text(max_size=1), st.none(), max_size=1),  # not flat
+    ]
+)
+
+
+@given(records(COLUMNS))
+@settings(max_examples=300)
+def test_printer_matches_json_dumps_on_record_lists(items):
+    assert cli._dumps(items) == json.dumps(items, indent=2, sort_keys=True)
+    nested = {"reports": items, "more": [items, {"k": items}]}
+    assert cli._dumps(nested) == json.dumps(nested, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "items",
+    [
+        [{"a": 1, "b": None}, {"a": True, "b": "x"}, {"a": 2.5, "b": None}],
+        [{"a": 1}, {"b": 1}],  # same size, other keys
+        [{"a": 1}, {"a": 1, "b": 2}],  # other sizes
+        [{"a": 1}, [1]],  # not all dicts
+        [{}, {}],
+        [{"a": [1, {"b": None}]}, {"a": {}}],  # not flat
+        [{"a": float("nan")}, {"a": -float("inf")}, {"a": -0.0}],
+        [{"é{": "\x00"}, {"é{": "\u2028"}],
+    ],
+)
+def test_printer_falls_back_on_records_that_break_the_shape(items):
+    assert cli._dumps(items) == json.dumps(items, indent=2, sort_keys=True)
+
+
+def test_printer_rejects_what_json_rejects():
+    with pytest.raises(TypeError):
+        cli._dumps({"a": object()})
+    with pytest.raises(TypeError):
+        cli._dumps([{"a": {1, 2}}, {"a": {3}}])

@@ -1,11 +1,15 @@
+import copy
 import dataclasses
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import smoothcode as sc
+from smoothcode.codes import CodeRun, _canonical_starts
 
 WORKED = [0.5, 0.3, 0.2]
 
@@ -369,3 +373,133 @@ def test_code_equality_ignores_how_the_code_was_made():
     swapped = sc.codebook_from_json(book)
     assert swapped.runs == code.runs
     assert swapped != code
+
+
+def reference_codebook_from_json(obj):
+    """The reader as it was before it checked column by column: one entry at a time."""
+    entries = obj["entries"]
+    if not entries:
+        raise ValueError("codebook has no entries")
+    reject = str(obj["reject"])
+    codings = []
+    inner_words = []
+    for i, e in enumerate(entries):
+        g = float(e["gamma"])
+        if not 0.0 <= g <= 1.0:
+            raise ValueError(f"gamma out of [0, 1] at entry {i}")
+        word = e["codeword"]
+        if word is None:
+            if g > 0.0:
+                raise ValueError(f"entry {i} can be accepted but has no codeword")
+            codings.append((1, g, None))
+        else:
+            if len(inner_words) != i:
+                raise ValueError("coded symbols must form a leading block of the entries")
+            if not word.startswith("0"):
+                raise ValueError(f"accept codeword must start with the flag bit '0': {word!r}")
+            inner_words.append(word[1:])
+            codings.append((1, g, len(word)))
+    runs = tuple(
+        CodeRun(sum(run[0] for run in group), gamma, bits)
+        for (gamma, bits), group in itertools.groupby(codings, key=lambda run: run[1:])
+    )
+    words = sorted(tuple("0" + w for w in inner_words) + (reject,))
+    if any(b.startswith(a) for a, b in zip(words, words[1:])):
+        raise sc.KraftViolated("codebook words are not prefix-free")
+    decoder = int(obj.get("decoder_for_reject", 0))
+    if not 0 <= decoder < len(entries):
+        raise ValueError("decoder_for_reject out of range")
+    cls = sc.DeterministicCode if all(r.gamma in (0.0, 1.0) for r in runs) else sc.StochasticCode
+    return cls(
+        runs=runs,
+        decoder_for_reject=decoder,
+        reject=reject,
+        explicit_words=tuple(inner_words),
+    )
+
+
+ODD_VALUES = [None, True, 0, 1, -1, 0.0, 0.5, 1.0, 1.5, -0.0, math.nan, math.inf, 10**400,
+              "", "0", "1", "00", "0.5", "abc", [1], ["0"], {"gamma": 1.0}]
+
+
+def mutate(book, rng):
+    """Apply one random change to a codebook JSON object, in place; may return a new object."""
+    entries = book["entries"]
+    i = rng.randrange(len(entries)) if entries else 0
+    kind = rng.randrange(10)
+    if kind == 0 and entries and isinstance(entries[i], dict):
+        entries[i]["gamma"] = rng.choice(ODD_VALUES + [0.0, 0.25, 1.0])
+    elif kind == 1 and entries and isinstance(entries[i], dict):
+        other = rng.choice(entries)
+        word = other.get("codeword") if isinstance(other, dict) else None
+        choices = ODD_VALUES + [word, "0" + "1" * rng.randrange(4), "01", "010"]
+        if isinstance(word, str):
+            choices += [word[:-1], word + "0", "1" + word[1:]]
+        entries[i]["codeword"] = rng.choice(choices)
+    elif kind == 2 and entries and isinstance(entries[i], dict):
+        entries[i].pop(rng.choice(["gamma", "codeword"]), None)
+    elif kind == 3 and entries:
+        entries[i] = rng.choice(ODD_VALUES)
+    elif kind == 4 and len(entries) > 1:
+        j = rng.randrange(len(entries))
+        entries[i], entries[j] = entries[j], entries[i]
+    elif kind == 5:
+        del entries[rng.randrange(len(entries) + 1):]
+    elif kind == 6:
+        book["decoder_for_reject"] = rng.choice(ODD_VALUES + [len(entries), 2.7, "2"])
+    elif kind == 7:
+        book.pop(rng.choice(["decoder_for_reject", "reject", "entries"]), None)
+    elif kind == 8:
+        book["reject"] = rng.choice(ODD_VALUES + ["11", "01"])
+    elif kind == 9:
+        book["entries"] = rng.choice([{}, {"a": 1}, "ab", 0, None, entries])
+    return book
+
+
+def outcome(reader, book):
+    try:
+        code = reader(copy.deepcopy(book))
+    except Exception as exc:  # the outcome compared is the exception itself
+        return type(exc), str(exc)
+    return type(code), code, code.gamma, code.inner.codewords
+
+
+def test_column_reader_matches_the_per_entry_reader_on_mutated_codebooks():
+    rng = random.Random(2024)
+    books = []
+    for dist in referee_sources()[::3]:
+        for build in (sc.build_stochastic_code, sc.build_deterministic_code):
+            for eps, lam in ((0.0, 1.0), (0.2, 2.0), (0.5, 0.5)):
+                books.append(sc.codebook_to_json(build(dist, eps, lam)))
+    kinds = set()
+    for trial in range(3000):
+        book = copy.deepcopy(rng.choice(books))
+        for _ in range(rng.choice((0, 1, 1, 2, 3))):
+            if not isinstance(book.get("entries"), list):
+                break
+            book = mutate(book, rng)
+        if rng.random() < 0.01:
+            book = [book]
+        expected = outcome(reference_codebook_from_json, book)
+        got = outcome(sc.codebook_from_json, book)
+        kinds.add(expected[0])
+        if expected[0] in (TypeError, AttributeError, OverflowError):
+            # malformed input the old reader failed on; the new one rejects it
+            assert got[0] is ValueError, (book, expected, got)
+        else:
+            assert got == expected, (book, expected, got)
+    assert {ValueError, KeyError, sc.KraftViolated, TypeError, AttributeError} <= kinds
+    assert {sc.StochasticCode, sc.DeterministicCode} <= kinds
+
+
+def test_huge_counts_print_their_size_in_error_messages():
+    with pytest.raises(sc.KraftViolated, match=r"^2\*\*20000 or more words of length 5 "):
+        _canonical_starts([(5, 2**20000)])
+    with pytest.raises(sc.KraftViolated, match="^3 words of length 1 "):
+        _canonical_starts([(1, 3)])
+    with pytest.raises(sc.TooLarge, match=r"^support of size 2\*\*20000 or more exceeds"):
+        sc.distributions._expand([(2**20000, lambda: iter(()))])
+    with pytest.raises(sc.TooLarge, match=r"^2\*\*\d+ or more type classes at blocklength 20000 "):
+        sc.distributions._guard_class_count(20000, 20000, None)
+    with pytest.raises(sc.Misaligned, match=r"^code covers 2\*\*20000 or more symbols"):
+        sc.codes._segments([CodeRun(2**20000, 0.0, None)], sc.new_distribution([1.0]).atoms)

@@ -101,6 +101,21 @@ def test_boundary_agrees_with_the_exact_prefix_sum():
     assert sub.total_mass == 1.0 - eps
 
 
+def test_mass_missing_by_float_noise_counts_as_reached():
+    # 1 - 0.7 is 0.30000000000000004, one ulp above the 0.3 level, which
+    # left a boundary at the 0.2 level with gamma_eps 5.55e-17
+    dist = sc.new_distribution([0.3, 0.2, 0.2, 0.1, 0.1, 0.1])
+    sub = sc.optimal_smoothing(dist, 0.7)
+    assert (sub.k_star, sub.gamma_eps) == (1, 0.3)
+    assert sc.smooth_max_entropy(dist, 0.7) == 0.0
+    code = sc.build_stochastic_code(dist, 0.7, 0.5)
+    assert code.inner.codewords == ("",)
+    assert code.gamma == (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    # a real partial clip a little further on is kept
+    sub = sc.optimal_smoothing(dist, 0.6999999999)
+    assert sub.k_star == 2 and sub.gamma_eps == pytest.approx(1e-10, rel=1e-5)
+
+
 def test_parameter_validation():
     dist = sc.new_distribution(WORKED)
     for eps in (-0.01, 1.0, 1.5):
