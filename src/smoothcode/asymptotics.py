@@ -9,12 +9,14 @@ index governs the growth exponent of the moment bounds.
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import neg, sub, truediv
 from typing import Sequence
 
-from .distributions import MixtureSpec, mixture_extension
+from .distributions import MixtureSpec, _log_masses, mixture_extension
 from .errors import check_eps, check_lambda
 from .smooth_renyi import smooth_renyi_entropy
 
@@ -109,15 +111,16 @@ def spectrum_probability(
     """
     dist = mixture_extension(spec, query.n, cap=cap)
     slack = 1e-12
-    picked = []
-    for atom in dist.atoms:
-        rate = -atom.log_prob / query.n
-        if query.direction == "ge":
-            ok = rate >= query.threshold - slack
-        elif query.direction == "le":
-            ok = rate <= query.threshold + slack
-        else:
-            ok = abs(rate - query.threshold) <= query.gamma + slack
-        if ok:
-            picked.append(atom.mass())
-    return math.fsum(picked)
+    rates = map(truediv, map(neg, dist.log_probs), itertools.repeat(query.n))
+    if query.direction == "ge":
+        keep = map((query.threshold - slack).__le__, rates)
+    elif query.direction == "le":
+        keep = map((query.threshold + slack).__ge__, rates)
+    else:
+        gaps = map(abs, map(sub, rates, itertools.repeat(query.threshold)))
+        keep = map((query.gamma + slack).__ge__, gaps)
+    keep = list(keep)
+    picked = _log_masses(
+        itertools.compress(dist.log_probs, keep), itertools.compress(dist.mults, keep)
+    )
+    return math.fsum(map(math.exp, picked))

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, partial
-from operator import itemgetter
+from operator import add, itemgetter, lshift, mul, neg, sub, truediv
 from typing import Iterable, NamedTuple, NoReturn, Sequence
 
-from .distributions import Distribution, WeightedAtom, _expand, _expand_atoms
+from .distributions import Distribution, _expand, _expand_levels, _log_masses
 from .errors import KraftViolated, Misaligned, check_lambda, count_text
 from .logspace import LN2, logsumexp
 from .smooth_renyi import SubDistribution, optimal_smoothing
@@ -34,58 +35,77 @@ LENGTH_SNAP = 1e-9
 class TiltedDistribution:
     """Power-tilted and renormalized copy of a sub-distribution's support.
 
-    Atoms mirror the source atoms (same multiplicities and order); log_prob
-    holds the tilted probability of a single symbol at that level.
+    mults mirrors the source levels (same multiplicities and order); log_probs
+    holds the tilted probability of a single symbol at each level.
     """
 
-    atoms: tuple[WeightedAtom, ...]
+    log_probs: tuple[float, ...]
+    mults: tuple[int, ...]
     lam: float
 
     @property
     def support_size(self) -> int:
-        return sum(a.multiplicity for a in self.atoms)
+        return sum(self.mults)
 
 
-def _tilt_atoms(atoms: Sequence[WeightedAtom], lam: float) -> TiltedDistribution:
+def _tilt(log_probs: Sequence[float], mults: Sequence[int], lam: float) -> TiltedDistribution:
     beta = 1.0 / (1.0 + lam)
-    norm = logsumexp(math.log(a.multiplicity) + beta * a.log_prob for a in atoms)
-    tilted = tuple(
-        WeightedAtom(beta * a.log_prob - norm, a.multiplicity, a.tag) for a in atoms
-    )
-    return TiltedDistribution(tilted, lam)
+    scaled = list(map(mul, itertools.repeat(beta), log_probs))
+    norm = logsumexp(_log_masses(scaled, mults))
+    return TiltedDistribution(tuple(map(sub, scaled, itertools.repeat(norm))), tuple(mults), lam)
 
 
 def tilted_distribution(sub: SubDistribution, lam: float) -> TiltedDistribution:
     """Normalize Q**(1/(1+lam)) over the support of the sub-distribution Q."""
     check_lambda(lam)
-    return _tilt_atoms(sub.atoms, lam)
+    return _tilt(sub.log_probs, sub.mults, lam)
 
 
-def _atom_lengths(tilted: Sequence[WeightedAtom]) -> list[int]:
-    """Codeword length in bits of each tilted atom: -log2 of its probability, rounded up.
+def _level_lengths(tilted: TiltedDistribution) -> list[int]:
+    """Codeword length in bits of each tilted level: -log2 of its probability, rounded up.
 
     A length within LENGTH_SNAP above an integer snaps down to it when the
     snapped lengths still fit the binary tree, checked exactly in integers.
     When they do not (a tilted probability a hair below 1 snaps to the empty
-    word), every length is rounded up. Either way the lengths stay
-    nondecreasing along atoms in decreasing order.
+    word), every length is rounded up. When even the rounded-up lengths
+    overfill the tree, because -log2 of a tilted probability fell within
+    rounding of an integer from above, the least probable levels get one
+    more bit each, from the last level back, until the lengths fit. Either
+    way the lengths stay nondecreasing along levels in decreasing order.
     """
-    xs = [-a.log_prob / LN2 for a in tilted]
-    ceiled = [max(math.ceil(x), 0) for x in xs]
-    snapped = [
-        max(round(x), 0) if abs(x - round(x)) <= LENGTH_SNAP else l for x, l in zip(xs, ceiled)
-    ]
-    top = max(ceiled, default=0)
-    if sum(a.multiplicity << (top - l) for a, l in zip(tilted, snapped)) <= 1 << top:
+    mults = tilted.mults
+    xs = list(map(truediv, map(neg, tilted.log_probs), itertools.repeat(LN2)))
+    ceiled = list(map(max, map(math.ceil, xs), itertools.repeat(0)))
+    rounded = list(map(round, xs))
+    near = map(LENGTH_SNAP.__ge__, map(abs, map(sub, xs, rounded)))
+    snapped = [max(r, 0) if close else c for r, c, close in zip(rounded, ceiled, near)]
+    if _kraft_excess(mults, snapped) <= 0:
         return snapped
-    return ceiled
+    excess = _kraft_excess(mults, ceiled)
+    # in units of 2**-(top + 1), one more bit on level i frees mults[i] << (top - l_i)
+    top = max(ceiled)
+    excess <<= 1
+    i = len(ceiled)
+    while excess > 0 and i:
+        i -= 1
+        excess -= mults[i] << (top - ceiled[i])
+    return ceiled[:i] + [l + 1 for l in ceiled[i:]]
+
+
+def _kraft_excess(mults: Sequence[int], lengths: Sequence[int]) -> int:
+    """sum(mults * 2**-lengths) - 1, scaled by 2**max(lengths) to an exact integer."""
+    top = max(lengths, default=0)
+    return sum(map(lshift, mults, map(sub, itertools.repeat(top), lengths))) - (1 << top)
 
 
 def shannon_lengths(tilted: TiltedDistribution) -> list[int]:
-    """Per-symbol codeword lengths in bits: -log2 of the tilted probability, rounded up."""
+    """Per-symbol codeword lengths in bits: -log2 of the tilted probability, rounded up.
+
+    Rounded as _level_lengths does, so the lengths fit the binary tree.
+    """
     runs = [
-        (a.multiplicity, partial(itertools.repeat, l, a.multiplicity))
-        for a, l in zip(tilted.atoms, _atom_lengths(tilted.atoms))
+        (m, partial(itertools.repeat, l, m))
+        for m, l in zip(tilted.mults, _level_lengths(tilted))
     ]
     return _expand(runs)
 
@@ -97,7 +117,8 @@ def ideal_real_lengths(sub: SubDistribution, lam: float) -> list[float]:
     condition with equality: sum(exp(-length)) == 1.
     """
     check_lambda(lam)
-    return _expand_atoms(_tilt_atoms(sub.atoms, lam).atoms, lambda lp: -lp)
+    tilted = _tilt(sub.log_probs, sub.mults, lam)
+    return _expand_levels(tilted.log_probs, tilted.mults, neg)
 
 
 @dataclass(frozen=True)
@@ -214,32 +235,29 @@ def _packed(runs: Iterable[tuple[int, float, int | None]]) -> tuple[CodeRun, ...
     )
 
 
-def _segments(runs: Sequence[CodeRun], atoms: Sequence[WeightedAtom]) -> list[Segment]:
-    """Cut the runs at the level boundaries of the atoms they cover.
+def _segments(runs: Sequence[CodeRun], dist: Distribution) -> list[Segment]:
+    """Cut the runs at the level boundaries of the distribution they cover.
 
-    Raises Misaligned when the runs and the atoms count different numbers of
-    symbols.
+    Raises Misaligned when the runs and the distribution count different
+    numbers of symbols.
     """
-    coded = sum(r.count for r in runs)
-    support = sum(a.multiplicity for a in atoms)
+    run_ends = list(itertools.accumulate(map(_COUNT, runs)))
+    level_ends = list(itertools.accumulate(dist.mults))
+    coded = run_ends[-1] if run_ends else 0
+    support = level_ends[-1]
     if coded != support:
         raise Misaligned(
             f"code covers {count_text(coded)} symbols, distribution has {count_text(support)}"
         )
-    out: list[Segment] = []
-    run_iter = iter(runs)
-    run_left = first = 0
-    for atom in atoms:
-        atom_left = atom.multiplicity
-        while atom_left:
-            if not run_left:
-                run_left, gamma, bits = next(run_iter)
-            take = min(run_left, atom_left)
-            out.append(Segment(atom.log_prob, take, gamma, bits, first))
-            first += take
-            run_left -= take
-            atom_left -= take
-    return out
+    # a segment ends wherever a run or a level ends
+    ends = sorted(set(run_ends).union(level_ends))
+    firsts = [0, *ends[:-1]]
+    levels = map(bisect_right, itertools.repeat(level_ends), firsts)
+    codings = map(runs.__getitem__, map(bisect_right, itertools.repeat(run_ends), firsts))
+    return [
+        Segment(dist.log_probs[level], count, run.gamma, run.accept_bits, first)
+        for level, run, count, first in zip(levels, codings, map(sub, ends, firsts), firsts)
+    ]
 
 
 @dataclass(frozen=True)
@@ -343,7 +361,7 @@ class StochasticCode:
 
     def segments(self, dist: Distribution) -> list[Segment]:
         """The runs cut at the distribution's levels; Misaligned if the sizes differ."""
-        return _segments(self.runs, dist.atoms)
+        return _segments(self.runs, dist)
 
 
 @dataclass(frozen=True, eq=False)  # keeps StochasticCode's equality
@@ -364,28 +382,29 @@ def _reject_target(segments: Iterable[Segment]) -> int:
 def _flag_code(
     cls,
     dist: Distribution,
-    coded: Sequence[WeightedAtom],
+    log_probs: Sequence[float],
+    mults: Sequence[int],
     last_gamma: float,
     lam: float,
 ) -> StochasticCode:
-    """Code whose words go to the leading atoms `coded` of the smoothing truncation.
+    """Code whose words go to the leading levels (log_probs, mults) of the smoothing truncation.
 
-    One length per tilted atom. The symbols of the last coded atom are
+    One length per tilted level. The symbols of the last coded level are
     accepted with probability last_gamma, the others surely; every later
     symbol of dist rejects.
     """
     runs = []
-    if coded:
+    if mults:
         # tilting keeps the sorted order, so the lengths are nondecreasing as
         # canonical numbering needs
-        lengths = _atom_lengths(_tilt_atoms(coded, lam).atoms)
-        runs = [(a.multiplicity, 1.0, 1 + l) for a, l in zip(coded, lengths)]
-        runs[-1] = (coded[-1].multiplicity, last_gamma, 1 + lengths[-1])
-    rest = dist.support_size - sum(r[0] for r in runs)
+        accept_bits = map(add, itertools.repeat(1), _level_lengths(_tilt(log_probs, mults, lam)))
+        runs = list(zip(mults, itertools.repeat(1.0), accept_bits))
+        runs[-1] = (mults[-1], last_gamma, runs[-1][2])
+    rest = dist.support_size - sum(mults)
     if rest:
         runs.append((rest, 0.0, None))
     packed = _packed(runs)
-    decoder = _reject_target(_segments(packed, dist.atoms))
+    decoder = _reject_target(_segments(packed, dist))
     code = cls(runs=packed, decoder_for_reject=decoder)
     code._word_runs  # checks Kraft; inner reuses the cached starts
     return code
@@ -393,11 +412,10 @@ def _flag_code(
 
 def _level_at(dist: Distribution, index: int) -> float:
     """log-prob of the symbol at a position of the sorted order."""
-    for a in dist.atoms:
-        if index < a.multiplicity:
-            return a.log_prob
-        index -= a.multiplicity
-    raise IndexError("position beyond the support")
+    level_ends = list(itertools.accumulate(dist.mults))
+    if not 0 <= index < level_ends[-1]:
+        raise IndexError("position beyond the support")
+    return dist.log_probs[bisect_right(level_ends, index)]
 
 
 def build_stochastic_code(dist: Distribution, eps: float, lam: float) -> StochasticCode:
@@ -411,7 +429,7 @@ def build_stochastic_code(dist: Distribution, eps: float, lam: float) -> Stochas
     sub = optimal_smoothing(dist, eps)
     boundary_p = math.exp(_level_at(dist, sub.k_star - 1))
     gamma_b = 1.0 if boundary_p == 0.0 else min(sub.gamma_eps / boundary_p, 1.0)
-    return _flag_code(StochasticCode, dist, sub.atoms, gamma_b, lam)
+    return _flag_code(StochasticCode, dist, sub.log_probs, sub.mults, gamma_b, lam)
 
 
 def build_deterministic_code(dist: Distribution, eps: float, lam: float) -> DeterministicCode:
@@ -423,7 +441,7 @@ def build_deterministic_code(dist: Distribution, eps: float, lam: float) -> Dete
     check_lambda(lam)
     sub = optimal_smoothing(dist, eps)
     # everything except the clipped boundary symbol
-    return _flag_code(DeterministicCode, dist, sub.atoms[:-1], 1.0, lam)
+    return _flag_code(DeterministicCode, dist, sub.log_probs[:-1], sub.mults[:-1], 1.0, lam)
 
 
 def codebook_to_json(code: StochasticCode) -> dict:
@@ -450,14 +468,15 @@ def codebook_from_json(obj: dict) -> StochasticCode:
     word length share one run, as in a built code, so both evaluate alike.
     Input of the wrong shape raises ValueError, a missing key KeyError.
     The entries are checked column by column; once a check fails, they are
-    walked one by one to report the first bad entry.
+    walked one by one to report the first bad entry. The reject word and the
+    codewords must be nonempty strings of '0' and '1'.
     """
     if not isinstance(obj, dict):
         raise ValueError("codebook JSON must be an object")
     entries = obj["entries"]
     if not entries:
         raise ValueError("codebook has no entries")
-    reject = str(obj["reject"])
+    reject = obj["reject"]
     if not isinstance(entries, list):
         raise ValueError("codebook entries must be a list")
     columns = _entry_columns(entries)
@@ -466,7 +485,7 @@ def codebook_from_json(obj: dict) -> StochasticCode:
     gammas, flagged = columns
     lengths = itertools.chain(map(len, flagged), itertools.repeat(None, len(gammas) - len(flagged)))
     runs = _packed(zip(itertools.repeat(1), gammas, lengths))
-    if not PrefixCode((*flagged, reject)).is_prefix_free():
+    if not PrefixCode((*flagged, str(reject))).is_prefix_free():
         raise KraftViolated("codebook words are not prefix-free")
     try:
         decoder = int(obj.get("decoder_for_reject", 0))
@@ -474,6 +493,13 @@ def codebook_from_json(obj: dict) -> StochasticCode:
         raise ValueError("decoder_for_reject must be an integer") from None
     if not 0 <= decoder < len(entries):
         raise ValueError("decoder_for_reject out of range")
+    # the alphabet of the words is checked last, so the checks above keep
+    # precedence over it
+    if not _is_binary("".join(flagged)):
+        bad = next(i for i, word in enumerate(flagged) if not _is_binary(word))
+        raise ValueError(f"codeword at entry {bad} is not a string of 0s and 1s: {flagged[bad]!r}")
+    if not isinstance(reject, str) or not reject or not _is_binary(reject):
+        raise ValueError(f"reject word must be a nonempty string of 0s and 1s, got {reject!r}")
     cls = DeterministicCode if all(r.gamma in (0.0, 1.0) for r in runs) else StochasticCode
     return cls(
         runs=runs,
@@ -481,6 +507,14 @@ def codebook_from_json(obj: dict) -> StochasticCode:
         reject=reject,
         explicit_words=tuple(map(_INNER, flagged)),
     )
+
+
+def _is_binary(text: str) -> bool:
+    """Whether text holds only the characters '0' and '1', checked at C speed."""
+    try:
+        return not text.encode("ascii").translate(None, b"01")
+    except UnicodeEncodeError:
+        return False
 
 
 def _entry_columns(entries: list) -> tuple[list[float], list[str]] | None:

@@ -1,11 +1,12 @@
-"""Finite distributions stored as weighted atoms in the log domain.
+"""Finite distributions stored as probability levels in the log domain.
 
-An atom groups every symbol that shares one probability: it keeps the
+A level groups every symbol that shares one probability: it keeps the
 natural-log probability of a single symbol together with the exact count of
 symbols at that level. Product and mixture extensions of a base alphabet stay
 compact this way, because all sequences in a type class have the same
-probability and the class collapses to one atom whose multiplicity is an
-exact multinomial count.
+probability and the class collapses to one level whose multiplicity is an
+exact multinomial count. The levels are stored as parallel columns, and
+every consumer works on whole columns at once.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import math
 import os
 from dataclasses import dataclass
 from functools import partial
-from operator import add, floordiv, mul, neg, sub
-from typing import Callable, Iterable, Sequence, TypeVar
+from operator import add, floordiv, gt, mul, neg, sub
+from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 from .errors import BadMixture, EmptyDistribution, NotNormalized, TooLarge, count_text
 from .logspace import logsumexp
@@ -73,88 +74,106 @@ def _expand(
     return list(itertools.chain.from_iterable(make() for _, make in runs))
 
 
-@dataclass(frozen=True, slots=True)
-class WeightedAtom:
-    """One probability level: log-prob of a single symbol and how many symbols share it."""
+def _log_masses(log_probs: Iterable[float], mults: Iterable[int]) -> map:
+    """log(multiplicity) + log_prob of each level: the log of its total mass."""
+    return map(add, map(math.log, mults), log_probs)
+
+
+class WeightedAtom(NamedTuple):
+    """One level of a Distribution, as read through Distribution.atoms."""
 
     log_prob: float
     multiplicity: int
     # index, in input or enumeration order, of the first entry merged into this level
-    tag: int | None = None
-
-    def log_mass(self) -> float:
-        return math.log(self.multiplicity) + self.log_prob
-
-    def mass(self) -> float:
-        return math.exp(self.log_mass())
+    tag: int
 
 
 @dataclass(frozen=True)
 class Distribution:
-    """A finite distribution as atoms sorted by strictly decreasing log-prob.
+    """A finite distribution as levels sorted by strictly decreasing log-prob.
 
-    `n` is the blocklength the distribution lives on (1 for a single letter).
+    log_probs[i] is the log-prob of one symbol of level i, mults[i] the exact
+    number of symbols at that level, and tags[i] the index, in input or
+    enumeration order, of the first entry merged into it. `n` is the
+    blocklength the distribution lives on (1 for a single letter).
     """
 
-    atoms: tuple[WeightedAtom, ...]
+    log_probs: tuple[float, ...]
+    mults: tuple[int, ...]
+    tags: tuple[int, ...]
     n: int = 1
 
     def __post_init__(self) -> None:
-        if not self.atoms:
+        lps, mults = self.log_probs, self.mults
+        if not lps:
             raise EmptyDistribution("distribution needs at least one atom")
-        for a, b in zip(self.atoms, self.atoms[1:]):
-            if not a.log_prob > b.log_prob:
-                raise NotNormalized("atoms must be sorted by strictly decreasing log-prob")
-        for a in self.atoms:
-            if a.multiplicity < 1:
-                raise NotNormalized("atom multiplicities must be >= 1")
+        if not len(mults) == len(self.tags) == len(lps):
+            raise NotNormalized("level columns must have equal lengths")
+        if not all(map(gt, lps, lps[1:])):
+            raise NotNormalized("atoms must be sorted by strictly decreasing log-prob")
+        if min(mults) < 1:
+            raise NotNormalized("atom multiplicities must be >= 1")
+
+    @property
+    def atoms(self) -> tuple[WeightedAtom, ...]:
+        """The levels as (log_prob, multiplicity, tag) records, largest first."""
+        return tuple(map(WeightedAtom, self.log_probs, self.mults, self.tags))
 
     @property
     def support_size(self) -> int:
-        return sum(a.multiplicity for a in self.atoms)
+        return sum(self.mults)
 
     def log_total_mass(self) -> float:
-        return logsumexp(a.log_mass() for a in self.atoms)
+        return logsumexp(_log_masses(self.log_probs, self.mults))
 
     def total_mass(self) -> float:
         return math.exp(self.log_total_mass())
 
     def probabilities(self, cap: int | None = None) -> list[float]:
         """Expand to one probability per symbol, largest first."""
-        return _expand_atoms(self.atoms, math.exp, cap)
+        return _expand_levels(self.log_probs, self.mults, math.exp, cap)
 
 
-def _expand_atoms(
-    atoms: Sequence[WeightedAtom], value: Callable[[float], T], cap: int | None = None
+def _expand_levels(
+    log_probs: Sequence[float],
+    mults: Sequence[int],
+    value: Callable[[float], T],
+    cap: int | None = None,
 ) -> list[T]:
-    """value(log_prob) once per symbol of each atom, through the capped _expand."""
-    runs = [
-        (a.multiplicity, partial(itertools.repeat, value(a.log_prob), a.multiplicity))
-        for a in atoms
-    ]
+    """value(log_prob) once per symbol of each level, through the capped _expand."""
+    runs = [(m, partial(itertools.repeat, value(lp), m)) for lp, m in zip(log_probs, mults)]
     return _expand(runs, cap)
 
 
 def _normalize_atoms(
     neg_lps: Sequence[float], tags: Sequence[int], mults: Sequence[int]
-) -> tuple[WeightedAtom, ...]:
-    """Merge equal levels of (-log_prob, tag, multiplicity) columns into sorted atoms.
+) -> tuple[tuple[float, ...], tuple[int, ...], tuple[int, ...]]:
+    """Merge equal levels of (-log_prob, tag, multiplicity) columns.
 
-    The tags must increase along the columns, so one stable sort on -log_prob
+    Returns the (log_probs, mults, tags) columns of a Distribution. The tags
+    must increase along the input columns, so one stable sort on -log_prob
     orders ties by tag. A merged level keeps the tag of its first entry, so
     rebuilding from the same inputs is deterministic.
     """
     order = sorted(range(len(neg_lps)), key=neg_lps.__getitem__)
-    atoms: list[WeightedAtom] = []
+    out_lps: list[float] = []
+    out_mults: list[int] = []
+    out_tags: list[int] = []
+    put_lp, put_mult, put_tag = out_lps.append, out_mults.append, out_tags.append
     run_lp, run_tag, run_mult = neg_lps[order[0]], tags[order[0]], 0
     for i in order:
         neg_lp = neg_lps[i]
         if neg_lp - run_lp > MERGE_TOL:  # sorted, so never negative
-            atoms.append(WeightedAtom(-run_lp, run_mult, run_tag))
+            put_lp(-run_lp)
+            put_mult(run_mult)
+            put_tag(run_tag)
             run_lp, run_tag, run_mult = neg_lp, tags[i], 0
         run_mult += mults[i]
-    atoms.append(WeightedAtom(-run_lp, run_mult, run_tag))
-    return tuple(atoms)
+    put_lp(-run_lp)
+    put_mult(run_mult)
+    put_tag(run_tag)
+    del order  # freed before the columns are copied into tuples
+    return tuple(out_lps), tuple(out_mults), tuple(out_tags)
 
 
 def _check_mass(dist: Distribution) -> Distribution:
@@ -194,7 +213,7 @@ def new_distribution(probs: Sequence[float]) -> Distribution:
         raise EmptyDistribution("no strictly positive probability entry")
     _check_sum(probs)
     neg_lps = [-math.log(probs[i]) for i in tags]
-    return Distribution(_normalize_atoms(neg_lps, tags, [1] * len(tags)), n=1)
+    return Distribution(*_normalize_atoms(neg_lps, tags, [1] * len(tags)), n=1)
 
 
 def distribution_from_atoms(pairs: Sequence[tuple[float, int]], n: int = 1) -> Distribution:
@@ -218,8 +237,8 @@ def distribution_from_atoms(pairs: Sequence[tuple[float, int]], n: int = 1) -> D
         mults.append(int(mult))
     if not neg_lps:
         raise EmptyDistribution("no atoms supplied")
-    atoms = _normalize_atoms(neg_lps, range(len(neg_lps)), mults)
-    return _check_mass(Distribution(atoms, n=n))
+    columns = _normalize_atoms(neg_lps, range(len(neg_lps)), mults)
+    return _check_mass(Distribution(*columns, n=n))
 
 
 def shannon_entropy(probs: Sequence[float]) -> float:
@@ -394,6 +413,9 @@ def _type_class_atoms(
             walk(j + 1, rem - h, prefix, [s + t[h] for s, t in zip(sums, bin_tables)])
 
     walk(0, n, 1, [0.0] * len(log_weights))
+    # walk reaches itself through its closure; without this cycle the columns
+    # are freed as soon as the caller drops them, not at the next collection
+    del walk
     return neg_lps, indices, counts
 
 
@@ -420,12 +442,9 @@ def iid_extension(base: Distribution, n: int, cap: int | None = None) -> Distrib
         raise ValueError("blocklength must be >= 1")
     if n == 1:
         return base
-    levels = base.atoms
-    _guard_class_count(n, len(levels), cap)
-    columns = _type_class_atoms(
-        n, [0.0], [[a.log_prob for a in levels]], [a.multiplicity for a in levels]
-    )
-    return _check_mass(Distribution(_normalize_atoms(*columns), n=n))
+    _guard_class_count(n, len(base.mults), cap)
+    columns = _type_class_atoms(n, [0.0], [base.log_probs], base.mults)
+    return _check_mass(Distribution(*_normalize_atoms(*columns), n=n))
 
 
 def mixture_extension(spec: MixtureSpec, n: int, cap: int | None = None) -> Distribution:
@@ -447,7 +466,7 @@ def mixture_extension(spec: MixtureSpec, n: int, cap: int | None = None) -> Dist
     columns = _type_class_atoms(n, log_w, log_p, [1] * k)
     if not columns[0]:
         raise EmptyDistribution("mixture extension has empty support")
-    return _check_mass(Distribution(_normalize_atoms(*columns), n=n))
+    return _check_mass(Distribution(*_normalize_atoms(*columns), n=n))
 
 
 def distribution_from_json(obj: dict) -> Distribution:

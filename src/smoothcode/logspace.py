@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+from operator import sub
 from typing import Iterable
 
 LN2 = math.log(2.0)
@@ -13,13 +15,15 @@ def logsumexp(values: Iterable[float]) -> float:
 
     Ignores -inf entries; an empty (or all -inf) input yields -inf.
     """
-    vals = [v for v in values if v != -math.inf]
+    vals = list(values)
+    if -math.inf in vals:
+        vals = list(filter((-math.inf).__ne__, vals))
     if not vals:
         return -math.inf
     m = max(vals)
     if m == math.inf:
         return math.inf
-    return m + math.log(math.fsum(math.exp(v - m) for v in vals))
+    return m + math.log(math.fsum(map(math.exp, map(sub, vals, itertools.repeat(m)))))
 
 
 def ceil_exp(log_x: float) -> int:

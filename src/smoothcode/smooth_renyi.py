@@ -9,10 +9,13 @@ give the boundary symbol whatever mass is still missing, and drop the rest.
 
 from __future__ import annotations
 
+import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import mul
 
-from .distributions import Distribution, WeightedAtom, _expand_atoms
+from .distributions import Distribution, _expand_levels, _log_masses
 from .errors import check_alpha, check_eps
 from .logspace import ceil_exp, logsumexp
 
@@ -25,29 +28,31 @@ NEED_ULPS = 4
 class SubDistribution:
     """Largest-first truncation of a parent distribution to total mass 1 - eps.
 
-    Atoms follow the parent's sorted order. All symbols before position
-    k_star (1-based, in the expanded order) keep their full probability, the
-    symbol at k_star keeps only gamma_eps, and everything after is dropped.
-    The clipped symbol is always stored as the final atom with multiplicity 1,
-    even when gamma_eps happens to equal its full probability.
+    The log_probs and mults columns follow the parent's sorted order. All
+    symbols before position k_star (1-based, in the expanded order) keep their
+    full probability, the symbol at k_star keeps only gamma_eps, and
+    everything after is dropped. The clipped symbol is always stored as the
+    final entry with multiplicity 1, even when gamma_eps happens to equal its
+    full probability.
     """
 
-    atoms: tuple[WeightedAtom, ...]
+    log_probs: tuple[float, ...]
+    mults: tuple[int, ...]
     k_star: int
     gamma_eps: float
     total_mass: float
 
     @property
     def support_size(self) -> int:
-        return sum(a.multiplicity for a in self.atoms)
+        return sum(self.mults)
 
     def log_clipped(self) -> float:
         """log of the mass kept at position k_star."""
-        return self.atoms[-1].log_prob
+        return self.log_probs[-1]
 
     def probabilities(self) -> list[float]:
         """Expand to one kept mass per symbol; TooLarge beyond atom_cap()."""
-        return _expand_atoms(self.atoms, math.exp)
+        return _expand_levels(self.log_probs, self.mults, math.exp)
 
 
 def optimal_smoothing(dist: Distribution, eps: float) -> SubDistribution:
@@ -59,32 +64,27 @@ def optimal_smoothing(dist: Distribution, eps: float) -> SubDistribution:
     """
     check_eps(eps)
     target = 1.0 - eps
-    atoms = dist.atoms
-    masses = [a.mass() for a in atoms]
+    lps, mults = dist.log_probs, dist.mults
+    masses = list(map(math.exp, _log_masses(lps, mults)))
 
-    b = None
-    cum = 0.0
-    for i, m in enumerate(masses):
-        if cum + m >= target:
-            b = i
-            break
-        cum += m
-    if b is None:
+    # the first level whose left-to-right running sum reaches the target
+    b = bisect_left(list(itertools.accumulate(masses)), target)
+    if b == len(masses):
         # float deficit: the parent's mass fell a hair short of the target
-        b = len(atoms) - 1
+        b -= 1
     cum_before = math.fsum(masses[:b])
     reached = target - NEED_ULPS * math.ulp(target)
     while b > 0 and cum_before >= reached:
         # the running sum came out below the exact prefix sum, or the mass
-        # still missing is float noise: the atoms before b already reach the
+        # still missing is float noise: the levels before b already reach the
         # target, so the boundary is earlier
         b -= 1
         cum_before = math.fsum(masses[:b])
-    boundary = atoms[b]
+    boundary_lp = lps[b]
     need = target - cum_before
 
-    p = math.exp(boundary.log_prob)
-    mult = boundary.multiplicity
+    p = math.exp(boundary_lp)
+    mult = mults[b]
     if p > need * 1e-13:
         j = math.ceil(need / p - 1e-12)
         j = min(max(j, 1), mult)
@@ -94,36 +94,35 @@ def optimal_smoothing(dist: Distribution, eps: float) -> SubDistribution:
         else:
             # the subtraction could not resolve the clip against float noise
             gamma = p
-            log_gamma = boundary.log_prob
+            log_gamma = boundary_lp
     else:
         # per-symbol probability too small (possibly underflowed to 0) for the
         # target mass to resolve a partial clip; solve for j in logs and treat
         # the clipped symbol as fully kept
-        log_j = math.log(need) - boundary.log_prob
+        log_j = math.log(need) - boundary_lp
         if log_j >= math.log(mult):
             j = mult
         else:
             j = min(max(ceil_exp(log_j), 1), mult)
-        log_gamma = boundary.log_prob
+        log_gamma = boundary_lp
         gamma = p
 
-    sub_atoms = list(atoms[:b])
-    if j > 1:
-        sub_atoms.append(WeightedAtom(boundary.log_prob, j - 1, boundary.tag))
-    sub_atoms.append(WeightedAtom(log_gamma, 1, boundary.tag))
-    count_before = sum(a.multiplicity for a in atoms[:b])
-    total = math.fsum(a.mass() for a in sub_atoms)
+    # the boundary level keeps j - 1 whole symbols, then the clipped one
+    tail_lps = (boundary_lp, log_gamma) if j > 1 else (log_gamma,)
+    tail_mults = (j - 1, 1) if j > 1 else (1,)
+    tail_masses = map(math.exp, _log_masses(tail_lps, tail_mults))
     return SubDistribution(
-        atoms=tuple(sub_atoms),
-        k_star=count_before + j,
+        log_probs=tuple(lps[:b]) + tail_lps,
+        mults=tuple(mults[:b]) + tail_mults,
+        k_star=sum(mults[:b]) + j,
         gamma_eps=gamma,
-        total_mass=total,
+        total_mass=math.fsum(itertools.chain(masses[:b], tail_masses)),
     )
 
 
 def log_power_sum(sub: SubDistribution, alpha: float) -> float:
     """log of sum(Q(x)**alpha) over the sub-distribution's support."""
-    return logsumexp(math.log(a.multiplicity) + alpha * a.log_prob for a in sub.atoms)
+    return logsumexp(_log_masses(map(mul, itertools.repeat(alpha), sub.log_probs), sub.mults))
 
 
 def log_r_alpha_eps(dist: Distribution, alpha: float, eps: float) -> float:

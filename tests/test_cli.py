@@ -552,6 +552,12 @@ def test_code_with_a_tilted_probability_just_below_one(capsys, tmp_path):
 
 
 ENTRY = {"codeword": "00", "gamma": 1.0}
+# the codebook `code` prints for WORKED at eps 0.1 and lambda 1, less its reject word
+WORKED_BOOK = {
+    "decoder_for_reject": 2,
+    "entries": [{"codeword": "000", "gamma": 1.0}, {"codeword": "001", "gamma": 1.0},
+                {"codeword": "0100", "gamma": 0.4999999999999999}],
+}
 BAD_INPUTS = [
     ("code", {"reject": "1", "entries": [{"codeword": 5, "gamma": 1.0}]}),
     ("code", {"reject": "1", "entries": [{"codeword": "00", "gamma": [1]}]}),
@@ -572,6 +578,11 @@ BAD_INPUTS = [
     ("spec", {"components": [{"weight": 1.0, "probs": None}]}),
     ("spec", {"components": [{"weight": None, "probs": [1.0]}]}),
     ("spec", ["components"]),
+    ("code", {**WORKED_BOOK, "reject": None}),
+    ("code", {**WORKED_BOOK, "reject": 1}),
+    ("code", {**WORKED_BOOK, "reject": "1x"}),
+    ("code", {"reject": "1", "entries": [*WORKED_BOOK["entries"][:2], {"codeword": "0ab", "gamma": 0.5}]}),
+    ("code", {"reject": "1", "entries": [*WORKED_BOOK["entries"][:2], {"codeword": "01\u00e9", "gamma": 0.5}]}),
 ]
 
 

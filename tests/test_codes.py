@@ -22,8 +22,8 @@ def test_tilted_uniform_is_fixed_point():
     sub = sc.optimal_smoothing(sc.new_distribution([0.25] * 4), 0.0)
     for lam in (0.5, 1.0, 3.0):
         tilted = sc.tilted_distribution(sub, lam)
-        for a in tilted.atoms:
-            assert math.exp(a.log_prob) == pytest.approx(0.25, abs=1e-15)
+        for lp in tilted.log_probs:
+            assert math.exp(lp) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_tilted_worked_instance():
@@ -31,7 +31,7 @@ def test_tilted_worked_instance():
     tilted = sc.tilted_distribution(worked_sub(), 1.0)
     norm = math.sqrt(0.5) + math.sqrt(0.3) + math.sqrt(0.1)
     expected = [math.sqrt(q) / norm for q in (0.5, 0.3, 0.1)]
-    got = [math.exp(a.log_prob) for a in tilted.atoms]
+    got = [math.exp(lp) for lp in tilted.log_probs]
     assert got == pytest.approx(expected, abs=1e-12)
 
 
@@ -42,10 +42,10 @@ def test_tilted_is_normalized_on_random_inputs():
         dist = sc.new_distribution(rng.dirichlet(np.ones(s)))
         sub = sc.optimal_smoothing(dist, float(rng.uniform(0.0, 0.6)))
         tilted = sc.tilted_distribution(sub, float(rng.uniform(0.1, 5.0)))
-        total = math.fsum(a.multiplicity * math.exp(a.log_prob) for a in tilted.atoms)
+        total = math.fsum(m * math.exp(lp) for lp, m in zip(tilted.log_probs, tilted.mults))
         assert total == pytest.approx(1.0, abs=1e-12)
         # tilting preserves the ordering
-        lps = [a.log_prob for a in tilted.atoms]
+        lps = list(tilted.log_probs)
         assert lps == sorted(lps, reverse=True)
 
 
@@ -198,10 +198,10 @@ def test_length_bound_against_tilted_probabilities():
         tilted = sc.tilted_distribution(sub, lam)
         code = sc.build_stochastic_code(dist, eps, lam)
         i = 0
-        for a in tilted.atoms:
-            for _ in range(a.multiplicity):
+        for lp, m in zip(tilted.log_probs, tilted.mults):
+            for _ in range(m):
                 nat_len = code.accept_length_bits(i) * ln2
-                assert nat_len <= -a.log_prob + 2 * ln2 + 1e-9
+                assert nat_len <= -lp + 2 * ln2 + 1e-9
                 i += 1
 
 
@@ -299,7 +299,7 @@ def per_symbol_code(dist, eps, lam, deterministic):
     k = sub.k_star
     if deterministic:
         gamma = [1.0] * (k - 1) + [0.0] * (len(probs) - k + 1)
-        sub = dataclasses.replace(sub, atoms=sub.atoms[:-1])
+        sub = dataclasses.replace(sub, log_probs=sub.log_probs[:-1], mults=sub.mults[:-1])
     else:
         g_b = min(sub.gamma_eps / probs[k - 1], 1.0)
         gamma = [1.0] * (k - 1) + [g_b] + [0.0] * (len(probs) - k)
@@ -464,6 +464,12 @@ def outcome(reader, book):
     return type(code), code, code.gamma, code.inner.codewords
 
 
+def binary_words(book):
+    """Whether the reject word and every codeword are nonempty strings of 0s and 1s."""
+    words = [book["reject"], *(e["codeword"] for e in book["entries"] if e["codeword"] is not None)]
+    return all(isinstance(w, str) and w != "" and set(w) <= {"0", "1"} for w in words)
+
+
 def test_column_reader_matches_the_per_entry_reader_on_mutated_codebooks():
     rng = random.Random(2024)
     books = []
@@ -486,6 +492,9 @@ def test_column_reader_matches_the_per_entry_reader_on_mutated_codebooks():
         if expected[0] in (TypeError, AttributeError, OverflowError):
             # malformed input the old reader failed on; the new one rejects it
             assert got[0] is ValueError, (book, expected, got)
+        elif expected[0] in (sc.StochasticCode, sc.DeterministicCode) and not binary_words(book):
+            # a word the old reader took as given; the new one rejects it
+            assert got[0] is ValueError, (book, expected, got)
         else:
             assert got == expected, (book, expected, got)
     assert {ValueError, KeyError, sc.KraftViolated, TypeError, AttributeError} <= kinds
@@ -502,4 +511,4 @@ def test_huge_counts_print_their_size_in_error_messages():
     with pytest.raises(sc.TooLarge, match=r"^2\*\*\d+ or more type classes at blocklength 20000 "):
         sc.distributions._guard_class_count(20000, 20000, None)
     with pytest.raises(sc.Misaligned, match=r"^code covers 2\*\*20000 or more symbols"):
-        sc.codes._segments([CodeRun(2**20000, 0.0, None)], sc.new_distribution([1.0]).atoms)
+        sc.codes._segments([CodeRun(2**20000, 0.0, None)], sc.new_distribution([1.0]))

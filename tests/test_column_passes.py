@@ -1,0 +1,250 @@
+"""The column passes over (log_probs, mults) against the per-atom loops they replaced.
+
+Each reference below is the per-atom code as it stood before the levels
+became columns, over (log_prob, multiplicity) pairs. Same float operations
+in the same order, so every result must agree exactly, sign bit included.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import smoothcode as sc
+from smoothcode.asymptotics import spectrum_probability
+from smoothcode.codes import LENGTH_SNAP, TiltedDistribution, _level_lengths, _tilt
+from smoothcode.logspace import LN2, ceil_exp
+from smoothcode.smooth_renyi import NEED_ULPS, log_power_sum
+
+
+def reference_logsumexp(values):
+    vals = [v for v in values if v != -math.inf]
+    if not vals:
+        return -math.inf
+    m = max(vals)
+    if m == math.inf:
+        return math.inf
+    return m + math.log(math.fsum(math.exp(v - m) for v in vals))
+
+
+def log_mass(lp, m):
+    return math.log(m) + lp
+
+
+def reference_log_total_mass(pairs):
+    return reference_logsumexp(log_mass(lp, m) for lp, m in pairs)
+
+
+def reference_smoothing(pairs, eps):
+    """(pairs kept, k_star, gamma_eps, total_mass) of the per-atom optimal_smoothing."""
+    target = 1.0 - eps
+    masses = [math.exp(log_mass(lp, m)) for lp, m in pairs]
+    b = None
+    cum = 0.0
+    for i, m in enumerate(masses):
+        if cum + m >= target:
+            b = i
+            break
+        cum += m
+    if b is None:
+        b = len(pairs) - 1
+    cum_before = math.fsum(masses[:b])
+    reached = target - NEED_ULPS * math.ulp(target)
+    while b > 0 and cum_before >= reached:
+        b -= 1
+        cum_before = math.fsum(masses[:b])
+    boundary_lp, mult = pairs[b]
+    need = target - cum_before
+    p = math.exp(boundary_lp)
+    if p > need * 1e-13:
+        j = math.ceil(need / p - 1e-12)
+        j = min(max(j, 1), mult)
+        gamma = min(need - (j - 1) * p, p)
+        if gamma > 0.0:
+            log_gamma = math.log(gamma)
+        else:
+            gamma = p
+            log_gamma = boundary_lp
+    else:
+        log_j = math.log(need) - boundary_lp
+        if log_j >= math.log(mult):
+            j = mult
+        else:
+            j = min(max(ceil_exp(log_j), 1), mult)
+        log_gamma = boundary_lp
+        gamma = p
+    kept = list(pairs[:b])
+    if j > 1:
+        kept.append((boundary_lp, j - 1))
+    kept.append((log_gamma, 1))
+    count_before = sum(m for _, m in pairs[:b])
+    total = math.fsum(math.exp(log_mass(lp, m)) for lp, m in kept)
+    return kept, count_before + j, gamma, total
+
+
+def reference_log_power_sum(kept, alpha):
+    return reference_logsumexp(math.log(m) + alpha * lp for lp, m in kept)
+
+
+def reference_tilt(kept, lam):
+    beta = 1.0 / (1.0 + lam)
+    norm = reference_logsumexp(math.log(m) + beta * lp for lp, m in kept)
+    return [(beta * lp - norm, m) for lp, m in kept]
+
+
+def reference_lengths(tilted):
+    xs = [-lp / LN2 for lp, _ in tilted]
+    ceiled = [max(math.ceil(x), 0) for x in xs]
+    snapped = [
+        max(round(x), 0) if abs(x - round(x)) <= LENGTH_SNAP else l for x, l in zip(xs, ceiled)
+    ]
+    top = max(ceiled, default=0)
+    if sum(m << (top - l) for (_, m), l in zip(tilted, snapped)) <= 1 << top:
+        return snapped
+    return ceiled
+
+
+def reference_spectrum(pairs, query):
+    slack = 1e-12
+    picked = []
+    for lp, m in pairs:
+        rate = -lp / query.n
+        if query.direction == "ge":
+            ok = rate >= query.threshold - slack
+        elif query.direction == "le":
+            ok = rate <= query.threshold + slack
+        else:
+            ok = abs(rate - query.threshold) <= query.gamma + slack
+        if ok:
+            picked.append(math.exp(log_mass(lp, m)))
+    return math.fsum(picked)
+
+
+def bits(x):
+    """A float's value and sign bit, so that 0.0 and -0.0 compare unequal."""
+    return x, math.copysign(1.0, x)
+
+
+def same(got, expected):
+    return got == expected and [bits(x) for x in got] == [bits(x) for x in expected]
+
+
+@st.composite
+def sources(draw):
+    """A normalized distribution: random levels, huge multiplicities, near ties."""
+    k = draw(st.integers(1, 6))
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k))
+    mults = draw(st.lists(st.sampled_from([1, 1, 2, 3, 7, 2**70]), min_size=k, max_size=k))
+    total = math.fsum(weights)
+    pairs = [(math.log(w / total) - math.log(m), m) for w, m in zip(weights, mults)]
+    if draw(st.booleans()):
+        # split the first level's mass over two symbols a hair apart; apart
+        # by 4e-13 they merge, by more than MERGE_TOL = 1e-12 they stay apart
+        lp, m = pairs.pop(0)
+        d = draw(st.sampled_from([2e-13, 2e-12, 1e-11, 1e-9]))
+        half = lp + math.log(m) - math.log(2.0)
+        pairs += [(half + d, 1), (half - d, 1)]
+    return sc.distribution_from_atoms(pairs)
+
+
+def eps_values(dist):
+    """Budgets that hit partial sums exactly, and one drawn between them."""
+    masses = [math.exp(log_mass(lp, m)) for lp, m in zip(dist.log_probs, dist.mults)]
+    partial = [1.0 - math.fsum(masses[:i]) for i in range(1, len(masses))]
+    return st.one_of(st.sampled_from([0.0, 0.3, 0.7, *[e for e in partial if 0.0 <= e < 1.0]]),
+                     st.floats(0.0, 0.999))
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_column_passes_match_per_atom_references(data):
+    dist = data.draw(sources())
+    pairs = list(zip(dist.log_probs, dist.mults))
+    assert same([dist.log_total_mass()], [reference_log_total_mass(pairs)])
+    eps = data.draw(eps_values(dist))
+    sub = sc.optimal_smoothing(dist, eps)
+    kept, k_star, gamma, total = reference_smoothing(pairs, eps)
+    assert same(list(sub.log_probs), [lp for lp, _ in kept])
+    assert list(sub.mults) == [m for _, m in kept]
+    assert sub.k_star == k_star
+    assert same([sub.gamma_eps, sub.total_mass], [gamma, total])
+    for alpha in (0.1, 0.5, data.draw(st.floats(0.01, 0.99))):
+        assert same([log_power_sum(sub, alpha)], [reference_log_power_sum(kept, alpha)])
+    lam = data.draw(st.sampled_from([0.25, 1.0, 2.0]) | st.floats(0.01, 20.0))
+    tilted = _tilt(sub.log_probs, sub.mults, lam)
+    expected = reference_tilt(kept, lam)
+    assert same(list(tilted.log_probs), [lp for lp, _ in expected])
+    assert list(tilted.mults) == [m for _, m in expected]
+    lengths = reference_lengths(expected)
+    top = max(lengths)
+    if sum(m << (top - l) for (_, m), l in zip(expected, lengths)) <= 1 << top:
+        assert _level_lengths(tilted) == lengths
+
+
+MIXTURES = [
+    [(0.6, [0.5, 0.5]), (0.4, [0.89, 0.11])],
+    [(0.5, [0.4, 0.35, 0.25]), (0.3, [0.6, 0.3, 0.1]), (0.2, [0.8, 0.15, 0.05])],
+    [(0.3, [0.2, 0.3, 0.5]), (0.7, [0.5, 0.5, 0.0])],
+]
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_spectrum_probability_matches_per_atom_reference(data):
+    spec = sc.mixture_spec(data.draw(st.sampled_from(MIXTURES)))
+    n = data.draw(st.integers(1, 40))
+    dist = sc.mixture_extension(spec, n)
+    # thresholds on a level's own rate, where the slack decides
+    rate = data.draw(st.sampled_from([-lp / n for lp in dist.log_probs]))
+    threshold = data.draw(st.sampled_from([rate, rate + 1e-12, rate - 2e-12, 0.7]))
+    direction = data.draw(st.sampled_from(["ge", "le", "within"]))
+    gamma = data.draw(st.sampled_from([0.0, 0.01, 0.2])) if direction == "within" else None
+    query = sc.SpectrumQuery(n=n, direction=direction, threshold=threshold, gamma=gamma)
+    got = spectrum_probability(spec, query)
+    assert same([got], [reference_spectrum(list(zip(dist.log_probs, dist.mults)), query)])
+
+
+def test_one_level_sources_match_references():
+    for dist in (sc.new_distribution([1.0]), sc.distribution_from_atoms([(-70 * LN2, 2**70)])):
+        pairs = list(zip(dist.log_probs, dist.mults))
+        for eps in (0.0, 0.5, 0.9):
+            sub = sc.optimal_smoothing(dist, eps)
+            kept, k_star, gamma, total = reference_smoothing(pairs, eps)
+            assert (sub.log_probs, sub.mults, sub.k_star) == (*map(tuple, zip(*kept)), k_star)
+            assert same([sub.gamma_eps, sub.total_mass], [gamma, total])
+
+
+def test_overfilled_lengths_get_one_more_bit_from_the_tail():
+    # -log2 gives lengths 1 and 2 exactly, and 1/2 + 3/4 overfills the tree
+    tilted = TiltedDistribution((-LN2, -2 * LN2), (1, 3), 1.0)
+    assert _level_lengths(tilted) == [1, 3]
+    # the last level alone cannot make room: both levels get a bit
+    tilted = TiltedDistribution((-LN2, -2 * LN2), (3, 1), 1.0)
+    assert _level_lengths(tilted) == [2, 3]
+
+
+@pytest.fixture(scope="module")
+def large_mixtures():
+    spec = sc.mixture_spec(MIXTURES[0])
+    return {n: sc.mixture_extension(spec, n) for n in (8192, 16384)}
+
+
+@pytest.mark.parametrize("n", [8192, 16384])
+@pytest.mark.parametrize("lam", [0.25, 0.5, 1.0, 2.0])
+def test_codes_fit_the_tree_at_large_blocklengths(large_mixtures, n, lam):
+    # -log2 of a fair-coin level's tilted probability rounds onto an integer
+    # from above, and the ceiled lengths overfill the tree by a hair
+    dist = large_mixtures[n]
+    for build in (sc.build_stochastic_code, sc.build_deterministic_code):
+        code = build(dist, 0.3, lam)
+        # canonical runs are prefix-free iff their dyadic intervals are disjoint in [0, 1)
+        word_runs = code._word_runs
+        top = word_runs[-1][0]
+        end = 0
+        for length, start, count in word_runs:
+            assert start << (top - length) >= end
+            end = (start + count) << (top - length)
+        assert end <= 1 << top
+    report = sc.sandwich_report(dist, 0.3, lam)
+    assert report.error_prob <= 0.3 + 1e-12

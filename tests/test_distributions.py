@@ -476,7 +476,8 @@ def test_column_engine_matches_reference_walk(source, n):
     got = list(zip(*columns))
     assert got == expected
     assert [float_bits(e[0]) for e in got] == [float_bits(e[0]) for e in expected]
-    assert atom_bits(_normalize_atoms(*columns)) == atom_bits(reference_merge(expected))
+    merged = map(WeightedAtom, *_normalize_atoms(*columns))
+    assert atom_bits(merged) == atom_bits(reference_merge(expected))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 100])

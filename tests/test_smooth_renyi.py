@@ -51,7 +51,7 @@ def test_uniform_boundary_inside_atom():
     assert sub.k_star == 3
     assert sub.gamma_eps == pytest.approx(0.25, abs=1e-15)
     # clipped symbol stored separately even though it keeps full mass
-    assert [a.multiplicity for a in sub.atoms] == [2, 1]
+    assert sub.mults == (2, 1)
 
 
 def test_point_mass_collapses_to_one_symbol():
