@@ -11,7 +11,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 
@@ -34,16 +33,6 @@ from .smooth_renyi import (
     smooth_max_entropy,
     smooth_renyi_entropy,
 )
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved global options shared by the subcommands."""
-
-    unit: str = "nats"
-    fmt: str = "json"
-    seed: int = 0
-    cap: int | None = None
 
 
 def _in_unit(nats: float, unit: str) -> float:
@@ -174,16 +163,16 @@ def _fmt12(x: float) -> str:
     return format(x, ".12g")
 
 
-def _cmd_entropy(args, cfg: RunConfig) -> int:
+def _cmd_entropy(args) -> int:
     dist = distribution_from_json(_load_json(args.dist))
     sub = optimal_smoothing(dist, args.eps)
     _emit_json(
         {
             "alpha": args.alpha,
             "eps": args.eps,
-            "unit": cfg.unit,
-            "entropy": _in_unit(smooth_renyi_entropy(dist, args.alpha, args.eps), cfg.unit),
-            "smooth_max_entropy": _in_unit(smooth_max_entropy(dist, args.eps), cfg.unit),
+            "unit": args.unit,
+            "entropy": _in_unit(smooth_renyi_entropy(dist, args.alpha, args.eps), args.unit),
+            "smooth_max_entropy": _in_unit(smooth_max_entropy(dist, args.eps), args.unit),
             "r_alpha_eps": r_alpha_eps(dist, args.alpha, args.eps),
             "k_star": sub.k_star,
             "gamma_eps": sub.gamma_eps,
@@ -197,13 +186,13 @@ def _build_code(args, dist):
     return build(dist, args.eps, args.lam)
 
 
-def _cmd_code(args, cfg: RunConfig) -> int:
+def _cmd_code(args) -> int:
     dist = distribution_from_json(_load_json(args.dist))
     _emit_json(codebook_to_json(_build_code(args, dist)))
     return 0
 
 
-def _cmd_evaluate(args, cfg: RunConfig) -> int:
+def _cmd_evaluate(args) -> int:
     dist = distribution_from_json(_load_json(args.dist))
     if args.code is not None:
         code = codebook_from_json(_load_json(args.code))
@@ -214,7 +203,7 @@ def _cmd_evaluate(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_oracle(args, cfg: RunConfig) -> int:
+def _cmd_oracle(args) -> int:
     dist = distribution_from_json(_load_json(args.dist))
     if args.mode == "code":
         result = optimal_code_bruteforce(dist, args.eps, args.lam, args.max_len)
@@ -230,50 +219,50 @@ def _cmd_oracle(args, cfg: RunConfig) -> int:
         if args.alpha is None:
             raise ValueError("oracle smoothing mode needs --alpha")
         best = smoothing_feasible_search(
-            dist, args.alpha, args.eps, trials=args.trials, seed=cfg.seed
+            dist, args.alpha, args.eps, trials=args.trials, seed=args.seed
         )
         _emit_json(
             {
                 "alpha": args.alpha,
                 "eps": args.eps,
                 "trials": args.trials,
-                "seed": cfg.seed,
+                "seed": args.seed,
                 "best_power_sum": best,
             }
         )
     return 0
 
 
-def _cmd_mixture(args, cfg: RunConfig) -> int:
+def _cmd_mixture(args) -> int:
     spec = mixture_from_json(_load_json(args.spec))
-    series = entropy_rate_series(spec, args.alpha, args.eps, _int_list(args.n_list), cap=cfg.cap)
-    limit = _in_unit(series.limit, cfg.unit)
-    if cfg.fmt == "csv":
+    series = entropy_rate_series(spec, args.alpha, args.eps, _int_list(args.n_list), cap=args.cap)
+    limit = _in_unit(series.limit, args.unit)
+    if args.format == "csv":
         print("n,value,limit")
         for n, value in series.entries:
-            print(f"{n},{_fmt12(_in_unit(value, cfg.unit))},{_fmt12(limit)}")
+            print(f"{n},{_fmt12(_in_unit(value, args.unit))},{_fmt12(limit)}")
     else:
         _emit_json(
             {
                 "alpha": series.alpha,
                 "eps": series.eps,
-                "unit": cfg.unit,
+                "unit": args.unit,
                 "component": series.component,
                 "limit": limit,
                 "entries": [
-                    {"n": n, "value": _in_unit(v, cfg.unit)} for n, v in series.entries
+                    {"n": n, "value": _in_unit(v, args.unit)} for n, v in series.entries
                 ],
             }
         )
     return 0
 
 
-def _cmd_spectrum(args, cfg: RunConfig) -> int:
+def _cmd_spectrum(args) -> int:
     spec = mixture_from_json(_load_json(args.spec))
     query = SpectrumQuery(
         n=args.n, direction=args.direction, threshold=args.threshold, gamma=args.gamma
     )
-    prob = spectrum_probability(spec, query, cap=cfg.cap)
+    prob = spectrum_probability(spec, query, cap=args.cap)
     _emit_json(
         {
             "n": args.n,
@@ -286,14 +275,14 @@ def _cmd_spectrum(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_sweep(args, cfg: RunConfig) -> int:
+def _cmd_sweep(args) -> int:
     dist = distribution_from_json(_load_json(args.dist))
     reports = [
         sandwich_report(dist, eps, lam)
         for eps in _float_list(args.epsilons)
         for lam in _float_list(args.lambdas)
     ]
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         cols = [
             "eps",
             "lambda",
@@ -403,13 +392,8 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = RunConfig(
-            unit=getattr(args, "unit", "nats"),
-            fmt=getattr(args, "format", "json"),
-            seed=getattr(args, "seed", 0),
-            cap=resolve_cap(getattr(args, "cap", None)),
-        )
-        return _HANDLERS[args.subcommand](args, cfg)
+        resolve_cap(getattr(args, "cap", None))  # a malformed cap fails every subcommand
+        return _HANDLERS[args.subcommand](args)
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

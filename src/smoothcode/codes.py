@@ -41,18 +41,13 @@ class TiltedDistribution:
 
     log_probs: tuple[float, ...]
     mults: tuple[int, ...]
-    lam: float
-
-    @property
-    def support_size(self) -> int:
-        return sum(self.mults)
 
 
 def _tilt(log_probs: Sequence[float], mults: Sequence[int], lam: float) -> TiltedDistribution:
     beta = 1.0 / (1.0 + lam)
     scaled = list(map(mul, itertools.repeat(beta), log_probs))
     norm = logsumexp(_log_masses(scaled, mults))
-    return TiltedDistribution(tuple(map(sub, scaled, itertools.repeat(norm))), tuple(mults), lam)
+    return TiltedDistribution(tuple(map(sub, scaled, itertools.repeat(norm))), tuple(mults))
 
 
 def tilted_distribution(sub: SubDistribution, lam: float) -> TiltedDistribution:
@@ -364,11 +359,6 @@ class StochasticCode:
         return _segments(self.runs, dist)
 
 
-@dataclass(frozen=True, eq=False)  # keeps StochasticCode's equality
-class DeterministicCode(StochasticCode):
-    """Flag-bit code whose acceptance probabilities are all 0 or 1."""
-
-
 def _reject_target(segments: Iterable[Segment]) -> int:
     """First symbol with the largest rejected mass P(x) * (1 - gamma(x))."""
     best, target = -1.0, 0
@@ -380,7 +370,6 @@ def _reject_target(segments: Iterable[Segment]) -> int:
 
 
 def _flag_code(
-    cls,
     dist: Distribution,
     log_probs: Sequence[float],
     mults: Sequence[int],
@@ -405,7 +394,7 @@ def _flag_code(
         runs.append((rest, 0.0, None))
     packed = _packed(runs)
     decoder = _reject_target(_segments(packed, dist))
-    code = cls(runs=packed, decoder_for_reject=decoder)
+    code = StochasticCode(runs=packed, decoder_for_reject=decoder)
     code._word_runs  # checks Kraft; inner reuses the cached starts
     return code
 
@@ -429,11 +418,13 @@ def build_stochastic_code(dist: Distribution, eps: float, lam: float) -> Stochas
     sub = optimal_smoothing(dist, eps)
     boundary_p = math.exp(_level_at(dist, sub.k_star - 1))
     gamma_b = 1.0 if boundary_p == 0.0 else min(sub.gamma_eps / boundary_p, 1.0)
-    return _flag_code(StochasticCode, dist, sub.log_probs, sub.mults, gamma_b, lam)
+    return _flag_code(dist, sub.log_probs, sub.mults, gamma_b, lam)
 
 
-def build_deterministic_code(dist: Distribution, eps: float, lam: float) -> DeterministicCode:
+def build_deterministic_code(dist: Distribution, eps: float, lam: float) -> StochasticCode:
     """All-or-nothing variant: only the k_star - 1 most probable symbols are coded.
+
+    Every acceptance probability is 0 or 1, so the code is_deterministic.
 
     Dropping the boundary symbol entirely raises the error probability to
     exactly eps + gamma_eps of the smoothing truncation at budget eps.
@@ -441,7 +432,7 @@ def build_deterministic_code(dist: Distribution, eps: float, lam: float) -> Dete
     check_lambda(lam)
     sub = optimal_smoothing(dist, eps)
     # everything except the clipped boundary symbol
-    return _flag_code(DeterministicCode, dist, sub.log_probs[:-1], sub.mults[:-1], 1.0, lam)
+    return _flag_code(dist, sub.log_probs[:-1], sub.mults[:-1], 1.0, lam)
 
 
 def codebook_to_json(code: StochasticCode) -> dict:
@@ -500,8 +491,7 @@ def codebook_from_json(obj: dict) -> StochasticCode:
         raise ValueError(f"codeword at entry {bad} is not a string of 0s and 1s: {flagged[bad]!r}")
     if not isinstance(reject, str) or not reject or not _is_binary(reject):
         raise ValueError(f"reject word must be a nonempty string of 0s and 1s, got {reject!r}")
-    cls = DeterministicCode if all(r.gamma in (0.0, 1.0) for r in runs) else StochasticCode
-    return cls(
+    return StochasticCode(
         runs=runs,
         decoder_for_reject=decoder,
         reject=reject,

@@ -192,6 +192,9 @@ def _checked_probs(probs: Sequence[float]) -> list[float]:
         raise NotNormalized("probability entries must be finite")
     if any(p < 0.0 for p in probs):
         raise NotNormalized("negative probability entry")
+    # checked before any sum, which would overflow on entries near float max
+    if any(p > 1.0 + MASS_TOL for p in probs):
+        raise NotNormalized(f"probability entry above 1 + {MASS_TOL}")
     return probs
 
 
@@ -278,6 +281,8 @@ class MixtureSpec:
                 raise BadMixture("component probabilities must be finite")
             if any(p < 0.0 for p in comp.probs):
                 raise BadMixture("negative component probability")
+            if any(p > 1.0 + 1e-12 for p in comp.probs):  # before the sum can overflow
+                raise BadMixture("component probability above 1 + 1e-12")
             if abs(math.fsum(comp.probs) - 1.0) > 1e-12:
                 raise BadMixture("component probabilities must sum to 1 within 1e-12")
         if abs(math.fsum(c.weight for c in self.components) - 1.0) > 1e-12:

@@ -21,6 +21,9 @@ from .errors import BadEpsilon, Misaligned, SandwichViolated, check_lambda
 from .logspace import LN2, logsumexp
 from .smooth_renyi import log_r_alpha_eps
 
+# relative slack of sandwich_report's check that the moment lies between the bounds
+SANDWICH_SLACK = 1e-9
+
 
 @dataclass(frozen=True)
 class CodeReport:
@@ -159,22 +162,22 @@ def evaluate_code(
     return _evaluate(code, dist, eps, lam)[0]
 
 
-def sandwich_report(
-    dist: Distribution, eps: float, lam: float, slack: float = 1e-9
-) -> CodeReport:
+def sandwich_report(dist: Distribution, eps: float, lam: float) -> CodeReport:
     """Build the stochastic flag-bit code and verify it lands between the bounds.
 
     Raises SandwichViolated if the credited error exceeds eps or the exact
-    moment escapes [converse, direct] beyond the relative slack; either one
-    would mean an implementation bug, not a property of the input. The
-    moment and the bounds are compared as logs, so the check still holds
-    where they overflow a float.
+    moment escapes [converse, direct] beyond the relative SANDWICH_SLACK;
+    either one would mean an implementation bug, not a property of the
+    input. The moment and the bounds are compared as logs, so the check
+    still holds where they overflow a float.
     """
     code = build_stochastic_code(dist, eps, lam)
     report, log_moment, log_converse, log_direct = _evaluate(code, dist, eps, lam)
     if report.error_prob > eps + 1e-12:
         raise SandwichViolated(f"credited error {report.error_prob} exceeds budget {eps}")
-    if not log_converse + math.log1p(-slack) <= log_moment <= log_direct + math.log1p(slack):
+    low = log_converse + math.log1p(-SANDWICH_SLACK)
+    high = log_direct + math.log1p(SANDWICH_SLACK)
+    if not low <= log_moment <= high:
         raise SandwichViolated(
             f"log moment {log_moment} outside [{log_converse}, {log_direct}] "
             f"at eps={eps}, lambda={lam}"

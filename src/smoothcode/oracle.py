@@ -13,7 +13,14 @@ from itertools import product
 
 from .codes import assign_canonical_codewords
 from .distributions import Distribution
-from .errors import Infeasible, TooLarge, check_alpha, check_eps, check_lambda
+from .errors import Infeasible, SmoothcodeError, TooLarge, check_alpha, check_eps, check_lambda
+
+# search limits: symbols in the exhaustive code search and in the random
+# smoothing search, and words and word length of an enumerated length multiset
+CODE_SEARCH_MAX_SUPPORT = 5
+SMOOTHING_SEARCH_MAX_SUPPORT = 16
+MAX_WORDS = 8
+MAX_WORD_LEN = 8
 
 
 @dataclass(frozen=True)
@@ -26,17 +33,15 @@ class OracleResult:
     search_space_size: int
 
 
-def enumerate_kraft_length_multisets(
-    k: int, max_len: int, *, max_k: int = 8, max_len_cap: int = 8
-) -> list[tuple[int, ...]]:
+def enumerate_kraft_length_multisets(k: int, max_len: int) -> list[tuple[int, ...]]:
     """All nondecreasing tuples of k codeword lengths satisfying Kraft.
 
     Checked in exact integer arithmetic (each length l consumes 2**(max_len-l)
     leaves of the depth-max_len tree). A one-word code may use the empty word,
     so k == 1 also yields (0,).
     """
-    if k > max_k or max_len > max_len_cap:
-        raise TooLarge(f"search limited to k <= {max_k}, max_len <= {max_len_cap}")
+    if k > MAX_WORDS or max_len > MAX_WORD_LEN:
+        raise TooLarge(f"search limited to k <= {MAX_WORDS}, max_len <= {MAX_WORD_LEN}")
     if k < 1 or max_len < 1:
         raise ValueError("need k >= 1 and max_len >= 1")
     out: list[tuple[int, ...]] = []
@@ -58,12 +63,7 @@ def enumerate_kraft_length_multisets(
 
 
 def optimal_code_bruteforce(
-    dist: Distribution,
-    eps: float,
-    lam: float,
-    max_len: int = 5,
-    *,
-    max_support: int = 5,
+    dist: Distribution, eps: float, lam: float, max_len: int = 5
 ) -> OracleResult:
     """Minimum moment over all deterministic prefix codes within the error budget.
 
@@ -83,8 +83,8 @@ def optimal_code_bruteforce(
     check_lambda(lam)
     probs = dist.probabilities()
     s = len(probs)
-    if s > max_support:
-        raise TooLarge(f"brute force limited to support {max_support}, got {s}")
+    if s > CODE_SEARCH_MAX_SUPPORT:
+        raise TooLarge(f"brute force limited to support {CODE_SEARCH_MAX_SUPPORT}, got {s}")
     total = math.fsum(probs)
 
     best_moment = math.inf
@@ -92,7 +92,7 @@ def optimal_code_bruteforce(
     best_lengths: tuple[int, ...] | None = None
     space = 0
     for c in range(1, s + 1):
-        multisets = enumerate_kraft_length_multisets(c, max_len, max_k=max_support)
+        multisets = enumerate_kraft_length_multisets(c, max_len)
         if not multisets:
             continue
         # (assignment, flat indices i*c + a into the term table) of each
@@ -143,22 +143,26 @@ def smoothing_feasible_search(
     eps: float,
     trials: int = 1000,
     seed: int = 0,
-    *,
-    max_support: int = 16,
 ) -> float:
     """Minimum of sum(Q**alpha) over random members of the smoothing ball.
 
     Each trial removes a uniformly drawn total amount of mass (at most eps),
     split across symbols by random proportions and clipped at zero, so every
     draw is feasible by construction. eps = 0 returns sum(P**alpha) exactly.
+    Needs numpy, the package's one optional dependency (the oracle extra).
     """
-    import numpy as np  # imported here so the rest of the package starts without it
+    try:  # imported here so the rest of the package starts without it
+        import numpy as np
+    except ImportError:
+        raise SmoothcodeError(
+            "the random smoothing search needs numpy: pip install 'smoothcode[oracle]'"
+        ) from None
 
     check_alpha(alpha)
     check_eps(eps)
     probs = np.asarray(dist.probabilities(), dtype=float)
-    if probs.size > max_support:
-        raise TooLarge(f"random search limited to support {max_support}")
+    if probs.size > SMOOTHING_SEARCH_MAX_SUPPORT:
+        raise TooLarge(f"random search limited to support {SMOOTHING_SEARCH_MAX_SUPPORT}")
     best = float(np.sum(probs**alpha))  # Q = P is always in the ball
     if trials < 1 or eps == 0.0:
         return best

@@ -40,15 +40,11 @@ class SubDistribution:
     mults: tuple[int, ...]
     k_star: int
     gamma_eps: float
-    total_mass: float
 
     @property
-    def support_size(self) -> int:
-        return sum(self.mults)
-
-    def log_clipped(self) -> float:
-        """log of the mass kept at position k_star."""
-        return self.log_probs[-1]
+    def total_mass(self) -> float:
+        """Kept mass, exactly rounded over the levels."""
+        return math.fsum(map(math.exp, _log_masses(self.log_probs, self.mults)))
 
     def probabilities(self) -> list[float]:
         """Expand to one kept mass per symbol; TooLarge beyond atom_cap()."""
@@ -110,13 +106,11 @@ def optimal_smoothing(dist: Distribution, eps: float) -> SubDistribution:
     # the boundary level keeps j - 1 whole symbols, then the clipped one
     tail_lps = (boundary_lp, log_gamma) if j > 1 else (log_gamma,)
     tail_mults = (j - 1, 1) if j > 1 else (1,)
-    tail_masses = map(math.exp, _log_masses(tail_lps, tail_mults))
     return SubDistribution(
         log_probs=tuple(lps[:b]) + tail_lps,
         mults=tuple(mults[:b]) + tail_mults,
         k_star=sum(mults[:b]) + j,
         gamma_eps=gamma,
-        total_mass=math.fsum(itertools.chain(masses[:b], tail_masses)),
     )
 
 

@@ -478,6 +478,27 @@ def test_import_leaves_numpy_out():
     assert proc.stdout.strip() == "False"
 
 
+def test_only_the_smoothing_search_needs_numpy(dist_file):
+    code = f"""
+import sys
+sys.modules["numpy"] = None  # import numpy now fails
+import smoothcode
+from smoothcode import cli
+base = ["--dist", {dist_file!r}, "--eps", "0.1"]
+print([
+    cli.run(["entropy", *base, "--alpha", "0.5"]),
+    cli.run(["code", *base, "--lambda", "1"]),
+    cli.run(["evaluate", *base, "--lambda", "1"]),
+    cli.run(["oracle", *base]),
+    cli.run(["oracle", *base, "--mode", "smoothing", "--alpha", "0.5"]),
+])
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 2]"
+    assert proc.stderr.count("\n") == 1 and "smoothcode[oracle]" in proc.stderr
+
+
 def test_infinite_lambda_is_a_bad_lambda(capsys, dist_file):
     for argv in (
         ["evaluate", "--dist", dist_file, "--eps", "0.1", "--lambda", "inf"],
@@ -583,6 +604,9 @@ BAD_INPUTS = [
     ("code", {**WORKED_BOOK, "reject": "1x"}),
     ("code", {"reject": "1", "entries": [*WORKED_BOOK["entries"][:2], {"codeword": "0ab", "gamma": 0.5}]}),
     ("code", {"reject": "1", "entries": [*WORKED_BOOK["entries"][:2], {"codeword": "01\u00e9", "gamma": 0.5}]}),
+    # entries near float max once overflowed the sum check
+    ("dist", {"probs": [1e308, 1e308]}),
+    ("spec", {"components": [{"weight": 1.0, "probs": [1e308, 1e308]}]}),
 ]
 
 

@@ -153,7 +153,7 @@ def test_build_deterministic_worked_instance():
     code = sc.build_deterministic_code(dist, 0.1, 1.0)
     assert code.gamma == (1.0, 1.0, 0.0)
     assert code.inner.codewords == ("0", "10")
-    assert isinstance(code, sc.DeterministicCode)
+    assert code.is_deterministic
     assert code.decoder_for_reject == 2
 
 
@@ -250,15 +250,20 @@ def test_ideal_real_lengths_are_locally_optimal():
 
 
 def test_codebook_json_round_trip():
-    dist = sc.new_distribution(WORKED)
-    for build in (sc.build_stochastic_code, sc.build_deterministic_code):
-        code = build(dist, 0.1, 1.0)
-        clone = sc.codebook_from_json(sc.codebook_to_json(code))
-        assert clone.gamma == code.gamma
-        assert clone.inner.codewords == code.inner.codewords
-        assert clone.decoder_for_reject == code.decoder_for_reject
-        assert clone.reject == code.reject
-        assert isinstance(clone, sc.DeterministicCode) == code.is_deterministic
+    # on the second source eps keeps the boundary symbol whole, so the
+    # stochastic code's acceptance probabilities are all 0 or 1 as well
+    for probs, eps in ((WORKED, 0.1), ([0.5, 0.25, 0.25], 0.25)):
+        dist = sc.new_distribution(probs)
+        for build in (sc.build_stochastic_code, sc.build_deterministic_code):
+            code = build(dist, eps, 1.0)
+            clone = sc.codebook_from_json(sc.codebook_to_json(code))
+            assert type(code) is sc.StochasticCode
+            assert clone == code
+            assert clone.gamma == code.gamma
+            assert clone.inner.codewords == code.inner.codewords
+            assert clone.decoder_for_reject == code.decoder_for_reject
+            assert clone.reject == code.reject
+            assert clone.is_deterministic == code.is_deterministic
 
 
 def test_codebook_from_json_validation():
@@ -409,8 +414,7 @@ def reference_codebook_from_json(obj):
     decoder = int(obj.get("decoder_for_reject", 0))
     if not 0 <= decoder < len(entries):
         raise ValueError("decoder_for_reject out of range")
-    cls = sc.DeterministicCode if all(r.gamma in (0.0, 1.0) for r in runs) else sc.StochasticCode
-    return cls(
+    return sc.StochasticCode(
         runs=runs,
         decoder_for_reject=decoder,
         reject=reject,
@@ -492,13 +496,13 @@ def test_column_reader_matches_the_per_entry_reader_on_mutated_codebooks():
         if expected[0] in (TypeError, AttributeError, OverflowError):
             # malformed input the old reader failed on; the new one rejects it
             assert got[0] is ValueError, (book, expected, got)
-        elif expected[0] in (sc.StochasticCode, sc.DeterministicCode) and not binary_words(book):
+        elif expected[0] is sc.StochasticCode and not binary_words(book):
             # a word the old reader took as given; the new one rejects it
             assert got[0] is ValueError, (book, expected, got)
         else:
             assert got == expected, (book, expected, got)
     assert {ValueError, KeyError, sc.KraftViolated, TypeError, AttributeError} <= kinds
-    assert {sc.StochasticCode, sc.DeterministicCode} <= kinds
+    assert sc.StochasticCode in kinds
 
 
 def test_huge_counts_print_their_size_in_error_messages():

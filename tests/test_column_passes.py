@@ -217,10 +217,10 @@ def test_one_level_sources_match_references():
 
 def test_overfilled_lengths_get_one_more_bit_from_the_tail():
     # -log2 gives lengths 1 and 2 exactly, and 1/2 + 3/4 overfills the tree
-    tilted = TiltedDistribution((-LN2, -2 * LN2), (1, 3), 1.0)
+    tilted = TiltedDistribution((-LN2, -2 * LN2), (1, 3))
     assert _level_lengths(tilted) == [1, 3]
     # the last level alone cannot make room: both levels get a bit
-    tilted = TiltedDistribution((-LN2, -2 * LN2), (3, 1), 1.0)
+    tilted = TiltedDistribution((-LN2, -2 * LN2), (3, 1))
     assert _level_lengths(tilted) == [2, 3]
 
 
