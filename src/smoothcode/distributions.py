@@ -177,7 +177,10 @@ def _normalize_atoms(
 
 
 def _check_mass(dist: Distribution) -> Distribution:
-    total = dist.total_mass()
+    try:
+        total = dist.total_mass()
+    except OverflowError:  # exp of a log total past about 709.78
+        raise NotNormalized("total mass overflows a float, expected 1") from None
     if abs(total - 1.0) > MASS_TOL:
         raise NotNormalized(f"total mass is {total!r}, expected 1 within {MASS_TOL}")
     return dist

@@ -9,11 +9,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
+from operator import itemgetter, methodcaller
+from typing import NamedTuple
 
 from .codes import assign_canonical_codewords
-from .distributions import Distribution
-from .errors import Infeasible, SmoothcodeError, TooLarge, check_alpha, check_eps, check_lambda
+from .distributions import Distribution, resolve_cap
+from .errors import (
+    Infeasible,
+    SmoothcodeError,
+    TooLarge,
+    check_alpha,
+    check_eps,
+    check_lambda,
+    count_text,
+)
 
 # search limits: symbols in the exhaustive code search and in the random
 # smoothing search, and words and word length of an enumerated length multiset
@@ -62,6 +73,53 @@ def enumerate_kraft_length_multisets(k: int, max_len: int) -> list[tuple[int, ..
     return out
 
 
+# the code search reads these lists and never edits them, so calls share them
+_cached_multisets = cache(enumerate_kraft_length_multisets)
+
+
+class _Surjections(NamedTuple):
+    """The onto maps from s symbols to c words, in product order.
+
+    getters[k] picks the flat cells i*c + a of assignment k from a term
+    table; descents[k] has bit j set when word j+1 is first used before word
+    j; parts[k] indexes, in partitions, the set partition of the symbols
+    into word groups that assignment k induces.
+    """
+
+    assigns: tuple[tuple[int, ...], ...]
+    getters: tuple[itemgetter, ...]
+    descents: tuple[int, ...]
+    parts: tuple[int, ...]
+    partitions: tuple[tuple[tuple[int, ...], ...], ...]
+
+
+@cache
+def _surjections(s: int, c: int) -> _Surjections:
+    """Probability-free part of the code search over s symbols and c words."""
+    assigns, getters, descents, parts = [], [], [], []
+    partitions: dict[tuple[int, ...], int] = {}
+    # every codeword must be used
+    for assign in [a for a in product(range(c), repeat=s) if len(set(a)) == c]:
+        first = list(map(assign.index, range(c)))
+        # each symbol mapped to the first symbol of its group names the partition
+        leaders = tuple(map(first.__getitem__, assign))
+        if leaders not in partitions:
+            partitions[leaders] = len(partitions)
+        cells = [i * c + a for i, a in enumerate(assign)]
+        assigns.append(assign)
+        # a one-index itemgetter returns a scalar; a slice keeps it a sequence
+        getters.append(itemgetter(*cells) if s > 1 else itemgetter(slice(cells[0], cells[0] + 1)))
+        descents.append(sum(1 << j for j in range(c - 1) if first[j] > first[j + 1]))
+        parts.append(partitions[leaders])
+    groups = [
+        tuple(tuple(i for i in range(s) if leaders[i] == head) for head in sorted(set(leaders)))
+        for leaders in partitions
+    ]
+    return _Surjections(
+        tuple(assigns), tuple(getters), tuple(descents), tuple(parts), tuple(groups)
+    )
+
+
 def optimal_code_bruteforce(
     dist: Distribution, eps: float, lam: float, max_len: int = 5
 ) -> OracleResult:
@@ -72,12 +130,23 @@ def optimal_code_bruteforce(
     winning lengths get canonical words. Decoding maps each word to its most
     probable preimage, which is the error-minimizing decoder; a code is
     admissible when that credited error is at most eps (with 1e-12 float
-    slack).
+    slack). The first assignment, in product order, that reaches the minimum
+    wins; every pair (assignment, length multiset) is counted in
+    search_space_size.
 
-    The credited error does not depend on the lengths, so each word count
-    scores its assignments once; each length multiset then sums only the
-    admissible ones over a table of p_i * 2**(lam * l_a) terms. Every pair
-    (assignment, length multiset) is still counted in search_space_size.
+    Three exact reductions keep the result bit-identical to scoring every
+    pair one by one, because fsum is exactly rounded and so does not depend
+    on the order of its terms:
+
+    - the credited error depends only on the set partition of the symbols
+      into word groups, so it is checked once per partition;
+    - words of equal length have bit-equal weights, so relabelling them
+      leaves every term, and the moment, unchanged; only the first member
+      in product order of each such orbit is scored, the one that uses tied
+      words in order of first use, and that member is where a first
+      minimum can fall;
+    - each (word count, length multiset) block is scored in one pass of
+      fsum over itemgetters into a table of p_i * 2**(lam * l_a) terms.
     """
     check_eps(eps)
     check_lambda(lam)
@@ -92,34 +161,35 @@ def optimal_code_bruteforce(
     best_lengths: tuple[int, ...] | None = None
     space = 0
     for c in range(1, s + 1):
-        multisets = enumerate_kraft_length_multisets(c, max_len)
+        multisets = _cached_multisets(c, max_len)
         if not multisets:
             continue
-        # (assignment, flat indices i*c + a into the term table) of each
-        # surjection whose credited error fits the budget, in product order
-        admissible = []
-        surjections = 0
-        for assign in product(range(c), repeat=s):
-            if len(set(assign)) != c:
-                continue  # every codeword must be used
-            surjections += 1
-            survivors = [0.0] * c
-            for i, a in enumerate(assign):
-                if probs[i] > survivors[a]:
-                    survivors[a] = probs[i]
-            if total - math.fsum(survivors) <= eps + 1e-12:
-                admissible.append((assign, [i * c + a for i, a in enumerate(assign)]))
-        space += surjections * len(multisets)
+        table = _surjections(s, c)
+        space += len(table.assigns) * len(multisets)
+        fits = [
+            total - math.fsum([max(map(probs.__getitem__, g)) for g in groups]) <= eps + 1e-12
+            for groups in table.partitions
+        ]
+        admissible = [k for k, part in enumerate(table.parts) if fits[part]]
+        # tie pattern (bit j: words j and j+1 have equal length) -> the
+        # admissible orbit representatives and their getters
+        canonical: dict[int, tuple[list[int], list[itemgetter]]] = {}
         for lengths in multisets:
             weight = [2.0 ** (lam * l) for l in lengths]
+            ties = sum(1 << j for j in range(c - 1) if lengths[j] == lengths[j + 1])
+            if ties not in canonical:
+                keep = [k for k in admissible if not table.descents[k] & ties]
+                canonical[ties] = keep, [table.getters[k] for k in keep]
+            keep, getters = canonical[ties]
+            if not keep:
+                continue
             terms = [p * w for p in probs for w in weight]
-            for assign, cells in admissible:
-                # fsum is exactly rounded, so the order of the terms is moot
-                moment = math.fsum(map(terms.__getitem__, cells))
-                if moment < best_moment:
-                    best_moment = moment
-                    best_assign = assign
-                    best_lengths = lengths
+            moments = list(map(math.fsum, map(methodcaller("__call__", terms), getters)))
+            m = min(moments)
+            if m < best_moment:
+                best_moment = m
+                best_assign = table.assigns[keep[moments.index(m)]]
+                best_lengths = lengths
     if best_assign is None:
         raise Infeasible(f"no code with at most {max_len}-bit words meets eps={eps}")
 
@@ -149,6 +219,8 @@ def smoothing_feasible_search(
     Each trial removes a uniformly drawn total amount of mass (at most eps),
     split across symbols by random proportions and clipped at zero, so every
     draw is feasible by construction. eps = 0 returns sum(P**alpha) exactly.
+    The trials * (support + 1) draws must fit the size cap (resolve_cap()),
+    so a huge trial count raises TooLarge before anything is allocated.
     Needs numpy, the package's one optional dependency (the oracle extra).
     """
     try:  # imported here so the rest of the package starts without it
@@ -166,6 +238,10 @@ def smoothing_feasible_search(
     best = float(np.sum(probs**alpha))  # Q = P is always in the ball
     if trials < 1 or eps == 0.0:
         return best
+    cap = resolve_cap()
+    cells = trials * (probs.size + 1)  # the draws numpy allocates below
+    if cells > cap:
+        raise TooLarge(f"random search of {count_text(cells)} draws exceeds cap {cap}")
     rng = np.random.default_rng(seed)
     removed = rng.uniform(0.0, eps, size=trials)
     shares = rng.random((trials, probs.size))

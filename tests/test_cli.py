@@ -217,6 +217,14 @@ def test_oracle_smoothing_mode(capsys, dist_file):
     assert "needs --alpha" in err
 
 
+def test_oracle_smoothing_trials_past_the_cap_exit_3(capsys, dist_file):
+    # 10**15 trials would ask numpy for petabytes; the cap refuses them first
+    argv = ["oracle", "--dist", dist_file, "--mode", "smoothing", "--alpha", "0.5"]
+    rc, out, err = run_cli(capsys, argv + ["--eps", "0.1", "--trials", str(10**15)])
+    assert rc == 3 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_mixture_csv_format(capsys, spec_file):
     rc, out, _ = run_cli(
         capsys,
@@ -607,6 +615,8 @@ BAD_INPUTS = [
     # entries near float max once overflowed the sum check
     ("dist", {"probs": [1e308, 1e308]}),
     ("spec", {"components": [{"weight": 1.0, "probs": [1e308, 1e308]}]}),
+    # an exact integer multiplicity whose total mass overflows a float
+    ("dist", {"atoms": [{"log_prob": 0.0, "multiplicity": 10**400}]}),
 ]
 
 

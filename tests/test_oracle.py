@@ -1,4 +1,5 @@
 import math
+import os
 from fractions import Fraction
 from itertools import product
 
@@ -178,7 +179,9 @@ _weights = st.one_of(
 )
 
 
-@settings(deadline=None)
+# the ci profile runs 500 examples: this referee guards a search that skips
+# symmetric assignments, so it gets more cases than the default 100
+@settings(deadline=None, max_examples=500 if os.environ.get("HYPOTHESIS_PROFILE") == "ci" else 100)
 @given(
     weights=_weights,
     eps=st.floats(0.0, 0.6),
@@ -191,6 +194,43 @@ def test_bruteforce_matches_unfactored_search(weights, eps, lam, max_len):
     fast = _outcome(sc.optimal_code_bruteforce, dist, eps, lam, max_len)
     slow = _outcome(reference_code_search, dist, eps, lam, max_len)
     assert fast == slow  # moments compared with ==, not approx
+
+
+def _sweep_sources():
+    """Per support 1-5: uniform, [0.5, rest equal] and one seeded random source."""
+    rng = np.random.default_rng(89)
+    sources = []
+    for s in range(1, 6):
+        sources.append([1.0 / s] * s)
+        if s > 1:
+            sources.append([0.5] + [0.5 / (s - 1)] * (s - 1))
+            sources.append(list(rng.dirichlet(np.ones(s))))
+    return sources
+
+
+def _fingerprint(search, *args):
+    try:
+        result = search(*args)
+    except sc.Infeasible as exc:
+        return ("Infeasible", str(exc))
+    return (result.best_moment.hex(), result.encoder, result.decoder, result.search_space_size)
+
+
+def test_bruteforce_sweep_matches_unfactored_search():
+    cases = [
+        (sc.new_distribution(probs), eps, lam, max_len)
+        for probs in _sweep_sources()
+        for max_len in range(1, 6)
+        for eps in (0.0, 0.1, 0.3, 0.6)
+        for lam in (0.5, 1.0, 2.0)
+    ]
+    expected = [_fingerprint(reference_code_search, *case) for case in cases]
+    assert {e[0] for e in expected} > {"Infeasible"}  # both outcomes occur
+    for case, want in zip(cases, expected):
+        assert _fingerprint(sc.optimal_code_bruteforce, *case) == want
+    # again in reverse: a table cached across calls must not depend on the probabilities
+    for case, want in zip(reversed(cases), reversed(expected)):
+        assert _fingerprint(sc.optimal_code_bruteforce, *case) == want
 
 
 def _stirling2(n, k):
@@ -240,6 +280,17 @@ def test_smoothing_search_is_deterministic():
     assert a == b
     c = sc.smoothing_feasible_search(dist, 0.5, 0.2, trials=500, seed=10)
     assert a != c  # different seed explores different points
+
+
+def test_smoothing_search_caps_its_draws(monkeypatch):
+    dist = sc.new_distribution(WORKED)
+    with pytest.raises(sc.TooLarge):
+        sc.smoothing_feasible_search(dist, 0.5, 0.1, trials=10**15)
+    # 4 draws per trial on a support of 3: 500 trials fit a cap of 2000
+    monkeypatch.setenv("SMOOTHCODE_CAP", "2000")
+    sc.smoothing_feasible_search(dist, 0.5, 0.1, trials=500)
+    with pytest.raises(sc.TooLarge):
+        sc.smoothing_feasible_search(dist, 0.5, 0.1, trials=501)
 
 
 def test_smoothing_search_support_cap():
