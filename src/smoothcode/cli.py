@@ -9,18 +9,15 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
-from json.encoder import encode_basestring_ascii as _quote
-from operator import itemgetter
 
 from . import __version__
 from .asymptotics import SpectrumQuery, entropy_rate_series, spectrum_probability
 from .codes import (
+    _codebook_text,
     build_deterministic_code,
     build_stochastic_code,
     codebook_from_json,
-    codebook_to_json,
 )
 from .distributions import distribution_from_json, mixture_from_json, resolve_cap
 from .errors import SmoothcodeError, TooLarge
@@ -45,110 +42,7 @@ def _load_json(path: str) -> dict:
 
 
 def _emit_json(obj) -> None:
-    print(_dumps(obj))
-
-
-def _dumps(obj) -> str:
-    """json.dumps(obj, indent=2, sort_keys=True), byte for byte, for trees with str keys.
-
-    json prints indented output with its pure-Python encoder, one call per
-    value. Here a list of flat records that share one key set, such as a
-    codebook's entries, is printed column by column instead: each column is
-    encoded by C functions and the records are filled into one template.
-    """
-    out: list[str] = []
-    _write(obj, "\n", out)
-    return "".join(out)
-
-
-def _scalar(o) -> str | None:
-    """JSON text of a scalar, as json prints it; None for anything else."""
-    if isinstance(o, str):
-        return _quote(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        if o != o:
-            return "NaN"
-        if o == math.inf:
-            return "Infinity"
-        if o == -math.inf:
-            return "-Infinity"
-        return float.__repr__(o)
-    return None
-
-
-def _write(o, nl: str, out: list[str]) -> None:
-    """Append the JSON text of o to out; nl is a newline and o's indent."""
-    text = _scalar(o)
-    if text is not None:
-        out.append(text)
-        return
-    if isinstance(o, dict):
-        if not o:
-            out.append("{}")
-            return
-        inner, sep = nl + "  ", "{"
-        for key, value in sorted(o.items()):
-            out.append(f"{sep}{inner}{_quote(key)}: ")
-            _write(value, inner, out)
-            sep = ","
-        out.append(nl + "}")
-    elif isinstance(o, (list, tuple)):
-        if not o:
-            out.append("[]")
-            return
-        inner = nl + "  "
-        records = _records(o, inner)
-        if records is not None:
-            out.append(f"[{inner}{(',' + inner).join(records)}{nl}]")
-            return
-        sep = "["
-        for item in o:
-            out.append(sep + inner)
-            _write(item, inner, out)
-            sep = ","
-        out.append(nl + "]")
-    else:
-        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-
-
-def _records(items, nl: str):
-    """JSON texts of the items when they are dicts of scalars with one key set, else None.
-
-    nl is a newline and the items' indent.
-    """
-    first = items[0]
-    if set(map(type, items)) != {dict} or not first or set(map(len, items)) != {len(first)}:
-        return None
-    names = sorted(first)
-    try:  # items of one size that all hold the first item's keys share its key set
-        columns = [_column(list(map(itemgetter(name), items))) for name in names]
-    except KeyError:
-        return None
-    if None in columns:
-        return None
-    inner = nl + "  "
-    keys = (_quote(name).replace("{", "{{").replace("}", "}}") for name in names)
-    fields = ",".join(f"{inner}{key}: {{}}" for key in keys)
-    return map(f"{{{{{fields}{nl}}}}}".format, *columns)
-
-
-def _column(values: list) -> list[str] | None:
-    """JSON texts of a column of scalars, or None when a value is not a scalar."""
-    kinds = set(map(type, values))
-    if kinds == {str}:
-        return list(map(_quote, values))
-    if kinds == {float} and all(map(math.isfinite, values)):
-        return list(map(float.__repr__, values))
-    texts = list(map(_scalar, values))
-    return None if None in texts else texts
+    print(json.dumps(obj, indent=2, sort_keys=True))
 
 
 def _int_list(text: str) -> list[int]:
@@ -188,7 +82,7 @@ def _build_code(args, dist):
 
 def _cmd_code(args) -> int:
     dist = distribution_from_json(_load_json(args.dist))
-    _emit_json(codebook_to_json(_build_code(args, dist)))
+    print(_codebook_text(_build_code(args, dist)))
     return 0
 
 

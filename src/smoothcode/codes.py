@@ -14,6 +14,7 @@ and built one level at a time. Per-symbol words exist only when asked for.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -447,6 +448,31 @@ def codebook_to_json(code: StochasticCode) -> dict:
         "decoder_for_reject": code.decoder_for_reject,
         "entries": [{"codeword": w, "gamma": g} for w, g in zip(codewords, gammas)],
     }
+
+
+def _codebook_text(code: StochasticCode) -> str:
+    """json.dumps(codebook_to_json(code), indent=2, sort_keys=True), byte for byte.
+
+    Each run formats one entry template, gamma included, and the templates
+    expand through _expand, so the size cap is checked on the whole support
+    before any entry is built. The leading templates are filled with the
+    inner words, strings of 0s and 1s that JSON quotes as they are.
+    """
+    runs = [(r.count, partial(itertools.repeat, _entry_template(r), r.count)) for r in code.runs]
+    templates = _expand(runs)
+    words = code.inner.codewords
+    entries = [*map(str.__mod__, templates, words), *templates[len(words) :]]
+    body = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
+    return (
+        f'{{\n  "decoder_for_reject": {json.dumps(code.decoder_for_reject)},\n'
+        f'  "entries": {body},\n  "reject": {json.dumps(code.reject)}\n}}'
+    )
+
+
+def _entry_template(run: CodeRun) -> str:
+    """JSON text of a run's entries, indented as list items, with %s for the inner word."""
+    codeword = "null" if run.accept_bits is None else '"0%s"'
+    return f'    {{\n      "codeword": {codeword},\n      "gamma": {json.dumps(run.gamma)}\n    }}'
 
 
 _GAMMA, _CODEWORD, _INNER = itemgetter("gamma"), itemgetter("codeword"), itemgetter(slice(1, None))

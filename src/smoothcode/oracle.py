@@ -147,6 +147,8 @@ def optimal_code_bruteforce(
       minimum can fall;
     - each (word count, length multiset) block is scored in one pass of
       fsum over itemgetters into a table of p_i * 2**(lam * l_a) terms.
+
+    Raises TooLarge when a scored block's weights or moments overflow a float.
     """
     check_eps(eps)
     check_lambda(lam)
@@ -175,7 +177,6 @@ def optimal_code_bruteforce(
         # admissible orbit representatives and their getters
         canonical: dict[int, tuple[list[int], list[itemgetter]]] = {}
         for lengths in multisets:
-            weight = [2.0 ** (lam * l) for l in lengths]
             ties = sum(1 << j for j in range(c - 1) if lengths[j] == lengths[j + 1])
             if ties not in canonical:
                 keep = [k for k in admissible if not table.descents[k] & ties]
@@ -183,8 +184,13 @@ def optimal_code_bruteforce(
             keep, getters = canonical[ties]
             if not keep:
                 continue
-            terms = [p * w for p in probs for w in weight]
-            moments = list(map(math.fsum, map(methodcaller("__call__", terms), getters)))
+            try:
+                weight = [2.0 ** (lam * l) for l in lengths]
+                terms = [p * w for p in probs for w in weight]
+                moments = list(map(math.fsum, map(methodcaller("__call__", terms), getters)))
+            except OverflowError:  # a weight or a moment past float range
+                msg = f"moments overflow a float at lambda={lam}, max_len={max_len}"
+                raise TooLarge(msg) from None
             m = min(moments)
             if m < best_moment:
                 best_moment = m

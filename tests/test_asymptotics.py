@@ -199,7 +199,12 @@ def test_spectrum_query_validation():
         sc.SpectrumQuery(4, "within", 0.5, gamma=-0.1)
     with pytest.raises(ValueError):
         sc.SpectrumQuery(0, "ge", 0.5)
+    with pytest.raises(ValueError):
+        sc.SpectrumQuery(4, "ge", math.nan)
+    with pytest.raises(ValueError):
+        sc.SpectrumQuery(4, "within", 0.5, gamma=math.nan)
     sc.SpectrumQuery(4, "ge", 0.5)  # gamma optional here
+    sc.SpectrumQuery(4, "within", -math.inf, gamma=math.inf)
 
 
 def first_holding_n(pairs, bound):

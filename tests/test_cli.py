@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import smoothcode as sc
-from smoothcode import cli
+from smoothcode import cli, codes
 
 WORKED = {"probs": [0.5, 0.3, 0.2]}
 MIXTURE = {
@@ -518,6 +518,31 @@ def test_infinite_lambda_is_a_bad_lambda(capsys, dist_file):
         assert "lambda" in err
 
 
+def test_oracle_moment_past_float_range_exits_3(capsys, dist_file):
+    base = ["oracle", "--dist", dist_file, "--eps", "0.1"]
+    rc, out, err = run_cli(capsys, base + ["--lambda", "1000"])
+    assert rc == 3 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    # 2**(204.7 * 5) still fits a float, and the search result is unchanged
+    rc, out, err = run_cli(capsys, base + ["--lambda", "204.7", "--max-len", "5"])
+    assert rc == 0 and err == ""
+    assert json.loads(out)["best_moment"] == 8.722685802823588e122
+
+
+@pytest.mark.parametrize(
+    "query",
+    [["ge", "--threshold", "nan"], ["within", "--threshold", "0.6", "--gamma", "nan"]],
+)
+def test_spectrum_rejects_nan(capsys, spec_file, query):
+    argv = ["spectrum", "--spec", spec_file, "--n", "16", "--direction", *query]
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "NaN" in err
+    # infinite thresholds and gammas are questions with an answer
+    rc, out, _ = run_cli(capsys, ["inf" if a == "nan" else a for a in argv])
+    assert rc == 0 and 0.0 <= json.loads(out)["probability"] <= 1.0 + 1e-12
+
+
 def test_cap_limits_only_printed_codebooks(capsys, dist_file, monkeypatch):
     # evaluation works per probability level, so only the codebook expands
     monkeypatch.setenv("SMOOTHCODE_CAP", "2")
@@ -634,94 +659,85 @@ def test_malformed_input_files_exit_2(capsys, tmp_path, dist_file, kind, payload
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def dumped(code):
+    return json.dumps(sc.codebook_to_json(code), indent=2, sort_keys=True)
+
+
 def test_code_prints_the_codebook_as_json_dumps_does(capsys, tmp_path):
     dist = sc.iid_extension(sc.new_distribution([0.5, 0.3, 0.2]), 6)
     atoms = [{"log_prob": a.log_prob, "multiplicity": a.multiplicity} for a in dist.atoms]
-    path = tmp_path / "p6.json"
-    path.write_text(json.dumps({"atoms": atoms, "n": 6}))
-    for eps, lam, mode in ((0.1, 1.0, "stochastic"), (0.3, 0.5, "deterministic")):
+    p6 = tmp_path / "p6.json"
+    p6.write_text(json.dumps({"atoms": atoms, "n": 6}))
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps({"probs": [1.0]}))
+    worked = tmp_path / "worked.json"
+    worked.write_text(json.dumps(WORKED))
+    cases = [
+        # (source, eps, lambda, mode, what the printed codebook shows)
+        (p6, 0.1, 1.0, "stochastic", "null tail"),
+        (p6, 0.3, 0.5, "deterministic", "null tail"),
+        (p6, 0.0, 1.0, "stochastic", "no null"),
+        (point, 0.0, 1.0, "stochastic", "one word, 0"),
+        (worked, 0.19999, 1.0, "stochastic", "gamma in exponent form"),
+    ]
+    for path, eps, lam, mode, shows in cases:
         argv = ["code", "--dist", str(path), "--eps", str(eps), "--lambda", str(lam)]
         rc, out, _ = run_cli(capsys, argv + ["--mode", mode])
         assert rc == 0
         build = sc.build_stochastic_code if mode == "stochastic" else sc.build_deterministic_code
         code = build(sc.distribution_from_json(json.loads(path.read_text())), eps, lam)
-        assert out == json.dumps(sc.codebook_to_json(code), indent=2, sort_keys=True) + "\n"
+        assert out == dumped(code) + "\n"
+        codewords = [e["codeword"] for e in json.loads(out)["entries"]]
+        if shows == "null tail":
+            assert codewords[-1] is None
+        elif shows == "no null":
+            assert None not in codewords
+        elif shows == "one word, 0":
+            assert codewords == ["0"]
+        else:
+            assert '"gamma": 4.999999999977245e-05\n' in out
+
+    # words as a codebook gave them, not canonical, and a longer reject word
+    book = {
+        "reject": "11",
+        "decoder_for_reject": 1,
+        "entries": [
+            {"codeword": "011", "gamma": 1.0},
+            {"codeword": "00", "gamma": 0.25},
+            {"codeword": "0101", "gamma": 0.25},
+            {"codeword": None, "gamma": 0.0},
+        ],
+    }
+    code = sc.codebook_from_json(book)
+    assert codes._codebook_text(code) == dumped(code) == json.dumps(book, indent=2, sort_keys=True)
+    empty = sc.StochasticCode(runs=(), decoder_for_reject=0)  # no reader or builder makes one
+    assert codes._codebook_text(empty) == dumped(empty)
 
 
-def json_trees():
-    scalars = (
-        st.none()
-        | st.booleans()
-        | st.integers(min_value=-(2**200), max_value=2**200)
-        | st.floats(allow_nan=True, allow_infinity=True)
-        | st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 1e300, 5e-324])
-        | st.text()
-        | st.sampled_from(["\x00", "\u2028", "é", "\U0001f600", '"{}"', "\\", "{", "}}"])
-    )
-    keys = st.text(max_size=4) | st.sampled_from(["codeword", "gamma", "{}", "{0}", "é"])
-    return st.recursive(
-        scalars,
-        lambda inner: st.lists(inner, max_size=4)
-        | st.dictionaries(keys, inner, max_size=4)
-        | st.tuples(inner, inner),
-        max_leaves=25,
-    )
+@st.composite
+def read_back_codes(draw):
+    """Codes read from codebooks: prefix-free words in any order, gammas in [0, 1]."""
+    lengths = sorted(draw(st.lists(st.integers(1, 6), min_size=1, max_size=8)))
+    while sum(2.0 ** -l for l in lengths) > 1.0:
+        lengths.pop()
+    words = draw(st.permutations(sc.assign_canonical_codewords(lengths).codewords))
+    gamma = st.sampled_from([1.0, 0.5, 1e-05, 5e-324, 0.30000000000000004]) | st.floats(0.0, 1.0)
+    entries = [{"codeword": "0" + w, "gamma": draw(gamma)} for w in words]
+    entries += [{"codeword": None, "gamma": 0.0}] * draw(st.integers(0, 3))
+    decoder = draw(st.integers(0, len(entries) - 1))
+    return sc.codebook_from_json({"reject": "1", "decoder_for_reject": decoder, "entries": entries})
 
 
-@given(json_trees())
-@settings(max_examples=300)
-def test_printer_matches_json_dumps(obj):
-    assert cli._dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
-
-
-def records(columns):
-    """Lists of dicts with one key set, each key's values drawn from one of columns."""
-    keys = st.text(max_size=3) | st.sampled_from(["codeword", "gamma", "{x}", "}"])
-    return st.dictionaries(keys, columns, min_size=1, max_size=3).flatmap(
-        lambda kinds: st.lists(st.fixed_dictionaries(kinds), min_size=1, max_size=6)
-    )
-
-
-COLUMNS = st.sampled_from(  # the strategy of one column's values
-    [
-        st.floats(allow_nan=True, allow_infinity=True),
-        st.none() | st.text(),  # a codeword column
-        st.booleans() | st.integers(),
-        st.integers(min_value=-(2**70), max_value=2**70),
-        st.none() | st.booleans() | st.floats() | st.text(max_size=2),
-        st.lists(st.integers(), max_size=2),  # not flat
-        st.dictionaries(st.text(max_size=1), st.none(), max_size=1),  # not flat
-    ]
+@given(
+    st.lists(st.floats(0.01, 1.0), min_size=1, max_size=12),
+    st.floats(0.0, 0.9),
+    st.sampled_from([0.5, 1.0, 3.0]),
+    st.booleans(),
+    read_back_codes(),
 )
-
-
-@given(records(COLUMNS))
-@settings(max_examples=300)
-def test_printer_matches_json_dumps_on_record_lists(items):
-    assert cli._dumps(items) == json.dumps(items, indent=2, sort_keys=True)
-    nested = {"reports": items, "more": [items, {"k": items}]}
-    assert cli._dumps(nested) == json.dumps(nested, indent=2, sort_keys=True)
-
-
-@pytest.mark.parametrize(
-    "items",
-    [
-        [{"a": 1, "b": None}, {"a": True, "b": "x"}, {"a": 2.5, "b": None}],
-        [{"a": 1}, {"b": 1}],  # same size, other keys
-        [{"a": 1}, {"a": 1, "b": 2}],  # other sizes
-        [{"a": 1}, [1]],  # not all dicts
-        [{}, {}],
-        [{"a": [1, {"b": None}]}, {"a": {}}],  # not flat
-        [{"a": float("nan")}, {"a": -float("inf")}, {"a": -0.0}],
-        [{"é{": "\x00"}, {"é{": "\u2028"}],
-    ],
-)
-def test_printer_falls_back_on_records_that_break_the_shape(items):
-    assert cli._dumps(items) == json.dumps(items, indent=2, sort_keys=True)
-
-
-def test_printer_rejects_what_json_rejects():
-    with pytest.raises(TypeError):
-        cli._dumps({"a": object()})
-    with pytest.raises(TypeError):
-        cli._dumps([{"a": {1, 2}}, {"a": {3}}])
+@settings(max_examples=100)
+def test_codebook_writer_matches_json_dumps(weights, eps, lam, deterministic, read_back):
+    dist = sc.new_distribution([w / sum(weights) for w in weights])
+    build = sc.build_deterministic_code if deterministic else sc.build_stochastic_code
+    for code in (build(dist, eps, lam), read_back):
+        assert codes._codebook_text(code) == dumped(code)

@@ -87,6 +87,14 @@ def test_bruteforce_support_cap():
         sc.optimal_code_bruteforce(dist, 0.0, 1.0)
 
 
+def test_bruteforce_moment_past_float_range_is_too_large():
+    dist = sc.new_distribution([0.5, 0.3, 0.2])
+    # every admissible code has a 2-bit word, and 2**2000 overflows a float
+    with pytest.raises(sc.TooLarge):
+        sc.optimal_code_bruteforce(dist, 0.1, 1000.0)
+    assert sc.optimal_code_bruteforce(dist, 0.1, 204.7, 5).best_moment == 8.722685802823588e122
+
+
 def test_bruteforce_permutation_invariance():
     rng = np.random.default_rng(73)
     for _ in range(5):
