@@ -13,7 +13,7 @@ import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from operator import neg, sub, truediv
+from operator import neg, not_, sub, truediv
 from typing import Sequence
 
 from .distributions import MixtureSpec, _log_masses, mixture_extension
@@ -109,7 +109,9 @@ def spectrum_probability(
 
     The rate of a sequence is -log(prob)/n. Predicate comparisons carry a
     1e-12 slack so type classes sitting exactly on a threshold are not
-    dropped by float noise.
+    dropped by float noise. The smaller side of the predicate is summed and
+    the larger one read as its complement, since the mixture's mass is
+    exactly 1; so the result lies in [0, 1].
     """
     dist = mixture_extension(spec, query.n, cap=cap)
     slack = 1e-12
@@ -122,7 +124,7 @@ def spectrum_probability(
         gaps = map(abs, map(sub, rates, itertools.repeat(query.threshold)))
         keep = map((query.gamma + slack).__ge__, gaps)
     keep = list(keep)
-    picked = _log_masses(
-        itertools.compress(dist.log_probs, keep), itertools.compress(dist.mults, keep)
-    )
-    return math.fsum(map(math.exp, picked))
+    masses = list(map(math.exp, _log_masses(dist.log_probs, dist.mults)))
+    kept = math.fsum(itertools.compress(masses, keep))
+    dropped = math.fsum(itertools.compress(masses, map(not_, keep)))
+    return 1.0 - dropped if kept > dropped else kept

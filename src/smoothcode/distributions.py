@@ -84,30 +84,27 @@ class WeightedAtom(NamedTuple):
 
     log_prob: float
     multiplicity: int
-    # index, in input or enumeration order, of the first entry merged into this level
-    tag: int
 
 
 @dataclass(frozen=True)
 class Distribution:
     """A finite distribution as levels sorted by strictly decreasing log-prob.
 
-    log_probs[i] is the log-prob of one symbol of level i, mults[i] the exact
-    number of symbols at that level, and tags[i] the index, in input or
-    enumeration order, of the first entry merged into it. `n` is the
-    blocklength the distribution lives on (1 for a single letter).
+    log_probs[i] is the log-prob of one symbol of level i and mults[i] the
+    exact number of symbols at that level; nothing else is stored, so equal
+    levels make equal distributions whatever order they were given in. `n`
+    is the blocklength the distribution lives on (1 for a single letter).
     """
 
     log_probs: tuple[float, ...]
     mults: tuple[int, ...]
-    tags: tuple[int, ...]
     n: int = 1
 
     def __post_init__(self) -> None:
         lps, mults = self.log_probs, self.mults
         if not lps:
             raise EmptyDistribution("distribution needs at least one atom")
-        if not len(mults) == len(self.tags) == len(lps):
+        if len(mults) != len(lps):
             raise NotNormalized("level columns must have equal lengths")
         if not all(map(gt, lps, lps[1:])):
             raise NotNormalized("atoms must be sorted by strictly decreasing log-prob")
@@ -116,8 +113,8 @@ class Distribution:
 
     @property
     def atoms(self) -> tuple[WeightedAtom, ...]:
-        """The levels as (log_prob, multiplicity, tag) records, largest first."""
-        return tuple(map(WeightedAtom, self.log_probs, self.mults, self.tags))
+        """The levels as (log_prob, multiplicity) records, largest first."""
+        return tuple(map(WeightedAtom, self.log_probs, self.mults))
 
     @property
     def support_size(self) -> int:
@@ -146,34 +143,30 @@ def _expand_levels(
 
 
 def _normalize_atoms(
-    neg_lps: Sequence[float], tags: Sequence[int], mults: Sequence[int]
-) -> tuple[tuple[float, ...], tuple[int, ...], tuple[int, ...]]:
-    """Merge equal levels of (-log_prob, tag, multiplicity) columns.
+    neg_lps: Sequence[float], mults: Sequence[int]
+) -> tuple[tuple[float, ...], tuple[int, ...]]:
+    """Merge equal levels of (-log_prob, multiplicity) columns.
 
-    Returns the (log_probs, mults, tags) columns of a Distribution. The tags
-    must increase along the input columns, so one stable sort on -log_prob
-    orders ties by tag. A merged level keeps the tag of its first entry, so
-    rebuilding from the same inputs is deterministic.
+    Returns the (log_probs, mults) columns of a Distribution. A merged level
+    takes the smallest -log_prob of its run and the exact sum of its counts,
+    so the result depends only on the input levels, not on their order.
     """
     order = sorted(range(len(neg_lps)), key=neg_lps.__getitem__)
     out_lps: list[float] = []
     out_mults: list[int] = []
-    out_tags: list[int] = []
-    put_lp, put_mult, put_tag = out_lps.append, out_mults.append, out_tags.append
-    run_lp, run_tag, run_mult = neg_lps[order[0]], tags[order[0]], 0
+    put_lp, put_mult = out_lps.append, out_mults.append
+    run_lp, run_mult = neg_lps[order[0]], 0
     for i in order:
         neg_lp = neg_lps[i]
         if neg_lp - run_lp > MERGE_TOL:  # sorted, so never negative
             put_lp(-run_lp)
             put_mult(run_mult)
-            put_tag(run_tag)
-            run_lp, run_tag, run_mult = neg_lp, tags[i], 0
+            run_lp, run_mult = neg_lp, 0
         run_mult += mults[i]
     put_lp(-run_lp)
     put_mult(run_mult)
-    put_tag(run_tag)
     del order  # freed before the columns are copied into tuples
-    return tuple(out_lps), tuple(out_mults), tuple(out_tags)
+    return tuple(out_lps), tuple(out_mults)
 
 
 def _check_mass(dist: Distribution) -> Distribution:
@@ -214,12 +207,11 @@ def new_distribution(probs: Sequence[float]) -> Distribution:
     atoms come out sorted with the largest probability first.
     """
     probs = _checked_probs(probs)
-    tags = [i for i, p in enumerate(probs) if p > 0.0]
-    if not tags:
+    neg_lps = [-math.log(p) for p in probs if p > 0.0]
+    if not neg_lps:
         raise EmptyDistribution("no strictly positive probability entry")
     _check_sum(probs)
-    neg_lps = [-math.log(probs[i]) for i in tags]
-    return Distribution(*_normalize_atoms(neg_lps, tags, [1] * len(tags)), n=1)
+    return Distribution(*_normalize_atoms(neg_lps, [1] * len(neg_lps)), n=1)
 
 
 def distribution_from_atoms(pairs: Sequence[tuple[float, int]], n: int = 1) -> Distribution:
@@ -243,8 +235,7 @@ def distribution_from_atoms(pairs: Sequence[tuple[float, int]], n: int = 1) -> D
         mults.append(int(mult))
     if not neg_lps:
         raise EmptyDistribution("no atoms supplied")
-    columns = _normalize_atoms(neg_lps, range(len(neg_lps)), mults)
-    return _check_mass(Distribution(*columns, n=n))
+    return _check_mass(Distribution(*_normalize_atoms(neg_lps, mults), n=n))
 
 
 def shannon_entropy(probs: Sequence[float]) -> float:
@@ -351,15 +342,15 @@ def _type_class_atoms(
     log_weights: Sequence[float],
     level_log_probs: Sequence[Sequence[float]],
     level_mults: Sequence[int],
-) -> tuple[list[float], list[int], list[int]]:
-    """Columns (-log_prob, class_index, multiplicity), one entry per type class of positive mass.
+) -> tuple[list[float], list[int]]:
+    """Columns (-log_prob, multiplicity), one entry per type class of positive mass.
 
     The source is a mixture of memoryless components over bins: component c
     has log weight log_weights[c] and gives each of the level_mults[j]
     symbols of bin j the log-prob level_log_probs[c][j] (-inf for zero). A
     type class counts how many of the n positions fall in each bin. Classes
-    are walked in lexicographic order of their counts, which fixes
-    class_index, and classes of zero mass under every component are skipped.
+    are walked in lexicographic order of their counts, which fixes the order
+    of the entries, and classes of zero mass under every component are skipped.
 
     The walk goes down the prefix tree of counts to the second-to-last bin. A
     node that has placed all but rem positions carries each component's
@@ -385,12 +376,9 @@ def _type_class_atoms(
     # a two-bin walk reaches the second-to-last bin only with rem = n
     rows = _count_rows(n, n if bins == 2 else 0, m_pen, m_last)
     neg_lps: list[float] = []
-    indices: list[int] = []
     counts: list[int] = []
-    next_index = 0
 
     def leaves(rem: int, prefix: int, sums: list[float]) -> None:
-        nonlocal next_index
         # class h puts h positions in the second-to-last bin and rem - h in the last:
         # w + ((s + pen[h]) + last[rem - h]), summed in the order of a per-class walk
         cols = []
@@ -406,9 +394,7 @@ def _type_class_atoms(
             lps = list(map(add, mx, map(math.log, map(math.fsum, zip(*shifted)))))
         keep = list(map(math.isfinite, lps))
         neg_lps.extend(map(neg, itertools.compress(lps, keep)))
-        indices.extend(itertools.compress(range(next_index, next_index + rem + 1), keep))
         counts.extend(itertools.compress(map(mul, itertools.repeat(prefix), rows[rem]), keep))
-        next_index += rem + 1
 
     def walk(j: int, rem: int, prefix: int, sums: list[float]) -> None:
         if j == bins - 2:
@@ -424,7 +410,7 @@ def _type_class_atoms(
     # walk reaches itself through its closure; without this cycle the columns
     # are freed as soon as the caller drops them, not at the next collection
     del walk
-    return neg_lps, indices, counts
+    return neg_lps, counts
 
 
 def _guard_class_count(n: int, bins: int, cap: int | None) -> None:

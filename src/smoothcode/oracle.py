@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import product
 from operator import itemgetter, methodcaller
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .codes import assign_canonical_codewords
 from .distributions import Distribution, resolve_cap
@@ -148,7 +148,9 @@ def optimal_code_bruteforce(
     - each (word count, length multiset) block is scored in one pass of
       fsum over itemgetters into a table of p_i * 2**(lam * l_a) terms.
 
-    Raises TooLarge when a scored block's weights or moments overflow a float.
+    A weight or a moment past float range reads as +inf, so it never wins;
+    such a block's moments are scored one by one. Raises TooLarge only when
+    every admissible code's moment overflows a float.
     """
     check_eps(eps)
     check_lambda(lam)
@@ -161,6 +163,7 @@ def optimal_code_bruteforce(
     best_moment = math.inf
     best_assign: tuple[int, ...] | None = None
     best_lengths: tuple[int, ...] | None = None
+    overflowed = False
     space = 0
     for c in range(1, s + 1):
         multisets = _cached_multisets(c, max_len)
@@ -184,19 +187,23 @@ def optimal_code_bruteforce(
             keep, getters = canonical[ties]
             if not keep:
                 continue
+            weight = [_pow2(lam * l) for l in lengths]
+            # a probability that underflowed to 0 adds nothing, even to an infinite weight
+            terms = [p * w if p else 0.0 for p in probs for w in weight]
             try:
-                weight = [2.0 ** (lam * l) for l in lengths]
-                terms = [p * w for p in probs for w in weight]
                 moments = list(map(math.fsum, map(methodcaller("__call__", terms), getters)))
-            except OverflowError:  # a weight or a moment past float range
-                msg = f"moments overflow a float at lambda={lam}, max_len={max_len}"
-                raise TooLarge(msg) from None
+            except OverflowError:  # some moment past float range
+                moments = [_fsum_or_inf(get(terms)) for get in getters]
             m = min(moments)
+            overflowed = overflowed or m == math.inf
             if m < best_moment:
                 best_moment = m
                 best_assign = table.assigns[keep[moments.index(m)]]
                 best_lengths = lengths
     if best_assign is None:
+        if overflowed:
+            msg = f"moments overflow a float at lambda={lam}, max_len={max_len}"
+            raise TooLarge(msg)
         raise Infeasible(f"no code with at most {max_len}-bit words meets eps={eps}")
 
     best_words = assign_canonical_codewords(best_lengths).codewords
@@ -211,6 +218,22 @@ def optimal_code_bruteforce(
         decoder=decoder,
         search_space_size=space,
     )
+
+
+def _pow2(x: float) -> float:
+    """2.0 ** x, or +inf past float range."""
+    try:
+        return 2.0**x
+    except OverflowError:
+        return math.inf
+
+
+def _fsum_or_inf(terms: Iterable[float]) -> float:
+    """fsum of nonnegative terms, or +inf when the sum is past float range."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
 
 
 def smoothing_feasible_search(

@@ -2,6 +2,8 @@ import math
 from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import smoothcode as sc
 
@@ -263,3 +265,23 @@ def test_spectrum_tail_bounds_with_onset():
             # the upper tail bound needs larger n before it first holds
             assert ge_onset == 256
             assert le_onset == 512
+
+
+MIXTURES = [
+    standard_mixture(),
+    sc.mixture_spec(
+        [(0.5, [0.4, 0.35, 0.25]), (0.3, [0.6, 0.3, 0.1]), (0.2, [0.8, 0.15, 0.05])]
+    ),
+]
+
+
+@given(
+    spec=st.sampled_from(MIXTURES),
+    n=st.integers(1, 64),
+    direction=st.sampled_from(["ge", "le", "within"]),
+    threshold=st.one_of(st.floats(-1.0, 3.0), st.sampled_from([-math.inf, math.inf])),
+    gamma=st.one_of(st.floats(0.0, 2.0), st.just(math.inf)),
+)
+def test_spectrum_probability_lies_in_unit_interval(spec, n, direction, threshold, gamma):
+    query = sc.SpectrumQuery(n, direction, threshold, gamma if direction == "within" else None)
+    assert 0.0 <= sc.spectrum_probability(spec, query) <= 1.0

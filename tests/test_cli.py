@@ -529,6 +529,32 @@ def test_oracle_moment_past_float_range_exits_3(capsys, dist_file):
     assert json.loads(out)["best_moment"] == 8.722685802823588e122
 
 
+def test_oracle_finite_optimum_beside_overflowing_blocks(capsys, tmp_path):
+    path = tmp_path / "coin.json"
+    path.write_text(json.dumps({"probs": [0.5, 0.5]}))
+    base = ["oracle", "--dist", str(path), "--eps", "0", "--lambda", "1000"]
+    rc, out, err = run_cli(capsys, base + ["--max-len", "1"])
+    assert rc == 0 and err == ""
+    assert json.loads(out)["best_moment"] == 1.0715086071862673e301
+    # longer words weigh 2**2000 and more, past float range, but cannot win
+    rc, longer, err = run_cli(capsys, base)
+    assert rc == 0 and err == ""
+    assert json.loads(longer)["best_moment"] == json.loads(out)["best_moment"]
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        ["--n", "2048", "--direction", "le", "--threshold=inf"],
+        ["--n", "16", "--direction", "within", "--threshold", "0.6", "--gamma", "inf"],
+    ],
+)
+def test_spectrum_keeping_every_class_prints_one(capsys, spec_file, query):
+    rc, out, err = run_cli(capsys, ["spectrum", "--spec", spec_file, *query])
+    assert rc == 0 and err == ""
+    assert json.loads(out)["probability"] == 1.0
+
+
 @pytest.mark.parametrize(
     "query",
     [["ge", "--threshold", "nan"], ["within", "--threshold", "0.6", "--gamma", "nan"]],

@@ -107,7 +107,7 @@ def reference_lengths(tilted):
 
 def reference_spectrum(pairs, query):
     slack = 1e-12
-    picked = []
+    picked, dropped = [], []
     for lp, m in pairs:
         rate = -lp / query.n
         if query.direction == "ge":
@@ -116,9 +116,10 @@ def reference_spectrum(pairs, query):
             ok = rate <= query.threshold + slack
         else:
             ok = abs(rate - query.threshold) <= query.gamma + slack
-        if ok:
-            picked.append(math.exp(log_mass(lp, m)))
-    return math.fsum(picked)
+        (picked if ok else dropped).append(math.exp(log_mass(lp, m)))
+    # the larger side is read as the complement of the smaller
+    kept, rest = math.fsum(picked), math.fsum(dropped)
+    return 1.0 - rest if kept > rest else kept
 
 
 def bits(x):

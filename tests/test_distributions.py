@@ -247,12 +247,12 @@ def test_engine_counts_match_comb_products(pairs, mults):
     for n in (1, 2, 7, 25):
         entries = list(zip(*_type_class_atoms(n, log_w, log_p, mults)))
         expected = []
-        for index, counts in enumerate(lexicographic_classes(n, len(mults))):
+        for counts in lexicographic_classes(n, len(mults)):
             lp = reference_log_prob(counts, pairs)
             if lp != -math.inf:
-                expected.append((lp, index, comb_product(counts, mults)))
-        assert [(i, m) for _, i, m in entries] == [(i, m) for _, i, m in expected]
-        for (neg_lp, _, _), (lp, _, _) in zip(entries, expected):
+                expected.append((lp, comb_product(counts, mults)))
+        assert [m for _, m in entries] == [m for _, m in expected]
+        for (neg_lp, _), (lp, _) in zip(entries, expected):
             assert -neg_lp == pytest.approx(lp, abs=1e-12)
 
 
@@ -432,13 +432,13 @@ def reference_merge(entries):
     """The tuple sort and merge the columnar merge replaced."""
     entries = sorted(entries)
     atoms = []
-    run_lp, run_tag, run_mult = entries[0][0], entries[0][1], 0
-    for neg_lp, index, mult in entries:
+    run_lp, run_mult = entries[0][0], 0
+    for neg_lp, _, mult in entries:
         if neg_lp - run_lp > MERGE_TOL:
-            atoms.append(WeightedAtom(-run_lp, run_mult, run_tag))
-            run_lp, run_tag, run_mult = neg_lp, index, 0
+            atoms.append(WeightedAtom(-run_lp, run_mult))
+            run_lp, run_mult = neg_lp, 0
         run_mult += mult
-    atoms.append(WeightedAtom(-run_lp, run_mult, run_tag))
+    atoms.append(WeightedAtom(-run_lp, run_mult))
     return tuple(atoms)
 
 
@@ -448,7 +448,7 @@ def float_bits(x):
 
 
 def atom_bits(atoms):
-    return [(*float_bits(a.log_prob), a.multiplicity, a.tag) for a in atoms]
+    return [(*float_bits(a.log_prob), a.multiplicity) for a in atoms]
 
 
 @st.composite
@@ -474,7 +474,7 @@ def test_column_engine_matches_reference_walk(source, n):
     columns = _type_class_atoms(n, log_weights, level_log_probs, mults)
     expected = reference_walk(n, log_weights, level_log_probs, mults)
     got = list(zip(*columns))
-    assert got == expected
+    assert got == [(neg_lp, count) for neg_lp, _, count in expected]
     assert [float_bits(e[0]) for e in got] == [float_bits(e[0]) for e in expected]
     merged = map(WeightedAtom, *_normalize_atoms(*columns))
     assert atom_bits(merged) == atom_bits(reference_merge(expected))
@@ -494,3 +494,37 @@ def test_one_bin_and_two_bin_builders_match_reference(n):
     log_p = [[math.log(0.5)] * 2, [math.log(0.89), math.log(0.11)]]
     expected = reference_merge(reference_walk(n, log_w, log_p, [1, 1]))
     assert atom_bits(got.atoms) == atom_bits(expected)
+
+
+def _report_or_error(dist, eps, lam):
+    try:
+        return sc.sandwich_report(dist, eps, lam).to_json_dict()
+    except sc.SmoothcodeError as exc:
+        return type(exc).__name__, str(exc)
+
+
+_raw_weights = st.one_of(
+    st.lists(st.integers(1, 4), min_size=1, max_size=6),  # repeated values merge
+    st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)), min_size=1, max_size=6).filter(any),
+)
+
+
+@given(
+    weights=_raw_weights,
+    eps=st.floats(0.0, 0.9),
+    lam=st.sampled_from([0.5, 1.0, 2.0]),
+    data=st.data(),
+)
+def test_levels_do_not_depend_on_input_order(weights, eps, lam, data):
+    total = math.fsum(weights)
+    probs = [w / total for w in weights]
+    positive = [w for w in weights if w]
+    mults = data.draw(st.lists(st.integers(1, 3), min_size=len(positive), max_size=len(positive)))
+    scale = math.fsum(m * w for m, w in zip(mults, positive))
+    pairs = [(math.log(w / scale), m) for w, m in zip(positive, mults)]
+    for build, given_order in ((sc.new_distribution, probs), (sc.distribution_from_atoms, pairs)):
+        shuffled = data.draw(st.permutations(given_order))
+        a, b = build(given_order), build(shuffled)
+        assert a == b
+        assert sc.optimal_smoothing(a, eps) == sc.optimal_smoothing(b, eps)
+        assert _report_or_error(a, eps, lam) == _report_or_error(b, eps, lam)

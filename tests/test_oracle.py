@@ -93,6 +93,12 @@ def test_bruteforce_moment_past_float_range_is_too_large():
     with pytest.raises(sc.TooLarge):
         sc.optimal_code_bruteforce(dist, 0.1, 1000.0)
     assert sc.optimal_code_bruteforce(dist, 0.1, 204.7, 5).best_moment == 8.722685802823588e122
+    # a probability that underflows to 0.0 adds 0, not nan, beside an infinite
+    # weight: every code overflows, which is TooLarge, not Infeasible
+    dust = sc.distribution_from_atoms([(math.log(0.5), 2), (-800.0, 1)])
+    assert dust.probabilities()[-1] == 0.0
+    with pytest.raises(sc.TooLarge):
+        sc.optimal_code_bruteforce(dust, 0.0, 1500.0, max_len=1)
 
 
 def test_bruteforce_permutation_invariance():
