@@ -89,22 +89,19 @@ def entropy_rate_series(
     alpha: float,
     eps: float,
     n_list: Sequence[int],
-    cap: int | None = None,
 ) -> RateSeries:
     """Per-symbol smooth Renyi entropy of the mixture at each blocklength."""
     component, limit = theoretical_limit(spec, eps)
     entries = []
     for n in n_list:
-        dist = mixture_extension(spec, n, cap=cap)
+        dist = mixture_extension(spec, n)
         entries.append((n, smooth_renyi_entropy(dist, alpha, eps) / n))
     return RateSeries(
         alpha=alpha, eps=eps, entries=tuple(entries), limit=limit, component=component
     )
 
 
-def spectrum_probability(
-    spec: MixtureSpec, query: SpectrumQuery, cap: int | None = None
-) -> float:
+def spectrum_probability(spec: MixtureSpec, query: SpectrumQuery) -> float:
     """Exact mixture mass of the sequences selected by the rate predicate.
 
     The rate of a sequence is -log(prob)/n. Predicate comparisons carry a
@@ -113,7 +110,7 @@ def spectrum_probability(
     the larger one read as its complement, since the mixture's mass is
     exactly 1; so the result lies in [0, 1].
     """
-    dist = mixture_extension(spec, query.n, cap=cap)
+    dist = mixture_extension(spec, query.n)
     slack = 1e-12
     rates = map(truediv, map(neg, dist.log_probs), itertools.repeat(query.n))
     if query.direction == "ge":

@@ -19,7 +19,7 @@ from .codes import (
     build_stochastic_code,
     codebook_from_json,
 )
-from .distributions import distribution_from_json, mixture_from_json, resolve_cap
+from .distributions import atom_cap, distribution_from_json, mixture_from_json
 from .errors import SmoothcodeError, TooLarge
 from .evaluation import evaluate_code, sandwich_report
 from .logspace import LN2
@@ -129,7 +129,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_mixture(args) -> int:
     spec = mixture_from_json(_load_json(args.spec))
-    series = entropy_rate_series(spec, args.alpha, args.eps, _int_list(args.n_list), cap=args.cap)
+    series = entropy_rate_series(spec, args.alpha, args.eps, _int_list(args.n_list))
     limit = _in_unit(series.limit, args.unit)
     if args.format == "csv":
         print("n,value,limit")
@@ -156,7 +156,7 @@ def _cmd_spectrum(args) -> int:
     query = SpectrumQuery(
         n=args.n, direction=args.direction, threshold=args.threshold, gamma=args.gamma
     )
-    prob = spectrum_probability(spec, query, cap=args.cap)
+    prob = spectrum_probability(spec, query)
     _emit_json(
         {
             "n": args.n,
@@ -204,13 +204,11 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, unit=False, fmt=False, cap=False, seed=False):
+    def common(p, unit=False, fmt=False, seed=False):
         if unit:
             p.add_argument("--unit", choices=("nats", "bits"), default="nats")
         if fmt:
             p.add_argument("--format", choices=("json", "csv"), default="json")
-        if cap:
-            p.add_argument("--cap", type=int, default=None, help="type-class cap override")
         if seed:
             p.add_argument("--seed", type=int, default=0)
 
@@ -248,7 +246,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--n-list", required=True, help="comma-separated blocklengths")
-    common(p, unit=True, fmt=True, cap=True)
+    common(p, unit=True, fmt=True)
 
     p = sub.add_parser("spectrum", help="exact mass of a self-information rate predicate")
     p.add_argument("--spec", required=True)
@@ -256,7 +254,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--direction", choices=("ge", "le", "within"), required=True)
     p.add_argument("--threshold", type=float, required=True)
     p.add_argument("--gamma", type=float, default=None)
-    common(p, cap=True)
 
     p = sub.add_parser("sweep", help="sandwich reports over an (eps, lambda) grid")
     p.add_argument("--dist", required=True)
@@ -286,7 +283,7 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        resolve_cap(getattr(args, "cap", None))  # a malformed cap fails every subcommand
+        atom_cap()  # a malformed SMOOTHCODE_CAP fails every subcommand
         return _HANDLERS[args.subcommand](args)
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -33,7 +33,8 @@ T = TypeVar("T")
 def atom_cap() -> int:
     """Size cap for expansions and type-class enumerations.
 
-    Reads the SMOOTHCODE_CAP environment variable, falling back to 2_000_000.
+    Reads the SMOOTHCODE_CAP environment variable, falling back to 2_000_000;
+    it is the one setting of the cap, for every function and subcommand.
     """
     raw = os.environ.get("SMOOTHCODE_CAP")
     if raw is None:
@@ -42,32 +43,21 @@ def atom_cap() -> int:
         cap = int(raw)
     except ValueError as exc:
         raise ValueError(f"SMOOTHCODE_CAP must be an integer, got {raw!r}") from exc
-    return _at_least_one(cap, "SMOOTHCODE_CAP")
-
-
-def resolve_cap(cap: int | None = None) -> int:
-    """The size cap to apply: cap when given, else atom_cap(); it must be >= 1."""
-    return atom_cap() if cap is None else _at_least_one(cap, "cap")
-
-
-def _at_least_one(cap: int, name: str) -> int:
     if cap < 1:
-        raise ValueError(f"{name} must be >= 1, got {cap}")
+        raise ValueError(f"SMOOTHCODE_CAP must be >= 1, got {cap}")
     return cap
 
 
-def _expand(
-    runs: Sequence[tuple[int, Callable[[], Iterable[T]]]], cap: int | None = None
-) -> list[T]:
+def _expand(runs: Sequence[tuple[int, Callable[[], Iterable[T]]]]) -> list[T]:
     """One entry per symbol, concatenated from (count, make_values) runs.
 
-    make_values() yields the run's count entries. The size cap (atom_cap()
-    unless given) is checked on the counts before any make_values is
-    called, so a run too long to expand raises TooLarge rather than failing
-    inside the iterator it would build. Every per-symbol expansion in the
-    package goes through here.
+    make_values() yields the run's count entries. The size cap (atom_cap())
+    is checked on the counts before any make_values is called, so a run too
+    long to expand raises TooLarge rather than failing inside the iterator
+    it would build. Every per-symbol expansion in the package goes through
+    here.
     """
-    cap = resolve_cap(cap)
+    cap = atom_cap()
     size = sum(count for count, _ in runs)
     if size > cap:
         raise TooLarge(f"support of size {count_text(size)} exceeds cap {cap}")
@@ -126,20 +116,17 @@ class Distribution:
     def total_mass(self) -> float:
         return math.exp(self.log_total_mass())
 
-    def probabilities(self, cap: int | None = None) -> list[float]:
+    def probabilities(self) -> list[float]:
         """Expand to one probability per symbol, largest first."""
-        return _expand_levels(self.log_probs, self.mults, math.exp, cap)
+        return _expand_levels(self.log_probs, self.mults, math.exp)
 
 
 def _expand_levels(
-    log_probs: Sequence[float],
-    mults: Sequence[int],
-    value: Callable[[float], T],
-    cap: int | None = None,
+    log_probs: Sequence[float], mults: Sequence[int], value: Callable[[float], T]
 ) -> list[T]:
     """value(log_prob) once per symbol of each level, through the capped _expand."""
     runs = [(m, partial(itertools.repeat, value(lp), m)) for lp, m in zip(log_probs, mults)]
-    return _expand(runs, cap)
+    return _expand(runs)
 
 
 def _normalize_atoms(
@@ -182,8 +169,8 @@ def _check_mass(dist: Distribution) -> Distribution:
 def _checked_probs(probs: Sequence[float]) -> list[float]:
     try:
         probs = [float(p) for p in probs]
-    except TypeError:
-        raise NotNormalized("probability entries must be numbers") from None
+    except (TypeError, OverflowError):  # not a number, or an integer past float range
+        raise NotNormalized("probability entries must be finite numbers") from None
     if not all(math.isfinite(p) for p in probs):
         raise NotNormalized("probability entries must be finite")
     if any(p < 0.0 for p in probs):
@@ -221,8 +208,8 @@ def distribution_from_atoms(pairs: Sequence[tuple[float, int]], n: int = 1) -> D
     for lp, mult in pairs:
         try:
             lp = float(lp)
-        except TypeError:
-            raise NotNormalized(f"log-probabilities must be numbers, got {lp!r}") from None
+        except (TypeError, OverflowError):  # not a number, or an integer past float range
+            raise NotNormalized("log-probabilities must be finite numbers") from None
         if not math.isfinite(lp) or lp > 0.0:
             raise NotNormalized(f"log-probabilities must be finite and <= 0, got {lp!r}")
         try:
@@ -307,8 +294,8 @@ def mixture_spec(pairs: Sequence[tuple[float, Sequence[float]]]) -> MixtureSpec:
     """Build a MixtureSpec from (weight, probs) pairs."""
     try:
         comps = tuple(MixtureComponent(float(w), tuple(map(float, ps))) for w, ps in pairs)
-    except TypeError:
-        raise BadMixture("mixture weights and probabilities must be numbers") from None
+    except (TypeError, OverflowError):  # not a number, or an integer past float range
+        raise BadMixture("mixture weights and probabilities must be finite numbers") from None
     return MixtureSpec(comps)
 
 
@@ -413,8 +400,8 @@ def _type_class_atoms(
     return neg_lps, counts
 
 
-def _guard_class_count(n: int, bins: int, cap: int | None) -> None:
-    cap = resolve_cap(cap)
+def _guard_class_count(n: int, bins: int) -> None:
+    cap = atom_cap()
     n_classes = math.comb(n + bins - 1, bins - 1)
     if n_classes > cap:
         raise TooLarge(
@@ -422,7 +409,7 @@ def _guard_class_count(n: int, bins: int, cap: int | None) -> None:
         )
 
 
-def iid_extension(base: Distribution, n: int, cap: int | None = None) -> Distribution:
+def iid_extension(base: Distribution, n: int) -> Distribution:
     """n-fold product of a single-letter distribution, one atom per type class.
 
     A type class records how many of the n positions land in each probability
@@ -436,12 +423,12 @@ def iid_extension(base: Distribution, n: int, cap: int | None = None) -> Distrib
         raise ValueError("blocklength must be >= 1")
     if n == 1:
         return base
-    _guard_class_count(n, len(base.mults), cap)
+    _guard_class_count(n, len(base.mults))
     columns = _type_class_atoms(n, [0.0], [base.log_probs], base.mults)
     return _check_mass(Distribution(*_normalize_atoms(*columns), n=n))
 
 
-def mixture_extension(spec: MixtureSpec, n: int, cap: int | None = None) -> Distribution:
+def mixture_extension(spec: MixtureSpec, n: int) -> Distribution:
     """Blocklength-n distribution of a mixture of memoryless components.
 
     The probability of a sequence depends only on its symbol counts, so one
@@ -452,7 +439,7 @@ def mixture_extension(spec: MixtureSpec, n: int, cap: int | None = None) -> Dist
     if n < 1:
         raise ValueError("blocklength must be >= 1")
     k = spec.alphabet_size
-    _guard_class_count(n, k, cap)
+    _guard_class_count(n, k)
     log_w = [math.log(c.weight) for c in spec.components]
     log_p = [
         [math.log(p) if p > 0.0 else -math.inf for p in c.probs] for c in spec.components
@@ -463,6 +450,14 @@ def mixture_extension(spec: MixtureSpec, n: int, cap: int | None = None) -> Dist
     return _check_mass(Distribution(*_normalize_atoms(*columns), n=n))
 
 
+def _json_numbers(values: list, error: type[Exception], what: str) -> list:
+    """values, each checked to be a JSON number: an int or a float, not a bool or a str."""
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise error(f"{what} must be numbers, got {v!r}")
+    return values
+
+
 def distribution_from_json(obj: dict) -> Distribution:
     """Read either {"probs": [...]} or {"atoms": [{"log_prob": r, "multiplicity": k}, ...]}.
 
@@ -471,18 +466,20 @@ def distribution_from_json(obj: dict) -> Distribution:
     if not isinstance(obj, dict):
         raise NotNormalized("distribution JSON must be an object")
     if "probs" in obj:
-        if not isinstance(obj["probs"], list):
+        probs = obj["probs"]
+        if not isinstance(probs, list):
             raise NotNormalized("'probs' must be a list")
-        return new_distribution(obj["probs"])
+        return new_distribution(_json_numbers(probs, NotNormalized, "probability entries"))
     if "atoms" in obj:
         atoms = obj["atoms"]
         if not isinstance(atoms, list) or not all(isinstance(a, dict) for a in atoms):
             raise NotNormalized("'atoms' must be a list of objects")
-        try:
-            n = int(obj.get("n", 1))
-        except (TypeError, OverflowError):
-            raise NotNormalized("'n' must be an integer") from None
-        return distribution_from_atoms([(a["log_prob"], a["multiplicity"]) for a in atoms], n=n)
+        n = obj.get("n", 1)
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise NotNormalized("'n' must be an integer >= 1")
+        lps = _json_numbers([a["log_prob"] for a in atoms], NotNormalized, "log-probabilities")
+        mults = _json_numbers([a["multiplicity"] for a in atoms], NotNormalized, "multiplicities")
+        return distribution_from_atoms(list(zip(lps, mults)), n=n)
     raise NotNormalized("distribution JSON needs a 'probs' or 'atoms' key")
 
 
@@ -494,6 +491,9 @@ def mixture_from_json(obj: dict) -> MixtureSpec:
     comps = obj.get("components") if isinstance(obj, dict) else None
     if not comps or not isinstance(comps, list):
         raise BadMixture("mixture JSON needs a nonempty 'components' list")
-    if not all(isinstance(c, dict) for c in comps):
-        raise BadMixture("mixture components must be objects")
+    if not all(isinstance(c, dict) and isinstance(c["probs"], list) for c in comps):
+        raise BadMixture("mixture components must be objects with a 'probs' list")
+    _json_numbers([c["weight"] for c in comps], BadMixture, "mixture weights")
+    for c in comps:
+        _json_numbers(c["probs"], BadMixture, "mixture probabilities")
     return mixture_spec([(c["weight"], c["probs"]) for c in comps])

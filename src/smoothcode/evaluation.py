@@ -19,7 +19,7 @@ from .codes import StochasticCode, build_stochastic_code
 from .distributions import Distribution
 from .errors import BadEpsilon, Misaligned, SandwichViolated, check_lambda
 from .logspace import LN2, logsumexp
-from .smooth_renyi import log_r_alpha_eps
+from .smooth_renyi import log_power_sum, optimal_smoothing
 
 # relative slack of sandwich_report's check that the moment lies between the bounds
 SANDWICH_SLACK = 1e-9
@@ -110,8 +110,10 @@ def _lambda_entropy(dist: Distribution, eps: float, lam: float) -> float:
     if eps >= 1.0:
         return -math.inf
     alpha = 1.0 / (1.0 + lam)
-    # lam * H equals (1 + lam) * log r, since 1 - alpha = lam / (1 + lam)
-    return (1.0 + lam) * log_r_alpha_eps(dist, alpha, eps)
+    # lam * H equals (1 + lam) * log r, since 1 - alpha = lam / (1 + lam). alpha
+    # lies in (0, 1]: below lam = 2**-53 it rounds to 1, and log r is then the
+    # log of the kept mass, the limit of lam * H as lam goes to 0
+    return (1.0 + lam) * log_power_sum(optimal_smoothing(dist, eps), alpha)
 
 
 def converse_bound(dist: Distribution, eps: float, lam: float) -> float:
@@ -126,11 +128,11 @@ def direct_bound(dist: Distribution, eps: float, lam: float) -> float:
     Summed in the log domain, so a large lam gives inf rather than an error.
     """
     check_lambda(lam)
-    return _exp_or_inf(_log_direct(dist, eps, lam))
+    return _exp_or_inf(_log_direct(_lambda_entropy(dist, eps, lam), eps, lam))
 
 
-def _log_direct(dist: Distribution, eps: float, lam: float) -> float:
-    lam_entropy = _lambda_entropy(dist, eps, lam)
+def _log_direct(lam_entropy: float, eps: float, lam: float) -> float:
+    """log of the direct bound from lam_entropy, the log of the converse bound."""
     log_eps = math.log(eps) if eps > 0.0 else -math.inf
     return logsumexp([2.0 * lam * LN2 + lam_entropy, log_eps + lam * LN2])
 
@@ -142,7 +144,7 @@ def _evaluate(
     check_lambda(lam)
     raw, credited, log_moment = _walk(code, dist, lam)
     log_converse = _lambda_entropy(dist, eps, lam)
-    log_direct = _log_direct(dist, eps, lam)
+    log_direct = _log_direct(log_converse, eps, lam)
     report = CodeReport(
         eps=eps,
         lam=lam,

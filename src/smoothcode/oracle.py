@@ -1,8 +1,10 @@
 """Exhaustive and randomized ground truth for small instances.
 
-Nothing here shares logic with the constructive modules: the code search
-enumerates raw prefix codes and the smoothing search samples the ball
-directly, so their results can referee the closed-form implementations.
+The code search enumerates raw length multisets and assignments, and the
+smoothing search samples the ball directly, so their results can referee the
+closed-form implementations. The one piece shared with the constructive
+modules is codes.assign_canonical_codewords, which spells out the winning
+lengths as words after the search; best_moment does not depend on it.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from operator import itemgetter, methodcaller
 from typing import Iterable, NamedTuple
 
 from .codes import assign_canonical_codewords
-from .distributions import Distribution, resolve_cap
+from .distributions import Distribution, atom_cap
 from .errors import (
     Infeasible,
     SmoothcodeError,
@@ -248,7 +250,7 @@ def smoothing_feasible_search(
     Each trial removes a uniformly drawn total amount of mass (at most eps),
     split across symbols by random proportions and clipped at zero, so every
     draw is feasible by construction. eps = 0 returns sum(P**alpha) exactly.
-    The trials * (support + 1) draws must fit the size cap (resolve_cap()),
+    The trials * (support + 1) draws must fit the size cap (atom_cap()),
     so a huge trial count raises TooLarge before anything is allocated.
     Needs numpy, the package's one optional dependency (the oracle extra).
     """
@@ -267,7 +269,7 @@ def smoothing_feasible_search(
     best = float(np.sum(probs**alpha))  # Q = P is always in the ball
     if trials < 1 or eps == 0.0:
         return best
-    cap = resolve_cap()
+    cap = atom_cap()
     cells = trials * (probs.size + 1)  # the draws numpy allocates below
     if cells > cap:
         raise TooLarge(f"random search of {count_text(cells)} draws exceeds cap {cap}")

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
 import math
+import os
 import subprocess
 import sys
+import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -349,35 +354,39 @@ def test_sweep_grid_order(capsys, dist_file):
             assert format(float(tok), ".12g") == tok
 
 
-def test_cap_exits_3(capsys, spec_file):
-    rc, _, err = run_cli(
-        capsys,
-        [
-            "mixture",
-            "--spec",
-            spec_file,
-            "--alpha",
-            "0.5",
-            "--eps",
-            "0.3",
-            "--n-list",
-            "8",
-            "--cap",
-            "5",
-        ],
-    )
-    assert rc == 3
-    assert err.startswith("error:")
+@pytest.mark.parametrize("lam", ["1e-320", "1e-17", "1e-16"])
+def test_lambdas_too_small_to_move_the_entropy_order(capsys, dist_file, lam):
+    # below 2**-53 the order 1/(1 + lambda) rounds to 1; the bounds then take
+    # their lambda -> 0 limits, the kept mass and 1, instead of rejecting an alpha
+    argv = ["sweep", "--dist", dist_file, "--epsilons", "0,0.1,0.5", "--lambdas", lam]
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 0 and err == ""
+    reports = json.loads(out)["reports"]
+    assert [r["converse_bound"] for r in reports] == pytest.approx([1.0, 0.9, 0.5], abs=1e-12)
+    for r in reports:
+        assert r["exp_moment"] == pytest.approx(1.0, abs=1e-12)
+        assert r["direct_bound"] == pytest.approx(1.0, abs=1e-12)
+
+    argv = ["evaluate", "--dist", dist_file, "--eps", "0.1", "--lambda", lam]
+    rc, out, err = run_cli(capsys, argv + ["--mode", "deterministic"])
+    assert rc == 0 and err == ""
+    report = json.loads(out)
+    assert report["converse_bound"] == pytest.approx(0.9, abs=1e-12)
+    assert report["exp_moment"] == pytest.approx(1.0, abs=1e-12)
+    assert report["direct_bound"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_env_cap_applies(capsys, spec_file, monkeypatch):
+    # 9 type classes at blocklength 8 over two letters
     monkeypatch.setenv("SMOOTHCODE_CAP", "5")
-    rc, _, err = run_cli(
-        capsys,
+    for argv in (
         ["mixture", "--spec", spec_file, "--alpha", "0.5", "--eps", "0.3", "--n-list", "8"],
-    )
-    assert rc == 3
-    assert err.startswith("error:")
+        ["spectrum", "--spec", spec_file, "--n", "8", "--direction", "ge",
+         "--threshold", "0.5"],
+    ):
+        rc, out, err = run_cli(capsys, argv)
+        assert rc == 3 and out == ""
+        assert err.startswith("error: 9 type classes at blocklength 8 exceed cap 5")
 
 
 def test_malformed_env_cap_exits_2(capsys, dist_file, monkeypatch):
@@ -393,16 +402,20 @@ def test_malformed_env_cap_exits_2(capsys, dist_file, monkeypatch):
         assert err.startswith(f"error: {message}")
 
 
-def test_nonpositive_cap_flag_exits_2(capsys, spec_file):
-    for cap in ("0", "-3"):
-        for argv in (
-            ["mixture", "--spec", spec_file, "--alpha", "0.5", "--eps", "0.3", "--n-list", "8"],
-            ["spectrum", "--spec", spec_file, "--n", "8", "--direction", "ge",
-             "--threshold", "0.5"],
-        ):
-            rc, out, err = run_cli(capsys, argv + ["--cap", cap])
-            assert rc == 2 and out == ""
-            assert err.startswith(f"error: cap must be >= 1, got {cap}")
+def test_cap_flag_is_gone_and_cannot_mask_a_malformed_env_cap(capsys, spec_file, monkeypatch):
+    # --cap once skipped reading SMOOTHCODE_CAP, so "junk" there went unnoticed
+    monkeypatch.setenv("SMOOTHCODE_CAP", "junk")
+    for argv in (
+        ["mixture", "--spec", spec_file, "--alpha", "0.5", "--eps", "0.3", "--n-list", "8"],
+        ["spectrum", "--spec", spec_file, "--n", "8", "--direction", "ge",
+         "--threshold", "0.5"],
+    ):
+        rc, out, err = run_cli(capsys, argv + ["--cap", "100"])
+        assert rc == 2 and out == ""
+        assert "unrecognized arguments: --cap 100" in err
+        rc, out, err = run_cli(capsys, argv)
+        assert rc == 2 and out == ""
+        assert err.startswith("error: SMOOTHCODE_CAP must be an integer, got 'junk'")
 
 
 def test_usage_errors_exit_2(capsys, dist_file):
@@ -668,6 +681,22 @@ BAD_INPUTS = [
     ("spec", {"components": [{"weight": 1.0, "probs": [1e308, 1e308]}]}),
     # an exact integer multiplicity whose total mass overflows a float
     ("dist", {"atoms": [{"log_prob": 0.0, "multiplicity": 10**400}]}),
+    # integer literals past float range, where a float is read
+    ("dist", {"probs": [10**400, 0.5]}),
+    ("dist", {"atoms": [{"log_prob": -(10**400), "multiplicity": 1}]}),
+    ("spec", {"components": [{"weight": 10**400, "probs": [1.0]}]}),
+    ("spec", {"components": [{"weight": 1.0, "probs": [10**400, 0.5]}]}),
+    # bools and strings are not JSON numbers, and n is a whole blocklength
+    ("dist", {"probs": [True, False]}),
+    ("dist", {"probs": ["0.5", "0.5"]}),
+    ("dist", {"atoms": [{"log_prob": 0.0, "multiplicity": True}]}),
+    ("dist", {"atoms": [{"log_prob": "0", "multiplicity": 1}]}),
+    ("dist", {"atoms": [{"log_prob": 0.0, "multiplicity": 1}], "n": 1.9}),
+    ("dist", {"atoms": [{"log_prob": 0.0, "multiplicity": 1}], "n": 0}),
+    ("dist", {"atoms": [{"log_prob": 0.0, "multiplicity": 1}], "n": True}),
+    ("spec", {"components": [{"weight": True, "probs": [1.0]}]}),
+    ("spec", {"components": [{"weight": 1.0, "probs": ["1.0"]}]}),
+    ("spec", {"components": [{"weight": 1.0, "probs": "1"}]}),
 ]
 
 
@@ -767,3 +796,121 @@ def test_codebook_writer_matches_json_dumps(weights, eps, lam, deterministic, re
     build = sc.build_deterministic_code if deterministic else sc.build_stochastic_code
     for code in (build(dist, eps, lam), read_back):
         assert codes._codebook_text(code) == dumped(code)
+
+
+# CLI fuzz: argv for every subcommand, with numbers from a fixed set of edge
+# values and input files from a small grammar of valid and broken payloads
+FUZZ_NUMBERS = ["0", "-0.0", "1", "-1", "1e-320", "1e-17", "1e308", "nan", "inf", "-inf",
+                "", "abc"]
+FUZZ_LEAVES = [0, 1, -1, 0.5, 1e-320, 1e308, math.nan, math.inf, 10**400, -(10**400),
+               True, False, "0.5", "", None]
+
+
+def _fuzz_value(*valid):
+    # three times in four a valid value, so runs get past validation
+    ok = st.sampled_from(valid)
+    return st.one_of(ok, ok, ok, st.sampled_from(FUZZ_LEAVES))
+
+
+def _fuzz_list(item, max_size):
+    return st.lists(item, max_size=max_size) | st.sampled_from(FUZZ_LEAVES)
+
+
+# half of the files are valid inputs, the rest drawn from the grammar
+VALID_DISTS = st.sampled_from(
+    [WORKED, {"probs": [1.0]}, {"probs": [0.4, 0.3, 0.2, 0.05, 0.05]},
+     {"atoms": [{"log_prob": math.log(0.25), "multiplicity": 4}], "n": 2}]
+)
+FUZZ_DISTS = VALID_DISTS | VALID_DISTS | st.fixed_dictionaries(
+    {"probs": _fuzz_list(_fuzz_value(0.5, 0.25), 5)}
+) | st.fixed_dictionaries(
+    {"atoms": _fuzz_list(
+        st.fixed_dictionaries({"log_prob": _fuzz_value(math.log(0.5), math.log(0.25), 0.0),
+                               "multiplicity": _fuzz_value(1, 2)}), 3)},
+    optional={"n": _fuzz_value(1, 2)},
+)
+VALID_SPECS = st.sampled_from(
+    [MIXTURE, {"components": [{"weight": 1.0, "probs": [0.5, 0.3, 0.2]}]}]
+)
+FUZZ_SPECS = VALID_SPECS | st.fixed_dictionaries({"components": _fuzz_list(
+    st.fixed_dictionaries({"weight": _fuzz_value(0.6, 0.4, 1.0),
+                           "probs": _fuzz_list(_fuzz_value(0.5, 0.89, 0.11), 3)}), 2)})
+FUZZ_BOOKS = st.sampled_from([{**WORKED_BOOK, "reject": "1"}]) | st.fixed_dictionaries(
+    {"reject": _fuzz_value("1", "11", "1x"),
+     "decoder_for_reject": _fuzz_value(0, 2),
+     "entries": _fuzz_list(
+         st.fixed_dictionaries({"codeword": _fuzz_value("000", "001", "0100", "0ab"),
+                                "gamma": _fuzz_value(1.0, 0.5, 0.0)}), 3)}
+)
+
+
+@st.composite
+def fuzzed_runs(draw):
+    """(argv, {placeholder: payload}, SMOOTHCODE_CAP); argv names files by placeholder."""
+    edge = st.sampled_from(FUZZ_NUMBERS)
+    sane, whole = st.sampled_from(["0.1", "0.5"]), st.sampled_from(["1", "3"])
+    num, count = st.one_of(sane, sane, edge), st.one_of(whole, whole, edge)
+    nums = st.lists(num, min_size=1, max_size=3).map(",".join)
+    blocklength = st.one_of(*[st.sampled_from(["1", "8", "64"])] * 2, edge)
+
+    def opt(flag, value):
+        return [f"{flag}={draw(value)}"]
+
+    def maybe(flag, value):
+        return opt(flag, value) if draw(st.booleans()) else []
+
+    files = {}
+    sub = draw(st.sampled_from(list(cli._HANDLERS)))
+    if sub in ("mixture", "spectrum"):
+        files["SPEC"] = draw(FUZZ_SPECS)
+        argv = [sub, "--spec", "SPEC"]
+    else:
+        files["DIST"] = draw(FUZZ_DISTS)
+        argv = [sub, "--dist", "DIST"]
+    modes = st.sampled_from(["stochastic", "deterministic"])
+    if sub == "entropy":
+        argv += opt("--alpha", num) + opt("--eps", num) + maybe("--unit", st.just("bits"))
+    elif sub in ("code", "evaluate"):
+        argv += opt("--eps", num) + opt("--lambda", num) + opt("--mode", modes)
+        if sub == "evaluate" and draw(st.booleans()):
+            files["BOOK"] = draw(FUZZ_BOOKS)
+            argv += ["--code", "BOOK"]
+    elif sub == "oracle":
+        argv += opt("--eps", num) + maybe("--lambda", num) + maybe("--alpha", num)
+        argv += opt("--mode", st.sampled_from(["code", "smoothing"]))
+        argv += maybe("--max-len", count) + maybe("--trials", count) + maybe("--seed", count)
+    elif sub == "mixture":
+        argv += opt("--alpha", num) + opt("--eps", num)
+        argv += opt("--n-list", st.lists(blocklength, min_size=1, max_size=3).map(",".join))
+        argv += maybe("--format", st.just("csv")) + maybe("--unit", st.just("bits"))
+    elif sub == "spectrum":
+        argv += opt("--n", blocklength) + opt("--threshold", num) + maybe("--gamma", num)
+        argv += opt("--direction", st.sampled_from(["ge", "le", "within", "bogus"]))
+    else:
+        argv += opt("--epsilons", nums) + opt("--lambdas", nums)
+        argv += maybe("--format", st.just("csv"))
+    cap = draw(st.sampled_from([None] * 5 + ["5", "0", "junk"]))
+    return argv, files, cap
+
+
+@given(fuzzed_runs())
+@settings(max_examples=300, deadline=None)
+def test_cli_fuzz_exits_0_2_or_3(run):
+    argv, files, cap = run
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
+        os.environ.pop("SMOOTHCODE_CAP", None)
+        if cap is not None:
+            os.environ["SMOOTHCODE_CAP"] = cap
+        paths = {}
+        for name, payload in files.items():
+            paths[name] = os.path.join(tmp, f"{name}.json")
+            with open(paths[name], "w", encoding="utf-8") as f:
+                f.write(json.dumps(payload))
+        argv = [paths.get(tok, tok) for tok in argv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.run(argv)  # an uncaught exception fails the test
+    assert rc in (0, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if rc != 0:
+        assert out.getvalue() == "", argv

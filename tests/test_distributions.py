@@ -90,12 +90,13 @@ def test_new_distribution_validation():
         sc.shannon_entropy([1.0, math.nan])
 
 
-def test_total_mass_and_probabilities():
+def test_total_mass_and_probabilities(monkeypatch):
     dist = sc.new_distribution([0.5, 0.3, 0.2])
     assert dist.total_mass() == pytest.approx(1.0, abs=1e-12)
     assert dist.probabilities() == pytest.approx([0.5, 0.3, 0.2])
+    monkeypatch.setenv("SMOOTHCODE_CAP", "2")
     with pytest.raises(sc.TooLarge):
-        dist.probabilities(cap=2)
+        dist.probabilities()
 
 
 def test_from_atoms():
@@ -132,14 +133,15 @@ def test_iid_binary_example():
     assert [p for p, _ in got] == pytest.approx([0.49, 0.21, 0.09], abs=1e-12)
 
 
-def test_iid_rejects_bad_inputs():
+def test_iid_rejects_bad_inputs(monkeypatch):
     base = sc.new_distribution([0.7, 0.3])
     with pytest.raises(ValueError):
         sc.iid_extension(sc.iid_extension(base, 2), 2)
     with pytest.raises(ValueError):
         sc.iid_extension(base, 0)
+    monkeypatch.setenv("SMOOTHCODE_CAP", "50")
     with pytest.raises(sc.TooLarge):
-        sc.iid_extension(base, 100, cap=50)
+        sc.iid_extension(base, 100)
 
 
 def test_iid_matches_bruteforce():
@@ -384,16 +386,17 @@ def test_expansions_of_huge_runs_raise_too_large():
         code.inner
 
 
-def test_nonpositive_cap_is_rejected():
+def test_nonpositive_cap_is_rejected(monkeypatch):
     base = sc.new_distribution([0.5, 0.3, 0.2])
     spec = sc.mixture_spec([(1.0, [0.5, 0.5])])
-    for cap in (0, -3):
-        with pytest.raises(ValueError, match="cap must be >= 1"):
-            sc.iid_extension(base, 4, cap=cap)
-        with pytest.raises(ValueError, match="cap must be >= 1"):
-            sc.mixture_extension(spec, 4, cap=cap)
-        with pytest.raises(ValueError, match="cap must be >= 1"):
-            base.probabilities(cap=cap)
+    for cap in ("0", "-3"):
+        monkeypatch.setenv("SMOOTHCODE_CAP", cap)
+        with pytest.raises(ValueError, match="SMOOTHCODE_CAP must be >= 1"):
+            sc.iid_extension(base, 4)
+        with pytest.raises(ValueError, match="SMOOTHCODE_CAP must be >= 1"):
+            sc.mixture_extension(spec, 4)
+        with pytest.raises(ValueError, match="SMOOTHCODE_CAP must be >= 1"):
+            base.probabilities()
 
 
 def reference_walk(n, log_weights, level_log_probs, level_mults):

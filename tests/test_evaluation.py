@@ -263,7 +263,8 @@ def test_sandwich_compares_logs_beyond_float_range(monkeypatch):
 
     def above_direct(code, dist, lam):
         raw, credited, _ = walk(code, dist, lam)
-        return raw, credited, evaluation._log_direct(dist, 0.1, lam) + 1.0
+        log_direct = evaluation._log_direct(evaluation._lambda_entropy(dist, 0.1, lam), 0.1, lam)
+        return raw, credited, log_direct + 1.0
 
     monkeypatch.setattr(evaluation, "_walk", above_direct)
     with pytest.raises(sc.SandwichViolated):
