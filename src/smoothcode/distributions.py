@@ -20,12 +20,15 @@ from operator import add, floordiv, gt, mul, neg, sub
 from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 from .errors import BadMixture, EmptyDistribution, NotNormalized, TooLarge, count_text
-from .logspace import logsumexp
+from .logspace import LN2, logsumexp
 
 MASS_TOL = 1e-9
 # two probability levels merge into one atom iff their log-probs are this close
 MERGE_TOL = 1e-12
 DEFAULT_ATOM_CAP = 2_000_000
+# float probabilities (at most 1) span fewer than 2**11 binary exponents, so
+# an exact power-of-two relation between two of them shifts by less than this
+_MAX_SHIFT = 2**11
 
 T = TypeVar("T")
 
@@ -217,7 +220,8 @@ def distribution_from_atoms(pairs: Sequence[tuple[float, int]], n: int = 1) -> D
         except (TypeError, ValueError, OverflowError):  # not a number, nan or inf
             whole = False
         if not whole or mult < 1:
-            raise NotNormalized(f"multiplicities must be positive integers, got {mult!r}")
+            shown = count_text(mult) if isinstance(mult, int) else repr(mult)
+            raise NotNormalized(f"multiplicities must be positive integers, got {shown}")
         neg_lps.append(-lp)
         mults.append(int(mult))
     if not neg_lps:
@@ -400,6 +404,120 @@ def _type_class_atoms(
     return neg_lps, counts
 
 
+def _power_of_two_groups(
+    log_probs: Sequence[float], mults: Sequence[int]
+) -> tuple[list[float], list[list[int]], int]:
+    """The base levels grouped by exact power-of-two relation, decided once.
+
+    Levels i < j are related when log_probs[i] - log_probs[j] is s * ln 2 for
+    an integer 0 < s < _MAX_SHIFT, to within 2 ulps of log_probs[j]: the two
+    logs are each rounded to half an ulp, so float probabilities p and
+    p * 2**-s always pass. Levels come sorted largest first, so each group's
+    first level is its reference and every other member sits s >= 1 below it.
+    Shifts are then divided by their common gcd. Returns each group's
+    reference log-prob and its shift polynomial: entry t is the number of base
+    symbols t gcd-units below the reference.
+    """
+    refs: list[float] = []
+    members: list[list[tuple[int, int]]] = []
+    for lp, mult in zip(log_probs, mults):
+        for ref, group in zip(refs, members):
+            gap = ref - lp
+            if gap < _MAX_SHIFT * LN2:
+                s = round(gap / LN2)
+                if s and abs(gap - s * LN2) <= 2 * math.ulp(lp):
+                    group.append((s, mult))
+                    break
+        else:
+            refs.append(lp)
+            members.append([(0, mult)])
+    unit = math.gcd(*(s for group in members for s, _ in group)) or 1
+    polys = []
+    for group in members:
+        poly = [0] * (max(s for s, _ in group) // unit + 1)
+        for s, mult in group:
+            poly[s // unit] = mult
+        polys.append(poly)
+    return refs, polys, unit
+
+
+def _poly_mul(a: list[int], b: list[int]) -> list[int]:
+    """Coefficients of the product of two polynomials with exact integer coefficients."""
+    if len(a) < len(b):
+        a, b = b, a  # one column pass per coefficient of the shorter factor
+    out = [0] * (len(a) + len(b) - 1)
+    for s, coef in enumerate(b):
+        if coef:
+            end = s + len(a)
+            out[s:end] = map(add, out[s:end], map(mul, a, itertools.repeat(coef)))
+    return out
+
+
+def _poly_power(poly: list[int], c: int) -> list[int]:
+    """Coefficients of poly**c by J.C.P. Miller's recurrence, for poly[0] != 0.
+
+    From P * (P**c)' = c * P' * P**c: q[0] = a[0]**c, and
+    m * a[0] * q[m] = sum over k = 1..min(m, deg) of ((c + 1) * k - m) * a[k] * q[m - k],
+    so each coefficient is one exact division (Knuth, TAOCP vol. 2, 4.7).
+    """
+    a0, terms = poly[0], [(k, a) for k, a in enumerate(poly) if k and a]
+    q = [a0**c]
+    for m in range(1, c * (len(poly) - 1) + 1):
+        total = sum(((c + 1) * k - m) * a * q[m - k] for k, a in terms if k <= m)
+        q.append(total // (m * a0))
+    return q
+
+
+def _lattice_size(n: int, polys: Sequence[Sequence[int]]) -> int:
+    """Points _lattice_atoms visits, reachable or not, without visiting them.
+
+    It visits 1 + sum_g c_g * D_g total shifts for each composition (c_g) of n
+    among the G groups, where D_g is group g's largest shift. Over the
+    C(n + G - 1, G - 1) compositions each c_g sums to C(n + G - 1, G).
+    """
+    groups = len(polys)
+    spans = sum(len(poly) - 1 for poly in polys)
+    return math.comb(n + groups - 1, groups - 1) + spans * math.comb(n + groups - 1, groups)
+
+
+def _lattice_atoms(
+    n: int, refs: Sequence[float], polys: Sequence[list[int]], unit: int
+) -> tuple[list[float], list[int]]:
+    """Columns (-log_prob, multiplicity), one entry per nonempty lattice point.
+
+    A type class of the n-fold product puts c_g positions in group g, and its
+    probability is fixed by those counts and its total shift T:
+    sum_g c_g * refs[g] - T * unit * ln 2. The number of sequences at that
+    point is the multinomial n! / prod(c_g!) times the coefficient of x**T in
+    prod_g polys[g]**c_g, in exact integers. Several groups need every power
+    up to n, each one multiplication from the last; one group needs only the
+    n-th, which Miller's recurrence gives in far fewer big-int steps.
+    """
+    last = len(polys) - 1
+    if last:
+        powers = [list(itertools.accumulate([poly] * n, _poly_mul, initial=[1])) for poly in polys]
+    else:
+        powers = [{n: _poly_power(polys[0], n)}]
+    neg_lps: list[float] = []
+    counts: list[int] = []
+
+    def split(g: int, rem: int, factor: int, coefs: list[int], log_prob: float) -> None:
+        for c in range(rem + 1) if g < last else (rem,):
+            here = _poly_mul(coefs, powers[g][c])
+            lp = log_prob + c * refs[g]
+            if g < last:
+                split(g + 1, rem - c, factor * math.comb(rem, c), here, lp)
+                continue
+            shifts = map(mul, range(0, unit * len(here), unit), itertools.repeat(LN2))
+            lps = map(sub, itertools.repeat(lp), shifts)
+            neg_lps.extend(map(neg, itertools.compress(lps, here)))
+            counts.extend(map(mul, itertools.repeat(factor), filter(None, here)))
+
+    split(0, n, 1, [1], 0.0)
+    del split  # the same closure cycle as _type_class_atoms' walk
+    return neg_lps, counts
+
+
 def _guard_class_count(n: int, bins: int) -> None:
     cap = atom_cap()
     n_classes = math.comb(n + bins - 1, bins - 1)
@@ -415,7 +533,9 @@ def iid_extension(base: Distribution, n: int) -> Distribution:
     A type class records how many of the n positions land in each probability
     level of the base; every sequence in a class has the same probability, and
     the class size is an exact product of a multinomial coefficient with the
-    level multiplicities.
+    level multiplicities. When base levels differ by exact powers of two, many
+    classes share one probability, and the levels are built on the lattice of
+    _lattice_atoms instead, whenever it has fewer points than there are classes.
     """
     if base.n != 1:
         raise ValueError("base distribution must live on a single letter (n = 1)")
@@ -423,8 +543,13 @@ def iid_extension(base: Distribution, n: int) -> Distribution:
         raise ValueError("blocklength must be >= 1")
     if n == 1:
         return base
-    _guard_class_count(n, len(base.mults))
-    columns = _type_class_atoms(n, [0.0], [base.log_probs], base.mults)
+    bins = len(base.mults)
+    _guard_class_count(n, bins)
+    refs, polys, unit = _power_of_two_groups(base.log_probs, base.mults)
+    if _lattice_size(n, polys) < math.comb(n + bins - 1, bins - 1):
+        columns = _lattice_atoms(n, refs, polys, unit)
+    else:
+        columns = _type_class_atoms(n, [0.0], [base.log_probs], base.mults)
     return _check_mass(Distribution(*_normalize_atoms(*columns), n=n))
 
 

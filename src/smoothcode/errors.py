@@ -55,11 +55,13 @@ def count_text(n: int) -> str:
     """A count for an error message: decimal up to 64 bits, then its bit length.
 
     Python refuses to print an int of more than 4300 decimal digits, and the
-    exact counts of long type classes pass that size.
+    exact counts of long type classes pass that size. A negative value keeps
+    its sign, so a huge rejected input never reads as a positive count.
     """
     if n.bit_length() <= 64:
         return str(n)
-    return f"2**{n.bit_length() - 1} or more"
+    bound = f"2**{n.bit_length() - 1}"
+    return f"{bound} or more" if n > 0 else f"-{bound} or less"
 
 
 def check_eps(eps: float) -> None:

@@ -697,6 +697,8 @@ BAD_INPUTS = [
     ("spec", {"components": [{"weight": True, "probs": [1.0]}]}),
     ("spec", {"components": [{"weight": 1.0, "probs": ["1.0"]}]}),
     ("spec", {"components": [{"weight": 1.0, "probs": "1"}]}),
+    # a huge rejected multiplicity is named by its size, not printed in full
+    ("dist", {"atoms": [{"log_prob": 0.0, "multiplicity": -(10**400)}]}),
 ]
 
 
@@ -712,6 +714,7 @@ def test_malformed_input_files_exit_2(capsys, tmp_path, dist_file, kind, payload
     rc, out, err = run_cli(capsys, argv + [str(path)])
     assert rc == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+    assert len(err.encode()) < 120
 
 
 def dumped(code):

@@ -1,17 +1,20 @@
 import itertools
 import math
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import smoothcode as sc
 from smoothcode.distributions import (
     MERGE_TOL,
     WeightedAtom,
+    _lattice_atoms,
     _normalize_atoms,
+    _power_of_two_groups,
     _scaled_logs,
     _type_class_atoms,
 )
@@ -106,6 +109,10 @@ def test_from_atoms():
         sc.distribution_from_atoms([(math.log(0.25), 3)])
     with pytest.raises(sc.NotNormalized):
         sc.distribution_from_atoms([(math.log(0.5), 0)])
+    with pytest.raises(sc.NotNormalized, match=r"got -2\*\*1328 or less$"):
+        sc.distribution_from_atoms([(0.0, -(10**400))])
+    with pytest.raises(sc.NotNormalized, match=r"got 2\.5$"):
+        sc.distribution_from_atoms([(0.0, 2.5)])
     with pytest.raises(sc.NotNormalized):
         sc.distribution_from_atoms([(0.5, 1)])
     with pytest.raises(sc.EmptyDistribution):
@@ -531,3 +538,77 @@ def test_levels_do_not_depend_on_input_order(weights, eps, lam, data):
         assert a == b
         assert sc.optimal_smoothing(a, eps) == sc.optimal_smoothing(b, eps)
         assert _report_or_error(a, eps, lam) == _report_or_error(b, eps, lam)
+
+
+MERGE_SOURCE = [0.5] + [2**-10] * 511 + [2**-19] * 512
+
+
+@pytest.mark.parametrize("n, levels", [(400, 801), (700, 1401), (1000, 2001)])
+def test_power_of_two_levels_never_split(n, levels):
+    # every probability is a power of two, 2**-(n + 9T) for a total shift
+    # 0 <= T <= 2n, so there are exactly 2n + 1 levels; an absolute float merge
+    # split some of them (802 / 1,738 / 3,256 levels)
+    dist = sc.iid_extension(sc.new_distribution(MERGE_SOURCE), n)
+    assert len(dist.log_probs) == levels
+    assert sum(dist.mults) == 1024**n
+
+
+@st.composite
+def shared_mantissa_bases(draw):
+    """Probabilities from a few mantissas, each scaled by a few powers of two.
+
+    Dividing by the float total keeps every power-of-two relation exact.
+    """
+    raw = []
+    for mantissa in draw(st.lists(st.floats(0.5, 1.0, exclude_max=True), min_size=1, max_size=3)):
+        shifts = draw(st.lists(st.integers(0, 12), min_size=1, max_size=3, unique=True))
+        for s in shifts:
+            raw += [math.ldexp(mantissa, -s)] * draw(st.integers(1, 3))
+    total = math.fsum(raw)
+    return [p / total for p in raw]
+
+
+def blocklengths(base, classes=5000):
+    """n from 2 to 40, kept to at most `classes` type classes so the walk stays quick."""
+    bins = len(base.mults)
+    top = max(n for n in range(2, 41) if n == 2 or math.comb(n + bins - 1, bins - 1) <= classes)
+    return st.integers(2, top)
+
+
+@given(probs=shared_mantissa_bases(), data=st.data())
+def test_lattice_levels_match_the_walk(probs, data):
+    base = sc.new_distribution(probs)
+    n = data.draw(blocklengths(base))
+    refs, polys, unit = _power_of_two_groups(base.log_probs, base.mults)
+    lattice_lps, lattice_mults = _normalize_atoms(*_lattice_atoms(n, refs, polys, unit))
+    walk_lps, walk_mults = _normalize_atoms(
+        *_type_class_atoms(n, [0.0], [base.log_probs], base.mults)
+    )
+    assert lattice_mults == walk_mults
+    assert lattice_lps == pytest.approx(walk_lps, rel=1e-12)
+    dist = sc.iid_extension(base, n)
+    assert dist.mults == walk_mults
+    assert sum(dist.mults) == len(probs) ** n
+
+
+def power_of_two_related(p, q):
+    ratio = Fraction(max(p, q)) / Fraction(min(p, q))
+    return ratio.denominator == 1 and ratio.numerator & (ratio.numerator - 1) == 0
+
+
+@given(
+    weights=st.lists(st.floats(0.01, 1.0), min_size=2, max_size=5),
+    mults=st.lists(st.integers(1, 3), min_size=5, max_size=5),
+    data=st.data(),
+)
+def test_unrelated_bases_keep_the_walk_bit_for_bit(weights, mults, data):
+    raw = [w for w, m in zip(weights, mults) for _ in range(m)]
+    total = math.fsum(raw)
+    probs = [w / total for w in raw]
+    levels = set(probs)
+    assume(not any(power_of_two_related(p, q) for p, q in itertools.combinations(levels, 2)))
+    base = sc.new_distribution(probs)
+    n = data.draw(blocklengths(base))
+    got = sc.iid_extension(base, n)
+    expected = reference_merge(reference_walk(n, [0.0], [base.log_probs], base.mults))
+    assert atom_bits(got.atoms) == atom_bits(expected)
