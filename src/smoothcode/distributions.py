@@ -328,6 +328,78 @@ def _count_rows(n: int, low: int, m_pen: int, m_last: int) -> dict[int, list[int
     return rows
 
 
+def _dominant_spans(
+    ends: Sequence[tuple[float, float]], rem: int, gap: float
+) -> list[tuple[int, int, int | None]]:
+    """Spans (lo, hi, c) that cover the classes h = 0..rem of a row, in order.
+
+    ends[c] holds component c's log-prob at h = 0 and at h = rem, and in
+    between it is affine in h, so the gap from c to each other component d
+    crosses `gap` at most once. On lo <= h < hi, component c lies at least
+    `gap` above every other one; c is None on the contested spans between.
+    Since gap > 0, no two components hold the same h.
+    """
+    found = []
+    for c, (first, last) in enumerate(ends):
+        lo, hi = 0, rem
+        for d, (first_d, last_d) in enumerate(ends):
+            if d == c:
+                continue
+            a, b = first - first_d, last - last_d  # the gap to d at h = 0 and at h = rem
+            if a == b:
+                if a < gap:
+                    break
+            elif b > a:  # rising: held from h = q on, clipped before ceil so q = inf is safe
+                lo = max(lo, math.ceil(min((gap - a) * rem / (b - a), rem + 1)))
+            else:  # falling: held up to h = q
+                hi = min(hi, math.floor(max((gap - a) * rem / (b - a), -1)))
+        else:
+            if lo <= hi:
+                found.append((lo, hi + 1, c))
+    spans: list[tuple[int, int, int | None]] = []
+    h = 0
+    for lo, hi, c in sorted(found):
+        if h < lo:
+            spans.append((h, lo, None))
+        spans.append((lo, hi, c))
+        h = hi
+    if h <= rem:
+        spans.append((h, rem + 1, None))
+    return spans
+
+
+# one component's (log weight, partial log-sum, second-to-last and last bin tables) in a row
+_RowPart = tuple[float, float, list[float], list[float]]
+
+
+def _column(part: _RowPart, rem: int, lo: int, hi: int) -> list[float]:
+    """One component's log-probs of the classes lo <= h < hi of a row.
+
+    Class h holds h positions in the second-to-last bin and rem - h in the
+    last, at w + ((s + pen[h]) + last[rem - h]), summed in the order of a
+    per-class walk.
+    """
+    w, s, pen, last = part
+    pen_sums = map(add, itertools.repeat(s), pen[lo:hi])
+    lasts = reversed(last[rem - hi + 1 : rem - lo + 1])
+    return list(map(add, itertools.repeat(w), map(add, pen_sums, lasts)))
+
+
+def _mixture_column(parts: Sequence[_RowPart], rem: int, lo: int, hi: int) -> list[float]:
+    """The mixture's log-probs of the classes lo <= h < hi of a row.
+
+    The logsumexp per class runs as column operations, bit-identical to
+    logspace.logsumexp, since fsum is exactly rounded and exp(-inf) is 0. A
+    class of zero mass has max -inf and comes out nan.
+    """
+    cols = [_column(part, rem, lo, hi) for part in parts]
+    if len(cols) == 1:
+        return cols[0]
+    mx = list(map(max, *cols))
+    shifted = [map(math.exp, map(sub, col, mx)) for col in cols]
+    return list(map(add, mx, map(math.log, map(math.fsum, zip(*shifted)))))
+
+
 def _type_class_atoms(
     n: int,
     log_weights: Sequence[float],
@@ -343,18 +415,29 @@ def _type_class_atoms(
     are walked in lexicographic order of their counts, which fixes the order
     of the entries, and classes of zero mass under every component are skipped.
 
-    The walk goes down the prefix tree of counts to the second-to-last bin. A
-    node that has placed all but rem positions carries each component's
-    partial log-sum and the exact integer product of C(rem_i, h_i) * m_i**h_i
-    over the bins fixed so far; raising bin j's count from h - 1 to h
-    multiplies that prefix by m_j * (rem - h + 1) and divides it, exactly, by
-    h. The rem + 1 classes below a second-to-last-bin node, h positions there
-    and rem - h in the last bin, are then taken at once as columns: each
-    component's log-probs by table lookups, the mixture's logsumexp per class
-    as column operations (bit-identical to logspace.logsumexp, since fsum is
-    exactly rounded and exp(-inf) is 0), and the counts as the prefix times
-    row rem of _count_rows. Per node of the walk the Python work is
-    constant; per class it runs inside the builtins.
+    The walk goes down the prefix tree of counts, depth first from an explicit
+    stack, to the second-to-last bin. A node that has placed all but rem
+    positions carries each component's partial log-sum and the exact integer
+    product of C(rem_i, h_i) * m_i**h_i over the bins fixed so far; raising
+    bin j's count from h - 1 to h multiplies that prefix by m_j * (rem - h + 1)
+    and divides it, exactly, by h. The rem + 1 classes below a
+    second-to-last-bin node, h positions there and rem - h in the last bin,
+    form a row and are taken at once as columns: log-probs by table lookups
+    and column operations, and the counts as the prefix times row rem of
+    _count_rows. Per node of the walk the Python work is constant; per class
+    it runs inside the builtins.
+
+    Along a row each of the k components' log-probs is affine in h. Where one
+    component lies at least gap = 53 ln 2 + ln(k - 1) + 1 above every other,
+    the mixture's logsumexp returns that component's log-prob to the bit: each
+    of the k - 1 other terms exp(col - mx) is below 2**-53 / (k - 1) / e, so
+    their sum is below 2**-53, half an ulp of 1.0; fsum([1.0, *terms]) rounds
+    to 1.0, log(1.0) is 0.0, and mx + 0.0 is mx. The extra nat covers the
+    rounding of exp and of each class's sums against the straight line through
+    the row's end points, a few ulps of a log-prob of size at most about
+    745 * n: far below a nat for any n whose classes fit in memory. So those
+    classes take one component's column, and only the contested spans between
+    run the logsumexp (see _dominant_spans).
     """
     if len(level_mults) == 1:
         # one bin: walk it as two, behind an empty bin that every class leaves at 0
@@ -364,43 +447,54 @@ def _type_class_atoms(
     m_pen, m_last = level_mults[-2], level_mults[-1]
     tables = [[_scaled_logs(comp[j], n) for comp in level_log_probs] for j in range(bins)]
     pen_tables, last_tables = tables[-2], tables[-1]
-    # a two-bin walk reaches the second-to-last bin only with rem = n
-    rows = _count_rows(n, n if bins == 2 else 0, m_pen, m_last)
+    # a two-bin walk reaches the second-to-last bin only with rem = n, and a
+    # node with rem = 0 is a single class that never gets there
+    rows = _count_rows(n, n if bins == 2 else 1, m_pen, m_last)
+    gap = 53 * LN2 + math.log(len(log_weights) - 1 or 1) + 1.0
     neg_lps: list[float] = []
     counts: list[int] = []
 
     def leaves(rem: int, prefix: int, sums: list[float]) -> None:
-        # class h puts h positions in the second-to-last bin and rem - h in the last:
-        # w + ((s + pen[h]) + last[rem - h]), summed in the order of a per-class walk
-        cols = []
-        for w, s, pen, last in zip(log_weights, sums, pen_tables, last_tables):
-            pen_sums = map(add, itertools.repeat(s), pen[: rem + 1])
-            cols.append(list(map(add, itertools.repeat(w), map(add, pen_sums, last[rem::-1]))))
-        if len(cols) == 1:
-            lps = cols[0]
-        else:
-            # a class of zero mass has max -inf and comes out nan; the filter drops it
-            mx = list(map(max, *cols))
-            shifted = [map(math.exp, map(sub, col, mx)) for col in cols]
-            lps = list(map(add, mx, map(math.log, map(math.fsum, zip(*shifted)))))
+        parts = list(zip(log_weights, sums, pen_tables, last_tables))
+        ends = [(w + ((s + pen[0]) + last[rem]), w + ((s + pen[rem]) + last[0]))
+                for w, s, pen, last in parts]
+        row_counts = map(mul, itertools.repeat(prefix), rows[rem])
+        if all(map(math.isfinite, itertools.chain.from_iterable(ends))):
+            # every class of the row is finite, so none is dropped
+            for lo, hi, c in _dominant_spans(ends, rem, gap):
+                if c is None:
+                    neg_lps.extend(map(neg, _mixture_column(parts, rem, lo, hi)))
+                else:
+                    neg_lps.extend(map(neg, _column(parts[c], rem, lo, hi)))
+            counts.extend(row_counts)
+            return
+        # a zero-probability letter: classes of zero mass come out -inf or nan
+        lps = _mixture_column(parts, rem, 0, rem + 1)
         keep = list(map(math.isfinite, lps))
         neg_lps.extend(map(neg, itertools.compress(lps, keep)))
-        counts.extend(itertools.compress(map(mul, itertools.repeat(prefix), rows[rem]), keep))
+        counts.extend(itertools.compress(row_counts, keep))
 
-    def walk(j: int, rem: int, prefix: int, sums: list[float]) -> None:
+    stack = [(0, n, 1, [0.0] * len(log_weights))]
+    while stack:
+        j, rem, prefix, sums = stack.pop()
+        if not rem:
+            # one class: each bin left would add t[0] = +-0.0 to every sum, and a
+            # sum that starts at 0.0 is never -0.0, so it would stay as it is
+            lp = logsumexp(map(add, log_weights, sums))
+            if lp > -math.inf:
+                neg_lps.append(-lp)
+                counts.append(prefix)
+            continue
         if j == bins - 2:
             leaves(rem, prefix, sums)
-            return
+            continue
         m, bin_tables = level_mults[j], tables[j]
+        children = []
         for h in range(rem + 1):
             if h:
                 prefix = prefix * (m * (rem - h + 1)) // h
-            walk(j + 1, rem - h, prefix, [s + t[h] for s, t in zip(sums, bin_tables)])
-
-    walk(0, n, 1, [0.0] * len(log_weights))
-    # walk reaches itself through its closure; without this cycle the columns
-    # are freed as soon as the caller drops them, not at the next collection
-    del walk
+            children.append((j + 1, rem - h, prefix, [s + t[h] for s, t in zip(sums, bin_tables)]))
+        stack.extend(reversed(children))  # popped in order of h, as a recursive walk visits them
     return neg_lps, counts
 
 
@@ -514,7 +608,9 @@ def _lattice_atoms(
             counts.extend(map(mul, itertools.repeat(factor), filter(None, here)))
 
     split(0, n, 1, [1], 0.0)
-    del split  # the same closure cycle as _type_class_atoms' walk
+    # split reaches itself through its closure; without this cycle the columns
+    # are freed as soon as the caller drops them, not at the next collection
+    del split
     return neg_lps, counts
 
 

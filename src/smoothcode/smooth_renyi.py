@@ -70,11 +70,13 @@ def optimal_smoothing(dist: Distribution, eps: float) -> SubDistribution:
         b -= 1
     cum_before = math.fsum(masses[:b])
     reached = target - NEED_ULPS * math.ulp(target)
-    while b > 0 and cum_before >= reached:
+    if cum_before >= reached:
         # the running sum came out below the exact prefix sum, or the mass
         # still missing is float noise: the levels before b already reach the
-        # target, so the boundary is earlier
-        b -= 1
+        # target, so the boundary is the last level before the first prefix
+        # that does. fsum is exactly rounded, so it never falls as the prefix
+        # grows, and a bisection finds that prefix (the empty one falls short)
+        b = bisect_left(range(b), True, key=lambda i: math.fsum(masses[:i]) >= reached) - 1
         cum_before = math.fsum(masses[:b])
     boundary_lp = lps[b]
     need = target - cum_before

@@ -230,6 +230,19 @@ def test_oracle_smoothing_trials_past_the_cap_exit_3(capsys, dist_file):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_mixture_over_a_thousand_letters_exits_0(capsys, tmp_path):
+    # the type-class walk once took one stack frame per letter, and this spec
+    # exited 1 with a RecursionError traceback
+    spec = tmp_path / "uniform.json"
+    spec.write_text(json.dumps({"components": [{"weight": 1.0, "probs": [0.001] * 1000}]}))
+    argv = ["mixture", "--spec", str(spec), "--alpha", "0.5", "--eps", "0.1", "--n-list", "2"]
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 0 and err == ""
+    (entry,) = json.loads(out)["entries"]
+    # 10**6 blocks of mass 1e-6, 900,000 of them kept: ln(900,000 * 1e-3) / (1 - 0.5) / 2
+    assert entry["value"] == pytest.approx(math.log(900.0), rel=1e-12)
+
+
 def test_mixture_csv_format(capsys, spec_file):
     rc, out, _ = run_cli(
         capsys,

@@ -1,14 +1,16 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import smoothcode as sc
+from smoothcode import distributions
 from smoothcode.distributions import (
     MERGE_TOL,
     WeightedAtom,
@@ -488,6 +490,115 @@ def test_column_engine_matches_reference_walk(source, n):
     assert [float_bits(e[0]) for e in got] == [float_bits(e[0]) for e in expected]
     merged = map(WeightedAtom, *_normalize_atoms(*columns))
     assert atom_bits(merged) == atom_bits(reference_merge(expected))
+
+
+MIX2 = [(0.6, [0.5, 0.5]), (0.4, [0.89, 0.11])]
+MIX3 = [(0.5, [0.4, 0.35, 0.25]), (0.3, [0.6, 0.3, 0.1]), (0.2, [0.8, 0.15, 0.05])]
+
+
+def mixture_engine_args(pairs):
+    """(log_weights, level_log_probs, level_mults) of a mixture, as mixture_extension passes them."""
+    log_weights = [math.log(w) for w, _ in pairs]
+    level_log_probs = [[math.log(p) if p > 0.0 else -math.inf for p in ps] for _, ps in pairs]
+    return log_weights, level_log_probs, [1] * len(pairs[0][1])
+
+
+def assert_engine_matches_reference(n, log_weights, level_log_probs, mults):
+    columns = _type_class_atoms(n, log_weights, level_log_probs, mults)
+    expected = reference_walk(n, log_weights, level_log_probs, mults)
+    assert list(zip(*columns)) == [(neg_lp, count) for neg_lp, _, count in expected]
+    assert [float_bits(x) for x in columns[0]] == [float_bits(e[0]) for e in expected]
+
+
+@pytest.mark.parametrize("pairs, n", [(MIX3, 300), (MIX2, 4096)])
+def test_engine_matches_reference_walk_where_one_component_dominates(pairs, n):
+    # most of these classes take one component's column, not the log-sum-exp
+    assert_engine_matches_reference(n, *mixture_engine_args(pairs))
+
+
+@st.composite
+def skewed_sources(draw):
+    """Mixtures of 2-4 components whose levels spread over many nats, with zeros.
+
+    Blocklengths go up to 200, kept to at most 5,000 classes, so that many
+    classes have one component far above the others and the walk stays quick.
+    """
+    bins = draw(st.integers(1, 3))
+    mults = draw(st.lists(st.integers(1, 3), min_size=bins, max_size=bins))
+    n_comps = draw(st.integers(2, 4))
+    raw_w = draw(st.lists(st.floats(-8.0, 0.0).map(math.exp), min_size=n_comps, max_size=n_comps))
+    log_weights = [math.log(w / math.fsum(raw_w)) for w in raw_w]
+    level = st.one_of(st.just(0.0), st.floats(-20.0, 0.0).map(math.exp))
+    level_log_probs = []
+    for _ in range(n_comps):
+        raw = draw(st.lists(level, min_size=bins, max_size=bins).filter(any))
+        total = math.fsum(m * p for m, p in zip(mults, raw))
+        level_log_probs.append([math.log(p / total) if p > 0.0 else -math.inf for p in raw])
+    top = max(n for n in range(1, 201) if math.comb(n + bins - 1, bins - 1) <= 5000)
+    return draw(st.integers(1, top)), log_weights, level_log_probs, mults
+
+
+@settings(deadline=None)  # the reference walk visits up to 5,000 classes one by one
+@given(source=skewed_sources())
+def test_engine_matches_reference_walk_on_skewed_mixtures(source):
+    assert_engine_matches_reference(*source)
+
+
+def test_dominated_classes_lie_past_float_resolution(monkeypatch):
+    # every class the engine hands to one component must have each other
+    # component's float log-prob at least 53 ln 2 + ln(k - 1) below it, and the
+    # spans must carry at least half of MIX3's classes at n=300: a silent
+    # fallback to the full log-sum-exp fails here
+    calls = []
+
+    def recording(ends, rem, gap, spans_of=distributions._dominant_spans):
+        spans = spans_of(ends, rem, gap)
+        calls.append((ends, rem, spans))
+        return spans
+
+    monkeypatch.setattr(distributions, "_dominant_spans", recording)
+    n, k = 300, 3
+    log_weights, level_log_probs, mults = mixture_engine_args(MIX3)
+    _type_class_atoms(n, log_weights, level_log_probs, mults)
+    bound = 53 * math.log(2) + math.log(k - 1)
+    tables = [[_scaled_logs(lp, n) for lp in comp] for comp in level_log_probs]
+    # one row per count h0 of the first bin, in walk order; h0 = n is one class, no row
+    assert [rem for _, rem, _ in calls] == list(range(n, 0, -1))
+    marked = 0
+    for h0, (ends, rem, spans) in enumerate(calls):
+        cols = [
+            [w + (((0.0 + t[0][h0]) + t[1][h]) + t[2][rem - h]) for h in range(rem + 1)]
+            for w, t in zip(log_weights, tables)
+        ]
+        assert list(ends) == [(col[0], col[-1]) for col in cols]
+        assert [lo for lo, _, _ in spans] == [0] + [hi for _, hi, _ in spans[:-1]]
+        assert spans[-1][1] == rem + 1
+        for lo, hi, c in spans:
+            if c is None:
+                continue
+            marked += hi - lo
+            for h in range(lo, hi):
+                assert all(cols[d][h] - cols[c][h] <= -bound for d in range(k) if d != c)
+    assert 2 * marked >= math.comb(n + 2, 2)  # 45,451 classes
+
+
+def test_walk_depth_and_cost_do_not_grow_with_the_bins():
+    # a walk that recursed once per bin overflowed the recursion limit on this
+    # 1,000-level base, and one that descended through every bin for each class
+    # took seconds on a few hundred levels at n=2
+    rng = random.Random(11)
+    raw = [1.0 + rng.random() for _ in range(1000)]
+    total = math.fsum(raw)
+    base = sc.new_distribution([r / total for r in raw])
+    refs, _, _ = _power_of_two_groups(base.log_probs, base.mults)
+    assert len(base.mults) == len(refs) == 1000  # no relation, so the walk builds it
+    dist = sc.iid_extension(base, 2)
+    # the classes of n=2 are the pairs i <= j, at lp_i + lp_j, 2 sequences each for i < j
+    lps = base.log_probs
+    pairs = [(lps[i] + lps[j], 2 - (i == j)) for i in range(1000) for j in range(i, 1000)]
+    expected = _normalize_atoms([-lp for lp, _ in pairs], [m for _, m in pairs])
+    assert (dist.log_probs, dist.mults) == expected
+    assert sum(dist.mults) == 1000**2
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 100])

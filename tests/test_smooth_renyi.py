@@ -1,9 +1,15 @@
+import functools
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import smoothcode as sc
+from smoothcode.smooth_renyi import NEED_ULPS
 
 WORKED = [0.5, 0.3, 0.2]
 R_WORKED = math.sqrt(0.5) + math.sqrt(0.3) + math.sqrt(0.1)  # power sum of Q* at eps=0.1
@@ -162,6 +168,55 @@ def test_entropy_nonincreasing_in_eps():
         values = [sc.smooth_renyi_entropy(dist, alpha, e) for e in eps_grid]
         for a, b in zip(values, values[1:]):
             assert b <= a + 1e-12
+
+
+MIXTURES = {
+    2: [(0.6, [0.5, 0.5]), (0.4, [0.89, 0.11])],
+    3: [(0.5, [0.4, 0.35, 0.25]), (0.3, [0.6, 0.3, 0.1]), (0.2, [0.8, 0.15, 0.05])],
+}
+
+
+@functools.lru_cache(maxsize=None)
+def mixture_at(k, n):
+    return sc.mixture_extension(sc.mixture_spec(MIXTURES[k]), n)
+
+
+# blocklengths where many classes take one component's column in the engine;
+# the first example of each builds its extension, hence no deadline
+@settings(deadline=None)
+@given(
+    source=st.sampled_from([(2, 1024), (2, 4096), (3, 100), (3, 200)]),
+    alpha=st.floats(0.05, 0.95),
+    eps=st.lists(st.floats(0.0, 0.95), min_size=2, max_size=2).map(sorted),
+)
+def test_mixture_entropy_nonincreasing_in_eps(source, alpha, eps):
+    dist = mixture_at(*source)
+    low, high = (sc.smooth_renyi_entropy(dist, alpha, e) for e in eps)
+    # float slack: a change of the boundary level can move the log-sum-exp's
+    # shift and with it the rounding of every term's exponent, an ulp of
+    # log-probs that grow with n; 1e-12 of the entropy covers that many times
+    assert high <= low + 1e-12 * abs(low)
+
+
+def test_boundary_below_float_noise_is_bisected(monkeypatch):
+    # at eps=0 the last 4,924 of these 20,301 levels hold less mass than float
+    # noise, so the boundary moves back past them; one exactly rounded prefix
+    # sum per level moved took 15 s here
+    dist = mixture_at(3, 200)
+    real_fsum, calls = math.fsum, []
+    monkeypatch.setattr(math, "fsum", lambda values: calls.append(1) or real_fsum(values))
+    sub = sc.optimal_smoothing(dist, 0.0)
+    monkeypatch.undo()
+    assert len(calls) < 40
+    # the boundary level b is the last before the first prefix whose exactly
+    # rounded mass reaches 1 within NEED_ULPS
+    masses = [math.exp(lp + math.log(m)) for lp, m in zip(dist.log_probs, dist.mults)]
+    reached = 1.0 - NEED_ULPS * math.ulp(1.0)
+    prefixes = itertools.accumulate(map(Fraction, masses), initial=Fraction(0))
+    b = next(i for i, mass in enumerate(prefixes) if float(mass) >= reached) - 1
+    assert b == 15377
+    assert sub.log_probs[:b] == dist.log_probs[:b] and sub.mults[:b] == dist.mults[:b]
+    assert len(sub.mults) in (b + 1, b + 2)  # the boundary keeps j - 1 whole symbols, then one
 
 
 def test_smooth_max_entropy_examples():
