@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from operator import neg, not_, sub, truediv
 from typing import Sequence
 
-from .distributions import MixtureSpec, _log_masses, mixture_extension
+from .distributions import MixtureSpec, mixture_extension
 from .errors import check_eps, check_lambda
 from .smooth_renyi import smooth_renyi_entropy
 
@@ -94,8 +94,9 @@ def entropy_rate_series(
     component, limit = theoretical_limit(spec, eps)
     entries = []
     for n in n_list:
-        dist = mixture_extension(spec, n)
-        entries.append((n, smooth_renyi_entropy(dist, alpha, eps) / n))
+        # no name holds the distribution, so each one, with its mass column,
+        # is freed before the next blocklength is built
+        entries.append((n, smooth_renyi_entropy(mixture_extension(spec, n), alpha, eps) / n))
     return RateSeries(
         alpha=alpha, eps=eps, entries=tuple(entries), limit=limit, component=component
     )
@@ -121,7 +122,7 @@ def spectrum_probability(spec: MixtureSpec, query: SpectrumQuery) -> float:
         gaps = map(abs, map(sub, rates, itertools.repeat(query.threshold)))
         keep = map((query.gamma + slack).__ge__, gaps)
     keep = list(keep)
-    masses = list(map(math.exp, _log_masses(dist.log_probs, dist.mults)))
+    masses = dist._masses
     kept = math.fsum(itertools.compress(masses, keep))
     dropped = math.fsum(itertools.compress(masses, map(not_, keep)))
     return 1.0 - dropped if kept > dropped else kept

@@ -14,8 +14,9 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from operator import add, floordiv, gt, mul, neg, sub
 from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
@@ -84,9 +85,10 @@ class Distribution:
     """A finite distribution as levels sorted by strictly decreasing log-prob.
 
     log_probs[i] is the log-prob of one symbol of level i and mults[i] the
-    exact number of symbols at that level; nothing else is stored, so equal
+    exact number of symbols at that level; nothing else is compared, so equal
     levels make equal distributions whatever order they were given in. `n`
     is the blocklength the distribution lives on (1 for a single letter).
+    Beside the fields sits one cache, the column of level masses (_masses).
     """
 
     log_probs: tuple[float, ...]
@@ -103,6 +105,19 @@ class Distribution:
             raise NotNormalized("atoms must be sorted by strictly decreasing log-prob")
         if min(mults) < 1:
             raise NotNormalized("atom multiplicities must be >= 1")
+
+    @cached_property
+    def _masses(self) -> tuple[float, ...]:
+        """exp(log(multiplicity) + log_prob) of each level: its total mass.
+
+        Built on first use and kept, since the mass check, the smoothing and
+        the spectrum each read it whole. It is not a field: ==, hash and repr
+        never see it, and __getstate__ leaves it out of pickles and copies.
+        """
+        return tuple(map(math.exp, _log_masses(self.log_probs, self.mults)))
+
+    def __getstate__(self) -> dict:
+        return {"log_probs": self.log_probs, "mults": self.mults, "n": self.n}
 
     @property
     def atoms(self) -> tuple[WeightedAtom, ...]:
@@ -160,6 +175,39 @@ def _normalize_atoms(
 
 
 def _check_mass(dist: Distribution) -> Distribution:
+    """dist, if its total mass is 1 within MASS_TOL; NotNormalized if not.
+
+    The decision is that of the total T = exp(logsumexp) of the level
+    log-masses L_i, which also writes every message. A plain sum S of the
+    mass column settles it at once wherever S is far enough inside the
+    tolerance. With u = 2**-53, N levels and E the exact sum of exp(L_i)
+    (both totals start from the same float L_i):
+    - S: each entry is exp(L_i) within one ulp, a relative 2u, and a
+      recursive sum of N nonnegative terms adds at most a relative (N - 1)u
+      (Higham, Accuracy and Stability of Numerical Algorithms, 4.2); the
+      compensated float sum of Python 3.12 on adds less. So
+      |S - E| <= (N + 1)u * E.
+    - T: with m = max L_i, rounding L_i - m moves exp(L_i - m) by a relative
+      (m - L_i)u, which weighs at most exp(-1)u against the shifted sum,
+      whose largest term is 1; with exp's 2u each term is off by at most
+      (1/e + 2 exp(L_i - m))u, so N/e + 2 relative to the sum. fsum rounds
+      once (u), log of a sum below N is off by 2u ln N, adding m rounds by
+      u |ln T|, at most u near 1, and the last exp is 2u. So
+      |T - E| <= (N/e + 2 ln N + 6)u * E.
+    Near 1, E is 1 within 2e-9, so |S - T| <= (2N + 64)u wherever that margin
+    is below MASS_TOL, with at least 0.6N + 26 ulps to spare for the
+    second-order terms, masses that underflow (2**-1074 each at most) and the
+    rounding of the margin below. A sum within MASS_TOL - (2N + 64)u of 1
+    thus puts T within MASS_TOL of 1, where the exact check accepts too.
+    Every other sum, and a column whose entry overflows, goes to the exact
+    check as it stands.
+    """
+    try:
+        total = sum(dist._masses)
+    except OverflowError:  # a level's mass past float range: the exact check says so
+        total = math.inf
+    if abs(total - 1.0) <= MASS_TOL - (2 * len(dist.mults) + 64) * 2.0**-53:
+        return dist
     try:
         total = dist.total_mass()
     except OverflowError:  # exp of a log total past about 709.78
@@ -653,19 +701,18 @@ def mixture_extension(spec: MixtureSpec, n: int) -> Distribution:
     """Blocklength-n distribution of a mixture of memoryless components.
 
     The probability of a sequence depends only on its symbol counts, so one
-    atom per type class over the shared alphabet; classes whose mixture
-    probabilities coincide merge into a single atom. Classes of zero mass under
-    every component are left out.
+    atom per type class; classes whose mixture probabilities coincide merge
+    into a single atom. Letters with equal probabilities under every component
+    share one bin, in the order of their first letter, and a class counts
+    positions per bin. Classes of zero mass under every component are left out.
     """
     if n < 1:
         raise ValueError("blocklength must be >= 1")
-    k = spec.alphabet_size
-    _guard_class_count(n, k)
+    bins = Counter(zip(*(c.probs for c in spec.components)))
+    _guard_class_count(n, len(bins))
     log_w = [math.log(c.weight) for c in spec.components]
-    log_p = [
-        [math.log(p) if p > 0.0 else -math.inf for p in c.probs] for c in spec.components
-    ]
-    columns = _type_class_atoms(n, log_w, log_p, [1] * k)
+    log_p = [[math.log(p) if p > 0.0 else -math.inf for p in comp] for comp in zip(*bins)]
+    columns = _type_class_atoms(n, log_w, log_p, list(bins.values()))
     if not columns[0]:
         raise EmptyDistribution("mixture extension has empty support")
     return _check_mass(Distribution(*_normalize_atoms(*columns), n=n))

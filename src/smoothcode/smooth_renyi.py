@@ -60,8 +60,7 @@ def optimal_smoothing(dist: Distribution, eps: float) -> SubDistribution:
     """
     check_eps(eps)
     target = 1.0 - eps
-    lps, mults = dist.log_probs, dist.mults
-    masses = list(map(math.exp, _log_masses(lps, mults)))
+    lps, mults, masses = dist.log_probs, dist.mults, dist._masses
 
     # the first level whose left-to-right running sum reaches the target
     b = bisect_left(list(itertools.accumulate(masses)), target)

@@ -243,6 +243,19 @@ def test_mixture_over_a_thousand_letters_exits_0(capsys, tmp_path):
     assert entry["value"] == pytest.approx(math.log(900.0), rel=1e-12)
 
 
+def test_mixture_of_a_thousand_tied_letters_at_n3_exits_0(capsys, tmp_path):
+    # with one bin per letter this was 167,167,000 type classes, past the
+    # cap (exit 3); tied letters now share one bin, a single class
+    spec = tmp_path / "uniform.json"
+    spec.write_text(json.dumps({"components": [{"weight": 1.0, "probs": [0.001] * 1000}]}))
+    argv = ["mixture", "--spec", str(spec), "--alpha", "0.5", "--eps", "0.1", "--n-list", "3"]
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 0 and err == ""
+    (entry,) = json.loads(out)["entries"]
+    # 10**9 blocks of mass 1e-9, 9 * 10**8 of them kept
+    assert entry["value"] == pytest.approx(math.log(9e8 * 1e-9**0.5) / (1 - 0.5) / 3, rel=1e-12)
+
+
 def test_mixture_csv_format(capsys, spec_file):
     rc, out, _ = run_cli(
         capsys,

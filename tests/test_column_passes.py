@@ -6,14 +6,18 @@ in the same order, so every result must agree exactly, sign bit included.
 """
 
 import math
+import pickle
+import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import smoothcode as sc
+from smoothcode import asymptotics
 from smoothcode.asymptotics import spectrum_probability
 from smoothcode.codes import LENGTH_SNAP, TiltedDistribution, _level_lengths, _tilt
+from smoothcode.distributions import MASS_TOL, Distribution, _normalize_atoms
 from smoothcode.logspace import LN2, ceil_exp
 from smoothcode.smooth_renyi import NEED_ULPS, log_power_sum
 
@@ -34,6 +38,17 @@ def log_mass(lp, m):
 
 def reference_log_total_mass(pairs):
     return reference_logsumexp(log_mass(lp, m) for lp, m in pairs)
+
+
+def reference_check_mass(pairs):
+    """The message of the exact mass check on the merged levels, or None where it accepts."""
+    try:
+        total = math.exp(reference_log_total_mass(pairs))
+    except OverflowError:
+        return "total mass overflows a float, expected 1"
+    if abs(total - 1.0) > MASS_TOL:
+        return f"total mass is {total!r}, expected 1 within {MASS_TOL}"
+    return None
 
 
 def reference_smoothing(pairs, eps):
@@ -249,3 +264,94 @@ def test_codes_fit_the_tree_at_large_blocklengths(large_mixtures, n, lam):
         assert end <= 1 << top
     report = sc.sandwich_report(dist, 0.3, lam)
     assert report.error_prob <= 0.3 + 1e-12
+
+
+U = 2.0**-53
+
+
+@st.composite
+def near_edge_levels(draw):
+    """(log_prob, multiplicity) pairs whose total sits a few ulps from an edge.
+
+    The edges are 1 +- MASS_TOL, where the exact check decides, and 1 +- the
+    plain sum's margin, where the mass column's sum stops deciding. Up to
+    10**5 levels; a few sources are far off 1, or overflow a float.
+    """
+    size = draw(st.sampled_from([1, 2, 3, 10, 1000, 10**5]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    mults = [rng.choice([1, 1, 2, 7, 2**70]) for _ in range(size)]
+    lps = [math.log(rng.uniform(0.01, 1.0)) - math.log(m) for m in mults]
+    margin = MASS_TOL - (2 * size + 64) * U
+    edge = draw(st.sampled_from([MASS_TOL, margin, 0.0, 0.5]))
+    target = 1.0 + draw(st.sampled_from([-1.0, 1.0])) * edge + draw(st.integers(-4, 4)) * U
+    # scale by the target, then move the heaviest level to take up what rounding left over
+    shift = math.log(target) - reference_log_total_mass(list(zip(lps, mults)))
+    lps = [lp + shift for lp in lps]
+    top = max(range(size), key=lambda i: lps[i] + math.log(mults[i]))
+    for _ in range(2):
+        rest = target - math.exp(reference_log_total_mass(list(zip(lps, mults))))
+        lps[top] += math.log1p(rest / math.exp(lps[top] + math.log(mults[top])))
+    if draw(st.sampled_from([False] * 19 + [True])):
+        lps[top], mults[top] = 0.0, 10**400  # a mass past float range
+    assume(max(lps) <= 0.0)  # distribution_from_atoms reads larger log-probs as malformed
+    return list(zip(lps, mults))
+
+
+@settings(deadline=None, max_examples=40)
+@given(pairs=near_edge_levels())
+def test_mass_check_decides_as_the_exact_check(pairs):
+    neg_lps, mults = zip(*((-lp, m) for lp, m in pairs))
+    expected = reference_check_mass(list(zip(*_normalize_atoms(neg_lps, mults))))
+    try:
+        sc.distribution_from_atoms(pairs)
+        got = None
+    except sc.NotNormalized as exc:
+        got = str(exc)
+    assert got == expected
+
+
+def test_mass_check_accepts_from_the_plain_sum(monkeypatch):
+    # 10**5 levels summing to 1: the column's sum decides, the exact total is never taken
+    rng = random.Random(5)
+    weights = [rng.uniform(0.01, 1.0) for _ in range(10**5)]
+    total = math.fsum(weights)
+    pairs = [(math.log(w / total), 1) for w in weights]
+
+    def exact_total(self):
+        raise AssertionError("the exact total was taken")
+
+    monkeypatch.setattr(Distribution, "total_mass", exact_total)
+    dist = sc.distribution_from_atoms(pairs)
+    assert abs(sum(dist._masses) - 1.0) < 1e-12
+
+
+def cold_copy(dist):
+    return Distribution(dist.log_probs, dist.mults, dist.n)
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_mass_column_is_invisible(data):
+    dist = data.draw(sources())
+    fresh, warm = cold_copy(dist), cold_copy(dist)
+    assert warm._masses == dist._masses
+    assert warm == fresh and hash(warm) == hash(fresh) and repr(warm) == repr(fresh)
+    assert pickle.dumps(warm) == pickle.dumps(fresh)
+    assert "_masses" not in vars(pickle.loads(pickle.dumps(warm)))
+    eps = data.draw(eps_values(dist))
+    cold_sub, warm_sub = sc.optimal_smoothing(fresh, eps), sc.optimal_smoothing(warm, eps)
+    assert same(list(cold_sub.log_probs) + [cold_sub.gamma_eps],
+                list(warm_sub.log_probs) + [warm_sub.gamma_eps])
+    assert (cold_sub.mults, cold_sub.k_star) == (warm_sub.mults, warm_sub.k_star)
+
+
+@pytest.mark.parametrize("direction, threshold, gamma", [
+    ("ge", 0.5, None), ("le", 0.6, None), ("within", 0.6931, 0.05),
+])
+def test_spectrum_reads_the_same_cold_or_warm(monkeypatch, direction, threshold, gamma):
+    spec = sc.mixture_spec(MIXTURES[1])
+    query = sc.SpectrumQuery(n=60, direction=direction, threshold=threshold, gamma=gamma)
+    warm = spectrum_probability(spec, query)  # the mass check leaves the column built
+    dist = sc.mixture_extension(spec, 60)
+    monkeypatch.setattr(asymptotics, "mixture_extension", lambda spec, n: cold_copy(dist))
+    assert same([spectrum_probability(spec, query)], [warm])

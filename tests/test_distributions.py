@@ -617,6 +617,71 @@ def test_one_bin_and_two_bin_builders_match_reference(n):
     assert atom_bits(got.atoms) == atom_bits(expected)
 
 
+def per_letter_levels(pairs, n):
+    """The merged levels of a walk with one bin per letter, tied letters included."""
+    return _normalize_atoms(*_type_class_atoms(n, *mixture_engine_args(pairs)))
+
+
+@st.composite
+def tied_mixtures(draw):
+    """(pairs, n): mixtures whose letters come in shuffled runs of equal
+    probability under every component, at most 5,000 classes per letter."""
+    distinct = draw(st.integers(1, 3))
+    repeats = draw(st.lists(st.integers(1, 3), min_size=distinct, max_size=distinct))
+    order = draw(st.permutations([j for j, r in enumerate(repeats) for _ in range(r)]))
+    level = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+    comps = []
+    for _ in range(draw(st.integers(1, 3))):
+        raw = draw(st.lists(level, min_size=distinct, max_size=distinct).filter(any))
+        letters = [raw[j] for j in order]
+        total = math.fsum(letters)
+        comps.append([p / total for p in letters])
+    comps.sort(key=sc.shannon_entropy, reverse=True)
+    ents = list(map(sc.shannon_entropy, comps))
+    assume(all(a > b for a, b in zip(ents, ents[1:])))
+    raw_w = draw(st.lists(st.floats(0.05, 1.0), min_size=len(comps), max_size=len(comps)))
+    pairs = [(w / math.fsum(raw_w), comp) for w, comp in zip(raw_w, comps)]
+    k = len(order)
+    top = max(n for n in range(1, 31) if n == 1 or math.comb(n + k - 1, k - 1) <= 5000)
+    return pairs, draw(st.integers(1, top))
+
+
+@settings(deadline=None)
+@given(source=tied_mixtures())
+def test_tied_letters_share_a_bin(source):
+    # one bin per run of tied letters sums each class in another order than
+    # the per-letter walk, but merges into the same levels
+    pairs, n = source
+    got = sc.mixture_extension(sc.mixture_spec(pairs), n)
+    lps, mults = per_letter_levels(pairs, n)
+    assert got.mults == mults
+    assert all(abs(a - b) <= 4 * math.ulp(b) for a, b in zip(got.log_probs, lps))
+
+
+@pytest.mark.parametrize("pairs, n", [(MIX2, 4096), (MIX3, 300), (MIX3, 17)])
+def test_untied_letters_keep_the_walk_bit_for_bit(pairs, n):
+    got = sc.mixture_extension(sc.mixture_spec(pairs), n)
+    lps, mults = per_letter_levels(pairs, n)
+    assert got.mults == mults
+    assert list(map(float_bits, got.log_probs)) == list(map(float_bits, lps))
+
+
+def test_a_uniform_component_walks_one_class(monkeypatch):
+    # 1,000 tied letters are one bin: one class at n=2, where one bin per
+    # letter walked 500,500 classes that all merged into one level
+    walked = []
+
+    def recording(*args, walk=distributions._type_class_atoms):
+        columns = walk(*args)
+        walked.append(len(columns[1]))
+        return columns
+
+    monkeypatch.setattr(distributions, "_type_class_atoms", recording)
+    dist = sc.mixture_extension(sc.mixture_spec([(1.0, [0.001] * 1000)]), 2)
+    assert walked == [1]
+    assert dist.mults == (10**6,)
+
+
 def _report_or_error(dist, eps, lam):
     try:
         return sc.sandwich_report(dist, eps, lam).to_json_dict()
