@@ -5,15 +5,22 @@ smoothing search samples the ball directly, so their results can referee the
 closed-form implementations. The one piece shared with the constructive
 modules is codes.assign_canonical_codewords, which spells out the winning
 lengths as words after the search; best_moment does not depend on it.
+
+The code search takes four exact reductions (see optimal_code_bruteforce):
+one credited-error check per set partition, one scored assignment per orbit
+of tied words, one fsum pass per (word count, length multiset) block, and
+no pass at all for a block that a proven bound shows cannot hold the
+minimum. search_space_size still counts every (assignment, multiset) pair.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
-from operator import itemgetter, methodcaller
+from itertools import combinations, product
+from operator import itemgetter, methodcaller, mul
 from typing import Iterable, NamedTuple
 
 from .codes import assign_canonical_codewords
@@ -34,6 +41,11 @@ CODE_SEARCH_MAX_SUPPORT = 5
 SMOOTHING_SEARCH_MAX_SUPPORT = 16
 MAX_WORDS = 8
 MAX_WORD_LEN = 8
+
+# a block is scored unless min(bound, MAX) * _BOUND_SHRINK - _BOUND_TINY
+# exceeds the least bound; _block_bounds derives both constants
+_BOUND_SHRINK = 1.0 - 2.0**-50
+_BOUND_TINY = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -134,9 +146,9 @@ def optimal_code_bruteforce(
     admissible when that credited error is at most eps (with 1e-12 float
     slack). The first assignment, in product order, that reaches the minimum
     wins; every pair (assignment, length multiset) is counted in
-    search_space_size.
+    search_space_size, scored or not.
 
-    Three exact reductions keep the result bit-identical to scoring every
+    Four exact reductions keep the result bit-identical to scoring every
     pair one by one, because fsum is exactly rounded and so does not depend
     on the order of its terms:
 
@@ -148,7 +160,13 @@ def optimal_code_bruteforce(
       words in order of first use, and that member is where a first
       minimum can fall;
     - each (word count, length multiset) block is scored in one pass of
-      fsum over itemgetters into a table of p_i * 2**(lam * l_a) terms.
+      fsum over itemgetters into a table of p_i * 2**(lam * l_a) terms;
+    - before any block is scored, each gets a bound v, the moment of one of
+      its own admissible codes (_block_bounds), and reach = min v bounds the
+      float minimum from above. Only blocks with
+      min(v, MAX) * (1 - 2**-50) - 2**-1022 <= reach are scored, in their
+      order; the others provably score above reach, so the first block
+      that reaches the minimum is always among those scored.
 
     A weight or a moment past float range reads as +inf, so it never wins;
     such a block's moments are scored one by one. Raises TooLarge only when
@@ -162,17 +180,28 @@ def optimal_code_bruteforce(
         raise TooLarge(f"brute force limited to support {CODE_SEARCH_MAX_SUPPORT}, got {s}")
     total = math.fsum(probs)
 
+    multisets = {c: _cached_multisets(c, max_len) for c in range(1, s + 1)}
+    pows = [_pow2(lam * l) for l in range(max_len + 1)]
+    bounds = {c: _block_bounds(probs, eps, pows, c, multisets[c]) for c in multisets}
+    reach = min([v for vs in bounds.values() for v in vs], default=math.inf)
+
     best_moment = math.inf
     best_assign: tuple[int, ...] | None = None
     best_lengths: tuple[int, ...] | None = None
     overflowed = False
     space = 0
     for c in range(1, s + 1):
-        multisets = _cached_multisets(c, max_len)
-        if not multisets:
+        if not multisets[c]:
             continue
         table = _surjections(s, c)
-        space += len(table.assigns) * len(multisets)
+        space += len(table.assigns) * len(multisets[c])
+        blocks = [
+            lengths
+            for lengths, v in zip(multisets[c], bounds[c])
+            if min(v, sys.float_info.max) * _BOUND_SHRINK - _BOUND_TINY <= reach
+        ]
+        if not blocks:
+            continue
         fits = [
             total - math.fsum([max(map(probs.__getitem__, g)) for g in groups]) <= eps + 1e-12
             for groups in table.partitions
@@ -181,7 +210,7 @@ def optimal_code_bruteforce(
         # tie pattern (bit j: words j and j+1 have equal length) -> the
         # admissible orbit representatives and their getters
         canonical: dict[int, tuple[list[int], list[itemgetter]]] = {}
-        for lengths in multisets:
+        for lengths in blocks:
             ties = sum(1 << j for j in range(c - 1) if lengths[j] == lengths[j + 1])
             if ties not in canonical:
                 keep = [k for k in admissible if not table.descents[k] & ties]
@@ -220,6 +249,87 @@ def optimal_code_bruteforce(
         decoder=decoder,
         search_space_size=space,
     )
+
+
+def _block_bounds(
+    probs: list[float], eps: float, pows: list[float], c: int, multisets: list[tuple[int, ...]]
+) -> list[float]:
+    """Per length multiset of c words, the least moment of its rearranged codes.
+
+    A rearranged code decodes a set S of c symbols that holds the first most
+    probable symbol and passes the partition test, total - fsum(P(S)) <=
+    eps + 1e-12. It puts S, by decreasing probability, on the words by
+    increasing weight w = pows[l] = 2**(lam * l), and every other symbol on the
+    lightest word, beside the most probable one; so its credited set is S and
+    it is an admissible code of the block. Its moment F(S) is the fsum of its
+    own p * w terms (0 where p is 0), which is what the scorer gives that
+    code's orbit. So the bound v = min F(S), +inf where no S passes, is a
+    moment the block scores.
+
+    Why a block with L = fl(fl(min(v, MAX) * (1 - 8u)) - 2**-1022) > reach
+    cannot hold the minimum, with u = 2**-53, MAX the largest float and s <= 5
+    symbols: let m be the block's float minimum, scored by a code A (a block
+    with no admissible code scores nothing and has nothing to lose).
+    - A credits one symbol with the largest probability, so some S above has
+      the values of A's credited set and passes the same test. Over the
+      extended reals with 0 * inf = 0, the exact sum of A's p * w terms is at
+      least the exact sum R of that S's terms: each other symbol's weight is
+      at least the lightest one, and the rearrangement inequality pairs
+      decreasing p with increasing w most cheaply.
+    - A product rounds once, fl(x) within u*x + 2**-1075 of x (the absolute
+      part for a subnormal result), or +inf from x >= Omega, the overflow
+      threshold above MAX. fsum rounds the exact sum of its terms once: a
+      relative u, no absolute part (floats that sum below 2**-1022 sum
+      exactly), or +inf (its OverflowError, read as +inf) from an exact sum
+      of at least Omega. So m >= (1 - u)**2 R - s * 2**-1075.
+    - If F(S) is finite, F(S) <= (1 + u)**2 R + (1 + u)s * 2**-1075, and as
+      (1 - u)**2 >= (1 - 4u)(1 + u)**2, m >= (1 - 4u) F(S) - s * 2**-1074.
+    - If F(S) is +inf, either a positive p meets an infinite weight, and then
+      one of A's does too (A's credited symbols on the infinite-weight words
+      would be zeros, which S would put there), so m = +inf; or the exact sum
+      of its rounded terms reached Omega, so (1 + u) R + s * 2**-1075 >=
+      Omega and m >= (1 - 3u) Omega - s * 2**-1074 > (1 - 4u) MAX - s * 2**-1074.
+    - Either way m >= (1 - 4u) min(F(S), MAX) - s * 2**-1074, and v <= F(S).
+      The test's own two roundings cost (1 - 8u)(1 + u)**2 <= 1 - 6u and an
+      absolute 2**-1075, which 2**-1022 covers with room for s * 2**-1074;
+      where fl(min(v, MAX) * (1 - 8u)) <= 2**-1022, L <= 0 <= m. So L <= m.
+    reach is a moment that some block scores, so m > reach puts the block
+    above the float minimum; with reach = +inf (no S passes anywhere) every
+    block is scored, so Infeasible and TooLarge are raised as before.
+    """
+    s = len(probs)
+    total = math.fsum(probs)
+    top = probs.index(max(probs))
+    rest = [i for i in range(s) if i != top]
+    # per passing S: the symbols outside it, then S by decreasing probability
+    rows = []
+    for others in combinations(rest, c - 1):
+        kept = [probs[top], *map(probs.__getitem__, others)]
+        if total - math.fsum(kept) <= eps + 1e-12:
+            kept.sort(reverse=True)
+            rows.append([probs[i] for i in rest if i not in others] + kept)
+    if not rows:
+        return [math.inf] * len(multisets)
+    bounds = []
+    for lengths in multisets:
+        weight = sorted(map(pows.__getitem__, lengths))
+        weight[:0] = weight[:1] * (s - c)
+        bounds.append(min(_moments(rows, weight)))
+    return bounds
+
+
+def _moments(rows: list[list[float]], weight: list[float]) -> list[float]:
+    """fsum of each row's p * w terms against weight, whose last entry is its largest.
+
+    A moment past float range reads as +inf, and a probability that
+    underflowed to 0 adds nothing, even against an infinite weight.
+    """
+    if weight[-1] < math.inf:
+        try:
+            return [math.fsum(map(mul, row, weight)) for row in rows]
+        except OverflowError:  # some moment past float range
+            pass
+    return [_fsum_or_inf([p * w if p else 0.0 for p, w in zip(row, weight)]) for row in rows]
 
 
 def _pow2(x: float) -> float:

@@ -1,5 +1,6 @@
 import math
 import os
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -138,35 +139,67 @@ def test_bruteforce_encoder_error_is_credited():
     assert error <= eps + 1e-12
 
 
-def reference_code_search(dist, eps, lam, max_len):
-    """Unfactored exhaustive search: every length multiset rescores every assignment.
+def _weight(x):
+    """2.0 ** x, or +inf past float range."""
+    try:
+        return 2.0**x
+    except OverflowError:
+        return math.inf
 
-    Same enumeration order and strict improvement rule as the oracle, with the
-    credited error and the moment recomputed inside the innermost loop.
+
+def _scored_pairs(probs, eps, lam, max_len):
+    """Every (word count, lengths, assignment, moment) in the oracle's search order.
+
+    The moment is None for an assignment whose credited error is past eps,
+    and +inf past float range. The onto assignments and their credited-error
+    checks are listed once per word count; every pair's moment is then summed
+    on its own.
     """
-    probs = dist.probabilities()
     s = len(probs)
     total = math.fsum(probs)
-    best_moment, best_assign, best_words, space = math.inf, None, None, 0
     for c in range(1, s + 1):
+        checked = []
+        for assign in product(range(c), repeat=s):
+            if len(set(assign)) != c:
+                continue
+            survivors = [0.0] * c
+            for i, a in enumerate(assign):
+                if probs[i] > survivors[a]:
+                    survivors[a] = probs[i]
+            checked.append((assign, total - math.fsum(survivors) <= eps + 1e-12))
         for lengths in sc.enumerate_kraft_length_multisets(c, max_len):
-            words = sc.assign_canonical_codewords(lengths).codewords
-            weight = [2.0 ** (lam * l) for l in lengths]
-            for assign in product(range(c), repeat=s):
-                if len(set(assign)) != c:
-                    continue
-                space += 1
-                survivors = [0.0] * c
-                for i, a in enumerate(assign):
-                    if probs[i] > survivors[a]:
-                        survivors[a] = probs[i]
-                if total - math.fsum(survivors) > eps + 1e-12:
-                    continue
-                moment = math.fsum(probs[i] * weight[a] for i, a in enumerate(assign))
-                if moment < best_moment:
-                    best_moment, best_assign, best_words = moment, assign, words
+            weight = [_weight(lam * l) for l in lengths]
+            for assign, fits in checked:
+                moment = None
+                if fits:
+                    terms = [probs[i] * weight[a] if probs[i] else 0.0 for i, a in enumerate(assign)]
+                    try:
+                        moment = math.fsum(terms)
+                    except OverflowError:
+                        moment = math.inf
+                yield c, lengths, assign, moment
+
+
+def reference_code_search(dist, eps, lam, max_len):
+    """Unfactored exhaustive search: every (assignment, length multiset) pair scored alone.
+
+    Same enumeration order and strict improvement rule as the oracle; a moment
+    past float range never wins.
+    """
+    probs = dist.probabilities()
+    best_moment, best_assign, best_lengths, space, admissible = math.inf, None, None, 0, False
+    for _, lengths, assign, moment in _scored_pairs(probs, eps, lam, max_len):
+        space += 1
+        if moment is None:
+            continue
+        admissible = True
+        if moment < best_moment:
+            best_moment, best_assign, best_lengths = moment, assign, lengths
     if best_assign is None:
+        if admissible:
+            raise sc.TooLarge(f"moments overflow a float at lambda={lam}, max_len={max_len}")
         raise sc.Infeasible(f"no code with at most {max_len}-bit words meets eps={eps}")
+    best_words = sc.assign_canonical_codewords(best_lengths).codewords
     decoder = {}
     for j, w in enumerate(best_words):
         group = [i for i, a in enumerate(best_assign) if a == j]
@@ -182,8 +215,8 @@ def reference_code_search(dist, eps, lam, max_len):
 def _outcome(search, *args):
     try:
         return search(*args)
-    except sc.Infeasible as exc:
-        return ("Infeasible", str(exc))
+    except (sc.Infeasible, sc.TooLarge) as exc:
+        return (type(exc).__name__, str(exc))
 
 
 _weights = st.one_of(
@@ -225,8 +258,8 @@ def _sweep_sources():
 def _fingerprint(search, *args):
     try:
         result = search(*args)
-    except sc.Infeasible as exc:
-        return ("Infeasible", str(exc))
+    except (sc.Infeasible, sc.TooLarge) as exc:
+        return (type(exc).__name__, str(exc))
     return (result.best_moment.hex(), result.encoder, result.decoder, result.search_space_size)
 
 
@@ -245,6 +278,113 @@ def test_bruteforce_sweep_matches_unfactored_search():
     # again in reverse: a table cached across calls must not depend on the probabilities
     for case, want in zip(reversed(cases), reversed(expected)):
         assert _fingerprint(sc.optimal_code_bruteforce, *case) == want
+
+
+def _exact_source(probs):
+    """A Distribution whose probabilities() are exactly probs, largest first.
+
+    new_distribution merges levels within 1e-12 in log, so probabilities a few
+    ulps apart are set here as levels whose exp gives them back bit for bit.
+    """
+    levels = {}
+    for q in probs:
+        levels[q] = levels.get(q, 0) + 1
+    lps = []
+    for q in sorted(levels, reverse=True):
+        near = [math.log(q)]
+        for _ in range(3):
+            near = [math.nextafter(near[0], -math.inf), *near, math.nextafter(near[-1], math.inf)]
+        lps.append(next(lp for lp in near if math.exp(lp) == q))
+    dist = sc.Distribution(tuple(lps), tuple(levels[q] for q in sorted(levels, reverse=True)))
+    assert dist.probabilities() == sorted(probs, reverse=True)
+    return dist
+
+
+def _down(q, ulps):
+    """q moved ulps floats toward 0."""
+    for _ in range(ulps):
+        q = math.nextafter(q, 0.0)
+    return q
+
+
+def _margin_sources():
+    """Sources where ties, rounding and overflow decide the winner."""
+    half = math.log(0.5)
+    return [
+        # one to three ulps apart
+        _exact_source([0.45, _down(0.45, 1), _down(0.1, 2)]),
+        _exact_source([0.3, _down(0.3, 2), 0.15, _down(0.15, 1), _down(0.1, 2)]),
+        _exact_source([0.25, 0.2, _down(0.2, 1), _down(0.2, 3), _down(0.15, 1)]),
+        # equal probabilities: every relabelling ties
+        sc.new_distribution([0.25] * 4),
+        sc.new_distribution([0.2] * 5),
+        sc.new_distribution([0.4, 0.2, 0.2, 0.2]),
+        # a dust symbol whose probability underflows to 0.0
+        sc.distribution_from_atoms([(half, 2), (-800.0, 1)]),
+        sc.distribution_from_atoms([(math.log(0.4), 1), (math.log(0.3), 2), (-800.0, 2)]),
+        # mass a little past 1: a moment can pass float range while every weight is finite
+        sc.new_distribution([0.6, 0.4 + 5e-10]),
+    ]
+
+
+def test_bruteforce_at_the_margin_matches_unfactored_search():
+    # 2**(lambda * 4) overflows at 255.9; (1024 - 3e-10)/4 keeps it finite but
+    # lets a moment on length-4 words pass float range; 1000 overflows every code
+    lams = (1.0, 255.9, (1024 - 3e-10) / 4, 1000.0)
+    cases = []
+    for dist in _margin_sources():
+        probs = dist.probabilities()
+        total = math.fsum(probs)
+        # eps exactly at the credited error of the top c symbols, and where
+        # the check's 1e-12 slack just reaches it
+        budgets = {0.0}
+        for c in range(1, len(probs)):
+            edge = total - math.fsum(probs[:c])
+            budgets.update(e for e in (edge, edge - 1e-12) if 0.0 <= e < 1.0)
+        for eps in sorted(budgets):
+            for lam in lams:
+                for max_len in (2, 4):
+                    cases.append((dist, eps, lam, max_len))
+    expected = [_fingerprint(reference_code_search, *case) for case in cases]
+    outcomes = {e[0] for e in expected}
+    assert {"Infeasible", "TooLarge"} < outcomes  # all three outcomes occur
+    for case, want in zip(cases, expected):
+        assert _fingerprint(sc.optimal_code_bruteforce, *case) == want, case
+
+
+def test_block_bound_is_below_the_block_minimum():
+    # each bound is a moment its block scores, and after the margin it lies
+    # below the block's least moment as the reference sums it
+    from smoothcode import oracle
+
+    rng = np.random.default_rng(101)
+    sources = [dist.probabilities() for dist in _margin_sources()]
+    for s in (3, 4, 5, 5):
+        probs = sorted(map(float, rng.dirichlet(np.ones(s))), reverse=True)
+        sources.append(probs)
+        # a near-tie: the second symbol one ulp below the first
+        sources.append([probs[0], math.nextafter(probs[0], 0.0)] + probs[2:])
+    max_len, scored = 5, 0
+    for probs in sources:
+        for eps in (0.0, 0.1, 0.3):
+            for lam in (0.5, 1.0, 204.7):
+                least = {}
+                for c, lengths, _, moment in _scored_pairs(probs, eps, lam, max_len):
+                    if moment is not None:
+                        least[c, lengths] = min(moment, least.get((c, lengths), math.inf))
+                pows = [oracle._pow2(lam * l) for l in range(max_len + 1)]
+                for c in range(1, len(probs) + 1):
+                    multisets = sc.enumerate_kraft_length_multisets(c, max_len)
+                    bounds = oracle._block_bounds(probs, eps, pows, c, multisets)
+                    for lengths, v in zip(multisets, bounds):
+                        if (c, lengths) not in least:
+                            assert v == math.inf
+                            continue
+                        m = least[c, lengths]
+                        floor = min(v, sys.float_info.max) * oracle._BOUND_SHRINK - oracle._BOUND_TINY
+                        assert floor <= m <= v, (probs, eps, lam, c, lengths)
+                        scored += 1
+    assert scored > 10000
 
 
 def _stirling2(n, k):
