@@ -14,10 +14,10 @@ import sys
 from . import __version__
 from .asymptotics import SpectrumQuery, entropy_rate_series, spectrum_probability
 from .codes import (
+    _codebook_from_text,
     _codebook_text,
     build_deterministic_code,
     build_stochastic_code,
-    codebook_from_json,
 )
 from .distributions import atom_cap, distribution_from_json, mixture_from_json
 from .errors import SmoothcodeError, TooLarge
@@ -36,9 +36,13 @@ def _in_unit(nats: float, unit: str) -> float:
     return nats / LN2 if unit == "bits" else nats
 
 
-def _load_json(path: str) -> dict:
+def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)
+        return f.read()
+
+
+def _load_json(path: str) -> dict:
+    return json.loads(_read_text(path))
 
 
 def _emit_json(obj) -> None:
@@ -89,7 +93,7 @@ def _cmd_code(args) -> int:
 def _cmd_evaluate(args) -> int:
     dist = distribution_from_json(_load_json(args.dist))
     if args.code is not None:
-        code = codebook_from_json(_load_json(args.code))
+        code = _codebook_from_text(_read_text(args.code))
     else:
         code = _build_code(args, dist)
     report = evaluate_code(code, dist, args.eps, args.lam)

@@ -22,8 +22,8 @@ from functools import cached_property, partial
 from operator import add, itemgetter, lshift, mul, neg, sub, truediv
 from typing import Iterable, NamedTuple, NoReturn, Sequence
 
-from .distributions import Distribution, _expand, _expand_levels, _log_masses
-from .errors import KraftViolated, Misaligned, check_lambda, count_text
+from .distributions import Distribution, _check_size, _expand, _expand_levels, _log_masses
+from .errors import KraftViolated, Misaligned, TooLarge, check_lambda, count_text
 from .logspace import LN2, logsumexp
 from .smooth_renyi import SubDistribution, optimal_smoothing
 
@@ -262,13 +262,15 @@ class StochasticCode:
 
     runs covers the symbols in the distribution's sorted order; only a
     leading block of runs carries words. A built code numbers its inner words
-    canonically along the runs, while a code read from a codebook keeps the
-    inner words it was given in explicit_words. The reject word decodes to
-    decoder_for_reject, the symbol whose rejected mass is largest. The
+    canonically along the runs, while codebook_from_json keeps the inner
+    words it was given in explicit_words (the CLI's codebook reader returns
+    a codebook whose words are the canonical ones as a built code). The
     per-symbol views gamma and inner are expanded on first use, within
-    atom_cap(). Two codes are equal when their runs, reject word, decode
-    target and inner words agree, so a built code equals its codebook
-    round-trip.
+    atom_cap(), and so is the word index decode looks words up in. The
+    reject word decodes to decoder_for_reject, the symbol whose rejected
+    mass is largest. Two codes are equal when their runs, reject word,
+    decode target and inner words agree, so a built code equals its
+    codebook round-trip.
     """
 
     runs: tuple[CodeRun, ...]
@@ -346,13 +348,19 @@ class StochasticCode:
             return 1 + len(self.inner.codewords[i])
         return None
 
+    @cached_property
+    def _word_index(self) -> dict[str, int]:
+        """Position of each inner word, the first one where a word repeats."""
+        words = self.inner.codewords
+        return dict(zip(reversed(words), reversed(range(len(words)))))
+
     def decode(self, word: str) -> int:
         if word == self.reject:
             return self.decoder_for_reject
         if word.startswith("0"):
-            inner = word[1:]
-            if inner in self.inner.codewords:
-                return self.inner.codewords.index(inner)
+            index = self._word_index.get(word[1:])
+            if index is not None:
+                return index
         raise ValueError(f"not a codeword: {word!r}")
 
     def segments(self, dist: Distribution) -> list[Segment]:
@@ -450,29 +458,142 @@ def codebook_to_json(code: StochasticCode) -> dict:
     }
 
 
+# the fixed text of the canonical layout around each entry's word and gamma
+_HEAD = '{\n  "decoder_for_reject": '
+_ENTRIES = ',\n  "entries": [\n'
+_REJECT = '\n  ],\n  "reject": '
+_WORD = '    {\n      "codeword": "0'
+_NULL = '    {\n      "codeword": null,\n      "gamma": '
+_WORD_END = '",\n      "gamma": '
+_CLOSE = "\n    }"
+# bin(2**length + value) is "0b1" and then the canonical word
+_CUT_MARK = itemgetter(slice(3, None))
+
+
 def _codebook_text(code: StochasticCode) -> str:
     """json.dumps(codebook_to_json(code), indent=2, sort_keys=True), byte for byte.
 
-    Each run formats one entry template, gamma included, and the templates
-    expand through _expand, so the size cap is checked on the whole support
-    before any entry is built. The leading templates are filled with the
-    inner words, strings of 0s and 1s that JSON quotes as they are.
+    The entries of one run differ only in their word, so each run is a
+    single join: its words between the run's fixed entry text, or one fixed
+    entry repeated where the run has no words. A built code's words are
+    counted out with bin, not formatted one by one. The size cap is checked
+    on the whole support before any run is built.
     """
-    runs = [(r.count, partial(itertools.repeat, _entry_template(r), r.count)) for r in code.runs]
-    templates = _expand(runs)
-    words = code.inner.codewords
-    entries = [*map(str.__mod__, templates, words), *templates[len(words) :]]
-    body = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
-    return (
-        f'{{\n  "decoder_for_reject": {json.dumps(code.decoder_for_reject)},\n'
-        f'  "entries": {body},\n  "reject": {json.dumps(code.reject)}\n}}'
-    )
+    _check_size(code.num_symbols)
+    words = code.explicit_words
+    word_runs = iter(code._word_runs if words is None else ())
+    done = 0  # explicit words used so far
+    # joined once at the end: one copy of the text, not one per concatenation
+    pieces = [_HEAD, json.dumps(code.decoder_for_reject), _ENTRIES]
+    for run in code.runs:
+        gamma = json.dumps(run.gamma)
+        if run.accept_bits is None:
+            entry = f"{_NULL}{gamma}{_CLOSE}"
+            pieces += (",\n".join(itertools.repeat(entry, run.count)), ",\n")
+            continue
+        tail = f"{_WORD_END}{gamma}{_CLOSE}"
+        if words is None:
+            length, start, count = next(word_runs)
+            first = start + (1 << length)
+            run_words = map(_CUT_MARK, map(bin, range(first, first + count)))
+        else:
+            run_words = words[done : done + run.count]
+            done += run.count
+        pieces += (_WORD, f"{tail},\n{_WORD}".join(run_words), tail, ",\n")
+    # the last entry closes the list instead of a comma; json.dumps writes an
+    # empty list inline
+    pieces[-1] = _REJECT if code.runs else ',\n  "entries": [],\n  "reject": '
+    pieces += (json.dumps(code.reject), "\n}")
+    return "".join(pieces)
 
 
-def _entry_template(run: CodeRun) -> str:
-    """JSON text of a run's entries, indented as list items, with %s for the inner word."""
-    codeword = "null" if run.accept_bits is None else '"0%s"'
-    return f'    {{\n      "codeword": {codeword},\n      "gamma": {json.dumps(run.gamma)}\n    }}'
+def _codebook_from_text(text: str) -> StochasticCode:
+    """codebook_from_json(json.loads(text)), reading the writer's layout directly.
+
+    A code is guessed from the text and kept only when it passes every check
+    of codebook_from_json and _codebook_text writes it back as the text, byte
+    for byte, up to one trailing newline. The writer prints
+    codebook_to_json(code), so json.loads(text) is then that object, which
+    codebook_from_json reads back to an equal code. Any other text, valid
+    JSON in another layout or not, goes through json.loads and
+    codebook_from_json.
+    """
+    code = _guess_code(text)
+    if code is not None:
+        try:
+            written = _codebook_text(code)
+        except TooLarge:  # a cap set lower than the one the codebook was written under
+            written = None
+        if written is not None and text.startswith(written) and text[len(written) :] in ("", "\n"):
+            return code
+    return codebook_from_json(json.loads(text))
+
+
+def _guess_code(text: str) -> StochasticCode | None:
+    """The built code whose codebook text would be this text, if it plainly may be one.
+
+    The entries of one run have one width, so each run ends where a binary
+    search over entry starts first finds an entry of another shape. None
+    where the text does not look like the writer's layout, or the code fails
+    a check of codebook_from_json. The guess is only a candidate: the caller
+    keeps it only if it writes back to the text.
+    """
+    entries = text.find(_ENTRIES)
+    end = text.rfind(_REJECT)
+    if not text.startswith(_HEAD) or not 0 < entries < end:
+        return None
+    decoder = text[len(_HEAD) : entries]
+    quote = end + len(_REJECT)
+    reject = text[quote + 1 : text.find('"', quote + 1)]
+    runs = []
+    pos = entries + len(_ENTRIES)
+    try:
+        while pos < end:
+            entry = text[pos : text.find(_CLOSE, pos) + len(_CLOSE)]
+            # an entry of this run starts with head and has tail from offset cut on
+            if entry.startswith(_NULL):
+                head, cut, bits = entry, len(entry), None
+                gamma = entry[len(_NULL) : -len(_CLOSE)]
+            elif entry.startswith(_WORD) and _WORD_END in entry:
+                head, cut = _WORD, entry.index(_WORD_END)
+                bits, gamma = cut - len(_WORD) + 1, entry[cut + len(_WORD_END) : -len(_CLOSE)]
+            else:
+                return None
+            tail, width = entry[cut:], len(entry) + 2  # ",\n" after each
+            # entry lo - 1 has this shape; entry hi would end past the list
+            lo, hi = 1, (end + 2 - pos) // width
+            while lo < hi:
+                mid = (lo + hi) // 2
+                at = pos + mid * width
+                if text.startswith(head, at) and text.startswith(tail, at + cut):
+                    lo = mid + 1
+                else:
+                    hi = mid
+            runs.append((lo, float(gamma), bits))
+            pos += lo * width
+        if pos != end + 2:
+            return None
+        code = StochasticCode(runs=_packed(runs), decoder_for_reject=int(decoder), reject=reject)
+    except ValueError:  # a gamma or decoder that float or int does not read
+        return None
+    coded = [r for r in code.runs if r.accept_bits is not None]
+    lengths = [r.accept_bits for r in coded]
+    if not (
+        code.runs[: len(coded)] == tuple(coded)
+        and lengths == sorted(lengths)  # canonical numbering needs nondecreasing lengths
+        and all(0.0 <= r.gamma <= 1.0 for r in code.runs)
+        and not any(r.gamma for r in code.runs[len(coded) :])
+        and 0 <= code.decoder_for_reject < code.num_symbols
+        and reject
+        and _is_binary(reject)
+        and (reject[0] == "1" or not coded)  # no flagged word extends it or is its prefix
+    ):
+        return None
+    try:
+        code._word_runs
+    except KraftViolated:
+        return None
+    return code
 
 
 _GAMMA, _CODEWORD, _INNER = itemgetter("gamma"), itemgetter("codeword"), itemgetter(slice(1, None))
@@ -486,7 +607,9 @@ def codebook_from_json(obj: dict) -> StochasticCode:
     Input of the wrong shape raises ValueError, a missing key KeyError.
     The entries are checked column by column; once a check fails, they are
     walked one by one to report the first bad entry. The reject word and the
-    codewords must be nonempty strings of '0' and '1'.
+    codewords must be nonempty strings of '0' and '1', each gamma a JSON
+    number (an int or a float, not a bool or a string) and the decode target
+    an int.
     """
     if not isinstance(obj, dict):
         raise ValueError("codebook JSON must be an object")
@@ -504,10 +627,9 @@ def codebook_from_json(obj: dict) -> StochasticCode:
     runs = _packed(zip(itertools.repeat(1), gammas, lengths))
     if not PrefixCode((*flagged, str(reject))).is_prefix_free():
         raise KraftViolated("codebook words are not prefix-free")
-    try:
-        decoder = int(obj.get("decoder_for_reject", 0))
-    except (TypeError, OverflowError):
-        raise ValueError("decoder_for_reject must be an integer") from None
+    decoder = obj.get("decoder_for_reject", 0)
+    if isinstance(decoder, bool) or not isinstance(decoder, int):
+        raise ValueError("decoder_for_reject must be an integer")
     if not 0 <= decoder < len(entries):
         raise ValueError("decoder_for_reject out of range")
     # the alphabet of the words is checked last, so the checks above keep
@@ -539,9 +661,14 @@ def _entry_columns(entries: list) -> tuple[list[float], list[str]] | None:
     None once an entry fails a check; the checks run column by column.
     """
     try:
-        gammas = list(map(float, map(_GAMMA, entries)))
+        raw = list(map(_GAMMA, entries))
         words = list(map(_CODEWORD, entries))
-    except (KeyError, TypeError, ValueError, OverflowError):
+        if any(map(isinstance, raw, itertools.repeat(bool))) or not all(
+            map(isinstance, raw, itertools.repeat((int, float)))
+        ):
+            return None
+        gammas = list(map(float, raw))
+    except (KeyError, TypeError, OverflowError):
         return None
     coded = words.index(None) if None in words else len(words)
     flagged = words[:coded]
@@ -565,10 +692,10 @@ def _raise_first_bad_entry(entries: list) -> NoReturn:
             g = e["gamma"]
         except TypeError:
             raise ValueError(f"entry {i} is not a JSON object") from None
+        if isinstance(g, bool) or not isinstance(g, (int, float)):
+            raise ValueError(f"gamma at entry {i} is not a number")
         try:
             g = float(g)
-        except TypeError:
-            raise ValueError(f"gamma at entry {i} is not a number") from None
         except OverflowError:
             g = math.nan  # out of range
         if not 0.0 <= g <= 1.0:

@@ -59,13 +59,17 @@ def _expand(runs: Sequence[tuple[int, Callable[[], Iterable[T]]]]) -> list[T]:
     is checked on the counts before any make_values is called, so a run too
     long to expand raises TooLarge rather than failing inside the iterator
     it would build. Every per-symbol expansion in the package goes through
-    here.
+    here, except the codebook writer, which checks the same cap itself.
     """
+    _check_size(sum(count for count, _ in runs))
+    return list(itertools.chain.from_iterable(make() for _, make in runs))
+
+
+def _check_size(size: int) -> None:
+    """TooLarge if size per-symbol entries exceed the size cap (atom_cap())."""
     cap = atom_cap()
-    size = sum(count for count, _ in runs)
     if size > cap:
         raise TooLarge(f"support of size {count_text(size)} exceeds cap {cap}")
-    return list(itertools.chain.from_iterable(make() for _, make in runs))
 
 
 def _log_masses(log_probs: Iterable[float], mults: Iterable[int]) -> map:
@@ -88,7 +92,9 @@ class Distribution:
     exact number of symbols at that level; nothing else is compared, so equal
     levels make equal distributions whatever order they were given in. `n`
     is the blocklength the distribution lives on (1 for a single letter).
-    Beside the fields sits one cache, the column of level masses (_masses).
+    The total mass must be 1 within MASS_TOL, or the constructor raises
+    NotNormalized. Beside the fields sits one cache, the column of level
+    masses (_masses).
     """
 
     log_probs: tuple[float, ...]
@@ -105,14 +111,16 @@ class Distribution:
             raise NotNormalized("atoms must be sorted by strictly decreasing log-prob")
         if min(mults) < 1:
             raise NotNormalized("atom multiplicities must be >= 1")
+        _check_mass(self)
 
     @cached_property
     def _masses(self) -> tuple[float, ...]:
         """exp(log(multiplicity) + log_prob) of each level: its total mass.
 
-        Built on first use and kept, since the mass check, the smoothing and
-        the spectrum each read it whole. It is not a field: ==, hash and repr
-        never see it, and __getstate__ leaves it out of pickles and copies.
+        Built by the mass check at construction and kept, since the
+        smoothing and the spectrum read it whole as well. It is not a field:
+        ==, hash and repr never see it, and __getstate__ leaves it out of
+        pickles and copies.
         """
         return tuple(map(math.exp, _log_masses(self.log_probs, self.mults)))
 
@@ -174,8 +182,8 @@ def _normalize_atoms(
     return tuple(out_lps), tuple(out_mults)
 
 
-def _check_mass(dist: Distribution) -> Distribution:
-    """dist, if its total mass is 1 within MASS_TOL; NotNormalized if not.
+def _check_mass(dist: Distribution) -> None:
+    """NotNormalized unless the total mass of dist is 1 within MASS_TOL.
 
     The decision is that of the total T = exp(logsumexp) of the level
     log-masses L_i, which also writes every message. A plain sum S of the
@@ -207,14 +215,13 @@ def _check_mass(dist: Distribution) -> Distribution:
     except OverflowError:  # a level's mass past float range: the exact check says so
         total = math.inf
     if abs(total - 1.0) <= MASS_TOL - (2 * len(dist.mults) + 64) * 2.0**-53:
-        return dist
+        return
     try:
         total = dist.total_mass()
     except OverflowError:  # exp of a log total past about 709.78
         raise NotNormalized("total mass overflows a float, expected 1") from None
     if abs(total - 1.0) > MASS_TOL:
         raise NotNormalized(f"total mass is {total!r}, expected 1 within {MASS_TOL}")
-    return dist
 
 
 def _checked_probs(probs: Sequence[float]) -> list[float]:
@@ -274,7 +281,7 @@ def distribution_from_atoms(pairs: Sequence[tuple[float, int]], n: int = 1) -> D
         mults.append(int(mult))
     if not neg_lps:
         raise EmptyDistribution("no atoms supplied")
-    return _check_mass(Distribution(*_normalize_atoms(neg_lps, mults), n=n))
+    return Distribution(*_normalize_atoms(neg_lps, mults), n=n)
 
 
 def shannon_entropy(probs: Sequence[float]) -> float:
@@ -694,7 +701,7 @@ def iid_extension(base: Distribution, n: int) -> Distribution:
         columns = _lattice_atoms(n, refs, polys, unit)
     else:
         columns = _type_class_atoms(n, [0.0], [base.log_probs], base.mults)
-    return _check_mass(Distribution(*_normalize_atoms(*columns), n=n))
+    return Distribution(*_normalize_atoms(*columns), n=n)
 
 
 def mixture_extension(spec: MixtureSpec, n: int) -> Distribution:
@@ -715,7 +722,7 @@ def mixture_extension(spec: MixtureSpec, n: int) -> Distribution:
     columns = _type_class_atoms(n, log_w, log_p, list(bins.values()))
     if not columns[0]:
         raise EmptyDistribution("mixture extension has empty support")
-    return _check_mass(Distribution(*_normalize_atoms(*columns), n=n))
+    return Distribution(*_normalize_atoms(*columns), n=n)
 
 
 def _json_numbers(values: list, error: type[Exception], what: str) -> list:

@@ -725,6 +725,15 @@ BAD_INPUTS = [
     ("spec", {"components": [{"weight": 1.0, "probs": "1"}]}),
     # a huge rejected multiplicity is named by its size, not printed in full
     ("dist", {"atoms": [{"log_prob": 0.0, "multiplicity": -(10**400)}]}),
+    # codebook numbers are JSON numbers too: a gamma is an int or a float, the
+    # decode target an int, and neither is a bool or a string
+    ("code", {**WORKED_BOOK, "reject": "1", "decoder_for_reject": True}),
+    ("code", {**WORKED_BOOK, "reject": "1", "decoder_for_reject": "1"}),
+    ("code", {**WORKED_BOOK, "reject": "1", "decoder_for_reject": 1.7}),
+    ("code", {**WORKED_BOOK, "reject": "1", "entries": [
+        {"codeword": "000", "gamma": True}, *WORKED_BOOK["entries"][1:]]}),
+    ("code", {**WORKED_BOOK, "reject": "1", "entries": [
+        *WORKED_BOOK["entries"][:2], {"codeword": "0100", "gamma": "0.5"}]}),
 ]
 
 
@@ -745,6 +754,24 @@ def test_malformed_input_files_exit_2(capsys, tmp_path, dist_file, kind, payload
 
 def dumped(code):
     return json.dumps(sc.codebook_to_json(code), indent=2, sort_keys=True)
+
+
+def test_evaluate_reads_a_printed_codebook_without_json(capsys, tmp_path, monkeypatch):
+    dist = sc.iid_extension(sc.new_distribution([0.5, 0.3, 0.2]), 8)
+    atoms = [{"log_prob": lp, "multiplicity": m} for lp, m in zip(dist.log_probs, dist.mults)]
+    p8 = tmp_path / "p8.json"
+    p8.write_text(json.dumps({"atoms": atoms, "n": 8}))
+    base = ["--dist", str(p8), "--eps", "0.1", "--lambda", "1"]
+    rc, out, _ = run_cli(capsys, ["code"] + base)
+    printed, compact = tmp_path / "code.json", tmp_path / "compact.json"
+    printed.write_text(out)
+    compact.write_text(json.dumps(json.loads(out)))
+    # another layout of the same codebook goes through json to the same report
+    rc_json, report, _ = run_cli(capsys, ["evaluate", "--code", str(compact)] + base)
+    monkeypatch.setattr(codes, "codebook_from_json", None)  # the printed one never reaches it
+    rc_text, fast, _ = run_cli(capsys, ["evaluate", "--code", str(printed)] + base)
+    assert rc == rc_json == rc_text == 0
+    assert fast == report
 
 
 def test_code_prints_the_codebook_as_json_dumps_does(capsys, tmp_path):

@@ -1,14 +1,17 @@
 import copy
 import dataclasses
 import itertools
+import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import smoothcode as sc
+from smoothcode import codes
 from smoothcode.codes import CodeRun, _canonical_starts
 
 WORKED = [0.5, 0.3, 0.2]
@@ -213,6 +216,20 @@ def test_decode_round_trip():
     assert code.decode("1") == code.decoder_for_reject
     with pytest.raises(ValueError):
         code.decode("0111")
+
+
+def test_decode_every_word_of_a_large_code():
+    # 31,697 words: decoding each by a scan of the word list took about 17 s
+    code = sc.build_stochastic_code(sc.iid_extension(sc.new_distribution(WORKED), 10), 0.1, 1.0)
+    words = code.inner.codewords
+    assert len(words) == 31697
+    read_back = sc.codebook_from_json(sc.codebook_to_json(code))  # keeps explicit words
+    for c in (code, read_back):
+        assert list(map(c.decode, map("0".__add__, words))) == list(range(len(words)))
+        assert c.decode(c.reject) == c.decoder_for_reject
+        for word in ("", "0", "00", "0" + words[-1] + "0", "11"):
+            with pytest.raises(ValueError, match="^not a codeword: "):
+                c.decode(word)
 
 
 def test_ideal_real_lengths_worked_instance():
@@ -474,6 +491,14 @@ def binary_words(book):
     return all(isinstance(w, str) and w != "" and set(w) <= {"0", "1"} for w in words)
 
 
+def json_numbers(book):
+    """Whether every gamma is a JSON number and the decode target, if given, a JSON integer."""
+    gammas = [e["gamma"] for e in book["entries"] if isinstance(e, dict) and "gamma" in e]
+    decoder = book.get("decoder_for_reject", 0)
+    numbers = all(isinstance(g, (int, float)) and not isinstance(g, bool) for g in gammas)
+    return numbers and isinstance(decoder, int) and not isinstance(decoder, bool)
+
+
 def test_column_reader_matches_the_per_entry_reader_on_mutated_codebooks():
     rng = random.Random(2024)
     books = []
@@ -499,6 +524,10 @@ def test_column_reader_matches_the_per_entry_reader_on_mutated_codebooks():
         elif expected[0] is sc.StochasticCode and not binary_words(book):
             # a word the old reader took as given; the new one rejects it
             assert got[0] is ValueError, (book, expected, got)
+        elif got != expected and not json_numbers(book):
+            # a bool or string gamma, or a decode target that is no JSON integer,
+            # the old reader converted; the new one rejects it
+            assert got[0] is ValueError, (book, expected, got)
         else:
             assert got == expected, (book, expected, got)
     assert {ValueError, KeyError, sc.KraftViolated, TypeError, AttributeError} <= kinds
@@ -516,3 +545,124 @@ def test_huge_counts_print_their_size_in_error_messages():
         sc.distributions._guard_class_count(20000, 20000)
     with pytest.raises(sc.Misaligned, match=r"^code covers 2\*\*20000 or more symbols"):
         sc.codes._segments([CodeRun(2**20000, 0.0, None)], sc.new_distribution([1.0]))
+
+
+def printed_codebooks():
+    """Codes and the codebooks `code` prints for them.
+
+    The sources are the referee sources and [0.5,0.3,0.2]^n, n = 6..10.
+    """
+    products = [sc.iid_extension(sc.new_distribution(WORKED), n) for n in range(6, 11)]
+    cases = []
+    for dist in referee_sources() + products:
+        for build in (sc.build_stochastic_code, sc.build_deterministic_code):
+            for eps, lam in ((0.0, 1.0), (0.1, 1.0), (0.3, 0.5)):
+                code = build(dist, eps, lam)
+                cases.append((code, codes._codebook_text(code) + "\n"))
+    return cases
+
+
+def test_printed_codebooks_are_read_without_json(monkeypatch):
+    cases = printed_codebooks()
+    expected = [sc.codebook_from_json(json.loads(text)) for _, text in cases]
+
+    def no_json(text):
+        raise AssertionError("the codebook went through json.loads")
+
+    monkeypatch.setattr(codes.json, "loads", no_json)
+    for (code, text), want in zip(cases, expected):
+        for printed in (text, text[:-1]):  # with and without print's newline
+            got = codes._codebook_from_text(printed)
+            assert got == want == code
+            assert got.gamma == want.gamma and got.inner.codewords == want.inner.codewords
+            assert got.decoder_for_reject == want.decoder_for_reject and got.reject == want.reject
+
+
+def mutate_text(text, rng):
+    """One random change to a printed codebook, to its layout or to its content."""
+    book = json.loads(text)
+    entries = book["entries"]
+    i = rng.randrange(len(entries))
+    coded = [j for j, e in enumerate(entries) if e["codeword"] is not None]
+    kind = rng.randrange(15)
+    if kind == 0:  # compact, re-indented, or with the keys in another order
+        return rng.choice([json.dumps(book), json.dumps(book, indent=rng.choice([1, 4, "\t"])),
+                           json.dumps(dict(reversed(book.items())), indent=2)])
+    if kind == 1:
+        return text.replace("\n", "\r\n")
+    if kind == 2:
+        return "\ufeff" + text
+    if kind == 3:  # trailing whitespace or garbage
+        return text + rng.choice([" ", "\n", "\n\n", "\t", "x", "}", "{}", "\x00"])
+    if kind == 4:
+        return text[: rng.randrange(len(text))]
+    if kind == 5:  # an integer where the writer prints a float
+        old = rng.choice(['"gamma": 1.0', '"gamma": 0.0'])
+        return text.replace(old, old[:-2], rng.choice([1, -1]))
+    if kind == 6 and coded:  # an escaped '0' inside a word
+        start = rng.choice([m.end() - 1 for m in re.finditer('"codeword": "0', text)])
+        return text[:start] + "\\u0030" + text[start + 1 :]
+    if kind == 7:  # a duplicate key, read by json as its last value
+        return rng.choice([
+            text.replace('{\n  "decoder', '{\n  "reject": "0",\n  "decoder', 1),
+            text.replace('      "gamma"', '      "gamma": 0.5,\n      "gamma"', 1),
+        ])
+    if kind == 8 and coded:  # a flipped word bit
+        j = rng.choice(coded)
+        word = entries[j]["codeword"]
+        if len(word) > 1:
+            k = rng.randrange(1, len(word))
+            entries[j]["codeword"] = word[:k] + "10"[int(word[k])] + word[k + 1 :]
+    elif kind == 9 and len(entries) > 1:  # swapped entries
+        j = rng.randrange(len(entries))
+        entries[i], entries[j] = entries[j], entries[i]
+    elif kind == 10:  # a run boundary moved by one entry
+        edges = [j for j in range(len(entries) - 1) if entries[j] != entries[j + 1]
+                 and (entries[j]["gamma"], entries[j]["codeword"] is None)
+                 != (entries[j + 1]["gamma"], entries[j + 1]["codeword"] is None)]
+        if edges:
+            j = rng.choice(edges)
+            entries[j]["gamma"] = entries[j + 1]["gamma"]
+            if entries[j + 1]["codeword"] is None:
+                entries[j]["codeword"] = None
+    elif kind == 11:
+        book["decoder_for_reject"] = rng.choice([len(entries), len(entries) + 1, -1, 10**30])
+    elif kind == 12:
+        book["reject"] = rng.choice(["0", "00", "01", "011", "0" * 30])
+    elif kind == 13:
+        book["decoder_for_reject"] = rng.choice([0, len(entries) - 1])
+    # kind 14: the text as printed
+    return json.dumps(book, indent=2, sort_keys=True) + rng.choice(["", "\n"])
+
+
+def read_outcome(read, text):
+    try:
+        code = read(text)
+    except Exception as exc:  # the outcome compared is the exception itself
+        return type(exc), str(exc)
+    return type(code), code, code.gamma, code.inner.codewords
+
+
+def test_text_reader_matches_the_json_reader_on_mutated_texts():
+    rng = random.Random(2025)
+    texts = []
+    for dist in referee_sources()[:-1] + [sc.iid_extension(sc.new_distribution(WORKED), 5)]:
+        for build in (sc.build_stochastic_code, sc.build_deterministic_code):
+            for eps, lam in ((0.0, 1.0), (0.2, 2.0), (0.5, 0.5)):
+                texts.append(codes._codebook_text(build(dist, eps, lam)) + "\n")
+    kinds, fast = set(), 0
+    for trial in range(1500):
+        text = rng.choice(texts)
+        for _ in range(rng.choice((1, 1, 2))):
+            text = mutate_text(text, rng)
+            try:
+                json.loads(text)["entries"][0]["codeword"]
+            except Exception:  # a later change needs a readable codebook
+                break
+        expected = read_outcome(lambda t: sc.codebook_from_json(json.loads(t)), text)
+        got = read_outcome(codes._codebook_from_text, text)
+        assert got == expected, (text[:300], expected[:2], got[:2])
+        kinds.add(expected[0])
+        fast += got[0] is sc.StochasticCode and got[1].explicit_words is None
+    assert {sc.StochasticCode, json.JSONDecodeError, ValueError, sc.KraftViolated} <= kinds
+    assert fast > 100

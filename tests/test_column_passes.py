@@ -326,7 +326,10 @@ def test_mass_check_accepts_from_the_plain_sum(monkeypatch):
 
 
 def cold_copy(dist):
-    return Distribution(dist.log_probs, dist.mults, dist.n)
+    """An equal distribution, less the mass column the constructor's mass check built."""
+    copy = Distribution(dist.log_probs, dist.mults, dist.n)
+    del vars(copy)["_masses"]
+    return copy
 
 
 @settings(deadline=None)

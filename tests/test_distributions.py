@@ -121,6 +121,18 @@ def test_from_atoms():
         sc.distribution_from_atoms([])
 
 
+def test_constructor_checks_the_total_mass():
+    # levels of mass 1.72: the public constructor once took them, and the
+    # code oracle then scored the source as if it were a distribution
+    with pytest.raises(sc.NotNormalized, match="^total mass is 1.72"):
+        sc.Distribution((-0.1, -0.2), (1, 1))
+    with pytest.raises(sc.NotNormalized, match="^total mass overflows"):
+        sc.Distribution((0.0,), (10**400,))
+    dist = sc.Distribution((math.log(0.5), math.log(0.25)), (1, 2))
+    assert dist == sc.new_distribution([0.5, 0.25, 0.25])
+    assert "_masses" in vars(dist)  # the check leaves the column built for the smoothing
+
+
 def test_iid_fair_coin_is_single_atom():
     coin = sc.new_distribution([0.5, 0.5])
     d3 = sc.iid_extension(coin, 3)
