@@ -368,13 +368,26 @@ class StochasticCode:
         return _segments(self.runs, dist)
 
 
-def _reject_target(segments: Iterable[Segment]) -> int:
-    """First symbol with the largest rejected mass P(x) * (1 - gamma(x))."""
+def _reject_target(dist: Distribution, mults: Sequence[int], last_gamma: float) -> int:
+    """First symbol with the largest rejected mass P(x) * (1 - gamma(x)) in a flag code.
+
+    The code accepts the symbols before its last coded run surely, those of
+    that run with probability last_gamma, and none after. Probabilities do
+    not increase along the sorted order, so within each of these three
+    stretches the first symbol's rejected mass is the largest, and only
+    those three symbols are compared, in order, by the same products and
+    the same strict > from -1.0 as a scan over every segment.
+    """
+    level_ends = list(itertools.accumulate(dist.mults))
+    coded = sum(mults)
+    last = coded - mults[-1] if mults else 0
     best, target = -1.0, 0
-    for s in segments:
-        rejected = math.exp(s.log_prob) * (1.0 - s.gamma)
-        if rejected > best:
-            best, target = rejected, s.first
+    for first in (0, last, coded):
+        if first < level_ends[-1]:
+            gamma = 1.0 if first < last else last_gamma if first < coded else 0.0
+            rejected = math.exp(dist.log_probs[bisect_right(level_ends, first)]) * (1.0 - gamma)
+            if rejected > best:
+                best, target = rejected, first
     return target
 
 
@@ -401,9 +414,8 @@ def _flag_code(
     rest = dist.support_size - sum(mults)
     if rest:
         runs.append((rest, 0.0, None))
-    packed = _packed(runs)
-    decoder = _reject_target(_segments(packed, dist))
-    code = StochasticCode(runs=packed, decoder_for_reject=decoder)
+    decoder = _reject_target(dist, mults, last_gamma)
+    code = StochasticCode(runs=_packed(runs), decoder_for_reject=decoder)
     code._word_runs  # checks Kraft; inner reuses the cached starts
     return code
 

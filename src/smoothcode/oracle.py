@@ -6,11 +6,13 @@ closed-form implementations. The one piece shared with the constructive
 modules is codes.assign_canonical_codewords, which spells out the winning
 lengths as words after the search; best_moment does not depend on it.
 
-The code search takes four exact reductions (see optimal_code_bruteforce):
+The code search takes five exact reductions (see optimal_code_bruteforce):
 one credited-error check per set partition, one scored assignment per orbit
-of tied words, one fsum pass per (word count, length multiset) block, and
-no pass at all for a block that a proven bound shows cannot hold the
-minimum. search_space_size still counts every (assignment, multiset) pair.
+of tied words, one fsum pass per (word count, length multiset) block, no
+pass at all for a block that a proven bound shows cannot hold the minimum,
+and no bound at all for a block whose parent in the Kraft order already
+fails that test. search_space_size still counts every (assignment,
+multiset) pair, by its closed form.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import sys
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, product
-from operator import itemgetter, methodcaller, mul
+from operator import itemgetter, le, methodcaller, mul
 from typing import Iterable, NamedTuple
 
 from .codes import assign_canonical_codewords
@@ -91,6 +93,38 @@ def enumerate_kraft_length_multisets(k: int, max_len: int) -> list[tuple[int, ..
 _cached_multisets = cache(enumerate_kraft_length_multisets)
 
 
+class _KraftOrder(NamedTuple):
+    """children[j]: the indices whose parent is multiset j; minimal: those with no parent."""
+
+    children: tuple[tuple[int, ...], ...]
+    minimal: tuple[int, ...]
+
+
+@cache
+def _kraft_order(c: int, max_len: int) -> _KraftOrder:
+    """Parent links, by index, over the multisets of _cached_multisets(c, max_len).
+
+    A multiset's parent is the multiset with its longest length shortened by
+    one bit, when that one is enumerated too, so its sorted lengths are
+    entry-wise no longer than its child's. A multiset whose Kraft sum is
+    below 1 has a parent (its longest length l >= 2 can lose a bit, as the
+    sum is a multiple of 2**-l; a one-word (1,) becomes (0,)), so the
+    minimal ones, which no shortening keeps within Kraft, are the complete
+    codes.
+    """
+    multisets = _cached_multisets(c, max_len)
+    index = {lengths: j for j, lengths in enumerate(multisets)}
+    children: list[list[int]] = [[] for _ in multisets]
+    minimal = []
+    for j, lengths in enumerate(multisets):
+        up = index.get(tuple(sorted((*lengths[:-1], lengths[-1] - 1))))
+        if up is None:
+            minimal.append(j)
+        else:
+            children[up].append(j)
+    return _KraftOrder(tuple(map(tuple, children)), tuple(minimal))
+
+
 class _Surjections(NamedTuple):
     """The onto maps from s symbols to c words, in product order.
 
@@ -134,6 +168,12 @@ def _surjections(s: int, c: int) -> _Surjections:
     )
 
 
+@cache
+def _onto(s: int, c: int) -> int:
+    """Number of onto maps from s symbols to c words, c! * S(s, c), by inclusion-exclusion."""
+    return sum((-1) ** j * math.comb(c, j) * (c - j) ** s for j in range(c + 1))
+
+
 def optimal_code_bruteforce(
     dist: Distribution, eps: float, lam: float, max_len: int = 5
 ) -> OracleResult:
@@ -148,7 +188,7 @@ def optimal_code_bruteforce(
     wins; every pair (assignment, length multiset) is counted in
     search_space_size, scored or not.
 
-    Four exact reductions keep the result bit-identical to scoring every
+    Five exact reductions keep the result bit-identical to scoring every
     pair one by one, because fsum is exactly rounded and so does not depend
     on the order of its terms:
 
@@ -166,7 +206,14 @@ def optimal_code_bruteforce(
       float minimum from above. Only blocks with
       min(v, MAX) * (1 - 2**-50) - 2**-1022 <= reach are scored, in their
       order; the others provably score above reach, so the first block
-      that reaches the minimum is always among those scored.
+      that reaches the minimum is always among those scored;
+    - bounds follow the Kraft order (_scored_blocks): a multiset's parent,
+      its longest length one bit shorter, has a bound no larger, so reach
+      is the least bound over the Kraft-minimal blocks alone, and a block
+      whose parent fails the test fails too and gets no bound. The onto
+      assignments of a word count are tabulated only where it has a block
+      to score; search_space_size is the closed form
+      sum over c of c! * S(s, c) * (number of multisets of c words).
 
     A weight or a moment past float range reads as +inf, so it never wins;
     such a block's moments are scored one by one. Raises TooLarge only when
@@ -180,28 +227,16 @@ def optimal_code_bruteforce(
         raise TooLarge(f"brute force limited to support {CODE_SEARCH_MAX_SUPPORT}, got {s}")
     total = math.fsum(probs)
 
-    multisets = {c: _cached_multisets(c, max_len) for c in range(1, s + 1)}
-    pows = [_pow2(lam * l) for l in range(max_len + 1)]
-    bounds = {c: _block_bounds(probs, eps, pows, c, multisets[c]) for c in multisets}
-    reach = min([v for vs in bounds.values() for v in vs], default=math.inf)
-
     best_moment = math.inf
     best_assign: tuple[int, ...] | None = None
     best_lengths: tuple[int, ...] | None = None
     overflowed = False
     space = 0
-    for c in range(1, s + 1):
-        if not multisets[c]:
-            continue
-        table = _surjections(s, c)
-        space += len(table.assigns) * len(multisets[c])
-        blocks = [
-            lengths
-            for lengths, v in zip(multisets[c], bounds[c])
-            if min(v, sys.float_info.max) * _BOUND_SHRINK - _BOUND_TINY <= reach
-        ]
+    for c, blocks in _scored_blocks(probs, eps, lam, max_len).items():
+        space += _onto(s, c) * len(_cached_multisets(c, max_len))
         if not blocks:
             continue
+        table = _surjections(s, c)
         fits = [
             total - math.fsum([max(map(probs.__getitem__, g)) for g in groups]) <= eps + 1e-12
             for groups in table.partitions
@@ -251,6 +286,59 @@ def optimal_code_bruteforce(
     )
 
 
+def _scored_blocks(
+    probs: list[float], eps: float, lam: float, max_len: int
+) -> dict[int, list[tuple[int, ...]]]:
+    """Per word count c that has length multisets, those whose block the search scores.
+
+    A block is scored when min(v, MAX) * _BOUND_SHRINK - _BOUND_TINY <= reach,
+    with v its _block_bounds bound and reach the least bound of all blocks;
+    the multisets come in enumeration order. Bounds are computed only where
+    they can change that answer, because v never decreases from a parent to
+    its child (_kraft_order):
+    - pows does not decrease in l (where a libm pow breaks that, every block
+      is a root), so the parent's sorted weights, the lightest repeated in
+      front, are entry-wise no heavier than the child's;
+    - a product p * w rounds monotonically, and reads 0 where p is 0;
+    - fsum rounds the exact sum of its terms once, or reads +inf from an
+      exact sum past float range, so each row's moment, and v, their least,
+      can only grow;
+    - the test is monotone in v.
+    So every block's chain of parents ends at a Kraft-minimal block whose
+    bound is no larger, and reach is the least bound over those roots; and a
+    block whose parent fails fails too, so only a kept block's children get
+    a bound.
+    """
+    s = len(probs)
+    multisets = {c: ms for c in range(1, s + 1) if (ms := _cached_multisets(c, max_len))}
+    pows = [_pow2(lam * l) for l in range(max_len + 1)]
+    rows = {c: _bound_rows(probs, eps, c) for c in multisets}
+    if all(map(le, pows, pows[1:])):
+        orders = {c: _kraft_order(c, max_len) for c in multisets}
+    else:  # a libm pow out of order: every block is its own root
+        orders = {
+            c: _KraftOrder(((),) * len(ms), tuple(range(len(ms)))) for c, ms in multisets.items()
+        }
+    roots = {
+        (c, j): _block_bound(rows[c], pows, multisets[c][j])
+        for c in multisets
+        for j in orders[c].minimal
+    }
+    reach = min(roots.values(), default=math.inf)
+
+    def within(v: float) -> bool:
+        return min(v, sys.float_info.max) * _BOUND_SHRINK - _BOUND_TINY <= reach
+
+    scored = {}
+    for c, ms in multisets.items():
+        kept = [j for j in orders[c].minimal if within(roots[c, j])]
+        for j in kept:  # kept grows as the loop runs, parents before children
+            children = orders[c].children[j]
+            kept += [k for k in children if within(_block_bound(rows[c], pows, ms[k]))]
+        scored[c] = list(map(ms.__getitem__, sorted(kept)))
+    return scored
+
+
 def _block_bounds(
     probs: list[float], eps: float, pows: list[float], c: int, multisets: list[tuple[int, ...]]
 ) -> list[float]:
@@ -297,25 +385,32 @@ def _block_bounds(
     above the float minimum; with reach = +inf (no S passes anywhere) every
     block is scored, so Infeasible and TooLarge are raised as before.
     """
-    s = len(probs)
+    rows = _bound_rows(probs, eps, c)
+    return [_block_bound(rows, pows, lengths) for lengths in multisets]
+
+
+def _bound_rows(probs: list[float], eps: float, c: int) -> list[list[float]]:
+    """Per decoded set S of c symbols that _block_bounds admits: the symbols
+    outside S, then S by decreasing probability."""
     total = math.fsum(probs)
     top = probs.index(max(probs))
-    rest = [i for i in range(s) if i != top]
-    # per passing S: the symbols outside it, then S by decreasing probability
+    rest = [i for i in range(len(probs)) if i != top]
     rows = []
     for others in combinations(rest, c - 1):
         kept = [probs[top], *map(probs.__getitem__, others)]
         if total - math.fsum(kept) <= eps + 1e-12:
             kept.sort(reverse=True)
             rows.append([probs[i] for i in rest if i not in others] + kept)
+    return rows
+
+
+def _block_bound(rows: list[list[float]], pows: list[float], lengths: tuple[int, ...]) -> float:
+    """_block_bounds' bound for one length multiset, from _bound_rows' rows."""
     if not rows:
-        return [math.inf] * len(multisets)
-    bounds = []
-    for lengths in multisets:
-        weight = sorted(map(pows.__getitem__, lengths))
-        weight[:0] = weight[:1] * (s - c)
-        bounds.append(min(_moments(rows, weight)))
-    return bounds
+        return math.inf
+    weight = sorted(map(pows.__getitem__, lengths))
+    weight[:0] = weight[:1] * (len(rows[0]) - len(lengths))
+    return min(_moments(rows, weight))
 
 
 def _moments(rows: list[list[float]], weight: list[float]) -> list[float]:

@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import smoothcode as sc
 from smoothcode import codes
@@ -230,6 +232,52 @@ def test_decode_every_word_of_a_large_code():
         for word in ("", "0", "00", "0" + words[-1] + "0", "11"):
             with pytest.raises(ValueError, match="^not a codeword: "):
                 c.decode(word)
+
+
+def _reject_target_by_segments(code, dist):
+    """First symbol with the largest rejected mass, scanned over every segment."""
+    best, target = -1.0, 0
+    for seg in code.segments(dist):
+        rejected = math.exp(seg.log_prob) * (1.0 - seg.gamma)
+        if rejected > best:
+            best, target = rejected, seg.first
+    return target
+
+
+def _dirichlet(rng, k):
+    draws = [rng.gammavariate(1.0, 1.0) for _ in range(k)]
+    total = sum(draws)
+    return [x / total for x in draws]
+
+
+# tied levels, random levels, and the benchmark's sources: small_many's
+# seeded Dirichlet draws over supports 3-64 and product_codes' [0.5,0.3,0.2]^n
+_reject_sources = st.one_of(
+    st.lists(st.integers(1, 4), min_size=1, max_size=12).map(lambda w: [x / sum(w) for x in w]),
+    st.lists(st.floats(0.01, 1.0), min_size=1, max_size=12).map(lambda w: [x / sum(w) for x in w]),
+    st.tuples(st.integers(0, 2**32), st.integers(3, 64)).map(
+        lambda a: _dirichlet(random.Random(a[0]), a[1])
+    ),
+    st.sampled_from([10, 12]),
+)
+
+
+@settings(deadline=None)
+@given(
+    source=_reject_sources,
+    eps=st.one_of(st.just(0.0), st.floats(0.0, 0.99), st.sampled_from([0.05, 0.1, 0.2])),
+    deterministic=st.booleans(),
+)
+def test_reject_target_matches_a_scan_over_segments(source, eps, deterministic):
+    if isinstance(source, int):
+        dist = sc.iid_extension(sc.new_distribution(WORKED), source)
+    else:
+        dist = sc.new_distribution(source)
+    build = sc.build_deterministic_code if deterministic else sc.build_stochastic_code
+    for budget in (eps, 1.0 - math.exp(dist.log_probs[0])):  # the second codes no symbol
+        if 0.0 <= budget < 1.0:
+            code = build(dist, budget, 1.0)
+            assert code.decoder_for_reject == _reject_target_by_segments(code, dist)
 
 
 def test_ideal_real_lengths_worked_instance():

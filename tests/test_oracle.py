@@ -1,6 +1,7 @@
 import math
 import os
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -385,6 +386,91 @@ def test_block_bound_is_below_the_block_minimum():
                         assert floor <= m <= v, (probs, eps, lam, c, lengths)
                         scored += 1
     assert scored > 10000
+
+
+def test_kraft_order_links_each_multiset_to_a_shorter_parent():
+    from smoothcode import oracle
+
+    for c in range(1, oracle.MAX_WORDS + 1):
+        for max_len in range(1, oracle.MAX_WORD_LEN + 1):
+            multisets = sc.enumerate_kraft_length_multisets(c, max_len)
+            order = oracle._kraft_order(c, max_len)
+            parent = {k: j for j, kids in enumerate(order.children) for k in kids}
+            # every multiset has one parent or is minimal
+            assert sorted([*parent, *order.minimal]) == list(range(len(multisets)))
+            for k, j in parent.items():
+                child, up = multisets[k], multisets[j]
+                (longer,) = Counter(child) - Counter(up)
+                assert Counter(child) - Counter(up) == Counter({longer: 1})
+                assert Counter(up) - Counter(child) == Counter({longer - 1: 1})
+                assert all(a <= b for a, b in zip(sorted(up), sorted(child)))
+            # the minimal multisets are the complete codes
+            complete = [j for j, m in enumerate(multisets) if sum(Fraction(1, 2**l) for l in m) == 1]
+            assert list(order.minimal) == complete
+    minimal = [
+        sc.enumerate_kraft_length_multisets(c, 5)[j]
+        for c in range(1, 6)
+        for j in oracle._kraft_order(c, 5).minimal
+    ]
+    assert minimal == [
+        (0,), (1, 1), (1, 2, 2), (1, 2, 3, 3), (2, 2, 2, 2),
+        (1, 2, 3, 4, 4), (1, 3, 3, 3, 3), (2, 2, 2, 3, 3),
+    ]
+
+
+def test_search_scores_the_blocks_the_plain_rule_keeps(monkeypatch):
+    from smoothcode import oracle
+
+    def plain_rule(probs, eps, lam, max_len):
+        """Every multiset's bound, then the same test against the least of them."""
+        pows = [oracle._pow2(lam * l) for l in range(max_len + 1)]
+        bounds = {}
+        for c in range(1, len(probs) + 1):
+            multisets = sc.enumerate_kraft_length_multisets(c, max_len)
+            if multisets:
+                bounds[c] = list(zip(multisets, oracle._block_bounds(probs, eps, pows, c, multisets)))
+        reach = min(v for pairs in bounds.values() for _, v in pairs)
+        floor = lambda v: min(v, sys.float_info.max) * oracle._BOUND_SHRINK - oracle._BOUND_TINY
+        return reach, {c: [m for m, v in pairs if floor(v) <= reach] for c, pairs in bounds.items()}
+
+    rng = np.random.default_rng(103)
+    sources = [dist.probabilities() for dist in _margin_sources()]
+    sources += [sorted(map(float, rng.dirichlet(np.ones(s))), reverse=True) for s in (3, 4, 5, 5)]
+    sources.append(WORKED)  # no decoded set passes at eps 0 with 1-bit words
+    unreachable = 0
+    for case in product(sources, (0.0, 0.1, 0.3), (0.5, 1.0, 204.7), (1, 3, 5)):
+        reach, plain = plain_rule(*case)
+        unreachable += reach == math.inf
+        assert oracle._scored_blocks(*case) == plain, case
+    assert unreachable
+    # the Kraft order is what keeps bounds cheap: at support 5 with 5-bit words,
+    # a handful of the 176 blocks get one
+    calls = []
+    block_bound = oracle._block_bound
+    monkeypatch.setattr(oracle, "_block_bound", lambda *args: calls.append(args) or block_bound(*args))
+    oracle._scored_blocks([0.3, 0.25, 0.2, 0.15, 0.1], 0.1, 1.0, 5)
+    assert len(calls) < 20
+    # weights out of order, as a pow that is not monotone could give: no block
+    # inherits its parent's test, so every block gets a bound
+    monkeypatch.setattr(oracle, "_pow2", lambda x: 2.0 ** (x if x % 2 else -x))
+    for probs in sources[-5:]:
+        _, plain = plain_rule(probs, 0.1, 1.0, 5)
+        calls.clear()
+        assert oracle._scored_blocks(probs, 0.1, 1.0, 5) == plain
+        multisets = [sc.enumerate_kraft_length_multisets(c, 5) for c in range(1, len(probs) + 1)]
+        assert len(calls) == sum(map(len, multisets))
+
+
+def test_bruteforce_tabulates_assignments_only_where_a_block_is_scored():
+    from smoothcode import oracle
+
+    probs = [0.3, 0.25, 0.2, 0.15, 0.1]
+    scored = oracle._scored_blocks(probs, 0.1, 1.0, 5)
+    with_blocks = sum(1 for blocks in scored.values() if blocks)
+    assert 0 < with_blocks < len(scored)
+    oracle._surjections.cache_clear()
+    sc.optimal_code_bruteforce(sc.new_distribution(probs), 0.1, 1.0, 5)
+    assert oracle._surjections.cache_info().currsize == with_blocks
 
 
 def _stirling2(n, k):
