@@ -20,7 +20,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, partial
 from operator import add, itemgetter, lshift, mul, neg, sub, truediv
-from typing import Iterable, NamedTuple, NoReturn, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .distributions import Distribution, _check_size, _expand, _expand_levels, _log_masses
 from .errors import KraftViolated, Misaligned, TooLarge, check_lambda, count_text
@@ -184,10 +184,14 @@ def _canonical_starts(runs: Sequence[tuple[int, int]]) -> list[int]:
     return starts
 
 
+# bin(2**length + value) is "0b1" and then the canonical word, "" at length 0
+_CUT_MARK = itemgetter(slice(3, None))
+
+
 def _run_words(length: int, start: int, count: int) -> Iterable[str]:
-    if length == 0:
-        return itertools.repeat("", count)
-    return map(format, range(start, start + count), itertools.repeat(f"0{length}b"))
+    """The count canonical words of one length from value start on, counted out with bin."""
+    first = start + (1 << length)
+    return map(_CUT_MARK, map(bin, range(first, first + count)))
 
 
 class CodeRun(NamedTuple):
@@ -478,8 +482,6 @@ _WORD = '    {\n      "codeword": "0'
 _NULL = '    {\n      "codeword": null,\n      "gamma": '
 _WORD_END = '",\n      "gamma": '
 _CLOSE = "\n    }"
-# bin(2**length + value) is "0b1" and then the canonical word
-_CUT_MARK = itemgetter(slice(3, None))
 
 
 def _codebook_text(code: StochasticCode) -> str:
@@ -505,9 +507,7 @@ def _codebook_text(code: StochasticCode) -> str:
             continue
         tail = f"{_WORD_END}{gamma}{_CLOSE}"
         if words is None:
-            length, start, count = next(word_runs)
-            first = start + (1 << length)
-            run_words = map(_CUT_MARK, map(bin, range(first, first + count)))
+            run_words = _run_words(*next(word_runs))
         else:
             run_words = words[done : done + run.count]
             done += run.count
@@ -608,7 +608,7 @@ def _guess_code(text: str) -> StochasticCode | None:
     return code
 
 
-_GAMMA, _CODEWORD, _INNER = itemgetter("gamma"), itemgetter("codeword"), itemgetter(slice(1, None))
+_INNER = itemgetter(slice(1, None))
 
 
 def codebook_from_json(obj: dict) -> StochasticCode:
@@ -616,12 +616,10 @@ def codebook_from_json(obj: dict) -> StochasticCode:
 
     The words are kept as given; consecutive entries with equal gamma and
     word length share one run, as in a built code, so both evaluate alike.
-    Input of the wrong shape raises ValueError, a missing key KeyError.
-    The entries are checked column by column; once a check fails, they are
-    walked one by one to report the first bad entry. The reject word and the
-    codewords must be nonempty strings of '0' and '1', each gamma a JSON
-    number (an int or a float, not a bool or a string) and the decode target
-    an int.
+    Input of the wrong shape raises ValueError, a missing key KeyError,
+    each for the first bad entry. The reject word and the codewords must be
+    nonempty strings of '0' and '1', each gamma a JSON number (an int or a
+    float, not a bool or a string) and the decode target an int.
     """
     if not isinstance(obj, dict):
         raise ValueError("codebook JSON must be an object")
@@ -631,10 +629,7 @@ def codebook_from_json(obj: dict) -> StochasticCode:
     reject = obj["reject"]
     if not isinstance(entries, list):
         raise ValueError("codebook entries must be a list")
-    columns = _entry_columns(entries)
-    if columns is None:
-        _raise_first_bad_entry(entries)
-    gammas, flagged = columns
+    gammas, flagged = _entry_columns(entries)
     lengths = itertools.chain(map(len, flagged), itertools.repeat(None, len(gammas) - len(flagged)))
     runs = _packed(zip(itertools.repeat(1), gammas, lengths))
     if not PrefixCode((*flagged, str(reject))).is_prefix_free():
@@ -667,61 +662,38 @@ def _is_binary(text: str) -> bool:
         return False
 
 
-def _entry_columns(entries: list) -> tuple[list[float], list[str]] | None:
+def _entry_columns(entries: list) -> tuple[list[float], list[str]]:
     """Each entry's gamma, and the words of the leading entries that have one.
 
-    None once an entry fails a check; the checks run column by column.
+    The entries are checked in turn; the first bad one raises its error.
     """
-    try:
-        raw = list(map(_GAMMA, entries))
-        words = list(map(_CODEWORD, entries))
-        if any(map(isinstance, raw, itertools.repeat(bool))) or not all(
-            map(isinstance, raw, itertools.repeat((int, float)))
-        ):
-            return None
-        gammas = list(map(float, raw))
-    except (KeyError, TypeError, OverflowError):
-        return None
-    coded = words.index(None) if None in words else len(words)
-    flagged = words[:coded]
-    if not (
-        all(map((0.0).__le__, gammas))
-        and all(map((1.0).__ge__, gammas))
-        and words.count(None) == len(words) - coded  # no word after the first null
-        and not any(gammas[coded:])  # entries without a word are never accepted
-        and all(map(isinstance, flagged, itertools.repeat(str)))
-        and all(map(str.startswith, flagged, itertools.repeat("0")))
-    ):
-        return None
-    return gammas, flagged
-
-
-def _raise_first_bad_entry(entries: list) -> NoReturn:
-    """Raise the error of the first bad entry, checking each entry in turn."""
-    coded = 0  # entries with a word so far; they must be all the entries so far
+    gammas: list[float] = []
+    flagged: list[str] = []
     for i, e in enumerate(entries):
         try:
             g = e["gamma"]
         except TypeError:
             raise ValueError(f"entry {i} is not a JSON object") from None
-        if isinstance(g, bool) or not isinstance(g, (int, float)):
-            raise ValueError(f"gamma at entry {i} is not a number")
-        try:
-            g = float(g)
-        except OverflowError:
-            g = math.nan  # out of range
+        if type(g) is not float:  # a JSON float needs no check or conversion
+            if isinstance(g, bool) or not isinstance(g, (int, float)):
+                raise ValueError(f"gamma at entry {i} is not a number")
+            try:
+                g = float(g)
+            except OverflowError:
+                g = math.nan  # out of range
         if not 0.0 <= g <= 1.0:
             raise ValueError(f"gamma out of [0, 1] at entry {i}")
         word = e["codeword"]
         if word is None:
             if g > 0.0:
                 raise ValueError(f"entry {i} can be accepted but has no codeword")
-            continue
-        if coded != i:
+        elif len(flagged) != i:  # entries with a word must be all the entries so far
             raise ValueError("coded symbols must form a leading block of the entries")
-        if not isinstance(word, str):
+        elif not isinstance(word, str):
             raise ValueError(f"codeword at entry {i} is neither a string nor null")
-        if not word.startswith("0"):
+        elif word[:1] != "0":
             raise ValueError(f"accept codeword must start with the flag bit '0': {word!r}")
-        coded += 1
-    raise AssertionError("a column check failed on entries that all pass")
+        else:
+            flagged.append(word)
+        gammas.append(g)
+    return gammas, flagged

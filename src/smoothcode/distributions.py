@@ -255,7 +255,7 @@ def new_distribution(probs: Sequence[float]) -> Distribution:
     neg_lps = [-math.log(p) for p in probs if p > 0.0]
     if not neg_lps:
         raise EmptyDistribution("no strictly positive probability entry")
-    _check_sum(probs)
+    # the constructor checks the total mass
     return Distribution(*_normalize_atoms(neg_lps, [1] * len(neg_lps)), n=1)
 
 

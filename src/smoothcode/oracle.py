@@ -6,13 +6,14 @@ closed-form implementations. The one piece shared with the constructive
 modules is codes.assign_canonical_codewords, which spells out the winning
 lengths as words after the search; best_moment does not depend on it.
 
-The code search takes five exact reductions (see optimal_code_bruteforce):
-one credited-error check per set partition, one scored assignment per orbit
-of tied words, one fsum pass per (word count, length multiset) block, no
-pass at all for a block that a proven bound shows cannot hold the minimum,
-and no bound at all for a block whose parent in the Kraft order already
-fails that test. search_space_size still counts every (assignment,
-multiset) pair, by its closed form.
+The code search takes four exact reductions (see optimal_code_bruteforce):
+one scored assignment per orbit of tied words, one moment pass per (word
+count, length multiset) block, no pass at all for a block that a proven
+bound shows cannot hold the minimum, and no bound at all for a block whose
+parent in the Kraft order already fails that test. The bound and the scorer
+share one credited-error test, on the set of symbols that first use their
+words, and one moment sum. search_space_size still counts every
+(assignment, multiset) pair, by its closed form.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import sys
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, product
-from operator import itemgetter, le, methodcaller, mul
+from operator import le, mul
 from typing import Iterable, NamedTuple
 
 from .codes import assign_canonical_codewords
@@ -45,7 +46,7 @@ MAX_WORDS = 8
 MAX_WORD_LEN = 8
 
 # a block is scored unless min(bound, MAX) * _BOUND_SHRINK - _BOUND_TINY
-# exceeds the least bound; _block_bounds derives both constants
+# exceeds the least bound; _block_bound derives both constants
 _BOUND_SHRINK = 1.0 - 2.0**-50
 _BOUND_TINY = sys.float_info.min
 
@@ -128,44 +129,27 @@ def _kraft_order(c: int, max_len: int) -> _KraftOrder:
 class _Surjections(NamedTuple):
     """The onto maps from s symbols to c words, in product order.
 
-    getters[k] picks the flat cells i*c + a of assignment k from a term
-    table; descents[k] has bit j set when word j+1 is first used before word
-    j; parts[k] indexes, in partitions, the set partition of the symbols
-    into word groups that assignment k induces.
+    descents[k] has bit j set when word j+1 is first used before word j;
+    credited[k] has bit i set when symbol i is the first to use its word,
+    which, with the symbols largest first, is the symbol its word decodes.
     """
 
     assigns: tuple[tuple[int, ...], ...]
-    getters: tuple[itemgetter, ...]
     descents: tuple[int, ...]
-    parts: tuple[int, ...]
-    partitions: tuple[tuple[tuple[int, ...], ...], ...]
+    credited: tuple[int, ...]
 
 
 @cache
 def _surjections(s: int, c: int) -> _Surjections:
     """Probability-free part of the code search over s symbols and c words."""
-    assigns, getters, descents, parts = [], [], [], []
-    partitions: dict[tuple[int, ...], int] = {}
+    assigns, descents, credited = [], [], []
     # every codeword must be used
     for assign in [a for a in product(range(c), repeat=s) if len(set(a)) == c]:
         first = list(map(assign.index, range(c)))
-        # each symbol mapped to the first symbol of its group names the partition
-        leaders = tuple(map(first.__getitem__, assign))
-        if leaders not in partitions:
-            partitions[leaders] = len(partitions)
-        cells = [i * c + a for i, a in enumerate(assign)]
         assigns.append(assign)
-        # a one-index itemgetter returns a scalar; a slice keeps it a sequence
-        getters.append(itemgetter(*cells) if s > 1 else itemgetter(slice(cells[0], cells[0] + 1)))
         descents.append(sum(1 << j for j in range(c - 1) if first[j] > first[j + 1]))
-        parts.append(partitions[leaders])
-    groups = [
-        tuple(tuple(i for i in range(s) if leaders[i] == head) for head in sorted(set(leaders)))
-        for leaders in partitions
-    ]
-    return _Surjections(
-        tuple(assigns), tuple(getters), tuple(descents), tuple(parts), tuple(groups)
-    )
+        credited.append(sum(1 << i for i in first))
+    return _Surjections(tuple(assigns), tuple(descents), tuple(credited))
 
 
 @cache
@@ -182,27 +166,29 @@ def optimal_code_bruteforce(
     Enumerates the number of codewords, every Kraft-feasible length multiset
     up to max_len, and every surjective symbol-to-word assignment; the
     winning lengths get canonical words. Decoding maps each word to its most
-    probable preimage, which is the error-minimizing decoder; a code is
-    admissible when that credited error is at most eps (with 1e-12 float
-    slack). The first assignment, in product order, that reaches the minimum
-    wins; every pair (assignment, length multiset) is counted in
-    search_space_size, scored or not.
+    probable preimage, which is the error-minimizing decoder; with the
+    symbols largest first that is the first symbol on the word, so a code's
+    credited set is the set of symbols that first use their words. A code is
+    admissible when that set passes the credited-error test of
+    _credited_sets, at most eps with 1e-12 float slack. The first
+    assignment, in product order, that reaches the minimum wins; every pair
+    (assignment, length multiset) is counted in search_space_size, scored
+    or not.
 
-    Five exact reductions keep the result bit-identical to scoring every
+    Four exact reductions keep the result bit-identical to scoring every
     pair one by one, because fsum is exactly rounded and so does not depend
     on the order of its terms:
 
-    - the credited error depends only on the set partition of the symbols
-      into word groups, so it is checked once per partition;
     - words of equal length have bit-equal weights, so relabelling them
       leaves every term, and the moment, unchanged; only the first member
       in product order of each such orbit is scored, the one that uses tied
       words in order of first use, and that member is where a first
       minimum can fall;
-    - each (word count, length multiset) block is scored in one pass of
-      fsum over itemgetters into a table of p_i * 2**(lam * l_a) terms;
+    - each (word count, length multiset) block takes its weights
+      2**(lam * l) once, and its kept assignments are summed in one pass of
+      _moments, the rule the bound sums with;
     - before any block is scored, each gets a bound v, the moment of one of
-      its own admissible codes (_block_bounds), and reach = min v bounds the
+      its own admissible codes (_block_bound), and reach = min v bounds the
       float minimum from above. Only blocks with
       min(v, MAX) * (1 - 2**-50) - 2**-1022 <= reach are scored, in their
       order; the others provably score above reach, so the first block
@@ -225,7 +211,6 @@ def optimal_code_bruteforce(
     s = len(probs)
     if s > CODE_SEARCH_MAX_SUPPORT:
         raise TooLarge(f"brute force limited to support {CODE_SEARCH_MAX_SUPPORT}, got {s}")
-    total = math.fsum(probs)
 
     best_moment = math.inf
     best_assign: tuple[int, ...] | None = None
@@ -237,34 +222,26 @@ def optimal_code_bruteforce(
         if not blocks:
             continue
         table = _surjections(s, c)
-        fits = [
-            total - math.fsum([max(map(probs.__getitem__, g)) for g in groups]) <= eps + 1e-12
-            for groups in table.partitions
-        ]
-        admissible = [k for k, part in enumerate(table.parts) if fits[part]]
+        passed = {sum(1 << i for i in kept) for kept in _credited_sets(probs, eps, c)}
+        admissible = [k for k, kept in enumerate(table.credited) if kept in passed]
         # tie pattern (bit j: words j and j+1 have equal length) -> the
-        # admissible orbit representatives and their getters
-        canonical: dict[int, tuple[list[int], list[itemgetter]]] = {}
+        # admissible orbit representatives
+        canonical: dict[int, list[tuple[int, ...]]] = {}
         for lengths in blocks:
             ties = sum(1 << j for j in range(c - 1) if lengths[j] == lengths[j + 1])
             if ties not in canonical:
-                keep = [k for k in admissible if not table.descents[k] & ties]
-                canonical[ties] = keep, [table.getters[k] for k in keep]
-            keep, getters = canonical[ties]
+                canonical[ties] = [
+                    table.assigns[k] for k in admissible if not table.descents[k] & ties
+                ]
+            keep = canonical[ties]
             if not keep:
                 continue
-            weight = [_pow2(lam * l) for l in lengths]
-            # a probability that underflowed to 0 adds nothing, even to an infinite weight
-            terms = [p * w if p else 0.0 for p in probs for w in weight]
-            try:
-                moments = list(map(math.fsum, map(methodcaller("__call__", terms), getters)))
-            except OverflowError:  # some moment past float range
-                moments = [_fsum_or_inf(get(terms)) for get in getters]
+            moments = _moments(probs, [_pow2(lam * l) for l in lengths], keep)
             m = min(moments)
             overflowed = overflowed or m == math.inf
             if m < best_moment:
                 best_moment = m
-                best_assign = table.assigns[keep[moments.index(m)]]
+                best_assign = keep[moments.index(m)]
                 best_lengths = lengths
     if best_assign is None:
         if overflowed:
@@ -274,10 +251,8 @@ def optimal_code_bruteforce(
 
     best_words = assign_canonical_codewords(best_lengths).codewords
     encoder = tuple(best_words[a] for a in best_assign)
-    decoder: dict[str, int] = {}
-    for j, w in enumerate(best_words):
-        group = [i for i, a in enumerate(best_assign) if a == j]
-        decoder[w] = max(group, key=lambda i: probs[i])
+    # a word decodes to its first symbol, the most probable one on it
+    decoder = {w: best_assign.index(j) for j, w in enumerate(best_words)}
     return OracleResult(
         best_moment=best_moment,
         encoder=encoder,
@@ -292,17 +267,17 @@ def _scored_blocks(
     """Per word count c that has length multisets, those whose block the search scores.
 
     A block is scored when min(v, MAX) * _BOUND_SHRINK - _BOUND_TINY <= reach,
-    with v its _block_bounds bound and reach the least bound of all blocks;
+    with v its _block_bound bound and reach the least bound of all blocks;
     the multisets come in enumeration order. Bounds are computed only where
     they can change that answer, because v never decreases from a parent to
     its child (_kraft_order):
     - pows does not decrease in l (where a libm pow breaks that, every block
-      is a root), so the parent's sorted weights, the lightest repeated in
-      front, are entry-wise no heavier than the child's;
+      is a root), so the parent's sorted weights are entry-wise no heavier
+      than the child's, and each symbol keeps its weight rank;
     - a product p * w rounds monotonically, and reads 0 where p is 0;
     - fsum rounds the exact sum of its terms once, or reads +inf from an
-      exact sum past float range, so each row's moment, and v, their least,
-      can only grow;
+      exact sum past float range, so each rearranged code's moment, and v,
+      their least, can only grow;
     - the test is monotone in v.
     So every block's chain of parents ends at a Kraft-minimal block whose
     bound is no larger, and reach is the least bound over those roots; and a
@@ -320,7 +295,7 @@ def _scored_blocks(
             c: _KraftOrder(((),) * len(ms), tuple(range(len(ms)))) for c, ms in multisets.items()
         }
     roots = {
-        (c, j): _block_bound(rows[c], pows, multisets[c][j])
+        (c, j): _block_bound(probs, rows[c], pows, multisets[c][j])
         for c in multisets
         for j in orders[c].minimal
     }
@@ -334,36 +309,59 @@ def _scored_blocks(
         kept = [j for j in orders[c].minimal if within(roots[c, j])]
         for j in kept:  # kept grows as the loop runs, parents before children
             children = orders[c].children[j]
-            kept += [k for k in children if within(_block_bound(rows[c], pows, ms[k]))]
+            kept += [k for k in children if within(_block_bound(probs, rows[c], pows, ms[k]))]
         scored[c] = list(map(ms.__getitem__, sorted(kept)))
     return scored
 
 
-def _block_bounds(
-    probs: list[float], eps: float, pows: list[float], c: int, multisets: list[tuple[int, ...]]
-) -> list[float]:
-    """Per length multiset of c words, the least moment of its rearranged codes.
+def _credited_sets(probs: list[float], eps: float, c: int) -> list[tuple[int, ...]]:
+    """The sets S of c symbols, holding symbol 0, that pass the credited-error test.
 
-    A rearranged code decodes a set S of c symbols that holds the first most
-    probable symbol and passes the partition test, total - fsum(P(S)) <=
-    eps + 1e-12. It puts S, by decreasing probability, on the words by
-    increasing weight w = pows[l] = 2**(lam * l), and every other symbol on the
-    lightest word, beside the most probable one; so its credited set is S and
-    it is an admissible code of the block. Its moment F(S) is the fsum of its
-    own p * w terms (0 where p is 0), which is what the scorer gives that
-    code's orbit. So the bound v = min F(S), +inf where no S passes, is a
-    moment the block scores.
+    With probs largest first, a word decodes to the first symbol on it, so
+    a code's credited set is the set of symbols that first use their word;
+    it holds symbol 0, and the code is admissible when its credited error
+    passes total - fsum(P(S)) <= eps + 1e-12. Each S is in increasing symbol
+    order, so in order of decreasing probability.
+    """
+    total = math.fsum(probs)
+    return [
+        (0, *others)
+        for others in combinations(range(1, len(probs)), c - 1)
+        if total - math.fsum([probs[0], *map(probs.__getitem__, others)]) <= eps + 1e-12
+    ]
+
+
+def _bound_rows(probs: list[float], eps: float, c: int) -> list[tuple[int, ...]]:
+    """Per credited set S of c symbols, its rearranged code (see _block_bound):
+    for each symbol, the rank of its word by weight, 0 for the lightest."""
+    return [
+        tuple(kept.index(i) if i in kept else 0 for i in range(len(probs)))
+        for kept in _credited_sets(probs, eps, c)
+    ]
+
+
+def _block_bound(
+    probs: list[float], rows: list[tuple[int, ...]], pows: list[float], lengths: tuple[int, ...]
+) -> float:
+    """The least moment of the rearranged codes of one length multiset, from _bound_rows.
+
+    A rearranged code decodes a credited set S of c symbols (_credited_sets).
+    It puts S, by decreasing probability, on the words by increasing weight
+    w = pows[l] = 2**(lam * l), and every other symbol on the lightest word,
+    beside the most probable one; so its credited set is S and it is an
+    admissible code of the block. Its moment F(S) is the _moments sum of its
+    own p * w terms, as the scorer sums that code's orbit. So the bound
+    v = min F(S), +inf where no S passes, is a moment the block scores.
 
     Why a block with L = fl(fl(min(v, MAX) * (1 - 8u)) - 2**-1022) > reach
     cannot hold the minimum, with u = 2**-53, MAX the largest float and s <= 5
     symbols: let m be the block's float minimum, scored by a code A (a block
     with no admissible code scores nothing and has nothing to lose).
-    - A credits one symbol with the largest probability, so some S above has
-      the values of A's credited set and passes the same test. Over the
-      extended reals with 0 * inf = 0, the exact sum of A's p * w terms is at
-      least the exact sum R of that S's terms: each other symbol's weight is
-      at least the lightest one, and the rearrangement inequality pairs
-      decreasing p with increasing w most cheaply.
+    - A's credited set is some S above. Over the extended reals with
+      0 * inf = 0, the exact sum of A's p * w terms is at least the exact
+      sum R of that S's terms: each other symbol's weight is at least the
+      lightest one, and the rearrangement inequality pairs decreasing p
+      with increasing w most cheaply.
     - A product rounds once, fl(x) within u*x + 2**-1075 of x (the absolute
       part for a subnormal result), or +inf from x >= Omega, the overflow
       threshold above MAX. fsum rounds the exact sum of its terms once: a
@@ -385,46 +383,25 @@ def _block_bounds(
     above the float minimum; with reach = +inf (no S passes anywhere) every
     block is scored, so Infeasible and TooLarge are raised as before.
     """
-    rows = _bound_rows(probs, eps, c)
-    return [_block_bound(rows, pows, lengths) for lengths in multisets]
-
-
-def _bound_rows(probs: list[float], eps: float, c: int) -> list[list[float]]:
-    """Per decoded set S of c symbols that _block_bounds admits: the symbols
-    outside S, then S by decreasing probability."""
-    total = math.fsum(probs)
-    top = probs.index(max(probs))
-    rest = [i for i in range(len(probs)) if i != top]
-    rows = []
-    for others in combinations(rest, c - 1):
-        kept = [probs[top], *map(probs.__getitem__, others)]
-        if total - math.fsum(kept) <= eps + 1e-12:
-            kept.sort(reverse=True)
-            rows.append([probs[i] for i in rest if i not in others] + kept)
-    return rows
-
-
-def _block_bound(rows: list[list[float]], pows: list[float], lengths: tuple[int, ...]) -> float:
-    """_block_bounds' bound for one length multiset, from _bound_rows' rows."""
     if not rows:
         return math.inf
-    weight = sorted(map(pows.__getitem__, lengths))
-    weight[:0] = weight[:1] * (len(rows[0]) - len(lengths))
-    return min(_moments(rows, weight))
+    return min(_moments(probs, sorted(map(pows.__getitem__, lengths)), rows))
 
 
-def _moments(rows: list[list[float]], weight: list[float]) -> list[float]:
-    """fsum of each row's p * w terms against weight, whose last entry is its largest.
+def _moments(
+    probs: list[float], weight: list[float], assigns: list[tuple[int, ...]]
+) -> list[float]:
+    """Per assignment a of the symbols to weights, the fsum of its p_i * weight[a_i] terms.
 
     A moment past float range reads as +inf, and a probability that
     underflowed to 0 adds nothing, even against an infinite weight.
     """
-    if weight[-1] < math.inf:
+    if max(weight) < math.inf:
         try:
-            return [math.fsum(map(mul, row, weight)) for row in rows]
+            return [math.fsum(map(mul, probs, map(weight.__getitem__, a))) for a in assigns]
         except OverflowError:  # some moment past float range
             pass
-    return [_fsum_or_inf([p * w if p else 0.0 for p, w in zip(row, weight)]) for row in rows]
+    return [_fsum_or_inf([p * weight[j] if p else 0.0 for p, j in zip(probs, a)]) for a in assigns]
 
 
 def _pow2(x: float) -> float:

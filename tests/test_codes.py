@@ -331,6 +331,33 @@ def test_codebook_json_round_trip():
             assert clone.is_deterministic == code.is_deterministic
 
 
+@settings(deadline=None)
+@given(
+    # small integer weights make ties; float weights make distinct letters
+    weights=st.lists(st.one_of(st.integers(1, 4), st.floats(0.001, 1.0)), min_size=1, max_size=64),
+    eps=st.one_of(st.just(0.0), st.floats(0.0, 0.95)),
+    lam=st.one_of(st.floats(0.01, 8.0), st.sampled_from([0.5, 1.0, 2.0])),
+    deterministic=st.booleans(),
+)
+def test_codebook_round_trip_on_drawn_sources(weights, eps, lam, deterministic):
+    total = math.fsum(weights)
+    dist = sc.new_distribution([w / total for w in weights])
+    build = sc.build_deterministic_code if deterministic else sc.build_stochastic_code
+    code = build(dist, eps, lam)
+    text = codes._codebook_text(code)
+    compact = json.dumps(json.loads(text), separators=(",", ":"))
+    clones = [
+        sc.codebook_from_json(json.loads(text)),
+        sc.codebook_from_json(json.loads(compact)),
+        codes._codebook_from_text(text),
+        codes._codebook_from_text(compact),
+    ]
+    for clone in clones:
+        assert clone == code
+        assert clone.gamma == code.gamma
+        assert clone.inner.codewords == code.inner.codewords
+
+
 def test_codebook_from_json_validation():
     good = sc.codebook_to_json(sc.build_stochastic_code(sc.new_distribution(WORKED), 0.1, 1.0))
 

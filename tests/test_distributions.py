@@ -130,6 +130,16 @@ def test_constructor_checks_the_total_mass():
         sc.Distribution((0.0,), (10**400,))
     dist = sc.Distribution((math.log(0.5), math.log(0.25)), (1, 2))
     assert dist == sc.new_distribution([0.5, 0.25, 0.25])
+
+
+def test_new_distribution_checks_the_mass_once_with_the_constructors_message():
+    # 2e-9 off is past the 1e-9 tolerance on either side, 5e-10 is within it
+    for off in (2e-9, -2e-9):
+        with pytest.raises(sc.NotNormalized, match=r"^total mass is [01]\.\d+, expected 1 within 1e-09$"):
+            sc.new_distribution([0.5, 0.5 + off])
+    for off in (5e-10, -5e-10):
+        dist = sc.new_distribution([0.5, 0.5 + off])
+        assert dist.support_size == 2
     assert "_masses" in vars(dist)  # the check leaves the column built for the smoothing
 
 

@@ -376,7 +376,8 @@ def test_block_bound_is_below_the_block_minimum():
                 pows = [oracle._pow2(lam * l) for l in range(max_len + 1)]
                 for c in range(1, len(probs) + 1):
                     multisets = sc.enumerate_kraft_length_multisets(c, max_len)
-                    bounds = oracle._block_bounds(probs, eps, pows, c, multisets)
+                    rows = oracle._bound_rows(probs, eps, c)
+                    bounds = [oracle._block_bound(probs, rows, pows, m) for m in multisets]
                     for lengths, v in zip(multisets, bounds):
                         if (c, lengths) not in least:
                             assert v == math.inf
@@ -428,7 +429,8 @@ def test_search_scores_the_blocks_the_plain_rule_keeps(monkeypatch):
         for c in range(1, len(probs) + 1):
             multisets = sc.enumerate_kraft_length_multisets(c, max_len)
             if multisets:
-                bounds[c] = list(zip(multisets, oracle._block_bounds(probs, eps, pows, c, multisets)))
+                rows = oracle._bound_rows(probs, eps, c)
+                bounds[c] = [(m, oracle._block_bound(probs, rows, pows, m)) for m in multisets]
         reach = min(v for pairs in bounds.values() for _, v in pairs)
         floor = lambda v: min(v, sys.float_info.max) * oracle._BOUND_SHRINK - oracle._BOUND_TINY
         return reach, {c: [m for m, v in pairs if floor(v) <= reach] for c, pairs in bounds.items()}
