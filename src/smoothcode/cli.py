@@ -16,6 +16,7 @@ from .asymptotics import SpectrumQuery, entropy_rate_series, spectrum_probabilit
 from .codes import (
     _codebook_from_text,
     _codebook_text,
+    _json_loads,
     build_deterministic_code,
     build_stochastic_code,
 )
@@ -42,7 +43,7 @@ def _read_text(path: str) -> str:
 
 
 def _load_json(path: str) -> dict:
-    return json.loads(_read_text(path))
+    return _json_loads(_read_text(path))
 
 
 def _emit_json(obj) -> None:

@@ -157,7 +157,7 @@ def assign_canonical_codewords(lengths_bits: Sequence[int]) -> PrefixCode:
             value = (value + 1) << (l - prev_len)
         if value >= (1 << l):
             raise KraftViolated(f"lengths {sorted(lengths)} overfill the binary tree")
-        words[i] = format(value, f"0{l}b") if l > 0 else ""
+        words[i] = bin((1 << l) + value)[3:]
         prev_len = l
     return PrefixCode(tuple(words))
 
@@ -538,7 +538,15 @@ def _codebook_from_text(text: str) -> StochasticCode:
             written = None
         if written is not None and text.startswith(written) and text[len(written) :] in ("", "\n"):
             return code
-    return codebook_from_json(json.loads(text))
+    return codebook_from_json(_json_loads(text))
+
+
+def _json_loads(text: str):
+    """json.loads(text); text nested past the recursion limit raises ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to read") from None
 
 
 def _guess_code(text: str) -> StochasticCode | None:

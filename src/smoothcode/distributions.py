@@ -618,15 +618,17 @@ def _poly_power(poly: list[int], c: int) -> list[int]:
 
 
 def _lattice_size(n: int, polys: Sequence[Sequence[int]]) -> int:
-    """Points _lattice_atoms visits, reachable or not, without visiting them.
+    """Calls and points of _lattice_atoms, reachable or not, without making them.
 
-    It visits 1 + sum_g c_g * D_g total shifts for each composition (c_g) of n
-    among the G groups, where D_g is group g's largest shift. Over the
-    C(n + G - 1, G - 1) compositions each c_g sums to C(n + G - 1, G).
+    split runs once per composition of at most n among the first g of the G
+    groups, g < G: C(n + G, n + 1) calls, each with a _poly_mul or more. Its
+    leaves, the C(n + G - 1, G - 1) compositions (c_g) of n, visit
+    1 + sum_g c_g * D_g total shifts each, where D_g is group g's largest
+    shift; over those compositions each c_g sums to C(n + G - 1, G).
     """
     groups = len(polys)
     spans = sum(len(poly) - 1 for poly in polys)
-    return math.comb(n + groups - 1, groups - 1) + spans * math.comb(n + groups - 1, groups)
+    return math.comb(n + groups, n + 1) + spans * math.comb(n + groups - 1, groups)
 
 
 def _lattice_atoms(
@@ -686,7 +688,8 @@ def iid_extension(base: Distribution, n: int) -> Distribution:
     the class size is an exact product of a multinomial coefficient with the
     level multiplicities. When base levels differ by exact powers of two, many
     classes share one probability, and the levels are built on the lattice of
-    _lattice_atoms instead, whenever it has fewer points than there are classes.
+    _lattice_atoms instead, whenever its calls and points (_lattice_size) are
+    fewer than the classes.
     """
     if base.n != 1:
         raise ValueError("base distribution must live on a single letter (n = 1)")

@@ -7,12 +7,13 @@ modules is codes.assign_canonical_codewords, which spells out the winning
 lengths as words after the search; best_moment does not depend on it.
 
 The code search takes four exact reductions (see optimal_code_bruteforce):
-one scored assignment per orbit of tied words, one moment pass per (word
-count, length multiset) block, no pass at all for a block that a proven
-bound shows cannot hold the minimum, and no bound at all for a block whose
-parent in the Kraft order already fails that test. The bound and the scorer
-share one credited-error test, on the set of symbols that first use their
-words, and one moment sum. search_space_size still counts every
+one scored assignment per orbit of tied words, the representatives
+tabulated once per (support, word count, tie pattern); one moment pass per
+(word count, length multiset) block; no pass at all for a block that a
+proven bound shows cannot hold the minimum; and no bound at all for a block
+whose parent in the Kraft order already fails that test. The bound and the
+scorer share one credited-error test, on the set of symbols that first use
+their words, and one moment sum. search_space_size still counts every
 (assignment, multiset) pair, by its closed form.
 """
 
@@ -22,7 +23,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from operator import le, mul
 from typing import Iterable, NamedTuple
 
@@ -72,22 +73,13 @@ def enumerate_kraft_length_multisets(k: int, max_len: int) -> list[tuple[int, ..
         raise TooLarge(f"search limited to k <= {MAX_WORDS}, max_len <= {MAX_WORD_LEN}")
     if k < 1 or max_len < 1:
         raise ValueError("need k >= 1 and max_len >= 1")
-    out: list[tuple[int, ...]] = []
-    if k == 1:
-        out.append((0,))
     scale = 1 << max_len
-    def rec(prefix: list[int], lo: int, used: int) -> None:
-        if len(prefix) == k:
-            out.append(tuple(prefix))
-            return
-        for l in range(lo, max_len + 1):
-            cost = scale >> l
-            if used + cost <= scale:
-                prefix.append(l)
-                rec(prefix, l, used + cost)
-                prefix.pop()
-    rec([], 1, 0)
-    return out
+    feasible = [
+        lengths
+        for lengths in combinations_with_replacement(range(1, max_len + 1), k)
+        if sum(scale >> l for l in lengths) <= scale
+    ]
+    return [(0,), *feasible] if k == 1 else feasible
 
 
 # the code search reads these lists and never edits them, so calls share them
@@ -126,30 +118,25 @@ def _kraft_order(c: int, max_len: int) -> _KraftOrder:
     return _KraftOrder(tuple(map(tuple, children)), tuple(minimal))
 
 
-class _Surjections(NamedTuple):
-    """The onto maps from s symbols to c words, in product order.
-
-    descents[k] has bit j set when word j+1 is first used before word j;
-    credited[k] has bit i set when symbol i is the first to use its word,
-    which, with the symbols largest first, is the symbol its word decodes.
-    """
-
-    assigns: tuple[tuple[int, ...], ...]
-    descents: tuple[int, ...]
-    credited: tuple[int, ...]
-
-
 @cache
-def _surjections(s: int, c: int) -> _Surjections:
-    """Probability-free part of the code search over s symbols and c words."""
-    assigns, descents, credited = [], [], []
+def _orbits(s: int, c: int, ties: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """One (assign, credited) pair per orbit of the onto maps from s symbols to c words.
+
+    Bit j of ties is set when words j and j+1 have equal length; relabelling
+    such tied words is the orbit. Each orbit's entry is its first member in
+    product order, the one that uses tied words in order of first use, and
+    entries come in product order. Bit i of credited is set when symbol i is
+    the first to use its word, which, with the symbols largest first, is the
+    symbol its word decodes.
+    """
+    orbits = []
     # every codeword must be used
-    for assign in [a for a in product(range(c), repeat=s) if len(set(a)) == c]:
-        first = list(map(assign.index, range(c)))
-        assigns.append(assign)
-        descents.append(sum(1 << j for j in range(c - 1) if first[j] > first[j + 1]))
-        credited.append(sum(1 << i for i in first))
-    return _Surjections(tuple(assigns), tuple(descents), tuple(credited))
+    for assign in product(range(c), repeat=s):
+        if len(set(assign)) == c:
+            first = list(map(assign.index, range(c)))
+            if all(first[j] < first[j + 1] for j in range(c - 1) if ties >> j & 1):
+                orbits.append((assign, sum(1 << i for i in first)))
+    return tuple(orbits)
 
 
 @cache
@@ -183,7 +170,9 @@ def optimal_code_bruteforce(
       leaves every term, and the moment, unchanged; only the first member
       in product order of each such orbit is scored, the one that uses tied
       words in order of first use, and that member is where a first
-      minimum can fall;
+      minimum can fall. These representatives, with their credited sets,
+      are tabulated once per (support, word count, tie pattern) (_orbits),
+      and a block keeps those whose credited set passes;
     - each (word count, length multiset) block takes its weights
       2**(lam * l) once, and its kept assignments are summed in one pass of
       _moments, the rule the bound sums with;
@@ -196,9 +185,9 @@ def optimal_code_bruteforce(
     - bounds follow the Kraft order (_scored_blocks): a multiset's parent,
       its longest length one bit shorter, has a bound no larger, so reach
       is the least bound over the Kraft-minimal blocks alone, and a block
-      whose parent fails the test fails too and gets no bound. The onto
-      assignments of a word count are tabulated only where it has a block
-      to score; search_space_size is the closed form
+      whose parent fails the test fails too and gets no bound. Orbit
+      representatives are tabulated only for a tie pattern that a scored
+      block has; search_space_size is the closed form
       sum over c of c! * S(s, c) * (number of multisets of c words).
 
     A weight or a moment past float range reads as +inf, so it never wins;
@@ -221,19 +210,10 @@ def optimal_code_bruteforce(
         space += _onto(s, c) * len(_cached_multisets(c, max_len))
         if not blocks:
             continue
-        table = _surjections(s, c)
         passed = {sum(1 << i for i in kept) for kept in _credited_sets(probs, eps, c)}
-        admissible = [k for k, kept in enumerate(table.credited) if kept in passed]
-        # tie pattern (bit j: words j and j+1 have equal length) -> the
-        # admissible orbit representatives
-        canonical: dict[int, list[tuple[int, ...]]] = {}
         for lengths in blocks:
             ties = sum(1 << j for j in range(c - 1) if lengths[j] == lengths[j + 1])
-            if ties not in canonical:
-                canonical[ties] = [
-                    table.assigns[k] for k in admissible if not table.descents[k] & ties
-                ]
-            keep = canonical[ties]
+            keep = [a for a, kept in _orbits(s, c, ties) if kept in passed]
             if not keep:
                 continue
             moments = _moments(probs, [_pow2(lam * l) for l in lengths], keep)

@@ -120,6 +120,20 @@ def test_missing_and_malformed_input_files(capsys, tmp_path):
     assert rc == 2 and err.startswith("error:")
 
 
+def test_deeply_nested_json_exits_2(capsys, tmp_path, dist_file):
+    # json.dumps cannot build this payload, so the raw text is written
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    for argv in (
+        ["entropy", "--dist", str(deep), "--alpha", "0.5", "--eps", "0.1"],
+        ["mixture", "--spec", str(deep), "--alpha", "0.5", "--eps", "0.1", "--n-list", "2"],
+        ["evaluate", "--dist", dist_file, "--eps", "0.1", "--lambda", "1", "--code", str(deep)],
+    ):
+        rc, out, err = run_cli(capsys, argv)
+        assert rc == 2 and out == ""
+        assert err == "error: JSON nested too deeply to read\n"
+
+
 def test_code_output_and_roundtrip(capsys, tmp_path, dist_file):
     rc, out, _ = run_cli(
         capsys, ["code", "--dist", dist_file, "--eps", "0.1", "--lambda", "1"]

@@ -623,6 +623,27 @@ def test_walk_depth_and_cost_do_not_grow_with_the_bins():
     assert sum(dist.mults) == 1000**2
 
 
+def test_the_lattice_is_chosen_by_its_calls_not_only_its_points(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("wrong engine")
+
+    # 100 unrelated pairs (q, q/2) at n=2: the lattice has few points, but its
+    # split runs C(102, 3) times, one polynomial product each, so the walk builds it
+    rng = random.Random(5)
+    raw = [1.0 + rng.random() for _ in range(100)]
+    total = 1.5 * math.fsum(raw)
+    base = sc.new_distribution([p for r in raw for p in (r / total, r / total / 2)])
+    refs, _, _ = _power_of_two_groups(base.log_probs, base.mults)
+    assert len(refs) == 100
+    with monkeypatch.context() as patch:
+        patch.setattr(distributions, "_lattice_atoms", refuse)
+        assert sum(sc.iid_extension(base, 2).mults) == 200**2
+    # two groups at n=100 keep the lattice: 10,202 calls and points < 176,851 classes
+    base = sc.new_distribution([0.4, 0.3, 0.2, 0.1])
+    monkeypatch.setattr(distributions, "_type_class_atoms", refuse)
+    assert sum(sc.iid_extension(base, 100).mults) == 4**100
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 100])
 def test_one_bin_and_two_bin_builders_match_reference(n):
     # a one-level base: the whole walk is a single class

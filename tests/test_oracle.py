@@ -470,9 +470,47 @@ def test_bruteforce_tabulates_assignments_only_where_a_block_is_scored():
     scored = oracle._scored_blocks(probs, 0.1, 1.0, 5)
     with_blocks = sum(1 for blocks in scored.values() if blocks)
     assert 0 < with_blocks < len(scored)
-    oracle._surjections.cache_clear()
+    # one orbit table per (word count, tie pattern) that a scored block has
+    patterns = {
+        (c, tuple(a == b for a, b in zip(lengths, lengths[1:])))
+        for c, blocks in scored.items()
+        for lengths in blocks
+    }
+    oracle._orbits.cache_clear()
     sc.optimal_code_bruteforce(sc.new_distribution(probs), 0.1, 1.0, 5)
-    assert oracle._surjections.cache_info().currsize == with_blocks
+    assert oracle._orbits.cache_info().currsize == len(patterns)
+
+
+def test_orbit_table_has_one_entry_per_orbit_of_tied_words():
+    from smoothcode import oracle
+
+    for s in range(1, 6):
+        for c in range(1, s + 1):
+            onto = [a for a in product(range(c), repeat=s) if len(set(a)) == c]
+            assert len(onto) == oracle._onto(s, c)
+            for ties in range(2 ** (c - 1)):
+                # maximal runs of tied words: bit j ties word j to word j + 1
+                runs = [[0]]
+                for j in range(1, c):
+                    if ties >> (j - 1) & 1:
+                        runs[-1].append(j)
+                    else:
+                        runs.append([j])
+                table = oracle._orbits(s, c, ties)
+                assigns = [a for a, _ in table]
+                assert assigns == sorted(set(assigns))
+                assert len(table) * math.prod(map(math.factorial, map(len, runs))) == len(onto)
+                for a, credited in table:
+                    assert credited == sum(1 << a.index(j) for j in range(c))
+                hits = Counter()
+                for a in onto:
+                    # relabel each run's words in order of first use
+                    relabel = {}
+                    for run in runs:
+                        used = sorted(run, key=a.index)
+                        relabel.update(zip(used, run))
+                    hits[tuple(map(relabel.__getitem__, a))] += 1
+                assert set(hits) == set(assigns)
 
 
 def _stirling2(n, k):
