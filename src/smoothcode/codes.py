@@ -17,9 +17,10 @@ import itertools
 import json
 import math
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, partial
-from operator import add, itemgetter, lshift, mul, neg, sub, truediv
+from operator import itemgetter, lshift, mul, neg, sub, truediv
 from typing import Iterable, NamedTuple, Sequence
 
 from .distributions import Distribution, _check_size, _expand, _expand_levels, _log_masses
@@ -32,33 +33,18 @@ from .smooth_renyi import SubDistribution, optimal_smoothing
 LENGTH_SNAP = 1e-9
 
 
-@dataclass(frozen=True)
-class TiltedDistribution:
-    """Power-tilted and renormalized copy of a sub-distribution's support.
-
-    mults mirrors the source levels (same multiplicities and order); log_probs
-    holds the tilted probability of a single symbol at each level.
-    """
-
-    log_probs: tuple[float, ...]
-    mults: tuple[int, ...]
-
-
-def _tilt(log_probs: Sequence[float], mults: Sequence[int], lam: float) -> TiltedDistribution:
+def _tilt(log_probs: Sequence[float], mults: Sequence[int], lam: float) -> list[float]:
+    """log-prob of one symbol of each level of Q**(1/(1+lam)), normalized over the levels of Q."""
     beta = 1.0 / (1.0 + lam)
     scaled = list(map(mul, itertools.repeat(beta), log_probs))
     norm = logsumexp(_log_masses(scaled, mults))
-    return TiltedDistribution(tuple(map(sub, scaled, itertools.repeat(norm))), tuple(mults))
+    return list(map(sub, scaled, itertools.repeat(norm)))
 
 
-def tilted_distribution(sub: SubDistribution, lam: float) -> TiltedDistribution:
-    """Normalize Q**(1/(1+lam)) over the support of the sub-distribution Q."""
-    check_lambda(lam)
-    return _tilt(sub.log_probs, sub.mults, lam)
-
-
-def _level_lengths(tilted: TiltedDistribution) -> list[int]:
+def _level_lengths(log_probs: Sequence[float], mults: Sequence[int]) -> list[int]:
     """Codeword length in bits of each tilted level: -log2 of its probability, rounded up.
+
+    log_probs is the tilted column _tilt returns, mults its multiplicities.
 
     A length within LENGTH_SNAP above an integer snaps down to it when the
     snapped lengths still fit the binary tree, checked exactly in integers.
@@ -69,8 +55,7 @@ def _level_lengths(tilted: TiltedDistribution) -> list[int]:
     more bit each, from the last level back, until the lengths fit. Either
     way the lengths stay nondecreasing along levels in decreasing order.
     """
-    mults = tilted.mults
-    xs = list(map(truediv, map(neg, tilted.log_probs), itertools.repeat(LN2)))
+    xs = list(map(truediv, map(neg, log_probs), itertools.repeat(LN2)))
     ceiled = list(map(max, map(math.ceil, xs), itertools.repeat(0)))
     rounded = list(map(round, xs))
     near = map(LENGTH_SNAP.__ge__, map(abs, map(sub, xs, rounded)))
@@ -94,16 +79,16 @@ def _kraft_excess(mults: Sequence[int], lengths: Sequence[int]) -> int:
     return sum(map(lshift, mults, map(sub, itertools.repeat(top), lengths))) - (1 << top)
 
 
-def shannon_lengths(tilted: TiltedDistribution) -> list[int]:
+def shannon_lengths(sub: SubDistribution, lam: float) -> list[int]:
     """Per-symbol codeword lengths in bits: -log2 of the tilted probability, rounded up.
 
-    Rounded as _level_lengths does, so the lengths fit the binary tree.
+    The tilt is the one of ideal_real_lengths, Q**(1/(1+lam)) normalized over
+    the support of Q. Rounded as _level_lengths does, so the lengths fit the
+    binary tree.
     """
-    runs = [
-        (m, partial(itertools.repeat, l, m))
-        for m, l in zip(tilted.mults, _level_lengths(tilted))
-    ]
-    return _expand(runs)
+    check_lambda(lam)
+    lengths = _level_lengths(_tilt(sub.log_probs, sub.mults, lam), sub.mults)
+    return _expand_levels(lengths, sub.mults)
 
 
 def ideal_real_lengths(sub: SubDistribution, lam: float) -> list[float]:
@@ -114,7 +99,7 @@ def ideal_real_lengths(sub: SubDistribution, lam: float) -> list[float]:
     """
     check_lambda(lam)
     tilted = _tilt(sub.log_probs, sub.mults, lam)
-    return _expand_levels(tilted.log_probs, tilted.mults, neg)
+    return _expand_levels(list(map(neg, tilted)), sub.mults)
 
 
 @dataclass(frozen=True)
@@ -140,35 +125,43 @@ def assign_canonical_codewords(lengths_bits: Sequence[int]) -> PrefixCode:
 
     Sorting the requested lengths ascending, each word is the numerically
     smallest string of its length that extends no earlier word; ties keep the
-    input order. Raises KraftViolated when the lengths do not fit, detected
-    exactly in integer arithmetic. A single length-0 request yields the empty
-    word.
+    input order. Integral floats are read as ints; any other entry that is
+    not a nonnegative int raises ValueError. Raises KraftViolated when the
+    lengths do not fit, detected exactly in integer arithmetic. A single
+    length-0 request yields the empty word.
     """
-    lengths = list(lengths_bits)
-    if any(l < 0 or int(l) != l for l in lengths):
-        raise ValueError("codeword lengths must be nonnegative integers")
-    order = sorted(range(len(lengths)), key=lambda i: lengths[i])
-    words: list[str] = [""] * len(lengths)
-    value = 0
-    prev_len: int | None = None
-    for i in order:
-        l = lengths[i]
-        if prev_len is not None:
-            value = (value + 1) << (l - prev_len)
-        if value >= (1 << l):
-            raise KraftViolated(f"lengths {sorted(lengths)} overfill the binary tree")
-        words[i] = bin((1 << l) + value)[3:]
-        prev_len = l
+    lengths = list(map(_length_bits, lengths_bits))
+    runs = sorted(Counter(lengths).items())
+    spelled = itertools.chain.from_iterable(
+        _run_words(length, start, count)
+        for (length, count), start in zip(runs, _canonical_starts(runs))
+    )
+    # the sorted order is stable, so equal lengths take their words in input order
+    order = sorted(range(len(lengths)), key=lengths.__getitem__)
+    words = [""] * len(lengths)
+    for i, word in zip(order, spelled):
+        words[i] = word
     return PrefixCode(tuple(words))
+
+
+def _length_bits(length) -> int:
+    """length as an int, if it is a nonnegative integral number; ValueError otherwise."""
+    try:
+        bits = int(length)
+        if bits == length and bits >= 0:
+            return bits
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError("codeword lengths must be nonnegative integers")
 
 
 def _canonical_starts(runs: Sequence[tuple[int, int]]) -> list[int]:
     """Value of the first canonical word of each (length, count) run.
 
     The lengths must be nondecreasing. A run takes the count smallest values
-    of its length that extend no earlier word, which are the words
-    assign_canonical_codewords gives symbol by symbol. Kraft is checked
-    exactly, in integers, as each run closes.
+    of its length that extend no earlier word: the first-fit words of
+    assign_canonical_codewords. Kraft is checked exactly, in integers, as
+    each run closes.
     """
     starts: list[int] = []
     value = prev = 0  # value: first free word at the previous run's length
@@ -311,9 +304,7 @@ class StochasticCode:
     @cached_property
     def gamma(self) -> tuple[float, ...]:
         """Acceptance probability of each symbol."""
-        return tuple(
-            _expand([(r.count, partial(itertools.repeat, r.gamma, r.count)) for r in self.runs])
-        )
+        return tuple(_expand_levels([r.gamma for r in self.runs], [r.count for r in self.runs]))
 
     @cached_property
     def _word_runs(self) -> tuple[tuple[int, int, int], ...]:
@@ -412,7 +403,7 @@ def _flag_code(
     if mults:
         # tilting keeps the sorted order, so the lengths are nondecreasing as
         # canonical numbering needs
-        accept_bits = map(add, itertools.repeat(1), _level_lengths(_tilt(log_probs, mults, lam)))
+        accept_bits = [l + 1 for l in _level_lengths(_tilt(log_probs, mults, lam), mults)]
         runs = list(zip(mults, itertools.repeat(1.0), accept_bits))
         runs[-1] = (mults[-1], last_gamma, runs[-1][2])
     rest = dist.support_size - sum(mults)

@@ -144,15 +144,12 @@ class Distribution:
 
     def probabilities(self) -> list[float]:
         """Expand to one probability per symbol, largest first."""
-        return _expand_levels(self.log_probs, self.mults, math.exp)
+        return _expand_levels(list(map(math.exp, self.log_probs)), self.mults)
 
 
-def _expand_levels(
-    log_probs: Sequence[float], mults: Sequence[int], value: Callable[[float], T]
-) -> list[T]:
-    """value(log_prob) once per symbol of each level, through the capped _expand."""
-    runs = [(m, partial(itertools.repeat, value(lp), m)) for lp, m in zip(log_probs, mults)]
-    return _expand(runs)
+def _expand_levels(values: Sequence[T], counts: Sequence[int]) -> list[T]:
+    """Each value repeated its count times, through the capped _expand."""
+    return _expand([(c, partial(itertools.repeat, v, c)) for v, c in zip(values, counts)])
 
 
 def _normalize_atoms(

@@ -48,7 +48,7 @@ class SubDistribution:
 
     def probabilities(self) -> list[float]:
         """Expand to one kept mass per symbol; TooLarge beyond atom_cap()."""
-        return _expand_levels(self.log_probs, self.mults, math.exp)
+        return _expand_levels(list(map(math.exp, self.log_probs)), self.mults)
 
 
 def optimal_smoothing(dist: Distribution, eps: float) -> SubDistribution:

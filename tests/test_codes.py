@@ -26,17 +26,15 @@ def worked_sub():
 def test_tilted_uniform_is_fixed_point():
     sub = sc.optimal_smoothing(sc.new_distribution([0.25] * 4), 0.0)
     for lam in (0.5, 1.0, 3.0):
-        tilted = sc.tilted_distribution(sub, lam)
-        for lp in tilted.log_probs:
-            assert math.exp(lp) == pytest.approx(0.25, abs=1e-15)
+        for length in sc.ideal_real_lengths(sub, lam):
+            assert math.exp(-length) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_tilted_worked_instance():
     # Q = (0.5, 0.3, 0.1), lambda = 1: tilt is sqrt(Q) renormalized
-    tilted = sc.tilted_distribution(worked_sub(), 1.0)
     norm = math.sqrt(0.5) + math.sqrt(0.3) + math.sqrt(0.1)
     expected = [math.sqrt(q) / norm for q in (0.5, 0.3, 0.1)]
-    got = [math.exp(lp) for lp in tilted.log_probs]
+    got = [math.exp(-length) for length in sc.ideal_real_lengths(worked_sub(), 1.0)]
     assert got == pytest.approx(expected, abs=1e-12)
 
 
@@ -46,27 +44,28 @@ def test_tilted_is_normalized_on_random_inputs():
         s = int(rng.integers(2, 9))
         dist = sc.new_distribution(rng.dirichlet(np.ones(s)))
         sub = sc.optimal_smoothing(dist, float(rng.uniform(0.0, 0.6)))
-        tilted = sc.tilted_distribution(sub, float(rng.uniform(0.1, 5.0)))
-        total = math.fsum(m * math.exp(lp) for lp, m in zip(tilted.log_probs, tilted.mults))
+        tilted = codes._tilt(sub.log_probs, sub.mults, float(rng.uniform(0.1, 5.0)))
+        total = math.fsum(m * math.exp(lp) for lp, m in zip(tilted, sub.mults))
         assert total == pytest.approx(1.0, abs=1e-12)
         # tilting preserves the ordering
-        lps = list(tilted.log_probs)
+        lps = list(tilted)
         assert lps == sorted(lps, reverse=True)
 
 
 def test_tilted_requires_positive_lambda():
-    with pytest.raises(sc.BadLambda):
-        sc.tilted_distribution(worked_sub(), 0.0)
+    for lengths in (sc.ideal_real_lengths, sc.shannon_lengths):
+        with pytest.raises(sc.BadLambda):
+            lengths(worked_sub(), 0.0)
 
 
 def test_shannon_lengths_examples():
     uniform_sub = sc.optimal_smoothing(sc.new_distribution([0.25] * 4), 0.0)
-    assert sc.shannon_lengths(sc.tilted_distribution(uniform_sub, 2.0)) == [2, 2, 2, 2]
+    assert sc.shannon_lengths(uniform_sub, 2.0) == [2, 2, 2, 2]
 
-    assert sc.shannon_lengths(sc.tilted_distribution(worked_sub(), 1.0)) == [2, 2, 3]
+    assert sc.shannon_lengths(worked_sub(), 1.0) == [2, 2, 3]
 
     point_sub = sc.optimal_smoothing(sc.new_distribution([1.0]), 0.0)
-    assert sc.shannon_lengths(sc.tilted_distribution(point_sub, 1.0)) == [0]
+    assert sc.shannon_lengths(point_sub, 1.0) == [0]
 
 
 def test_shannon_lengths_satisfy_kraft():
@@ -75,9 +74,7 @@ def test_shannon_lengths_satisfy_kraft():
         s = int(rng.integers(2, 9))
         dist = sc.new_distribution(rng.dirichlet(np.ones(s)))
         sub = sc.optimal_smoothing(dist, float(rng.uniform(0.0, 0.5)))
-        lengths = sc.shannon_lengths(
-            sc.tilted_distribution(sub, float(rng.uniform(0.2, 4.0)))
-        )
+        lengths = sc.shannon_lengths(sub, float(rng.uniform(0.2, 4.0)))
         assert sum(Fraction(1, 2**l) for l in lengths) <= 1
 
 
@@ -95,6 +92,44 @@ def test_canonical_rejects_overfull_lengths():
             sc.assign_canonical_codewords(lengths)
     with pytest.raises(ValueError):
         sc.assign_canonical_codewords([-1])
+
+
+def test_canonical_reads_integral_numbers_and_rejects_the_rest():
+    assert sc.assign_canonical_codewords([1.0, 1.0]).codewords == ("0", "1")
+    assert sc.assign_canonical_codewords([-0.0]).codewords == ("",)
+    assert sc.assign_canonical_codewords([2.0, 1, 2]).codewords == ("10", "0", "11")
+    for bad in (-1, -2.0, 1.5, math.inf, -math.inf, math.nan, "a", "1", None, 1j, [1]):
+        with pytest.raises(ValueError, match="^codeword lengths must be nonnegative integers$"):
+            sc.assign_canonical_codewords([1, bad])
+
+
+def reference_canonical_codewords(lengths):
+    """First-fit words symbol by symbol, as assign_canonical_codewords once numbered them."""
+    order = sorted(range(len(lengths)), key=lambda i: lengths[i])
+    words = [""] * len(lengths)
+    value = 0
+    prev_len = None
+    for i in order:
+        l = lengths[i]
+        if prev_len is not None:
+            value = (value + 1) << (l - prev_len)
+        if value >= (1 << l):
+            raise sc.KraftViolated(f"lengths {sorted(lengths)} overfill the binary tree")
+        words[i] = bin((1 << l) + value)[3:]
+        prev_len = l
+    return tuple(words)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.integers(0, 10), max_size=12))
+def test_canonical_words_match_the_first_fit_reference(lengths):
+    try:
+        expected = reference_canonical_codewords(lengths)
+    except sc.KraftViolated:
+        with pytest.raises(sc.KraftViolated):
+            sc.assign_canonical_codewords(lengths)
+        return
+    assert sc.assign_canonical_codewords(lengths).codewords == expected
 
 
 def test_canonical_random_multisets_are_prefix_free():
@@ -200,14 +235,10 @@ def test_length_bound_against_tilted_probabilities():
         eps = float(rng.uniform(0.0, 0.5))
         lam = float(rng.uniform(0.2, 3.0))
         sub = sc.optimal_smoothing(dist, eps)
-        tilted = sc.tilted_distribution(sub, lam)
         code = sc.build_stochastic_code(dist, eps, lam)
-        i = 0
-        for lp, m in zip(tilted.log_probs, tilted.mults):
-            for _ in range(m):
-                nat_len = code.accept_length_bits(i) * ln2
-                assert nat_len <= -lp + 2 * ln2 + 1e-9
-                i += 1
+        for i, ideal in enumerate(sc.ideal_real_lengths(sub, lam)):
+            nat_len = code.accept_length_bits(i) * ln2
+            assert nat_len <= ideal + 2 * ln2 + 1e-9
 
 
 def test_decode_round_trip():
@@ -400,7 +431,7 @@ def per_symbol_code(dist, eps, lam, deterministic):
     else:
         g_b = min(sub.gamma_eps / probs[k - 1], 1.0)
         gamma = [1.0] * (k - 1) + [g_b] + [0.0] * (len(probs) - k)
-    lengths = sc.shannon_lengths(sc.tilted_distribution(sub, lam))
+    lengths = sc.shannon_lengths(sub, lam)
     words = sc.assign_canonical_codewords(lengths).codewords
     rejected = [p * (1.0 - g) for p, g in zip(probs, gamma)]
     return tuple(gamma), words, rejected.index(max(rejected))

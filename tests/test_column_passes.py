@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import smoothcode as sc
 from smoothcode import asymptotics
 from smoothcode.asymptotics import spectrum_probability
-from smoothcode.codes import LENGTH_SNAP, TiltedDistribution, _level_lengths, _tilt
+from smoothcode.codes import LENGTH_SNAP, _level_lengths, _tilt
 from smoothcode.distributions import MASS_TOL, Distribution, _normalize_atoms
 from smoothcode.logspace import LN2, ceil_exp
 from smoothcode.smooth_renyi import NEED_ULPS, log_power_sum
@@ -190,12 +190,12 @@ def test_column_passes_match_per_atom_references(data):
     lam = data.draw(st.sampled_from([0.25, 1.0, 2.0]) | st.floats(0.01, 20.0))
     tilted = _tilt(sub.log_probs, sub.mults, lam)
     expected = reference_tilt(kept, lam)
-    assert same(list(tilted.log_probs), [lp for lp, _ in expected])
-    assert list(tilted.mults) == [m for _, m in expected]
+    assert same(tilted, [lp for lp, _ in expected])
+    assert list(sub.mults) == [m for _, m in expected]
     lengths = reference_lengths(expected)
     top = max(lengths)
     if sum(m << (top - l) for (_, m), l in zip(expected, lengths)) <= 1 << top:
-        assert _level_lengths(tilted) == lengths
+        assert _level_lengths(tilted, sub.mults) == lengths
 
 
 MIXTURES = [
@@ -233,11 +233,9 @@ def test_one_level_sources_match_references():
 
 def test_overfilled_lengths_get_one_more_bit_from_the_tail():
     # -log2 gives lengths 1 and 2 exactly, and 1/2 + 3/4 overfills the tree
-    tilted = TiltedDistribution((-LN2, -2 * LN2), (1, 3))
-    assert _level_lengths(tilted) == [1, 3]
+    assert _level_lengths((-LN2, -2 * LN2), (1, 3)) == [1, 3]
     # the last level alone cannot make room: both levels get a bit
-    tilted = TiltedDistribution((-LN2, -2 * LN2), (3, 1))
-    assert _level_lengths(tilted) == [2, 3]
+    assert _level_lengths((-LN2, -2 * LN2), (3, 1)) == [2, 3]
 
 
 @pytest.fixture(scope="module")
