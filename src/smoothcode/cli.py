@@ -294,7 +294,8 @@ def run(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (SmoothcodeError, ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        missing = "missing key " if isinstance(exc, KeyError) else ""  # str(exc) is the key alone
+        print(f"error: {missing}{exc}", file=sys.stderr)
         return 2
 
 

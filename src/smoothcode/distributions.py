@@ -289,40 +289,37 @@ def shannon_entropy(probs: Sequence[float]) -> float:
 
 
 @dataclass(frozen=True)
-class MixtureComponent:
-    weight: float
-    probs: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class MixtureSpec:
     """Mixture of memoryless components over one shared finite alphabet.
 
+    Component c has weight weights[c] and letter probabilities probs[c].
     Components must be listed with strictly decreasing Shannon entropy; the
     limit theory for the mixture reads off intervals of cumulative weight, and
     that bookkeeping needs the order fixed up front.
     """
 
-    components: tuple[MixtureComponent, ...]
+    weights: tuple[float, ...]
+    probs: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
-        if not self.components:
+        if len(self.weights) != len(self.probs):
+            raise BadMixture("mixture needs one weight per component")
+        if not self.probs:
             raise BadMixture("mixture needs at least one component")
-        k = len(self.components[0].probs)
-        for comp in self.components:
-            if len(comp.probs) != k:
+        for weight, probs in zip(self.weights, self.probs):
+            if len(probs) != self.alphabet_size:
                 raise BadMixture("all components must share one alphabet size")
-            if not 0.0 < comp.weight <= 1.0:  # also rejects nan
+            if not 0.0 < weight <= 1.0:  # also rejects nan
                 raise BadMixture("component weights must lie in (0, 1]")
-            if not all(math.isfinite(p) for p in comp.probs):
+            if not all(math.isfinite(p) for p in probs):
                 raise BadMixture("component probabilities must be finite")
-            if any(p < 0.0 for p in comp.probs):
+            if any(p < 0.0 for p in probs):
                 raise BadMixture("negative component probability")
-            if any(p > 1.0 + 1e-12 for p in comp.probs):  # before the sum can overflow
+            if any(p > 1.0 + 1e-12 for p in probs):  # before the sum can overflow
                 raise BadMixture("component probability above 1 + 1e-12")
-            if abs(math.fsum(comp.probs) - 1.0) > 1e-12:
+            if abs(math.fsum(probs) - 1.0) > 1e-12:
                 raise BadMixture("component probabilities must sum to 1 within 1e-12")
-        if abs(math.fsum(c.weight for c in self.components) - 1.0) > 1e-12:
+        if abs(math.fsum(self.weights) - 1.0) > 1e-12:
             raise BadMixture("component weights must sum to 1 within 1e-12")
         ents = self.component_entropies()
         for a, b in zip(ents, ents[1:]):
@@ -331,17 +328,15 @@ class MixtureSpec:
 
     @property
     def alphabet_size(self) -> int:
-        return len(self.components[0].probs)
+        return len(self.probs[0])
 
     def component_entropies(self) -> list[float]:
         """Shannon entropy of each component, in nats."""
-        return [shannon_entropy(c.probs) for c in self.components]
+        return list(map(shannon_entropy, self.probs))
 
     def cumulative_weights(self) -> list[float]:
         """Prefix sums of the weights: first entry 0, last entry exactly 1."""
-        acc = [0.0]
-        for c in self.components:
-            acc.append(acc[-1] + c.weight)
+        acc = list(itertools.accumulate(self.weights, initial=0.0))
         acc[-1] = 1.0
         return acc
 
@@ -349,10 +344,10 @@ class MixtureSpec:
 def mixture_spec(pairs: Sequence[tuple[float, Sequence[float]]]) -> MixtureSpec:
     """Build a MixtureSpec from (weight, probs) pairs."""
     try:
-        comps = tuple(MixtureComponent(float(w), tuple(map(float, ps))) for w, ps in pairs)
+        comps = [(float(w), tuple(map(float, ps))) for w, ps in pairs]
     except (TypeError, OverflowError):  # not a number, or an integer past float range
         raise BadMixture("mixture weights and probabilities must be finite numbers") from None
-    return MixtureSpec(comps)
+    return MixtureSpec(tuple(w for w, _ in comps), tuple(ps for _, ps in comps))
 
 
 def _scaled_logs(log_p: float, n: int) -> list[float]:
@@ -491,11 +486,12 @@ def _type_class_atoms(
     classes take one component's column, and only the contested spans between
     run the logsumexp (see _dominant_spans).
     """
-    if len(level_mults) == 1:
-        # one bin: walk it as two, behind an empty bin that every class leaves at 0
-        level_log_probs = [[-math.inf, *comp] for comp in level_log_probs]
-        level_mults = [1, *level_mults]
     bins = len(level_mults)
+    if bins == 1:
+        # one class: the rule below for rem = 0, on the sums 0.0 + t[n] it would carry
+        sums = [0.0 + n * comp[0] for comp in level_log_probs]
+        lp = logsumexp(map(add, log_weights, sums))
+        return ([-lp], [level_mults[0] ** n]) if lp > -math.inf else ([], [])
     m_pen, m_last = level_mults[-2], level_mults[-1]
     tables = [[_scaled_logs(comp[j], n) for comp in level_log_probs] for j in range(bins)]
     pen_tables, last_tables = tables[-2], tables[-1]
@@ -551,8 +547,8 @@ def _type_class_atoms(
 
 
 def _power_of_two_groups(
-    log_probs: Sequence[float], mults: Sequence[int]
-) -> tuple[list[float], list[list[int]], int]:
+    log_probs: Sequence[float], mults: Sequence[int], n: int
+) -> tuple[list[float], list[list[int]], int] | None:
     """The base levels grouped by exact power-of-two relation, decided once.
 
     Levels i < j are related when log_probs[i] - log_probs[j] is s * ln 2 for
@@ -562,19 +558,23 @@ def _power_of_two_groups(
     first level is its reference and every other member sits s >= 1 below it.
     Shifts are then divided by their common gcd. Returns each group's
     reference log-prob and its shift polynomial: entry t is the number of base
-    symbols t gcd-units below the reference.
+    symbols t gcd-units below the reference; or None once the G groups found
+    put the C(n + G, n + 1) splits of _lattice_atoms past the size cap.
     """
+    cap, reach = atom_cap(), _MAX_SHIFT * LN2
     refs: list[float] = []
     members: list[list[tuple[int, int]]] = []
     for lp, mult in zip(log_probs, mults):
         for ref, group in zip(refs, members):
             gap = ref - lp
-            if gap < _MAX_SHIFT * LN2:
+            if gap < reach:
                 s = round(gap / LN2)
                 if s and abs(gap - s * LN2) <= 2 * math.ulp(lp):
                     group.append((s, mult))
                     break
         else:
+            if math.comb(n + len(refs) + 1, n + 1) > cap:
+                return None
             refs.append(lp)
             members.append([(0, mult)])
     unit = math.gcd(*(s for group in members for s, _ in group)) or 1
@@ -668,13 +668,11 @@ def _lattice_atoms(
     return neg_lps, counts
 
 
-def _guard_class_count(n: int, bins: int) -> None:
+def _guard_class_count(count: int, n: int, what: str = "type classes") -> None:
+    """TooLarge if an engine's count of what it builds at blocklength n exceeds the cap."""
     cap = atom_cap()
-    n_classes = math.comb(n + bins - 1, bins - 1)
-    if n_classes > cap:
-        raise TooLarge(
-            f"{count_text(n_classes)} type classes at blocklength {n} exceed cap {cap}"
-        )
+    if count > cap:
+        raise TooLarge(f"{count_text(count)} {what} at blocklength {n} exceed cap {cap}")
 
 
 def iid_extension(base: Distribution, n: int) -> Distribution:
@@ -686,7 +684,7 @@ def iid_extension(base: Distribution, n: int) -> Distribution:
     level multiplicities. When base levels differ by exact powers of two, many
     classes share one probability, and the levels are built on the lattice of
     _lattice_atoms instead, whenever its calls and points (_lattice_size) are
-    fewer than the classes.
+    fewer than the classes. The size cap bounds the count of the one that runs.
     """
     if base.n != 1:
         raise ValueError("base distribution must live on a single letter (n = 1)")
@@ -694,12 +692,14 @@ def iid_extension(base: Distribution, n: int) -> Distribution:
         raise ValueError("blocklength must be >= 1")
     if n == 1:
         return base
-    bins = len(base.mults)
-    _guard_class_count(n, bins)
-    refs, polys, unit = _power_of_two_groups(base.log_probs, base.mults)
-    if _lattice_size(n, polys) < math.comb(n + bins - 1, bins - 1):
-        columns = _lattice_atoms(n, refs, polys, unit)
+    classes = math.comb(n + len(base.mults) - 1, n)
+    groups = _power_of_two_groups(base.log_probs, base.mults, n)
+    lattice = _lattice_size(n, groups[1]) if groups else classes
+    if lattice < classes:
+        _guard_class_count(lattice, n, "lattice calls and points")
+        columns = _lattice_atoms(n, *groups)
     else:
+        _guard_class_count(classes, n)
         columns = _type_class_atoms(n, [0.0], [base.log_probs], base.mults)
     return Distribution(*_normalize_atoms(*columns), n=n)
 
@@ -715,9 +715,9 @@ def mixture_extension(spec: MixtureSpec, n: int) -> Distribution:
     """
     if n < 1:
         raise ValueError("blocklength must be >= 1")
-    bins = Counter(zip(*(c.probs for c in spec.components)))
-    _guard_class_count(n, len(bins))
-    log_w = [math.log(c.weight) for c in spec.components]
+    bins = Counter(zip(*spec.probs))
+    _guard_class_count(math.comb(n + len(bins) - 1, n), n)
+    log_w = list(map(math.log, spec.weights))
     log_p = [[math.log(p) if p > 0.0 else -math.inf for p in comp] for comp in zip(*bins)]
     columns = _type_class_atoms(n, log_w, log_p, list(bins.values()))
     if not columns[0]:

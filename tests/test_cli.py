@@ -120,6 +120,22 @@ def test_missing_and_malformed_input_files(capsys, tmp_path):
     assert rc == 2 and err.startswith("error:")
 
 
+def test_a_missing_json_key_is_named(capsys, tmp_path, dist_file):
+    # a distribution file given as the codebook has no 'entries', and a
+    # mixture component without a weight has no 'weight'
+    component = tmp_path / "component.json"
+    component.write_text(json.dumps({"components": [{"probs": [0.5, 0.5]}]}))
+    for argv, key in (
+        (["evaluate", "--dist", dist_file, "--eps", "0.1", "--lambda", "1", "--code", dist_file],
+         "entries"),
+        (["mixture", "--spec", str(component), "--alpha", "0.5", "--eps", "0.1", "--n-list", "2"],
+         "weight"),
+    ):
+        rc, out, err = run_cli(capsys, argv)
+        assert rc == 2 and out == ""
+        assert err == f"error: missing key '{key}'\n"
+
+
 def test_deeply_nested_json_exits_2(capsys, tmp_path, dist_file):
     # json.dumps cannot build this payload, so the raw text is written
     deep = tmp_path / "deep.json"

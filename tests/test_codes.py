@@ -648,7 +648,7 @@ def test_huge_counts_print_their_size_in_error_messages():
     with pytest.raises(sc.TooLarge, match=r"^support of size 2\*\*20000 or more exceeds"):
         sc.distributions._expand([(2**20000, lambda: iter(()))])
     with pytest.raises(sc.TooLarge, match=r"^2\*\*\d+ or more type classes at blocklength 20000 "):
-        sc.distributions._guard_class_count(20000, 20000)
+        sc.distributions._guard_class_count(math.comb(39999, 20000), 20000)
     with pytest.raises(sc.Misaligned, match=r"^code covers 2\*\*20000 or more symbols"):
         sc.codes._segments([CodeRun(2**20000, 0.0, None)], sc.new_distribution([1.0]))
 

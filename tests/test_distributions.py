@@ -329,6 +329,8 @@ def test_mixture_validation():
         sc.mixture_spec([(0.6, [0.5, 0.5]), (0.4, [1.11, -0.11])])
     with pytest.raises(sc.BadMixture):
         sc.mixture_spec([])
+    with pytest.raises(sc.BadMixture, match="^mixture needs one weight per component$"):
+        sc.MixtureSpec((0.6, 0.4), ((1.0,),))
     with pytest.raises(sc.BadMixture):
         # equal entropies are not strictly decreasing
         sc.mixture_spec([(0.5, [0.2, 0.8]), (0.5, [0.8, 0.2])])
@@ -612,7 +614,8 @@ def test_walk_depth_and_cost_do_not_grow_with_the_bins():
     raw = [1.0 + rng.random() for _ in range(1000)]
     total = math.fsum(raw)
     base = sc.new_distribution([r / total for r in raw])
-    refs, _, _ = _power_of_two_groups(base.log_probs, base.mults)
+    # grouped as at n=1, where the grouping runs to the last level
+    refs, _, _ = _power_of_two_groups(base.log_probs, base.mults, 1)
     assert len(base.mults) == len(refs) == 1000  # no relation, so the walk builds it
     dist = sc.iid_extension(base, 2)
     # the classes of n=2 are the pairs i <= j, at lp_i + lp_j, 2 sequences each for i < j
@@ -633,7 +636,7 @@ def test_the_lattice_is_chosen_by_its_calls_not_only_its_points(monkeypatch):
     raw = [1.0 + rng.random() for _ in range(100)]
     total = 1.5 * math.fsum(raw)
     base = sc.new_distribution([p for r in raw for p in (r / total, r / total / 2)])
-    refs, _, _ = _power_of_two_groups(base.log_probs, base.mults)
+    refs, _, _ = _power_of_two_groups(base.log_probs, base.mults, 2)
     assert len(refs) == 100
     with monkeypatch.context() as patch:
         patch.setattr(distributions, "_lattice_atoms", refuse)
@@ -651,6 +654,17 @@ def test_one_bin_and_two_bin_builders_match_reference(n):
     got = sc.iid_extension(base, n)
     expected = reference_merge(reference_walk(n, [0.0], [[math.log(0.5)]], [2]))
     assert atom_bits(got.atoms) == atom_bits(expected)
+    # a mixture whose letters are all tied is one bin, and one class too
+    got = sc.mixture_extension(sc.mixture_spec([(1.0, [0.25] * 4)]), n)
+    expected = reference_merge(reference_walk(n, [0.0], [[math.log(0.25)]], [4]))
+    assert atom_bits(got.atoms) == atom_bits(expected)
+    # one to three components over one bin, one of them of zero mass there,
+    # and a bin of zero mass under every component, which leaves no class
+    log_w = [math.log(0.5), math.log(0.3), math.log(0.2)]
+    log_p = [[math.log(0.25)], [math.log(0.2)], [-math.inf]]
+    for k in (1, 2, 3):
+        assert_engine_matches_reference(n, log_w[:k], log_p[:k], [4])
+    assert_engine_matches_reference(n, log_w[:1], [[-math.inf]], [4])
     # two bins: the whole walk is the inner column step
     spec = sc.mixture_spec([(0.6, [0.5, 0.5]), (0.4, [0.89, 0.11])])
     got = sc.mixture_extension(spec, n)
@@ -658,6 +672,58 @@ def test_one_bin_and_two_bin_builders_match_reference(n):
     log_p = [[math.log(0.5)] * 2, [math.log(0.89), math.log(0.11)]]
     expected = reference_merge(reference_walk(n, log_w, log_p, [1, 1]))
     assert atom_bits(got.atoms) == atom_bits(expected)
+
+
+def test_a_one_bin_source_builds_no_count_rows(monkeypatch):
+    # the one class is summed where it stands: building the n + 1 exact counts
+    # of a row for it took quadratic time and memory in n
+    def refuse(*args):
+        raise AssertionError("a one-bin source built a row of counts")
+
+    monkeypatch.setattr(distributions, "_count_rows", refuse)
+    n = 50_000
+    dist = sc.mixture_extension(sc.mixture_spec([(1.0, [0.001] * 1000)]), n)
+    assert dist.mults == (1000**n,)
+    assert dist.log_probs == (0.0 + (0.0 + n * math.log(0.001)),)
+    dist = sc.iid_extension(sc.new_distribution([0.5, 0.5]), n)
+    assert dist.mults == (2**n,)
+    assert dist.log_probs == (0.0 + (0.0 + n * math.log(0.5)),)
+
+
+def test_the_cap_bounds_the_count_of_the_engine_that_runs(monkeypatch):
+    # 176,851 type classes at n=100, but 10,202 lattice calls and points
+    base = sc.new_distribution([0.4, 0.3, 0.2, 0.1])
+    expected = sc.iid_extension(base, 100)
+    monkeypatch.setenv("SMOOTHCODE_CAP", "20000")
+    got = sc.iid_extension(base, 100)
+    assert len(got.mults) == 10201
+    assert atom_bits(got.atoms) == atom_bits(expected.atoms)
+    monkeypatch.setenv("SMOOTHCODE_CAP", "10000")
+    with pytest.raises(sc.TooLarge, match="^10202 lattice calls and points at blocklength 100 exceed"):
+        sc.iid_extension(base, 100)
+    # the walk's classes are what a base without relations is refused for
+    monkeypatch.setenv("SMOOTHCODE_CAP", "1000")
+    with pytest.raises(sc.TooLarge, match="^5151 type classes at blocklength 100 exceed cap 1000$"):
+        sc.iid_extension(sc.new_distribution([0.5, 0.3, 0.2]), 100)
+
+
+def test_a_base_too_large_to_group_within_the_cap_is_refused_early(monkeypatch):
+    # 5,000 unrelated levels at n=2 have 12,502,500 classes; a lattice within
+    # the cap would need its G groups' C(2 + G, 3) splits to fit it, so G <= 227,
+    # and the grouping stops at the 228th level that starts a group
+    rng = random.Random(3)
+    raw = [1.0 + rng.random() for _ in range(5000)]
+    total = math.fsum(raw)
+    base = sc.new_distribution([r / total for r in raw])
+    read = []
+
+    def counting(log_probs, mults, n, group=distributions._power_of_two_groups):
+        return group((read.append(lp) or lp for lp in log_probs), mults, n)
+
+    monkeypatch.setattr(distributions, "_power_of_two_groups", counting)
+    with pytest.raises(sc.TooLarge, match="^12502500 type classes at blocklength 2 exceed"):
+        sc.iid_extension(base, 2)
+    assert len(read) == 228
 
 
 def per_letter_levels(pairs, n):
@@ -798,7 +864,7 @@ def blocklengths(base, classes=5000):
 def test_lattice_levels_match_the_walk(probs, data):
     base = sc.new_distribution(probs)
     n = data.draw(blocklengths(base))
-    refs, polys, unit = _power_of_two_groups(base.log_probs, base.mults)
+    refs, polys, unit = _power_of_two_groups(base.log_probs, base.mults, n)
     lattice_lps, lattice_mults = _normalize_atoms(*_lattice_atoms(n, refs, polys, unit))
     walk_lps, walk_mults = _normalize_atoms(
         *_type_class_atoms(n, [0.0], [base.log_probs], base.mults)

@@ -25,3 +25,14 @@ def test_tilted_container_is_gone():
         assert name not in sc.__all__
         assert not hasattr(sc, name)
         assert not hasattr(sc.codes, name)
+
+
+def test_a_mixture_is_two_columns():
+    # MixtureSpec holds the weights and the letter probabilities as columns
+    assert "MixtureComponent" not in sc.__all__
+    assert not hasattr(sc, "MixtureComponent")
+    assert not hasattr(sc.distributions, "MixtureComponent")
+    assert len(sc.__all__) == 54
+    spec = sc.mixture_spec([(0.6, [0.5, 0.5]), (0.4, [0.89, 0.11])])
+    assert spec.weights == (0.6, 0.4)
+    assert spec.probs == ((0.5, 0.5), (0.89, 0.11))
