@@ -478,36 +478,113 @@ _CLOSE = "\n    }"
 def _codebook_text(code: StochasticCode) -> str:
     """json.dumps(codebook_to_json(code), indent=2, sort_keys=True), byte for byte.
 
-    The entries of one run differ only in their word, so each run is a
-    single join: its words between the run's fixed entry text, or one fixed
-    entry repeated where the run has no words. A built code's words are
-    counted out with bin, not formatted one by one. The size cap is checked
-    on the whole support before any run is built.
+    The entries of one run differ only in their word, so a run is count
+    fixed-width records: the run's first word between its fixed entry text,
+    or one fixed entry where the run has no words. The text is written into
+    one bytearray of its exact length, each run by doubling its first record
+    in place, and decoded to str once: two full-size allocations. What is
+    left are the words after each run's first. A built run's words are
+    consecutive values, and bit k of consecutive values is a periodic 0/1
+    pattern, so each bit that changes within the run is one strided write of
+    a _bit_column down the run's records. A run with fewer than
+    _WORDS_PER_COLUMN words per changing bit is spelled word by word with
+    bin instead, as are the words of a code read from a codebook, and is
+    written over its records in one piece. The size cap is checked on the
+    whole support before anything is allocated.
     """
     _check_size(code.num_symbols)
-    words = code.explicit_words
-    word_runs = iter(code._word_runs if words is None else ())
+    decoder, reject = _json_number(code.decoder_for_reject), json.dumps(code.reject)
+    if not code.runs:  # json.dumps writes an empty list inline
+        return f'{_HEAD}{decoder},\n  "entries": [],\n  "reject": {reject}\n}}'
+    explicit = code.explicit_words
+    word_runs = iter(code._word_runs if explicit is None else ())
     done = 0  # explicit words used so far
-    # joined once at the end: one copy of the text, not one per concatenation
-    pieces = [_HEAD, json.dumps(code.decoder_for_reject), _ENTRIES]
+    # per run: count, record, word length, and the words: a range of values
+    # to write as columns, words to spell, or None
+    plan = []
     for run in code.runs:
-        gamma = json.dumps(run.gamma)
+        gamma = _json_number(run.gamma)
         if run.accept_bits is None:
-            entry = f"{_NULL}{gamma}{_CLOSE}"
-            pieces += (",\n".join(itertools.repeat(entry, run.count)), ",\n")
+            plan.append((run.count, f"{_NULL}{gamma}{_CLOSE},\n", 0, None))
             continue
-        tail = f"{_WORD_END}{gamma}{_CLOSE}"
-        if words is None:
-            run_words = _run_words(*next(word_runs))
+        if explicit is None:
+            length, start, _ = next(word_runs)
+            words = range(start, start + run.count)
+            # the low bits that change within the run
+            if run.count < _WORDS_PER_COLUMN * (start ^ words[-1]).bit_length():
+                words = _run_words(length, start, run.count)
+            first = _CUT_MARK(bin((1 << length) + start))
         else:
-            run_words = words[done : done + run.count]
+            words = explicit[done : done + run.count]
             done += run.count
-        pieces += (_WORD, f"{tail},\n{_WORD}".join(run_words), tail, ",\n")
-    # the last entry closes the list instead of a comma; json.dumps writes an
-    # empty list inline
-    pieces[-1] = _REJECT if code.runs else ',\n  "entries": [],\n  "reject": '
-    pieces += (json.dumps(code.reject), "\n}")
-    return "".join(pieces)
+            first = words[0]
+        record = f"{_WORD}{first}{_WORD_END}{gamma}{_CLOSE},\n"
+        plan.append((run.count, record, len(first), words))
+    head = f"{_HEAD}{decoder}{_ENTRIES}".encode()
+    tail = f"{_REJECT}{reject}\n}}".encode()  # in place of the last record's ",\n"
+    buf = bytearray(len(head) + sum(c * len(r) for c, r, _, _ in plan) - 2 + len(tail))
+    with memoryview(buf) as view:
+        view[: len(head)] = head
+        pos = len(head)
+        for count, record, length, words in plan:
+            width, end = len(record), pos + count * len(record)
+            if words is None:
+                _repeat_record(view, pos, record.encode(), count)
+            elif isinstance(words, range):
+                _repeat_record(view, pos, record.encode(), count)
+                # bit k of every word, written from the word's last character back
+                last = pos + len(_WORD) + length - 1
+                for bit in range((words.start ^ words[-1]).bit_length()):
+                    buf[last - bit : end : width] = _bit_column(bit, words.start, count)
+            else:
+                rest = record[len(_WORD) + length :]
+                view[pos:end] = f"{_WORD}{(rest + _WORD).join(words)}{rest}".encode()
+            pos = end
+        view[pos - 2 :] = tail
+    return buf.decode("ascii")
+
+
+# a built run is written as bit columns when it has at least this many words
+# per bit that changes within it, and spelled with bin below that: a column
+# costs about as much as spelling 5 words (CPython 3.11, runs of 8-96 words)
+_WORDS_PER_COLUMN = 6
+
+
+def _json_number(x) -> str:
+    """json.dumps(x); a finite float or an int is its repr, with no encoder set up per call."""
+    if type(x) is int or type(x) is float and math.isfinite(x):
+        return repr(x)
+    return json.dumps(x)
+
+
+def _repeat_record(view: memoryview, pos: int, record: bytes, count: int) -> None:
+    """Write count copies of record from view[pos] on: up to 64 at once, then doubling them."""
+    first = record * min(count, 64)
+    filled, end = pos + len(first), pos + count * len(record)
+    view[pos:filled] = first
+    while filled < end:
+        step = min(filled - pos, end - filled)
+        view[filled : filled + step] = view[pos : pos + step]
+        filled += step
+
+
+def _bit_column(bit: int, start: int, count: int) -> bytearray:
+    """Bit `bit` of start, start + 1, ..., start + count - 1, each as b"0" or b"1".
+
+    The bit is 0 for 2**bit consecutive values and then 1 for as many, so the
+    column is a window of that periodic pattern. A bytearray, which a strided
+    bytearray slice takes without a copy.
+    """
+    half = 1 << bit
+    if half >= count:  # the bit changes once at most
+        stay = min(half - (start & (half - 1)), count)
+        now, then = (b"1", b"0") if start & half else (b"0", b"1")
+        return bytearray(now) * stay + bytearray(then) * (count - stay)
+    phase = start & (2 * half - 1)
+    column = bytearray(b"0" * half + b"1" * half) * ((phase + count) // (2 * half) + 1)
+    del column[:phase]
+    del column[count:]
+    return column
 
 
 def _codebook_from_text(text: str) -> StochasticCode:

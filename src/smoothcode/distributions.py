@@ -224,7 +224,7 @@ def _check_mass(dist: Distribution) -> None:
 def _checked_probs(probs: Sequence[float]) -> list[float]:
     try:
         probs = [float(p) for p in probs]
-    except (TypeError, OverflowError):  # not a number, or an integer past float range
+    except (TypeError, ValueError, OverflowError):  # not a number, or an integer past float range
         raise NotNormalized("probability entries must be finite numbers") from None
     if not all(math.isfinite(p) for p in probs):
         raise NotNormalized("probability entries must be finite")
@@ -260,10 +260,14 @@ def distribution_from_atoms(pairs: Sequence[tuple[float, int]], n: int = 1) -> D
     """Build a distribution from (log_prob, multiplicity) pairs, validating total mass."""
     neg_lps: list[float] = []
     mults: list[int] = []
-    for lp, mult in pairs:
+    for pair in pairs:
+        try:
+            lp, mult = pair
+        except ValueError:
+            raise NotNormalized("atoms must be (log_prob, multiplicity) pairs") from None
         try:
             lp = float(lp)
-        except (TypeError, OverflowError):  # not a number, or an integer past float range
+        except (TypeError, ValueError, OverflowError):  # not a number, or an int past float range
             raise NotNormalized("log-probabilities must be finite numbers") from None
         if not math.isfinite(lp) or lp > 0.0:
             raise NotNormalized(f"log-probabilities must be finite and <= 0, got {lp!r}")
@@ -343,11 +347,18 @@ class MixtureSpec:
 
 def mixture_spec(pairs: Sequence[tuple[float, Sequence[float]]]) -> MixtureSpec:
     """Build a MixtureSpec from (weight, probs) pairs."""
+    weights, probs = [], []
     try:
-        comps = [(float(w), tuple(map(float, ps))) for w, ps in pairs]
-    except (TypeError, OverflowError):  # not a number, or an integer past float range
+        for pair in pairs:
+            try:
+                w, ps = pair
+            except ValueError:
+                raise BadMixture("mixture components must be (weight, probs) pairs") from None
+            weights.append(float(w))
+            probs.append(tuple(map(float, ps)))
+    except (TypeError, ValueError, OverflowError):  # not a number, or an integer past float range
         raise BadMixture("mixture weights and probabilities must be finite numbers") from None
-    return MixtureSpec(tuple(w for w, _ in comps), tuple(ps for _, ps in comps))
+    return MixtureSpec(tuple(weights), tuple(probs))
 
 
 def _scaled_logs(log_p: float, n: int) -> list[float]:
@@ -582,7 +593,8 @@ def _power_of_two_groups(
     for group in members:
         poly = [0] * (max(s for s, _ in group) // unit + 1)
         for s, mult in group:
-            poly[s // unit] = mult
+            # two levels within 2 ulps of one shift share its coefficient
+            poly[s // unit] += mult
         polys.append(poly)
     return refs, polys, unit
 

@@ -772,3 +772,77 @@ def test_text_reader_matches_the_json_reader_on_mutated_texts():
         fast += got[0] is sc.StochasticCode and got[1].explicit_words is None
     assert {sc.StochasticCode, json.JSONDecodeError, ValueError, sc.KraftViolated} <= kinds
     assert fast > 100
+
+
+def book_text(code):
+    return json.dumps(sc.codebook_to_json(code), indent=2, sort_keys=True)
+
+
+def test_bit_columns_match_the_spelled_words():
+    rng = random.Random(23)
+    cases = [(1, 0, 2), (1, 1, 1), (70, 2**69 - 3, 7), (12, 1, 4095), (17, 2**16 - 5000, 20000)]
+    for _ in range(150):
+        length = rng.randint(1, 70)
+        count = rng.randint(1, min(20000, 2**length))
+        cases.append((length, rng.randrange(2**length - count + 1), count))
+    for length, start, count in cases:
+        # character i of every word, i = 0 the most significant bit
+        spelled = list(map("".join, zip(*codes._run_words(length, start, count))))
+        for bit in range(length):
+            column = codes._bit_column(bit, start, count)
+            assert column.decode() == spelled[length - 1 - bit], (length, start, count, bit)
+
+
+@pytest.mark.parametrize("deterministic", [False, True])
+def test_codebook_text_matches_json_dumps_on_product_codes(deterministic):
+    build = sc.build_deterministic_code if deterministic else sc.build_stochastic_code
+    base = sc.new_distribution(WORKED)
+    for n in range(1, 11):
+        dist = sc.iid_extension(base, n)
+        for lam in (0.5, 1.0, 2.0):  # the codebook round trip's lambdas in perfbench
+            code = build(dist, 0.1, lam)
+            assert codes._codebook_text(code) == book_text(code), (n, lam)
+
+
+def test_read_back_words_are_written_as_given():
+    # runs long enough for columns, but a codebook's words need not count up
+    code = sc.build_stochastic_code(sc.iid_extension(sc.new_distribution(WORKED), 6), 0.1, 1.0)
+    book = sc.codebook_to_json(code)
+    words = [e["codeword"] for e in book["entries"] if e["codeword"]]
+    random.Random(5).shuffle(words)
+    for entry, word in zip(book["entries"], words):
+        entry["codeword"] = word
+    text = codes._codebook_text(sc.codebook_from_json(book))
+    assert text == json.dumps(book, indent=2, sort_keys=True)
+
+
+def test_a_run_at_the_column_boundary_is_written_as_columns(monkeypatch):
+    columns = []
+
+    def counting(bit, start, count, column=codes._bit_column):
+        columns.append((bit, start, count))
+        return column(bit, start, count)
+
+    monkeypatch.setattr(codes, "_bit_column", counting)
+    per_bit = codes._WORDS_PER_COLUMN
+    # the 10-bit words 3 .. 3 + count - 1 differ in their 6 low bits for
+    # count from 30 to 60: the boundary run has 6 * per_bit words
+    for count, written in ((6 * per_bit, True), (6 * per_bit - 1, False)):
+        assert (3 ^ (3 + count - 1)).bit_length() == 6
+        runs = (CodeRun(3, 0.5, 11), CodeRun(count, 1.0, 11), CodeRun(2, 0.0, None))
+        code = sc.StochasticCode(runs=runs, decoder_for_reject=1)
+        columns.clear()
+        assert codes._codebook_text(code) == book_text(code)
+        assert columns == ([(bit, 3, count) for bit in range(6)] if written else [])
+
+
+def test_the_cap_is_checked_before_the_codebook_buffer(monkeypatch):
+    code = sc.build_stochastic_code(sc.iid_extension(sc.new_distribution(WORKED), 4), 0.0, 1.0)
+
+    def no_buffer(*args):
+        raise AssertionError("a buffer was allocated")
+
+    monkeypatch.setenv("SMOOTHCODE_CAP", "80")
+    monkeypatch.setattr(codes, "bytearray", no_buffer, raising=False)
+    with pytest.raises(sc.TooLarge, match="^support of size 81 exceeds cap 80$"):
+        codes._codebook_text(code)

@@ -346,6 +346,27 @@ def test_mixture_validation():
             sc.mixture_spec(bad)
 
 
+def test_string_entries_and_misshapen_pairs_raise_typed_errors():
+    numbers = "^mixture weights and probabilities must be finite numbers$"
+    for bad in ([(0.5, [0.5, "x"]), (0.5, [0.5, 0.5])], [("x", [1.0])], ["ab"]):
+        with pytest.raises(sc.BadMixture, match=numbers):
+            sc.mixture_spec(bad)
+    for bad in ([(0.5, [0.5, 0.5], 3)], [(1.0,)], [(0.5, [0.5, 0.5]), ()]):
+        with pytest.raises(sc.BadMixture, match=r"^mixture components must be \(weight, probs\) pairs$"):
+            sc.mixture_spec(bad)
+    # the first bad pair names the error, as before
+    with pytest.raises(sc.BadMixture, match=numbers):
+        sc.mixture_spec([(None, [1.0]), (1.0,)])
+    with pytest.raises(sc.NotNormalized, match="^probability entries must be finite numbers$"):
+        sc.new_distribution(["x", 0.5])
+    with pytest.raises(sc.NotNormalized, match="^probability entries must be finite numbers$"):
+        sc.shannon_entropy([0.5, "x"])
+    with pytest.raises(sc.NotNormalized, match="^log-probabilities must be finite numbers$"):
+        sc.distribution_from_atoms([("x", 1)])
+    with pytest.raises(sc.NotNormalized, match=r"^atoms must be \(log_prob, multiplicity\) pairs$"):
+        sc.distribution_from_atoms([(0.0, 1, 2)])
+
+
 def test_cumulative_weights_endpoints():
     spec = sc.mixture_spec([(0.6, [0.5, 0.5]), (0.4, [0.89, 0.11])])
     assert spec.cumulative_weights() == [0.0, 0.6, 1.0]
@@ -874,6 +895,24 @@ def test_lattice_levels_match_the_walk(probs, data):
     dist = sc.iid_extension(base, n)
     assert dist.mults == walk_mults
     assert sum(dist.mults) == len(probs) ** n
+
+
+def test_levels_within_ulps_of_one_shift_add_their_counts():
+    # 0.25 and the next float above it are both one shift below 0.5: the
+    # grouping keeps both counts on that coefficient
+    base = distributions.Distribution(
+        (math.log(0.5), math.nextafter(math.log(0.25), 1.0), math.log(0.25)), (1, 1, 1)
+    )
+    dist = sc.iid_extension(base, 2)
+    walk_lps, walk_mults = _normalize_atoms(
+        *_type_class_atoms(2, [0.0], [base.log_probs], base.mults)
+    )
+    assert dist.mults == walk_mults  # the same levels, so the same level count
+
+    def mass(log_probs, mults):
+        return math.fsum(m * math.exp(lp) for lp, m in zip(log_probs, mults))
+
+    assert mass(dist.log_probs, dist.mults) == pytest.approx(mass(walk_lps, walk_mults))
 
 
 def power_of_two_related(p, q):
