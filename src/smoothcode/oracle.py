@@ -9,11 +9,11 @@ lengths as words after the search; best_moment does not depend on it.
 The code search takes four exact reductions (see optimal_code_bruteforce):
 one scored assignment per orbit of tied words, the representatives
 tabulated once per (support, word count, tie pattern); one moment pass per
-(word count, length multiset) block; no pass at all for a block that a
-proven bound shows cannot hold the minimum; and no bound at all for a block
-whose parent in the Kraft order already fails that test. The bound and the
-scorer share one credited-error test, on the set of symbols that first use
-their words, and one moment sum. search_space_size still counts every
+(word count, length multiset) block; neither a bound nor a pass for a block
+whose Kraft sum is below 1, as an earlier block scores no more; and no pass
+for a block that a proven bound shows cannot hold the minimum. The bound and
+the scorer share one credited-error test, on the set of symbols that first
+use their words, and one moment sum. search_space_size still counts every
 (assignment, multiset) pair, by its closed form.
 """
 
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, combinations_with_replacement, product
 from operator import le, mul
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .codes import assign_canonical_codewords
 from .distributions import Distribution, atom_cap
@@ -86,36 +86,19 @@ def enumerate_kraft_length_multisets(k: int, max_len: int) -> list[tuple[int, ..
 _cached_multisets = cache(enumerate_kraft_length_multisets)
 
 
-class _KraftOrder(NamedTuple):
-    """children[j]: the indices whose parent is multiset j; minimal: those with no parent."""
-
-    children: tuple[tuple[int, ...], ...]
-    minimal: tuple[int, ...]
-
-
 @cache
-def _kraft_order(c: int, max_len: int) -> _KraftOrder:
-    """Parent links, by index, over the multisets of _cached_multisets(c, max_len).
+def _complete(c: int, max_len: int) -> tuple[tuple[int, ...], ...]:
+    """The multisets of _cached_multisets(c, max_len) whose Kraft sum is exactly 1.
 
-    A multiset's parent is the multiset with its longest length shortened by
-    one bit, when that one is enumerated too, so its sorted lengths are
-    entry-wise no longer than its child's. A multiset whose Kraft sum is
-    below 1 has a parent (its longest length l >= 2 can lose a bit, as the
-    sum is a multiple of 2**-l; a one-word (1,) becomes (0,)), so the
-    minimal ones, which no shortening keeps within Kraft, are the complete
-    codes.
+    Every other multiset has a parent, its longest length l one bit shorter:
+    its Kraft sum is a multiple of 2**-l below 1, so the shorter word keeps
+    it within Kraft, and l >= 2 unless it is the one-word (1,), whose parent
+    is (0,). The parent's sorted lengths are entry-wise no longer than its
+    child's, and not equal, so the parent comes earlier in enumeration
+    order; _scored_blocks shows that its block scores no more.
     """
-    multisets = _cached_multisets(c, max_len)
-    index = {lengths: j for j, lengths in enumerate(multisets)}
-    children: list[list[int]] = [[] for _ in multisets]
-    minimal = []
-    for j, lengths in enumerate(multisets):
-        up = index.get(tuple(sorted((*lengths[:-1], lengths[-1] - 1))))
-        if up is None:
-            minimal.append(j)
-        else:
-            children[up].append(j)
-    return _KraftOrder(tuple(map(tuple, children)), tuple(minimal))
+    scale = 1 << max_len
+    return tuple(m for m in _cached_multisets(c, max_len) if sum(scale >> l for l in m) == scale)
 
 
 @cache
@@ -173,19 +156,19 @@ def optimal_code_bruteforce(
       minimum can fall. These representatives, with their credited sets,
       are tabulated once per (support, word count, tie pattern) (_orbits),
       and a block keeps those whose credited set passes;
-    - each (word count, length multiset) block takes its weights
-      2**(lam * l) once, and its kept assignments are summed in one pass of
-      _moments, the rule the bound sums with;
+    - the weights 2**(lam * l) are taken once per search, and each (word
+      count, length multiset) block's kept assignments are summed in one
+      pass of _moments, the rule the bound sums with;
+    - only the complete multisets, Kraft sum exactly 1, are bounded or
+      scored (_scored_blocks): any other block's float minimum is no lower
+      than its parent's, the multiset with its longest length one bit
+      shorter, which comes earlier, so it never holds the first minimum;
     - before any block is scored, each gets a bound v, the moment of one of
       its own admissible codes (_block_bound), and reach = min v bounds the
       float minimum from above. Only blocks with
       min(v, MAX) * (1 - 2**-50) - 2**-1022 <= reach are scored, in their
       order; the others provably score above reach, so the first block
-      that reaches the minimum is always among those scored;
-    - bounds follow the Kraft order (_scored_blocks): a multiset's parent,
-      its longest length one bit shorter, has a bound no larger, so reach
-      is the least bound over the Kraft-minimal blocks alone, and a block
-      whose parent fails the test fails too and gets no bound. Orbit
+      that reaches the minimum is always among those scored. Orbit
       representatives are tabulated only for a tie pattern that a scored
       block has; search_space_size is the closed form
       sum over c of c! * S(s, c) * (number of multisets of c words).
@@ -196,27 +179,27 @@ def optimal_code_bruteforce(
     """
     check_eps(eps)
     check_lambda(lam)
+    if (s := dist.support_size) > CODE_SEARCH_MAX_SUPPORT:
+        limit = f"brute force limited to support {CODE_SEARCH_MAX_SUPPORT}"
+        raise TooLarge(f"{limit}, got {count_text(s)}")
     probs = dist.probabilities()
-    s = len(probs)
-    if s > CODE_SEARCH_MAX_SUPPORT:
-        raise TooLarge(f"brute force limited to support {CODE_SEARCH_MAX_SUPPORT}, got {s}")
 
     best_moment = math.inf
     best_assign: tuple[int, ...] | None = None
     best_lengths: tuple[int, ...] | None = None
     overflowed = False
     space = 0
-    for c, blocks in _scored_blocks(probs, eps, lam, max_len).items():
+    pows = [_pow2(lam * l) for l in range(max_len + 1)]
+    for c, (rows, blocks) in _scored_blocks(probs, eps, pows, max_len).items():
         space += _onto(s, c) * len(_cached_multisets(c, max_len))
-        if not blocks:
-            continue
-        passed = {sum(1 << i for i in kept) for kept in _credited_sets(probs, eps, c)}
+        # a row ranks symbol 0 and each symbol outside its credited set 0 (_bound_rows)
+        passed = {sum(1 << i for i, r in enumerate(row) if r or not i) for row in rows}
         for lengths in blocks:
             ties = sum(1 << j for j in range(c - 1) if lengths[j] == lengths[j + 1])
             keep = [a for a, kept in _orbits(s, c, ties) if kept in passed]
             if not keep:
                 continue
-            moments = _moments(probs, [_pow2(lam * l) for l in lengths], keep)
+            moments = _moments(probs, list(map(pows.__getitem__, lengths)), keep)
             m = min(moments)
             overflowed = overflowed or m == math.inf
             if m < best_moment:
@@ -242,55 +225,41 @@ def optimal_code_bruteforce(
 
 
 def _scored_blocks(
-    probs: list[float], eps: float, lam: float, max_len: int
-) -> dict[int, list[tuple[int, ...]]]:
-    """Per word count c that has length multisets, those whose block the search scores.
+    probs: list[float], eps: float, pows: list[float], max_len: int
+) -> dict[int, tuple[list[tuple[int, ...]], list[tuple[int, ...]]]]:
+    """Per word count c that has length multisets, its _bound_rows and the blocks to score.
 
-    A block is scored when min(v, MAX) * _BOUND_SHRINK - _BOUND_TINY <= reach,
-    with v its _block_bound bound and reach the least bound of all blocks;
-    the multisets come in enumeration order. Bounds are computed only where
-    they can change that answer, because v never decreases from a parent to
-    its child (_kraft_order):
-    - pows does not decrease in l (where a libm pow breaks that, every block
-      is a root), so the parent's sorted weights are entry-wise no heavier
-      than the child's, and each symbol keeps its weight rank;
-    - a product p * w rounds monotonically, and reads 0 where p is 0;
-    - fsum rounds the exact sum of its terms once, or reads +inf from an
-      exact sum past float range, so each rearranged code's moment, and v,
-      their least, can only grow;
-    - the test is monotone in v.
-    So every block's chain of parents ends at a Kraft-minimal block whose
-    bound is no larger, and reach is the least bound over those roots; and a
-    block whose parent fails fails too, so only a kept block's children get
-    a bound.
+    pows[l] is the weight of an l-bit word. A complete multiset (_complete)
+    is scored when min(v, MAX) * _BOUND_SHRINK - _BOUND_TINY <= reach, with
+    v its _block_bound bound and reach the least such bound; the multisets
+    come in enumeration order. Any other block B never holds the first minimum:
+    - its parent, its longest length one bit shorter, comes earlier (_complete);
+    - each assignment is admissible in both, as the credited set does not
+      depend on lengths;
+    - pows does not decrease in l, so the parent's sorted weights are
+      entry-wise no heavier than B's, and each term p * w, which rounds
+      monotonically and reads 0 where p is 0, is no lighter in B;
+    - fsum rounds the exact sum of its terms once, or reads +inf from an exact
+      sum past float range, so each moment, and the float minimum, is no
+      lower in B.
+    So B's chain of parents ends at an earlier complete block with a float
+    minimum no higher, which has an admissible code when B has one. reach is
+    a moment some block scores, so the block of the first minimum passes the
+    test, and with reach = +inf every one does. Where a libm pow breaks the
+    order of pows, every multiset is a candidate.
     """
-    s = len(probs)
-    multisets = {c: ms for c in range(1, s + 1) if (ms := _cached_multisets(c, max_len))}
-    pows = [_pow2(lam * l) for l in range(max_len + 1)]
-    rows = {c: _bound_rows(probs, eps, c) for c in multisets}
-    if all(map(le, pows, pows[1:])):
-        orders = {c: _kraft_order(c, max_len) for c in multisets}
-    else:  # a libm pow out of order: every block is its own root
-        orders = {
-            c: _KraftOrder(((),) * len(ms), tuple(range(len(ms)))) for c, ms in multisets.items()
-        }
-    roots = {
-        (c, j): _block_bound(probs, rows[c], pows, multisets[c][j])
-        for c in multisets
-        for j in orders[c].minimal
-    }
-    reach = min(roots.values(), default=math.inf)
-
-    def within(v: float) -> bool:
-        return min(v, sys.float_info.max) * _BOUND_SHRINK - _BOUND_TINY <= reach
-
-    scored = {}
-    for c, ms in multisets.items():
-        kept = [j for j in orders[c].minimal if within(roots[c, j])]
-        for j in kept:  # kept grows as the loop runs, parents before children
-            children = orders[c].children[j]
-            kept += [k for k in children if within(_block_bound(probs, rows[c], pows, ms[k]))]
-        scored[c] = list(map(ms.__getitem__, sorted(kept)))
+    in_order = all(map(le, pows, pows[1:]))
+    rows, bounds = {}, {}
+    for c in range(1, len(probs) + 1):
+        if multisets := _cached_multisets(c, max_len):
+            rows[c] = _bound_rows(probs, eps, c)
+            for lengths in _complete(c, max_len) if in_order else multisets:
+                bounds[c, lengths] = _block_bound(probs, rows[c], pows, lengths)
+    reach = min(bounds.values(), default=math.inf)
+    scored = {c: (r, []) for c, r in rows.items()}
+    for (c, lengths), v in bounds.items():
+        if min(v, sys.float_info.max) * _BOUND_SHRINK - _BOUND_TINY <= reach:
+            scored[c][1].append(lengths)
     return scored
 
 
@@ -425,9 +394,10 @@ def smoothing_feasible_search(
 
     check_alpha(alpha)
     check_eps(eps)
+    if (size := dist.support_size) > SMOOTHING_SEARCH_MAX_SUPPORT:
+        limit = f"random search limited to support {SMOOTHING_SEARCH_MAX_SUPPORT}"
+        raise TooLarge(f"{limit}, got {count_text(size)}")
     probs = np.asarray(dist.probabilities(), dtype=float)
-    if probs.size > SMOOTHING_SEARCH_MAX_SUPPORT:
-        raise TooLarge(f"random search limited to support {SMOOTHING_SEARCH_MAX_SUPPORT}")
     best = float(np.sum(probs**alpha))  # Q = P is always in the ball
     if trials < 1 or eps == 0.0:
         return best

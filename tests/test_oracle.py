@@ -89,6 +89,21 @@ def test_bruteforce_support_cap():
         sc.optimal_code_bruteforce(dist, 0.0, 1.0)
 
 
+def test_oracles_check_the_support_before_expanding_it(monkeypatch):
+    huge = sc.distribution_from_atoms([(math.log(0.5), 1), (-71 * math.log(2), 2**70)])
+    with pytest.raises(sc.TooLarge, match=r"^brute force limited to support 5, got 2\*\*70 or more$"):
+        sc.optimal_code_bruteforce(huge, 0.1, 1.0)
+    with pytest.raises(sc.TooLarge, match=r"^random search limited to support 16, got 2\*\*70 or more$"):
+        sc.smoothing_feasible_search(huge, 0.5, 0.1)
+    # a product source within the size cap is not expanded to one float per symbol either
+    p12 = sc.iid_extension(sc.new_distribution(WORKED), 12)
+    monkeypatch.setattr(sc.Distribution, "probabilities", lambda self: pytest.fail("expanded"))
+    with pytest.raises(sc.TooLarge, match=r"support 5, got 531441$"):
+        sc.optimal_code_bruteforce(p12, 0.1, 1.0)
+    with pytest.raises(sc.TooLarge, match=r"support 16, got 531441$"):
+        sc.smoothing_feasible_search(p12, 0.5, 0.1)
+
+
 def test_bruteforce_moment_past_float_range_is_too_large():
     dist = sc.new_distribution([0.5, 0.3, 0.2])
     # every admissible code has a 2-bit word, and 2**2000 overflows a float
@@ -389,34 +404,51 @@ def test_block_bound_is_below_the_block_minimum():
     assert scored > 10000
 
 
-def test_kraft_order_links_each_multiset_to_a_shorter_parent():
+def _kraft_sum(lengths):
+    return sum(Fraction(1, 2**l) for l in lengths)
+
+
+def test_complete_filter_keeps_the_multisets_with_kraft_sum_one():
     from smoothcode import oracle
 
     for c in range(1, oracle.MAX_WORDS + 1):
         for max_len in range(1, oracle.MAX_WORD_LEN + 1):
             multisets = sc.enumerate_kraft_length_multisets(c, max_len)
-            order = oracle._kraft_order(c, max_len)
-            parent = {k: j for j, kids in enumerate(order.children) for k in kids}
-            # every multiset has one parent or is minimal
-            assert sorted([*parent, *order.minimal]) == list(range(len(multisets)))
-            for k, j in parent.items():
-                child, up = multisets[k], multisets[j]
-                (longer,) = Counter(child) - Counter(up)
-                assert Counter(child) - Counter(up) == Counter({longer: 1})
-                assert Counter(up) - Counter(child) == Counter({longer - 1: 1})
-                assert all(a <= b for a, b in zip(sorted(up), sorted(child)))
-            # the minimal multisets are the complete codes
-            complete = [j for j, m in enumerate(multisets) if sum(Fraction(1, 2**l) for l in m) == 1]
-            assert list(order.minimal) == complete
-    minimal = [
-        sc.enumerate_kraft_length_multisets(c, 5)[j]
-        for c in range(1, 6)
-        for j in oracle._kraft_order(c, 5).minimal
-    ]
-    assert minimal == [
+            complete = oracle._complete(c, max_len)
+            assert list(complete) == [m for m in multisets if _kraft_sum(m) == 1]
+            # every other multiset's parent, its longest length one bit shorter,
+            # is enumerated and comes earlier
+            index = {m: j for j, m in enumerate(multisets)}
+            for j, m in enumerate(multisets):
+                if m not in complete:
+                    assert index[tuple(sorted((*m[:-1], m[-1] - 1)))] < j, (c, max_len, m)
+    assert [m for c in range(1, 6) for m in oracle._complete(c, 5)] == [
         (0,), (1, 1), (1, 2, 2), (1, 2, 3, 3), (2, 2, 2, 2),
         (1, 2, 3, 4, 4), (1, 3, 3, 3, 3), (2, 2, 2, 3, 3),
     ]
+
+
+def test_first_minimum_lies_in_a_complete_block():
+    # the search bounds and scores only the complete multisets: the unfactored
+    # search never first reaches its minimum in any other block
+    sources = [dist.probabilities() for dist in _margin_sources()]
+    sources += [sc.new_distribution(probs).probabilities() for probs in _sweep_sources()]
+    ties = 0
+    # at lambda 1e-20 every weight rounds to 1.0, so every admissible code of
+    # the least word count ties, and only the order decides
+    for probs in sources:
+        for eps, lam, max_len in product((0.0, 0.1, 0.3), (1e-20, 1.0, 255.9), (2, 4)):
+            pairs = [
+                (moment, lengths)
+                for _, lengths, _, moment in _scored_pairs(probs, eps, lam, max_len)
+                if moment is not None and moment < math.inf
+            ]
+            if pairs:
+                best = min(moment for moment, _ in pairs)
+                reached = [lengths for moment, lengths in pairs if moment == best]
+                assert _kraft_sum(reached[0]) == 1, (probs, eps, lam, max_len)
+                ties += any(_kraft_sum(lengths) < 1 for lengths in reached)
+    assert ties
 
 
 def test_search_scores_the_blocks_the_plain_rule_keeps(monkeypatch):
@@ -435,6 +467,14 @@ def test_search_scores_the_blocks_the_plain_rule_keeps(monkeypatch):
         floor = lambda v: min(v, sys.float_info.max) * oracle._BOUND_SHRINK - oracle._BOUND_TINY
         return reach, {c: [m for m, v in pairs if floor(v) <= reach] for c, pairs in bounds.items()}
 
+    def scored(probs, eps, lam, max_len):
+        pows = [oracle._pow2(lam * l) for l in range(max_len + 1)]
+        blocks = {}
+        for c, (rows, kept) in oracle._scored_blocks(probs, eps, pows, max_len).items():
+            assert rows == oracle._bound_rows(probs, eps, c)
+            blocks[c] = kept
+        return blocks
+
     rng = np.random.default_rng(103)
     sources = [dist.probabilities() for dist in _margin_sources()]
     sources += [sorted(map(float, rng.dirichlet(np.ones(s))), reverse=True) for s in (3, 4, 5, 5)]
@@ -443,22 +483,23 @@ def test_search_scores_the_blocks_the_plain_rule_keeps(monkeypatch):
     for case in product(sources, (0.0, 0.1, 0.3), (0.5, 1.0, 204.7), (1, 3, 5)):
         reach, plain = plain_rule(*case)
         unreachable += reach == math.inf
-        assert oracle._scored_blocks(*case) == plain, case
+        complete = {c: [m for m in kept if _kraft_sum(m) == 1] for c, kept in plain.items()}
+        assert scored(*case) == complete, case
     assert unreachable
-    # the Kraft order is what keeps bounds cheap: at support 5 with 5-bit words,
-    # a handful of the 176 blocks get one
+    # only the complete multisets get a bound: at support 5 with 5-bit words,
+    # 8 of the 176 blocks
     calls = []
     block_bound = oracle._block_bound
     monkeypatch.setattr(oracle, "_block_bound", lambda *args: calls.append(args) or block_bound(*args))
-    oracle._scored_blocks([0.3, 0.25, 0.2, 0.15, 0.1], 0.1, 1.0, 5)
-    assert len(calls) < 20
-    # weights out of order, as a pow that is not monotone could give: no block
-    # inherits its parent's test, so every block gets a bound
+    scored([0.3, 0.25, 0.2, 0.15, 0.1], 0.1, 1.0, 5)
+    assert len(calls) == 8
+    # weights out of order, as a pow that is not monotone could give: a block
+    # can score below its parent, so every block gets a bound
     monkeypatch.setattr(oracle, "_pow2", lambda x: 2.0 ** (x if x % 2 else -x))
     for probs in sources[-5:]:
         _, plain = plain_rule(probs, 0.1, 1.0, 5)
         calls.clear()
-        assert oracle._scored_blocks(probs, 0.1, 1.0, 5) == plain
+        assert scored(probs, 0.1, 1.0, 5) == plain
         multisets = [sc.enumerate_kraft_length_multisets(c, 5) for c in range(1, len(probs) + 1)]
         assert len(calls) == sum(map(len, multisets))
 
@@ -467,18 +508,32 @@ def test_bruteforce_tabulates_assignments_only_where_a_block_is_scored():
     from smoothcode import oracle
 
     probs = [0.3, 0.25, 0.2, 0.15, 0.1]
-    scored = oracle._scored_blocks(probs, 0.1, 1.0, 5)
-    with_blocks = sum(1 for blocks in scored.values() if blocks)
+    pows = [oracle._pow2(l) for l in range(6)]
+    scored = oracle._scored_blocks(probs, 0.1, pows, 5)
+    with_blocks = sum(1 for _, blocks in scored.values() if blocks)
     assert 0 < with_blocks < len(scored)
     # one orbit table per (word count, tie pattern) that a scored block has
     patterns = {
         (c, tuple(a == b for a, b in zip(lengths, lengths[1:])))
-        for c, blocks in scored.items()
+        for c, (_, blocks) in scored.items()
         for lengths in blocks
     }
     oracle._orbits.cache_clear()
     sc.optimal_code_bruteforce(sc.new_distribution(probs), 0.1, 1.0, 5)
     assert oracle._orbits.cache_info().currsize == len(patterns)
+
+
+def test_bruteforce_takes_each_credited_set_list_and_weight_once(monkeypatch):
+    from smoothcode import oracle
+
+    calls = Counter()
+    for name in ("_credited_sets", "_pow2"):
+        f = getattr(oracle, name)
+        monkeypatch.setattr(oracle, name, lambda *a, f=f, name=name: calls.update([name]) or f(*a))
+    sc.optimal_code_bruteforce(sc.new_distribution([0.3, 0.25, 0.2, 0.15, 0.1]), 0.1, 1.0, 5)
+    # one list per word count, shared by the bounds and the scorer, and one
+    # weight per word length, shared by every block
+    assert calls == Counter({"_credited_sets": 5, "_pow2": 6})
 
 
 def test_orbit_table_has_one_entry_per_orbit_of_tied_words():
