@@ -17,7 +17,7 @@ from operator import neg, not_, sub, truediv
 from typing import Sequence
 
 from .distributions import MixtureSpec, mixture_extension
-from .errors import check_eps, check_lambda
+from .errors import check_alpha, check_eps, check_lambda
 from .smooth_renyi import smooth_renyi_entropy
 
 
@@ -92,6 +92,7 @@ def entropy_rate_series(
 ) -> RateSeries:
     """Per-symbol smooth Renyi entropy of the mixture at each blocklength."""
     component, limit = theoretical_limit(spec, eps)
+    check_alpha(alpha)
     entries = []
     for n in n_list:
         # no name holds the distribution, so each one, with its mass column,

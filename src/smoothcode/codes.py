@@ -158,14 +158,16 @@ def _length_bits(length) -> int:
 def _canonical_starts(runs: Sequence[tuple[int, int]]) -> list[int]:
     """Value of the first canonical word of each (length, count) run.
 
-    The lengths must be nondecreasing. A run takes the count smallest values
-    of its length that extend no earlier word: the first-fit words of
-    assign_canonical_codewords. Kraft is checked exactly, in integers, as
-    each run closes.
+    A run takes the count smallest values of its length that extend no
+    earlier word: the first-fit words of assign_canonical_codewords. The
+    lengths must be nondecreasing, else ValueError. Kraft is checked
+    exactly, in integers, as each run closes.
     """
     starts: list[int] = []
     value = prev = 0  # value: first free word at the previous run's length
     for length, count in runs:
+        if length < prev:
+            raise ValueError("canonical words need nondecreasing lengths")
         value <<= length - prev
         if value + count > 1 << length:
             raise KraftViolated(
@@ -258,22 +260,29 @@ class StochasticCode:
     """Flag-bit code: accepted symbols emit '0' + inner word, rejects emit '1'.
 
     runs covers the symbols in the distribution's sorted order; only a
-    leading block of runs carries words. A built code numbers its inner words
-    canonically along the runs, while codebook_from_json keeps the inner
-    words it was given in explicit_words (the CLI's codebook reader returns
-    a codebook whose words are the canonical ones as a built code). The
-    per-symbol views gamma and inner are expanded on first use, within
-    atom_cap(), and so is the word index decode looks words up in. The
-    reject word decodes to decoder_for_reject, the symbol whose rejected
-    mass is largest. Two codes are equal when their runs, reject word,
-    decode target and inner words agree, so a built code equals its
-    codebook round-trip.
+    leading block of runs carries words. word_runs holds the inner words as
+    (inner length, first value, count) runs of consecutive values, each a
+    maximal run within one CodeRun. Left out, it is the canonical numbering
+    along the runs, checked against the tree exactly, so no code whose words
+    overfill it is made; codebook_from_json gives the runs of the words it
+    read. The per-symbol views gamma and inner are expanded on first use,
+    within atom_cap(), and so is the word index decode looks words up in.
+    The reject word decodes to decoder_for_reject, the symbol whose rejected
+    mass is largest. Two codes are equal when their fields are, so a built
+    code equals its codebook round trip, compared without expanding it.
     """
 
     runs: tuple[CodeRun, ...]
     decoder_for_reject: int
     reject: str = "1"
-    explicit_words: tuple[str, ...] | None = None
+    word_runs: tuple[tuple[int, int, int], ...] | None = None
+
+    def __post_init__(self) -> None:
+        if self.word_runs is None:
+            coded = [(r.accept_bits - 1, r.count) for r in self.runs if r.accept_bits is not None]
+            starts = _canonical_starts(coded)
+            canonical = ((length, start, count) for (length, count), start in zip(coded, starts))
+            object.__setattr__(self, "word_runs", tuple(canonical))
 
     @property
     def num_symbols(self) -> int:
@@ -283,52 +292,18 @@ class StochasticCode:
     def is_deterministic(self) -> bool:
         return all(r.gamma in (0.0, 1.0) for r in self.runs)
 
-    def __eq__(self, other: object) -> bool:
-        # equal codes share their runs and words however they were made: a
-        # built code's canonical words follow from its runs, so words are
-        # compared only when one side keeps explicit ones
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        if self._key() != other._key():
-            return False
-        if self.explicit_words is None and other.explicit_words is None:
-            return True
-        return self.inner.codewords == other.inner.codewords
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def _key(self) -> tuple:
-        return self.runs, self.decoder_for_reject, self.reject
-
     @cached_property
     def gamma(self) -> tuple[float, ...]:
         """Acceptance probability of each symbol."""
         return tuple(_expand_levels([r.gamma for r in self.runs], [r.count for r in self.runs]))
 
     @cached_property
-    def _word_runs(self) -> tuple[tuple[int, int, int], ...]:
-        """Canonical (inner length, first value, count) of each run that has words.
-
-        The runs' lengths are nondecreasing. Kraft is checked exactly, in
-        integers, as each run closes; builders call this once so a code that
-        overfills the tree is never returned.
-        """
-        coded = [(r.accept_bits - 1, r.count) for r in self.runs if r.accept_bits is not None]
-        return tuple(
-            (length, start, count)
-            for (length, count), start in zip(coded, _canonical_starts(coded))
-        )
-
-    @cached_property
     def inner(self) -> PrefixCode:
         """Inner words, flag bit excluded, of the leading symbols that have one."""
-        if self.explicit_words is not None:
-            return PrefixCode(self.explicit_words)
         words = _expand(
             [
                 (count, partial(_run_words, length, start, count))
-                for length, start, count in self._word_runs
+                for length, start, count in self.word_runs
             ]
         )
         return PrefixCode(tuple(words))
@@ -410,9 +385,7 @@ def _flag_code(
     if rest:
         runs.append((rest, 0.0, None))
     decoder = _reject_target(dist, mults, last_gamma)
-    code = StochasticCode(runs=_packed(runs), decoder_for_reject=decoder)
-    code._word_runs  # checks Kraft; inner reuses the cached starts
-    return code
+    return StochasticCode(runs=_packed(runs), decoder_for_reject=decoder)
 
 
 def _level_at(dist: Distribution, index: int) -> float:
@@ -478,48 +451,42 @@ _CLOSE = "\n    }"
 def _codebook_text(code: StochasticCode) -> str:
     """json.dumps(codebook_to_json(code), indent=2, sort_keys=True), byte for byte.
 
-    The entries of one run differ only in their word, so a run is count
-    fixed-width records: the run's first word between its fixed entry text,
-    or one fixed entry where the run has no words. The text is written into
-    one bytearray of its exact length, each run by doubling its first record
-    in place, and decoded to str once: two full-size allocations. What is
-    left are the words after each run's first. A built run's words are
-    consecutive values, and bit k of consecutive values is a periodic 0/1
-    pattern, so each bit that changes within the run is one strided write of
-    a _bit_column down the run's records. A run with fewer than
-    _WORDS_PER_COLUMN words per changing bit is spelled word by word with
-    bin instead, as are the words of a code read from a codebook, and is
-    written over its records in one piece. The size cap is checked on the
-    whole support before anything is allocated.
+    The entries of one word run differ only in their word, so a word run is
+    count fixed-width records: its first word between its fixed entry text.
+    A run without words is count copies of one fixed entry. The text is
+    written into one bytearray of its exact length, each run by doubling its
+    first record in place, and decoded to str once: two full-size
+    allocations. What is left are the words after each word run's first.
+    They are consecutive values, and bit k of consecutive values is a
+    periodic 0/1 pattern, so each bit that changes within the run is one
+    strided write of a _bit_column down the run's records. A word run with
+    fewer than _WORDS_PER_COLUMN words per changing bit is spelled word by
+    word with bin instead and written over its records in one piece. The
+    size cap is checked on the whole support before anything is allocated.
     """
     _check_size(code.num_symbols)
     decoder, reject = _json_number(code.decoder_for_reject), json.dumps(code.reject)
     if not code.runs:  # json.dumps writes an empty list inline
         return f'{_HEAD}{decoder},\n  "entries": [],\n  "reject": {reject}\n}}'
-    explicit = code.explicit_words
-    word_runs = iter(code._word_runs if explicit is None else ())
-    done = 0  # explicit words used so far
-    # per run: count, record, word length, and the words: a range of values
-    # to write as columns, words to spell, or None
+    word_runs = iter(code.word_runs)
+    # per record: count, record, word length, and the words: a range of
+    # values to write as columns, words to spell, or None
     plan = []
     for run in code.runs:
         gamma = _json_number(run.gamma)
         if run.accept_bits is None:
             plan.append((run.count, f"{_NULL}{gamma}{_CLOSE},\n", 0, None))
             continue
-        if explicit is None:
-            length, start, _ = next(word_runs)
-            words = range(start, start + run.count)
-            # the low bits that change within the run
-            if run.count < _WORDS_PER_COLUMN * (start ^ words[-1]).bit_length():
-                words = _run_words(length, start, run.count)
+        left = run.count  # the word runs of one run cover it
+        while left > 0:
+            length, start, count = next(word_runs)
+            left -= count
+            words = range(start, start + count)
+            # the low bits that change within the word run
+            if count < _WORDS_PER_COLUMN * (start ^ words[-1]).bit_length():
+                words = _run_words(length, start, count)
             first = _CUT_MARK(bin((1 << length) + start))
-        else:
-            words = explicit[done : done + run.count]
-            done += run.count
-            first = words[0]
-        record = f"{_WORD}{first}{_WORD_END}{gamma}{_CLOSE},\n"
-        plan.append((run.count, record, len(first), words))
+            plan.append((count, f"{_WORD}{first}{_WORD_END}{gamma}{_CLOSE},\n", length, words))
     head = f"{_HEAD}{decoder}{_ENTRIES}".encode()
     tail = f"{_REJECT}{reject}\n}}".encode()  # in place of the last record's ",\n"
     buf = bytearray(len(head) + sum(c * len(r) for c, r, _, _ in plan) - 2 + len(tail))
@@ -544,7 +511,7 @@ def _codebook_text(code: StochasticCode) -> str:
     return buf.decode("ascii")
 
 
-# a built run is written as bit columns when it has at least this many words
+# a word run is written as bit columns when it has at least this many words
 # per bit that changes within it, and spelled with bin below that: a column
 # costs about as much as spelling 5 words (CPython 3.11, runs of 8-96 words)
 _WORDS_PER_COLUMN = 6
@@ -662,13 +629,11 @@ def _guess_code(text: str) -> StochasticCode | None:
         if pos != end + 2:
             return None
         code = StochasticCode(runs=_packed(runs), decoder_for_reject=int(decoder), reject=reject)
-    except ValueError:  # a gamma or decoder that float or int does not read
+    except (ValueError, KraftViolated):  # unreadable numbers, or lengths no canonical words fit
         return None
     coded = [r for r in code.runs if r.accept_bits is not None]
-    lengths = [r.accept_bits for r in coded]
     if not (
         code.runs[: len(coded)] == tuple(coded)
-        and lengths == sorted(lengths)  # canonical numbering needs nondecreasing lengths
         and all(0.0 <= r.gamma <= 1.0 for r in code.runs)
         and not any(r.gamma for r in code.runs[len(coded) :])
         and 0 <= code.decoder_for_reject < code.num_symbols
@@ -677,25 +642,19 @@ def _guess_code(text: str) -> StochasticCode | None:
         and (reject[0] == "1" or not coded)  # no flagged word extends it or is its prefix
     ):
         return None
-    try:
-        code._word_runs
-    except KraftViolated:
-        return None
     return code
-
-
-_INNER = itemgetter(slice(1, None))
 
 
 def codebook_from_json(obj: dict) -> StochasticCode:
     """Rebuild a code from its wire format, revalidating the prefix property.
 
-    The words are kept as given; consecutive entries with equal gamma and
-    word length share one run, as in a built code, so both evaluate alike.
-    Input of the wrong shape raises ValueError, a missing key KeyError,
-    each for the first bad entry. The reject word and the codewords must be
-    nonempty strings of '0' and '1', each gamma a JSON number (an int or a
-    float, not a bool or a string) and the decode target an int.
+    The words are kept as given, as the runs of consecutive values they
+    form; consecutive entries with equal gamma and word length share one
+    run, as in a built code, so both evaluate alike. Input of the wrong
+    shape raises ValueError, a missing key KeyError, each for the first bad
+    entry. The reject word and the codewords must be nonempty strings of '0'
+    and '1', each gamma a JSON number (an int or a float, not a bool or a
+    string) and the decode target an int.
     """
     if not isinstance(obj, dict):
         raise ValueError("codebook JSON must be an object")
@@ -723,11 +682,25 @@ def codebook_from_json(obj: dict) -> StochasticCode:
     if not isinstance(reject, str) or not reject or not _is_binary(reject):
         raise ValueError(f"reject word must be a nonempty string of 0s and 1s, got {reject!r}")
     return StochasticCode(
-        runs=runs,
-        decoder_for_reject=decoder,
-        reject=reject,
-        explicit_words=tuple(map(_INNER, flagged)),
+        runs=runs, decoder_for_reject=decoder, reject=reject, word_runs=_value_runs(flagged, runs)
     )
+
+
+def _value_runs(flagged: list[str], runs: Sequence[CodeRun]) -> tuple[tuple[int, int, int], ...]:
+    """The word runs of the flagged words: maximal runs of consecutive values within one CodeRun.
+
+    A word after the flag bit '0' has the value of the whole word.
+    """
+    if not flagged:
+        return ()
+    values = list(map(int, flagged, itertools.repeat(2)))
+    steps = map(sub, itertools.islice(values, 1, None), values)
+    ends = set(itertools.compress(range(1, len(values)), map((1).__ne__, steps)))
+    ends.update(itertools.takewhile(len(values).__ge__, itertools.accumulate(map(_COUNT, runs))))
+    ends = sorted(ends)
+    firsts = [0, *ends[:-1]]
+    inner_lengths = map(sub, map(len, map(flagged.__getitem__, firsts)), itertools.repeat(1))
+    return tuple(zip(inner_lengths, map(values.__getitem__, firsts), map(sub, ends, firsts)))
 
 
 def _is_binary(text: str) -> bool:

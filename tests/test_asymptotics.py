@@ -78,6 +78,16 @@ def test_rate_series_matches_direct_computation():
     assert (series.component, series.limit) == sc.theoretical_limit(spec, 0.25)
 
 
+def test_rate_series_checks_alpha_after_eps_for_any_blocklengths():
+    spec = standard_mixture()
+    for alpha in (5.0, math.nan, 0.0, 1.0):
+        for ns in ([], [0], [4]):
+            with pytest.raises(sc.BadAlpha):
+                sc.entropy_rate_series(spec, alpha, 0.3, ns)
+    with pytest.raises(sc.BadEpsilon):
+        sc.entropy_rate_series(spec, 5.0, 1.5, [])
+
+
 def test_rate_series_limit_tracks_budget():
     spec = standard_mixture()
     low = sc.entropy_rate_series(spec, 0.5, 0.3, [4])

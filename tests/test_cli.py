@@ -286,6 +286,17 @@ def test_mixture_of_a_thousand_tied_letters_at_n3_exits_0(capsys, tmp_path):
     assert entry["value"] == pytest.approx(math.log(9e8 * 1e-9**0.5) / (1 - 0.5) / 3, rel=1e-12)
 
 
+def test_mixture_checks_alpha_with_no_blocklengths(capsys, spec_file):
+    base = ["mixture", "--spec", spec_file, "--eps", "0.3", "--alpha"]
+    for alpha, n_list in (("5", ""), ("nan", ""), ("5", "0"), ("-1", "1")):
+        rc, out, err = run_cli(capsys, base + [alpha, "--n-list", n_list])
+        assert (rc, out) == (2, "")
+        assert err.startswith("error:") and "alpha must be in (0, 1)" in err
+    # eps is still checked first
+    rc, _, err = run_cli(capsys, base + ["5", "--eps", "1.5", "--n-list", ""])
+    assert rc == 2 and "eps must be in [0, 1)" in err
+
+
 def test_mixture_csv_format(capsys, spec_file):
     rc, out, _ = run_cli(
         capsys,

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import smoothcode as sc
@@ -537,11 +537,21 @@ def reference_codebook_from_json(obj):
     decoder = int(obj.get("decoder_for_reject", 0))
     if not 0 <= decoder < len(entries):
         raise ValueError("decoder_for_reject out of range")
+    # a word extends the previous word run when it has the same coding and
+    # the next value; a word of other characters, which the reader rejects,
+    # gets the value -2, which no word continues
+    word_runs = []
+    for i, word in enumerate(inner_words):
+        value = int("0" + word, 2) if set(word) <= {"0", "1"} else -2
+        if i and codings[i] == codings[i - 1] and value == sum(word_runs[-1][1:]):
+            word_runs[-1] = (len(word), word_runs[-1][1], word_runs[-1][2] + 1)
+        else:
+            word_runs.append((len(word), value, 1))
     return sc.StochasticCode(
         runs=runs,
         decoder_for_reject=decoder,
         reject=reject,
-        explicit_words=tuple(inner_words),
+        word_runs=tuple(word_runs),
     )
 
 
@@ -749,7 +759,14 @@ def read_outcome(read, text):
     return type(code), code, code.gamma, code.inner.codewords
 
 
-def test_text_reader_matches_the_json_reader_on_mutated_texts():
+def test_text_reader_matches_the_json_reader_on_mutated_texts(monkeypatch):
+    fallbacks = []
+
+    def counting(obj, read=codes.codebook_from_json):
+        fallbacks.append(obj)
+        return read(obj)
+
+    monkeypatch.setattr(codes, "codebook_from_json", counting)
     rng = random.Random(2025)
     texts = []
     for dist in referee_sources()[:-1] + [sc.iid_extension(sc.new_distribution(WORKED), 5)]:
@@ -766,10 +783,11 @@ def test_text_reader_matches_the_json_reader_on_mutated_texts():
             except Exception:  # a later change needs a readable codebook
                 break
         expected = read_outcome(lambda t: sc.codebook_from_json(json.loads(t)), text)
+        fallbacks.clear()
         got = read_outcome(codes._codebook_from_text, text)
         assert got == expected, (text[:300], expected[:2], got[:2])
         kinds.add(expected[0])
-        fast += got[0] is sc.StochasticCode and got[1].explicit_words is None
+        fast += got[0] is sc.StochasticCode and not fallbacks
     assert {sc.StochasticCode, json.JSONDecodeError, ValueError, sc.KraftViolated} <= kinds
     assert fast > 100
 
@@ -804,16 +822,81 @@ def test_codebook_text_matches_json_dumps_on_product_codes(deterministic):
             assert codes._codebook_text(code) == book_text(code), (n, lam)
 
 
-def test_read_back_words_are_written_as_given():
-    # runs long enough for columns, but a codebook's words need not count up
-    code = sc.build_stochastic_code(sc.iid_extension(sc.new_distribution(WORKED), 6), 0.1, 1.0)
+@settings(deadline=None)
+@given(
+    # n for [0.5, 0.3, 0.2]^n, or weights of a single-letter source
+    source=st.one_of(st.integers(1, 6), st.lists(st.floats(0.01, 1.0), min_size=1, max_size=12)),
+    eps=st.sampled_from([0.0, 0.1, 0.3]),
+    lam=st.sampled_from([0.5, 1.0, 2.0]),
+    deterministic=st.booleans(),
+    seed=st.integers(0, 2**32),
+    across=st.booleans(),
+)
+# every word shuffled across lengths, on runs long enough for columns
+@example(source=6, eps=0.1, lam=1.0, deterministic=False, seed=5, across=True)
+def test_read_back_words_keep_their_order_in_maximal_word_runs(
+    source, eps, lam, deterministic, seed, across
+):
+    if isinstance(source, int):
+        dist = sc.iid_extension(sc.new_distribution(WORKED), source)
+    else:
+        dist = sc.new_distribution([w / math.fsum(source) for w in source])
+    build = sc.build_deterministic_code if deterministic else sc.build_stochastic_code
+    code = build(dist, eps, lam)
     book = sc.codebook_to_json(code)
-    words = [e["codeword"] for e in book["entries"] if e["codeword"]]
-    random.Random(5).shuffle(words)
-    for entry, word in zip(book["entries"], words):
-        entry["codeword"] = word
-    text = codes._codebook_text(sc.codebook_from_json(book))
-    assert text == json.dumps(book, indent=2, sort_keys=True)
+    # the words permuted among the entries of equal length, or among all entries
+    coded = [e for e in book["entries"] if e["codeword"] is not None]
+    lengths = sorted({len(e["codeword"]) for e in coded})
+    groups = [coded] if across else [[e for e in coded if len(e["codeword"]) == n] for n in lengths]
+    rng = random.Random(seed)
+    for group in groups:
+        words = [e["codeword"] for e in group]
+        rng.shuffle(words)
+        for entry, word in zip(group, words):
+            entry["codeword"] = word
+    text = json.dumps(book, indent=2, sort_keys=True)
+    read = sc.codebook_from_json(json.loads(text))
+    assert read.inner.codewords == tuple(e["codeword"][1:] for e in coded)
+    # each word run lies in one run, and neighbours in one run do not continue each other
+    run_ends = set(itertools.accumulate(r.count for r in read.runs))
+    word_ends = list(itertools.accumulate(count for _, _, count in read.word_runs))
+    assert {end for end in run_ends if end <= len(coded)} <= set(word_ends)
+    for (_, start, count), (_, after, _), end in zip(read.word_runs, read.word_runs[1:], word_ends):
+        assert end in run_ends or after != start + count
+    assert codes._codebook_text(read) == text
+    for again in (codes._codebook_from_text(text), sc.codebook_from_json(book)):
+        assert again == read and hash(again) == hash(read)
+    assert (read == code) == (read.inner.codewords == code.inner.codewords)
+    if read == code:
+        assert hash(read) == hash(code)
+
+
+def test_a_round_trip_compares_equal_without_expanding_the_code(monkeypatch):
+    dist = sc.iid_extension(sc.new_distribution(WORKED), 6)
+    book = sc.codebook_to_json(sc.build_stochastic_code(dist, 0.1, 1.0))
+    swapped = copy.deepcopy(book)
+    first, second = swapped["entries"][0]["codeword"], swapped["entries"][1]["codeword"]
+    assert len(first) == len(second)
+    swapped["entries"][0]["codeword"], swapped["entries"][1]["codeword"] = second, first
+    # 729 symbols, none of them expanded below
+    monkeypatch.setenv("SMOOTHCODE_CAP", "100")
+    code = sc.build_stochastic_code(dist, 0.1, 1.0)
+    clone = sc.codebook_from_json(book)
+    assert clone == code and code == clone and hash(clone) == hash(code)
+    assert sc.codebook_from_json(swapped) != code
+    with pytest.raises(sc.TooLarge):
+        code.inner
+
+
+def test_canonical_numbering_needs_nondecreasing_lengths():
+    message = "^canonical words need nondecreasing lengths$"
+    with pytest.raises(ValueError, match=message):
+        _canonical_starts([(2, 1), (1, 1)])
+    with pytest.raises(ValueError, match=message):
+        sc.StochasticCode(runs=(CodeRun(1, 1.0, 3), CodeRun(1, 1.0, 2)), decoder_for_reject=0)
+    # the words of a codebook read back may come in any order of length
+    book = {"reject": "1", "entries": [{"codeword": w, "gamma": 1.0} for w in ("011", "00", "010")]}
+    assert sc.codebook_from_json(book).inner.codewords == ("11", "0", "10")
 
 
 def test_a_run_at_the_column_boundary_is_written_as_columns(monkeypatch):

@@ -253,7 +253,7 @@ def test_codes_fit_the_tree_at_large_blocklengths(large_mixtures, n, lam):
     for build in (sc.build_stochastic_code, sc.build_deterministic_code):
         code = build(dist, 0.3, lam)
         # canonical runs are prefix-free iff their dyadic intervals are disjoint in [0, 1)
-        word_runs = code._word_runs
+        word_runs = code.word_runs
         top = word_runs[-1][0]
         end = 0
         for length, start, count in word_runs:
