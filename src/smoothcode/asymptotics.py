@@ -55,8 +55,9 @@ class SpectrumQuery:
     def __post_init__(self) -> None:
         if self.direction not in ("ge", "le", "within"):
             raise ValueError("direction must be 'ge', 'le', or 'within'")
-        if math.isnan(self.threshold) or self.gamma is not None and math.isnan(self.gamma):
-            raise ValueError("threshold and gamma must not be NaN")
+        # an infinite value would be echoed as a bare Infinity, which JSON rejects
+        if not math.isfinite(self.threshold) or not math.isfinite(self.gamma or 0.0):
+            raise ValueError("threshold and gamma must be finite, not NaN or infinite")
         if self.direction == "within":
             if self.gamma is None or self.gamma < 0.0:
                 raise ValueError("'within' queries need gamma >= 0")

@@ -17,7 +17,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, partial
-from operator import add, floordiv, gt, mul, neg, sub
+from operator import add, gt, mul, neg, sub
 from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 from .errors import BadMixture, EmptyDistribution, NotNormalized, TooLarge, count_text
@@ -368,21 +368,39 @@ def _scaled_logs(log_p: float, n: int) -> list[float]:
     return [h * log_p for h in range(n + 1)]
 
 
+def _scaled(values: Iterable[int], m: int) -> Iterable[int]:
+    """values times m, lazily; the values themselves when m is 1."""
+    return values if m == 1 else map(mul, values, itertools.repeat(m))
+
+
 def _count_rows(n: int, low: int, m_pen: int, m_last: int) -> dict[int, list[int]]:
     """rows[rem][h] = C(rem, h) * m_pen**h * m_last**(rem - h) for low <= rem <= n.
 
-    Exact integers: the last two bins' share of a class count. Along row n,
-    raising h by one multiplies the entry by m_pen * (n - h + 1) and divides
-    it, exactly, by h * m_last; each lower row then follows from the one
-    above as a column step, C(rem, h) = C(rem + 1, h + 1) * (h + 1) / (rem + 1).
+    Exact integers: the last two bins' share of a class count. When
+    m_pen == m_last, every row is a palindrome, C(rem, h) * m**rem, and keeps
+    only its entries h <= rem // 2; entry h > rem // 2 is entry rem - h. A
+    lone top row (low == n) raises h by one as it goes: multiply by
+    m_pen * (n - h + 1), divide exactly by h * m_last. Otherwise rows 1 to n
+    are built upward by Pascal's rule, row[h] = m_last * below[h] +
+    m_pen * below[h - 1], which is additions alone when both are 1.
     """
-    row = [m_last**n]
-    for h in range(1, n + 1):
-        row.append(row[-1] * (m_pen * (n - h + 1)) // (h * m_last))
-    rows = {n: row}
-    for rem in range(n - 1, low - 1, -1):
-        scaled = map(mul, row[1:], range(1, rem + 2))
-        row = rows[rem] = list(map(floordiv, scaled, itertools.repeat((rem + 1) * m_pen)))
+    half = m_pen == m_last
+    if low == n:
+        row = [m_last**n]
+        for h in range(1, (n // 2 if half else n) + 1):
+            row.append(row[-1] * (m_pen * (n - h + 1)) // (h * m_last))
+        return {n: row}
+    rows = {}
+    row = [1]
+    for rem in range(1, n + 1):
+        # below[h] one past the kept entries: 0 past a full row's end, and
+        # in a half row the mirror of its last entry (used when rem is even)
+        below = itertools.chain(row, (row[-1] if half else 0,))
+        shifted = itertools.chain((0,), row)
+        step = map(add, _scaled(below, m_last), _scaled(shifted, m_pen))
+        row = list(itertools.islice(step, rem // 2 + 1 if half else rem + 1))
+        if rem >= low:
+            rows[rem] = row
     return rows
 
 
@@ -482,8 +500,9 @@ def _type_class_atoms(
     second-to-last-bin node, h positions there and rem - h in the last bin,
     form a row and are taken at once as columns: log-probs by table lookups
     and column operations, and the counts as the prefix times row rem of
-    _count_rows. Per node of the walk the Python work is constant; per class
-    it runs inside the builtins.
+    _count_rows; a half row's products are mirrored, so a palindrome's
+    repeated entries are the same ints. Per node of the walk the Python work
+    is constant; per class it runs inside the builtins.
 
     Along a row each of the k components' log-probs is affine in h. Where one
     component lies at least gap = 53 ln 2 + ln(k - 1) + 1 above every other,
@@ -517,7 +536,9 @@ def _type_class_atoms(
         parts = list(zip(log_weights, sums, pen_tables, last_tables))
         ends = [(w + ((s + pen[0]) + last[rem]), w + ((s + pen[rem]) + last[0]))
                 for w, s, pen, last in parts]
-        row_counts = map(mul, itertools.repeat(prefix), rows[rem])
+        kept = list(_scaled(rows[rem], prefix))
+        # a palindrome row keeps h <= rem // 2; its other entries are the same ints
+        row_counts = itertools.chain(kept, reversed(kept[: rem + 1 - len(kept)]))
         if all(map(math.isfinite, itertools.chain.from_iterable(ends))):
             # every class of the row is finite, so none is dropped
             for lo, hi, c in _dominant_spans(ends, rem, gap):
@@ -600,14 +621,20 @@ def _power_of_two_groups(
 
 
 def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    """Coefficients of the product of two polynomials with exact integer coefficients."""
+    """Coefficients of the product of two polynomials with exact integer coefficients.
+
+    A factor [1] gives back the other factor itself, and a coefficient 1 adds
+    the longer factor without scaling it; callers only read the result.
+    """
     if len(a) < len(b):
         a, b = b, a  # one column pass per coefficient of the shorter factor
+    if b == [1]:
+        return a
     out = [0] * (len(a) + len(b) - 1)
     for s, coef in enumerate(b):
         if coef:
             end = s + len(a)
-            out[s:end] = map(add, out[s:end], map(mul, a, itertools.repeat(coef)))
+            out[s:end] = map(add, out[s:end], _scaled(a, coef))
     return out
 
 
@@ -746,28 +773,43 @@ def _json_numbers(values: list, error: type[Exception], what: str) -> list:
 
 
 def distribution_from_json(obj: dict) -> Distribution:
-    """Read either {"probs": [...]} or {"atoms": [{"log_prob": r, "multiplicity": k}, ...]}.
+    """Read a distribution from one of three JSON forms, on blocklength "n".
 
-    Input of the wrong shape raises NotNormalized, a missing key KeyError.
+    - {"probs": [...]}: a single letter, or with "n" its n-fold i.i.d.
+      extension (iid_extension);
+    - {"components": [{"weight": w, "probs": [...]}, ...]}: a mixture of
+      memoryless sources (mixture_extension), checked as mixture_from_json;
+    - {"atoms": [{"log_prob": r, "multiplicity": k}, ...]}: levels already
+      built, which live on blocklength "n".
+
+    "n" is an integer >= 1, 1 when absent, and belongs to one form, so an
+    object holding it beside two of them is rejected. Input of the wrong
+    shape raises NotNormalized (BadMixture for a mixture), a missing key
+    KeyError.
     """
     if not isinstance(obj, dict):
         raise NotNormalized("distribution JSON must be an object")
+    n = obj.get("n", 1)
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise NotNormalized("'n' must be an integer >= 1")
+    if "n" in obj and sum(key in obj for key in ("probs", "atoms", "components")) > 1:
+        raise NotNormalized("'n' belongs to one of 'probs', 'atoms' and 'components', not several")
     if "probs" in obj:
         probs = obj["probs"]
         if not isinstance(probs, list):
             raise NotNormalized("'probs' must be a list")
-        return new_distribution(_json_numbers(probs, NotNormalized, "probability entries"))
+        base = new_distribution(_json_numbers(probs, NotNormalized, "probability entries"))
+        return iid_extension(base, n)
     if "atoms" in obj:
         atoms = obj["atoms"]
         if not isinstance(atoms, list) or not all(isinstance(a, dict) for a in atoms):
             raise NotNormalized("'atoms' must be a list of objects")
-        n = obj.get("n", 1)
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise NotNormalized("'n' must be an integer >= 1")
         lps = _json_numbers([a["log_prob"] for a in atoms], NotNormalized, "log-probabilities")
         mults = _json_numbers([a["multiplicity"] for a in atoms], NotNormalized, "multiplicities")
         return distribution_from_atoms(list(zip(lps, mults)), n=n)
-    raise NotNormalized("distribution JSON needs a 'probs' or 'atoms' key")
+    if "components" in obj:
+        return mixture_extension(mixture_from_json(obj), n)
+    raise NotNormalized("distribution JSON needs a 'probs', 'atoms' or 'components' key")
 
 
 def mixture_from_json(obj: dict) -> MixtureSpec:

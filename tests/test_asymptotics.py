@@ -215,8 +215,11 @@ def test_spectrum_query_validation():
         sc.SpectrumQuery(4, "ge", math.nan)
     with pytest.raises(ValueError):
         sc.SpectrumQuery(4, "within", 0.5, gamma=math.nan)
+    for threshold, gamma in ((math.inf, None), (-math.inf, None), (0.5, math.inf)):
+        with pytest.raises(ValueError, match="infinite"):
+            sc.SpectrumQuery(4, "within" if gamma else "ge", threshold, gamma=gamma)
     sc.SpectrumQuery(4, "ge", 0.5)  # gamma optional here
-    sc.SpectrumQuery(4, "within", -math.inf, gamma=math.inf)
+    sc.SpectrumQuery(4, "within", -1e308, gamma=1e308)
 
 
 def first_holding_n(pairs, bound):
@@ -289,8 +292,8 @@ MIXTURES = [
     spec=st.sampled_from(MIXTURES),
     n=st.integers(1, 64),
     direction=st.sampled_from(["ge", "le", "within"]),
-    threshold=st.one_of(st.floats(-1.0, 3.0), st.sampled_from([-math.inf, math.inf])),
-    gamma=st.one_of(st.floats(0.0, 2.0), st.just(math.inf)),
+    threshold=st.one_of(st.floats(-1.0, 3.0), st.sampled_from([-1e308, 1e308])),
+    gamma=st.one_of(st.floats(0.0, 2.0), st.just(1e308)),
 )
 def test_spectrum_probability_lies_in_unit_interval(spec, n, direction, threshold, gamma):
     query = sc.SpectrumQuery(n, direction, threshold, gamma if direction == "within" else None)

@@ -89,6 +89,29 @@ def test_entropy_accepts_atom_format(capsys, tmp_path, dist_file):
     assert a["k_star"] == b["k_star"]
 
 
+@pytest.mark.parametrize(
+    "described, library",
+    [
+        ({**WORKED, "n": 10}, lambda: sc.iid_extension(sc.new_distribution(WORKED["probs"]), 10)),
+        ({**MIXTURE, "n": 300},
+         lambda: sc.mixture_extension(sc.mixture_from_json(MIXTURE), 300)),
+    ],
+    ids=["probs", "components"],
+)
+def test_dist_reads_a_described_extension(capsys, tmp_path, described, library):
+    # "n" is the blocklength; 0.9035 is the one-letter source's entropy
+    path = tmp_path / "described.json"
+    path.write_text(json.dumps(described))
+    rc, out, err = run_cli(capsys, ["entropy", "--dist", str(path), "--alpha", "0.5",
+                                    "--eps", "0.1"])
+    assert rc == 0 and err == ""
+    got = json.loads(out)
+    dist = library()
+    assert got["entropy"] == sc.smooth_renyi_entropy(dist, 0.5, 0.1)
+    assert got["k_star"] == sc.optimal_smoothing(dist, 0.1).k_star
+    assert got["entropy"] != pytest.approx(0.9034974157725816)
+
+
 def test_validation_errors_exit_2(capsys, dist_file):
     rc, out, err = run_cli(
         capsys, ["entropy", "--dist", dist_file, "--alpha", "1.5", "--eps", "0.1"]
@@ -625,8 +648,8 @@ def test_oracle_finite_optimum_beside_overflowing_blocks(capsys, tmp_path):
 @pytest.mark.parametrize(
     "query",
     [
-        ["--n", "2048", "--direction", "le", "--threshold=inf"],
-        ["--n", "16", "--direction", "within", "--threshold", "0.6", "--gamma", "inf"],
+        ["--n", "2048", "--direction", "le", "--threshold=1e300"],
+        ["--n", "16", "--direction", "within", "--threshold", "0.6", "--gamma", "1e300"],
     ],
 )
 def test_spectrum_keeping_every_class_prints_one(capsys, spec_file, query):
@@ -644,9 +667,25 @@ def test_spectrum_rejects_nan(capsys, spec_file, query):
     rc, out, err = run_cli(capsys, argv)
     assert rc == 2 and out == ""
     assert err.startswith("error:") and "NaN" in err
-    # infinite thresholds and gammas are questions with an answer
-    rc, out, _ = run_cli(capsys, ["inf" if a == "nan" else a for a in argv])
+    # the largest finite thresholds and gammas are questions with an answer
+    rc, out, _ = run_cli(capsys, ["1e308" if a == "nan" else a for a in argv])
     assert rc == 0 and 0.0 <= json.loads(out)["probability"] <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        ["ge", "--threshold", "inf"],
+        ["le", "--threshold=-inf"],
+        ["within", "--threshold", "0.6", "--gamma", "inf"],
+    ],
+)
+def test_spectrum_rejects_infinity(capsys, spec_file, query):
+    # the query is echoed in the output, and JSON has no Infinity
+    argv = ["spectrum", "--spec", spec_file, "--n", "16", "--direction", *query]
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "infinite" in err
 
 
 def test_cap_limits_only_printed_codebooks(capsys, dist_file, monkeypatch):
@@ -775,6 +814,15 @@ BAD_INPUTS = [
         {"codeword": "000", "gamma": True}, *WORKED_BOOK["entries"][1:]]}),
     ("code", {**WORKED_BOOK, "reject": "1", "entries": [
         *WORKED_BOOK["entries"][:2], {"codeword": "0100", "gamma": "0.5"}]}),
+    # the blocklength of a described source is a whole number >= 1 too, and
+    # belongs to one form: beside both probs and atoms it would mean two things
+    ("dist", {"probs": [0.5, 0.5], "n": 0}),
+    ("dist", {"probs": [0.5, 0.5], "n": 2.0}),
+    ("dist", {"probs": [0.5, 0.5], "n": True}),
+    ("dist", {**MIXTURE, "n": 0}),
+    ("dist", {**MIXTURE, "n": "4"}),
+    ("dist", {"components": [{"weight": 1.0, "probs": "1"}], "n": 2}),
+    ("dist", {"probs": [1.0], "atoms": [{"log_prob": 0.0, "multiplicity": 1}], "n": 1}),
 ]
 
 

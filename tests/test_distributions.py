@@ -6,7 +6,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import smoothcode as sc
@@ -14,8 +14,10 @@ from smoothcode import distributions
 from smoothcode.distributions import (
     MERGE_TOL,
     WeightedAtom,
+    _count_rows,
     _lattice_atoms,
     _normalize_atoms,
+    _poly_mul,
     _power_of_two_groups,
     _scaled_logs,
     _type_class_atoms,
@@ -405,6 +407,40 @@ def test_json_loaders():
         sc.mixture_from_json({"components": []})
 
 
+MIX2_JSON = {"components": [{"weight": 0.6, "probs": [0.5, 0.5]},
+                            {"weight": 0.4, "probs": [0.89, 0.11]}]}
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 300])
+def test_json_blocklength_builds_the_extension(n):
+    # "n" beside "probs" or "components" reads the library's extension, bit for bit
+    for probs in ([0.5, 0.3, 0.2], [0.4, 0.3, 0.2, 0.1]):
+        got = sc.distribution_from_json({"probs": probs, "n": n})
+        want = sc.iid_extension(sc.new_distribution(probs), n)
+        assert got == want and got.n == n
+        assert [x.hex() for x in got.log_probs] == [x.hex() for x in want.log_probs]
+    got = sc.distribution_from_json({**MIX2_JSON, "n": n})
+    want = sc.mixture_extension(sc.mixture_from_json(MIX2_JSON), n)
+    assert got == want and got.n == n
+    assert [x.hex() for x in got.log_probs] == [x.hex() for x in want.log_probs]
+
+
+def test_json_blocklength_is_checked():
+    # without "n" the probs form stays the one-letter source
+    assert sc.distribution_from_json({"probs": [0.5, 0.3, 0.2]}) == sc.new_distribution(
+        [0.5, 0.3, 0.2]
+    )
+    for bad in (True, 2.0, 0, -1, "2", None):
+        for form in ({"probs": [0.5, 0.5]}, MIX2_JSON):
+            with pytest.raises(sc.NotNormalized):
+                sc.distribution_from_json({**form, "n": bad})
+    atoms = [{"log_prob": 0.0, "multiplicity": 1}]
+    with pytest.raises(sc.NotNormalized):
+        sc.distribution_from_json({"probs": [1.0], "atoms": atoms, "n": 1})
+    with pytest.raises(sc.BadMixture):
+        sc.distribution_from_json({"components": [{"weight": 0.5, "probs": [1.0]}], "n": 2})
+
+
 def test_cap_from_environment(monkeypatch):
     monkeypatch.setenv("SMOOTHCODE_CAP", "10")
     base = sc.new_distribution([0.5, 0.3, 0.2])
@@ -709,6 +745,57 @@ def test_a_one_bin_source_builds_no_count_rows(monkeypatch):
     dist = sc.iid_extension(sc.new_distribution([0.5, 0.5]), n)
     assert dist.mults == (2**n,)
     assert dist.log_probs == (0.0 + (0.0 + n * math.log(0.5)),)
+
+
+@given(
+    n=st.integers(1, 300),
+    low_is_n=st.booleans(),
+    m_pen=st.integers(1, 4),
+    m_last=st.integers(1, 4),
+    tied=st.booleans(),
+)
+@example(n=300, low_is_n=False, m_pen=1, m_last=1, tied=True)
+@example(n=300, low_is_n=False, m_pen=3, m_last=3, tied=True)
+@example(n=300, low_is_n=False, m_pen=2, m_last=1, tied=False)
+@example(n=300, low_is_n=True, m_pen=1, m_last=1, tied=True)
+@example(n=300, low_is_n=True, m_pen=1, m_last=3, tied=False)
+@settings(max_examples=40, deadline=None)
+def test_count_rows_match_comb_products(n, low_is_n, m_pen, m_last, tied):
+    if tied:
+        m_last = m_pen
+    low = n if low_is_n else 1
+    rows = _count_rows(n, low, m_pen, m_last)
+    assert sorted(rows) == list(range(low, n + 1))
+    pen_powers = [m_pen**h for h in range(n + 1)]
+    last_powers = [m_last**h for h in range(n + 1)]
+    for rem, row in rows.items():
+        # a palindrome keeps h <= rem // 2, and the walk reads h > rem // 2 at rem - h
+        assert len(row) == (rem // 2 + 1 if m_pen == m_last else rem + 1)
+        read = [row[min(h, rem - h)] if m_pen == m_last else row[h] for h in range(rem + 1)]
+        want = [math.comb(rem, h) * pen_powers[h] * last_powers[rem - h] for h in range(rem + 1)]
+        assert read == want
+
+
+def naive_poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+COEFFICIENTS = st.lists(st.sampled_from([0, 1, 1, 2, 3, 2**70]), min_size=1, max_size=6)
+
+
+@given(a=COEFFICIENTS, b=COEFFICIENTS)
+@example(a=[1], b=[1])
+@example(a=[1], b=[3, 0, 1])
+@example(a=[0, 1], b=[1])
+def test_poly_mul_matches_a_double_loop(a, b):
+    want = naive_poly_mul(a, b)
+    assert _poly_mul(a, b) == want
+    assert _poly_mul(b, a) == want
+    assert _poly_mul(a, [1]) == a and _poly_mul([1], a) == a
 
 
 def test_the_cap_bounds_the_count_of_the_engine_that_runs(monkeypatch):
