@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 from . import __version__
@@ -21,16 +22,11 @@ from .codes import (
     build_stochastic_code,
 )
 from .distributions import atom_cap, distribution_from_json, mixture_from_json
-from .errors import SmoothcodeError, TooLarge
+from .errors import SmoothcodeError, TooLarge, check_alpha
 from .evaluation import evaluate_code, sandwich_report
 from .logspace import LN2
 from .oracle import optimal_code_bruteforce, smoothing_feasible_search
-from .smooth_renyi import (
-    optimal_smoothing,
-    r_alpha_eps,
-    smooth_max_entropy,
-    smooth_renyi_entropy,
-)
+from .smooth_renyi import log_power_sum, optimal_smoothing
 
 
 def _in_unit(nats: float, unit: str) -> float:
@@ -64,15 +60,19 @@ def _fmt12(x: float) -> str:
 
 def _cmd_entropy(args) -> int:
     dist = distribution_from_json(_load_json(args.dist))
+    # one smoothing for all five values, as smooth_renyi_entropy,
+    # smooth_max_entropy and r_alpha_eps derive them; eps is checked first
     sub = optimal_smoothing(dist, args.eps)
+    check_alpha(args.alpha)
+    log_r = log_power_sum(sub, args.alpha)
     _emit_json(
         {
             "alpha": args.alpha,
             "eps": args.eps,
             "unit": args.unit,
-            "entropy": _in_unit(smooth_renyi_entropy(dist, args.alpha, args.eps), args.unit),
-            "smooth_max_entropy": _in_unit(smooth_max_entropy(dist, args.eps), args.unit),
-            "r_alpha_eps": r_alpha_eps(dist, args.alpha, args.eps),
+            "entropy": _in_unit(log_r / (1.0 - args.alpha), args.unit),
+            "smooth_max_entropy": _in_unit(math.log(sub.k_star), args.unit),
+            "r_alpha_eps": math.exp(log_r),
             "k_star": sub.k_star,
             "gamma_eps": sub.gamma_eps,
         }
@@ -200,8 +200,9 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-@functools.cache  # built on first use, not at import; parse_args keeps no state
-def _parser() -> argparse.ArgumentParser:
+@functools.cache  # built on first use, not at import; parsing keeps no state
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser and each subcommand's own parser, by name."""
     parser = argparse.ArgumentParser(
         prog="smoothcode",
         description="Smooth Renyi entropies, error-tolerant prefix codes, and moment bounds.",
@@ -266,7 +267,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--lambdas", required=True, help="comma-separated lambda values")
     common(p, fmt=True)
 
-    return parser
+    return parser, sub.choices
 
 
 _HANDLERS = {
@@ -280,11 +281,28 @@ _HANDLERS = {
 }
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse argv once when it starts with a subcommand its own parser takes whole.
+
+    The full parser would hand the same strings to that parser after reading
+    them itself. Anything else (no arguments, help, version, an unknown
+    subcommand, a string the subcommand does not take) goes through the full
+    parser, so every usage line and message is argparse's own.
+    """
+    parser, subparsers = _parser()
+    own = subparsers.get(argv[0]) if argv else None
+    if own is not None:
+        args, extras = own.parse_known_args(argv[1:])
+        if not extras:
+            args.subcommand = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def run(argv: list[str] | None = None) -> int:
     """Parse arguments, dispatch, and map failures to exit codes."""
-    parser = _parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import smoothcode as sc
-from smoothcode import cli, codes
+from smoothcode import cli, codes, smooth_renyi
 
 WORKED = {"probs": [0.5, 0.3, 0.2]}
 MIXTURE = {
@@ -733,6 +734,82 @@ def test_cached_parser_keeps_no_state(capsys, dist_file):
 
     rc, out, _ = run_cli(capsys, ["--version"])
     assert rc == 0 and out.strip() == f"smoothcode {sc.__version__}"
+
+
+# every subcommand once with --opt=value and abbreviated options, then usage
+# errors, help and version; DIST and SPEC stand for the input files
+PARSE_CORPUS = [
+    ["entropy", "--dist=DIST", "--alph", "0.5", "--ep", "0.1", "--unit=bits"],
+    ["code", "--dist", "DIST", "--ep=0.1", "--lambda", "1", "--mode", "deterministic"],
+    ["evaluate", "--dist", "DIST", "--eps", "0.1", "--lam=1"],
+    ["oracle", "--dist", "DIST", "--eps", "0.1", "--max", "3"],
+    ["mixture", "--spec", "SPEC", "--alpha=0.5", "--ep", "0.3", "--n-list", "8,16", "--form", "csv"],
+    ["spectrum", "--spec", "SPEC", "--n", "64", "--dir", "within", "--thr", "0.69", "--gam", "0.05"],
+    ["sweep", "--dist", "DIST", "--epsilons", "0,0.1", "--lambdas=1,2", "--format", "csv"],
+    ["entropy", "--dist", "DIST", "--alpha", "0.5", "--eps", "0.1", "--bogus"],
+    ["entropy", "--dist", "DIST", "--alpha", "0.5", "--eps", "0.1", "extra"],
+    ["entropy", "--dist", "DIST", "--alpha", "0.5", "--eps", "0.1", "--unit", "octal"],
+    ["entropy", "--dist", "DIST", "--alpha", "half", "--eps", "0.1"],
+    ["entropy", "--dist", "DIST", "--eps", "0.1"],
+    ["entropy", "--dist", "DIST", "--alpha", "1.5", "--eps", "0.1"],
+    ["-h"],
+    ["entropy", "-h"],
+    ["--version"],
+    ["entropy", "--version"],
+    ["bogus"],
+    [],
+    ["--", "entropy", "--dist", "DIST", "--alpha", "0.5", "--eps", "0.1"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS, ids=" ".join)
+def test_one_pass_parse_matches_the_full_parser(capsys, dist_file, spec_file, monkeypatch, argv):
+    argv = [tok.replace("DIST", dist_file).replace("SPEC", spec_file) for tok in argv]
+    one_pass = run_cli(capsys, argv)
+    full, _ = cli._parser()
+    monkeypatch.setattr(cli, "_parser", lambda: (full, {}))  # no subcommand's parser is found
+    assert run_cli(capsys, argv) == one_pass
+
+
+def test_a_subcommand_call_is_parsed_once(capsys, dist_file, monkeypatch):
+    parsed = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        parsed.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    rc, _, _ = run_cli(capsys, ["entropy", "--dist", dist_file, "--alpha", "0.5", "--eps", "0.1"])
+    assert rc == 0 and parsed == ["smoothcode entropy"]  # the full parser would add "smoothcode"
+    parsed.clear()
+    rc, _, _ = run_cli(capsys, ["code", "--dist", dist_file, "--eps", "0.1", "--lambda", "1"])
+    assert rc == 0 and parsed == ["smoothcode code"]
+
+
+def test_entropy_report_smooths_once(capsys, dist_file, monkeypatch):
+    smoothings = []
+    optimal_smoothing = smooth_renyi.optimal_smoothing
+
+    def counted(dist, eps):
+        smoothings.append(eps)
+        return optimal_smoothing(dist, eps)
+
+    # the library's entropies call it from their own module
+    monkeypatch.setattr(cli, "optimal_smoothing", counted)
+    monkeypatch.setattr(smooth_renyi, "optimal_smoothing", counted)
+    rc, out, _ = run_cli(capsys, ["entropy", "--dist", dist_file, "--alpha", "0.3", "--eps", "0.1"])
+    assert rc == 0 and smoothings == [0.1]
+    report = json.loads(out)
+    dist = sc.distribution_from_json(WORKED)
+    assert report["entropy"] == sc.smooth_renyi_entropy(dist, 0.3, 0.1)
+    assert report["smooth_max_entropy"] == sc.smooth_max_entropy(dist, 0.1)
+    assert report["r_alpha_eps"] == sc.r_alpha_eps(dist, 0.3, 0.1)
+
+    # eps is checked before alpha, as the report's smoothing comes first
+    rc, out, err = run_cli(capsys, ["entropy", "--dist", dist_file, "--alpha", "1.5", "--eps", "1.5"])
+    assert rc == 2 and out == ""
+    assert err == "error: eps must be in [0, 1)\n"
 
 
 def test_code_with_a_tilted_probability_just_below_one(capsys, tmp_path):
