@@ -105,15 +105,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_oracle(args) -> int:
     dist = distribution_from_json(_load_json(args.dist))
     if args.mode == "code":
-        result = optimal_code_bruteforce(dist, args.eps, args.lam, args.max_len)
-        _emit_json(
-            {
-                "best_moment": result.best_moment,
-                "encoder": list(result.encoder),
-                "decoder": result.decoder,
-                "search_space_size": result.search_space_size,
-            }
-        )
+        _emit_json(vars(optimal_code_bruteforce(dist, args.eps, args.lam, args.max_len)))
     else:
         if args.alpha is None:
             raise ValueError("oracle smoothing mode needs --alpha")
@@ -210,6 +202,11 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
+    def add(name, handler, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        return p
+
     def common(p, unit=False, fmt=False, seed=False):
         if unit:
             p.add_argument("--unit", choices=("nats", "bits"), default="nats")
@@ -218,26 +215,26 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
         if seed:
             p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("entropy", help="smooth Renyi and smooth max entropy of a distribution")
+    p = add("entropy", _cmd_entropy, "smooth Renyi and smooth max entropy of a distribution")
     p.add_argument("--dist", required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--eps", type=float, required=True)
     common(p, unit=True)
 
-    p = sub.add_parser("code", help="construct a flag-bit codebook")
+    p = add("code", _cmd_code, "construct a flag-bit codebook")
     p.add_argument("--dist", required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--mode", choices=("stochastic", "deterministic"), default="stochastic")
 
-    p = sub.add_parser("evaluate", help="error probability, exact moment, and bounds")
+    p = add("evaluate", _cmd_evaluate, "error probability, exact moment, and bounds")
     p.add_argument("--dist", required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--mode", choices=("stochastic", "deterministic"), default="stochastic")
     p.add_argument("--code", default=None, help="evaluate this codebook instead of building one")
 
-    p = sub.add_parser("oracle", help="brute-force optimal code or random smoothing search")
+    p = add("oracle", _cmd_oracle, "brute-force optimal code or random smoothing search")
     p.add_argument("--dist", required=True)
     p.add_argument("--mode", choices=("code", "smoothing"), default="code")
     p.add_argument("--eps", type=float, required=True)
@@ -247,38 +244,27 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
     p.add_argument("--trials", type=int, default=1000)
     common(p, seed=True)
 
-    p = sub.add_parser("mixture", help="per-symbol entropy series of a mixture source")
+    p = add("mixture", _cmd_mixture, "per-symbol entropy series of a mixture source")
     p.add_argument("--spec", required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--n-list", required=True, help="comma-separated blocklengths")
     common(p, unit=True, fmt=True)
 
-    p = sub.add_parser("spectrum", help="exact mass of a self-information rate predicate")
+    p = add("spectrum", _cmd_spectrum, "exact mass of a self-information rate predicate")
     p.add_argument("--spec", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--direction", choices=("ge", "le", "within"), required=True)
     p.add_argument("--threshold", type=float, required=True)
     p.add_argument("--gamma", type=float, default=None)
 
-    p = sub.add_parser("sweep", help="sandwich reports over an (eps, lambda) grid")
+    p = add("sweep", _cmd_sweep, "sandwich reports over an (eps, lambda) grid")
     p.add_argument("--dist", required=True)
     p.add_argument("--epsilons", required=True, help="comma-separated eps values")
     p.add_argument("--lambdas", required=True, help="comma-separated lambda values")
     common(p, fmt=True)
 
     return parser, sub.choices
-
-
-_HANDLERS = {
-    "entropy": _cmd_entropy,
-    "code": _cmd_code,
-    "evaluate": _cmd_evaluate,
-    "oracle": _cmd_oracle,
-    "mixture": _cmd_mixture,
-    "spectrum": _cmd_spectrum,
-    "sweep": _cmd_sweep,
-}
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
@@ -294,7 +280,6 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     if own is not None:
         args, extras = own.parse_known_args(argv[1:])
         if not extras:
-            args.subcommand = argv[0]
             return args
     return parser.parse_args(argv)
 
@@ -307,7 +292,7 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         atom_cap()  # a malformed SMOOTHCODE_CAP fails every subcommand
-        return _HANDLERS[args.subcommand](args)
+        return args.handler(args)
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

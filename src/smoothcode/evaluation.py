@@ -27,15 +27,31 @@ SANDWICH_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class CodeReport:
-    """One evaluation: error probabilities, exact moment, and both bounds."""
+    """One evaluation: error probabilities, and the exact moment and both bounds as logs.
+
+    The logs are in nats. exp_moment, converse_bound and direct_bound read
+    them back as floats, inf beyond float range, where the logs stay finite.
+    """
 
     eps: float
     lam: float
     error_prob: float
     error_prob_raw: float
-    exp_moment: float
-    converse_bound: float
-    direct_bound: float
+    log_exp_moment: float
+    log_converse: float
+    log_direct: float
+
+    @property
+    def exp_moment(self) -> float:
+        return _exp_or_inf(self.log_exp_moment)
+
+    @property
+    def converse_bound(self) -> float:
+        return _exp_or_inf(self.log_converse)
+
+    @property
+    def direct_bound(self) -> float:
+        return _exp_or_inf(self.log_direct)
 
     def to_json_dict(self) -> dict:
         return {
@@ -46,6 +62,9 @@ class CodeReport:
             "exp_moment": self.exp_moment,
             "converse_bound": self.converse_bound,
             "direct_bound": self.direct_bound,
+            "log_exp_moment": self.log_exp_moment,
+            "log_converse": self.log_converse,
+            "log_direct": self.log_direct,
         }
 
 
@@ -137,31 +156,22 @@ def _log_direct(lam_entropy: float, eps: float, lam: float) -> float:
     return logsumexp([2.0 * lam * LN2 + lam_entropy, log_eps + lam * LN2])
 
 
-def _evaluate(
-    code: StochasticCode, dist: Distribution, eps: float, lam: float
-) -> tuple[CodeReport, float, float, float]:
-    """The report together with log moment, log converse and log direct bound."""
-    check_lambda(lam)
-    raw, credited, log_moment = _walk(code, dist, lam)
-    log_converse = _lambda_entropy(dist, eps, lam)
-    log_direct = _log_direct(log_converse, eps, lam)
-    report = CodeReport(
-        eps=eps,
-        lam=lam,
-        error_prob=credited,
-        error_prob_raw=raw,
-        exp_moment=_exp_or_inf(log_moment),
-        converse_bound=_exp_or_inf(log_converse),
-        direct_bound=_exp_or_inf(log_direct),
-    )
-    return report, log_moment, log_converse, log_direct
-
-
 def evaluate_code(
     code: StochasticCode, dist: Distribution, eps: float, lam: float
 ) -> CodeReport:
     """Evaluate a given code against the bounds at budget eps (no assertions)."""
-    return _evaluate(code, dist, eps, lam)[0]
+    check_lambda(lam)
+    raw, credited, log_moment = _walk(code, dist, lam)
+    log_converse = _lambda_entropy(dist, eps, lam)
+    return CodeReport(
+        eps=eps,
+        lam=lam,
+        error_prob=credited,
+        error_prob_raw=raw,
+        log_exp_moment=log_moment,
+        log_converse=log_converse,
+        log_direct=_log_direct(log_converse, eps, lam),
+    )
 
 
 def sandwich_report(dist: Distribution, eps: float, lam: float) -> CodeReport:
@@ -174,14 +184,14 @@ def sandwich_report(dist: Distribution, eps: float, lam: float) -> CodeReport:
     still holds where they overflow a float.
     """
     code = build_stochastic_code(dist, eps, lam)
-    report, log_moment, log_converse, log_direct = _evaluate(code, dist, eps, lam)
+    report = evaluate_code(code, dist, eps, lam)
     if report.error_prob > eps + 1e-12:
         raise SandwichViolated(f"credited error {report.error_prob} exceeds budget {eps}")
-    low = log_converse + math.log1p(-SANDWICH_SLACK)
-    high = log_direct + math.log1p(SANDWICH_SLACK)
-    if not low <= log_moment <= high:
+    low = report.log_converse + math.log1p(-SANDWICH_SLACK)
+    high = report.log_direct + math.log1p(SANDWICH_SLACK)
+    if not low <= report.log_exp_moment <= high:
         raise SandwichViolated(
-            f"log moment {log_moment} outside [{log_converse}, {log_direct}] "
-            f"at eps={eps}, lambda={lam}"
+            f"log moment {report.log_exp_moment} outside "
+            f"[{report.log_converse}, {report.log_direct}] at eps={eps}, lambda={lam}"
         )
     return report

@@ -19,8 +19,9 @@ from .distributions import Distribution, _expand_levels, _log_masses
 from .errors import check_alpha, check_eps
 from .logspace import ceil_exp, logsumexp
 
-# mass still missing within this many ulps of the target 1 - eps counts as
-# reached: 1 - 0.7 is 0.30000000000000004, one ulp above a 0.3 level
+# mass still missing within this many ulps of 1.0 counts as reached: 1 - 0.7
+# is 0.30000000000000004, one ulp above a 0.3 level. The slack is absolute, as
+# ulps of 1 - eps halve below 1.0 and a larger eps would demand more mass
 NEED_ULPS = 4
 
 
@@ -68,14 +69,15 @@ def optimal_smoothing(dist: Distribution, eps: float) -> SubDistribution:
         # float deficit: the parent's mass fell a hair short of the target
         b -= 1
     cum_before = math.fsum(masses[:b])
-    reached = target - NEED_ULPS * math.ulp(target)
+    reached = target - NEED_ULPS * math.ulp(1.0)
     if cum_before >= reached:
         # the running sum came out below the exact prefix sum, or the mass
         # still missing is float noise: the levels before b already reach the
         # target, so the boundary is the last level before the first prefix
         # that does. fsum is exactly rounded, so it never falls as the prefix
-        # grows, and a bisection finds that prefix (the empty one falls short)
-        b = bisect_left(range(b), True, key=lambda i: math.fsum(masses[:i]) >= reached) - 1
+        # grows, and a bisection finds that prefix; the first level stays the
+        # boundary even where a target within the slack of 0 needs no mass
+        b = bisect_left(range(b), True, lo=1, key=lambda i: math.fsum(masses[:i]) >= reached) - 1
         cum_before = math.fsum(masses[:b])
     boundary_lp = lps[b]
     need = target - cum_before

@@ -576,6 +576,17 @@ def test_huge_lambda_reports_inf(capsys, dist_file):
     assert report["exp_moment"] == math.inf and report["direct_bound"] == math.inf
 
     rc, out, err = run_cli(
+        capsys, ["evaluate", "--dist", dist_file, "--eps", "0.1", "--lambda", "1000"]
+    )
+    assert rc == 0 and err == ""
+    report = json.loads(out)
+    # the float fields overflow, but their logs (nats) print as finite numbers
+    assert [report[k] for k in ("exp_moment", "converse_bound", "direct_bound")] == [math.inf] * 3
+    logs = [report[k] for k in ("log_exp_moment", "log_converse", "log_direct")]
+    assert logs == pytest.approx([2079.34, 1098.31, 2484.61], abs=0.01)
+    assert out.count("Infinity") == 3
+
+    rc, out, err = run_cli(
         capsys, ["sweep", "--dist", dist_file, "--epsilons", "0,0.1", "--lambdas", "1,2000"]
     )
     assert rc == 0 and err == ""
@@ -1082,7 +1093,7 @@ def fuzzed_runs(draw):
         return opt(flag, value) if draw(st.booleans()) else []
 
     files = {}
-    sub = draw(st.sampled_from(list(cli._HANDLERS)))
+    sub = draw(st.sampled_from(list(cli._parser()[1])))
     if sub in ("mixture", "spectrum"):
         files["SPEC"] = draw(FUZZ_SPECS)
         argv = [sub, "--spec", "SPEC"]

@@ -65,7 +65,7 @@ def reference_smoothing(pairs, eps):
     if b is None:
         b = len(pairs) - 1
     cum_before = math.fsum(masses[:b])
-    reached = target - NEED_ULPS * math.ulp(target)
+    reached = target - NEED_ULPS * math.ulp(1.0)
     while b > 0 and cum_before >= reached:
         b -= 1
         cum_before = math.fsum(masses[:b])

@@ -167,9 +167,12 @@ def test_evaluate_code_report_fields():
         "exp_moment",
         "converse_bound",
         "direct_bound",
+        "log_exp_moment",
+        "log_converse",
+        "log_direct",
     }
     assert d["lambda"] == 1.0
-    assert d["exp_moment"] == report.exp_moment
+    assert d["exp_moment"] == report.exp_moment == math.exp(d["log_exp_moment"])
 
 
 def test_stochastic_moment_between_bounds_on_random_grid():
@@ -269,3 +272,15 @@ def test_sandwich_compares_logs_beyond_float_range(monkeypatch):
     monkeypatch.setattr(evaluation, "_walk", above_direct)
     with pytest.raises(sc.SandwichViolated):
         sc.sandwich_report(dist, 0.1, 600.0)
+
+
+def test_sandwich_keeps_the_logs_past_float_range():
+    # ROADMAP item 2's n=4096 row: moment, converse and direct bound per letter
+    # of the k=2 mixture at eps 0.3, lambda 1, all about exp(2838) as floats
+    n = 4096
+    spec = sc.mixture_spec([(0.6, [0.5, 0.5]), (0.4, [0.89, 0.11])])
+    report = sc.sandwich_report(sc.mixture_extension(spec, n), 0.3, 1.0)
+    logs = (report.log_converse, report.log_exp_moment, report.log_direct)
+    assert [x / n for x in logs] == pytest.approx([0.69268, 0.69285, 0.69302], abs=1e-5)
+    assert logs[0] <= logs[1] <= logs[2]
+    assert report.exp_moment == report.converse_bound == report.direct_bound == math.inf

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import smoothcode as sc
@@ -189,6 +189,9 @@ def mixture_at(k, n):
     alpha=st.floats(0.05, 0.95),
     eps=st.lists(st.floats(0.0, 0.95), min_size=2, max_size=2).map(sorted),
 )
+# ulps halve just below 1.0, so a slack counted in ulps of the target 1 - eps
+# would demand more mass at eps 2**-52 than at eps 0 on this source
+@example(source=(3, 200), alpha=0.25, eps=[0.0, 2.220446049250313e-16])
 def test_mixture_entropy_nonincreasing_in_eps(source, alpha, eps):
     dist = mixture_at(*source)
     low, high = (sc.smooth_renyi_entropy(dist, alpha, e) for e in eps)
@@ -278,3 +281,12 @@ def test_sub_distribution_expansion_is_capped(monkeypatch):
         sub.probabilities()
     monkeypatch.setenv("SMOOTHCODE_CAP", "81")
     assert len(sub.probabilities()) == 81
+
+
+def test_target_within_the_slack_keeps_part_of_the_first_symbol():
+    # the target 1 - eps = 2**-53 is below the slack NEED_ULPS * ulp(1.0), so
+    # even the empty prefix reaches it; the boundary stays the first level
+    for probs in (WORKED, [0.25] * 4, [1.0]):
+        sub = sc.optimal_smoothing(sc.new_distribution(probs), 1.0 - 2.0**-53)
+        assert (sub.k_star, sub.gamma_eps, sub.mults) == (1, 2.0**-53, (1,))
+        assert sub.log_probs == (math.log(2.0**-53),)
