@@ -1,29 +1,24 @@
 """Exhaustive and randomized ground truth for small instances.
 
-The code search enumerates raw length multisets and assignments, and the
+The code search enumerates length multisets and decoded sets, and the
 smoothing search samples the ball directly, so their results can referee the
 closed-form implementations. The one piece shared with the constructive
 modules is codes.assign_canonical_codewords, which spells out the winning
 lengths as words after the search; best_moment does not depend on it.
 
-The code search takes four exact reductions (see optimal_code_bruteforce):
-one scored assignment per orbit of tied words, the representatives
-tabulated once per (support, word count, tie pattern); one moment pass per
-(word count, length multiset) block; neither a bound nor a pass for a block
-whose Kraft sum is below 1, as an earlier block scores no more; and no pass
-for a block that a proven bound shows cannot hold the minimum. The bound and
-the scorer share one credited-error test, on the set of symbols that first
-use their words, and one moment sum. search_space_size still counts every
+The code search scores one code per (decoded set, complete length multiset):
+the rearranged code, which pairs the decoded symbols, most probable first,
+with the words, lightest first, and puts every other symbol on the lightest
+word (see optimal_code_bruteforce). search_space_size still counts every
 (assignment, multiset) pair, by its closed form.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement
 from operator import le, mul
 from typing import Iterable
 
@@ -45,11 +40,6 @@ CODE_SEARCH_MAX_SUPPORT = 5
 SMOOTHING_SEARCH_MAX_SUPPORT = 16
 MAX_WORDS = 8
 MAX_WORD_LEN = 8
-
-# a block is scored unless min(bound, MAX) * _BOUND_SHRINK - _BOUND_TINY
-# exceeds the least bound; _block_bound derives both constants
-_BOUND_SHRINK = 1.0 - 2.0**-50
-_BOUND_TINY = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -90,36 +80,21 @@ _cached_multisets = cache(enumerate_kraft_length_multisets)
 def _complete(c: int, max_len: int) -> tuple[tuple[int, ...], ...]:
     """The multisets of _cached_multisets(c, max_len) whose Kraft sum is exactly 1.
 
-    Every other multiset has a parent, its longest length l one bit shorter:
-    its Kraft sum is a multiple of 2**-l below 1, so the shorter word keeps
-    it within Kraft, and l >= 2 unless it is the one-word (1,), whose parent
-    is (0,). The parent's sorted lengths are entry-wise no longer than its
-    child's, and not equal, so the parent comes earlier in enumeration
-    order; _scored_blocks shows that its block scores no more.
+    Every other multiset B has a parent, its longest length l one bit
+    shorter: its Kraft sum is a multiple of 2**-l below 1, so the shorter word
+    keeps it within Kraft, and l >= 2 unless it is the one-word (1,), whose
+    parent is (0,). The parent's sorted lengths are entry-wise no longer than
+    B's, and not equal, so the parent comes earlier in enumeration order.
+    Where the weights do not decrease in l, each rearranged code of B (a row
+    of _rearranged_rows) is one of the parent's too, with each term p * w no
+    heavier, as a product rounds monotonically and reads 0 where p is 0; fsum
+    rounds the exact sum of its terms once, or reads +inf past float range,
+    so the code's moment is no lower. B's chain of parents thus ends at an
+    earlier complete block whose minimum is no higher, and B never holds the
+    first minimum.
     """
     scale = 1 << max_len
     return tuple(m for m in _cached_multisets(c, max_len) if sum(scale >> l for l in m) == scale)
-
-
-@cache
-def _orbits(s: int, c: int, ties: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """One (assign, credited) pair per orbit of the onto maps from s symbols to c words.
-
-    Bit j of ties is set when words j and j+1 have equal length; relabelling
-    such tied words is the orbit. Each orbit's entry is its first member in
-    product order, the one that uses tied words in order of first use, and
-    entries come in product order. Bit i of credited is set when symbol i is
-    the first to use its word, which, with the symbols largest first, is the
-    symbol its word decodes.
-    """
-    orbits = []
-    # every codeword must be used
-    for assign in product(range(c), repeat=s):
-        if len(set(assign)) == c:
-            first = list(map(assign.index, range(c)))
-            if all(first[j] < first[j + 1] for j in range(c - 1) if ties >> j & 1):
-                orbits.append((assign, sum(1 << i for i in first)))
-    return tuple(orbits)
 
 
 @cache
@@ -133,49 +108,33 @@ def optimal_code_bruteforce(
 ) -> OracleResult:
     """Minimum moment over all deterministic prefix codes within the error budget.
 
-    Enumerates the number of codewords, every Kraft-feasible length multiset
-    up to max_len, and every surjective symbol-to-word assignment; the
-    winning lengths get canonical words. Decoding maps each word to its most
-    probable preimage, which is the error-minimizing decoder; with the
-    symbols largest first that is the first symbol on the word, so a code's
-    credited set is the set of symbols that first use their words. A code is
-    admissible when that set passes the credited-error test of
-    _credited_sets, at most eps with 1e-12 float slack. The first
-    assignment, in product order, that reaches the minimum wins; every pair
-    (assignment, length multiset) is counted in search_space_size, scored
-    or not.
+    Decoding maps each word to its most probable preimage, the
+    error-minimizing decoder: with the symbols largest first, the first
+    symbol on it. A code is admissible when its credited set, the symbols
+    that first use their words, passes the test of _credited_sets.
 
-    Four exact reductions keep the result bit-identical to scoring every
-    pair one by one, because fsum is exactly rounded and so does not depend
-    on the order of its terms:
+    For one length multiset and one credited set S, the moment
+    sum p * 2**(lam * l) is least for the rearranged code (_rearranged_rows):
+    S by decreasing probability on the words by increasing weight, every
+    other symbol on the lightest word (Hardy, Littlewood and Polya,
+    Inequalities, Thm 368; Campbell 1965). The search scores that one code
+    per (word count, complete multiset (_complete), S), each moment the fsum
+    of the code's own p * w terms. The first block in enumeration order that
+    reaches the minimum wins, by strict <, and within it the least row; its
+    ranks go to the words by increasing weight, tied words in index order.
+    search_space_size counts every (onto assignment, multiset) pair by its
+    closed form, the sum over word counts c of c! * S(s, c) * (number of
+    multisets of c words).
 
-    - words of equal length have bit-equal weights, so relabelling them
-      leaves every term, and the moment, unchanged; only the first member
-      in product order of each such orbit is scored, the one that uses tied
-      words in order of first use, and that member is where a first
-      minimum can fall. These representatives, with their credited sets,
-      are tabulated once per (support, word count, tie pattern) (_orbits),
-      and a block keeps those whose credited set passes;
-    - the weights 2**(lam * l) are taken once per search, and each (word
-      count, length multiset) block's kept assignments are summed in one
-      pass of _moments, the rule the bound sums with;
-    - only the complete multisets, Kraft sum exactly 1, are bounded or
-      scored (_scored_blocks): any other block's float minimum is no lower
-      than its parent's, the multiset with its longest length one bit
-      shorter, which comes earlier, so it never holds the first minimum;
-    - before any block is scored, each gets a bound v, the moment of one of
-      its own admissible codes (_block_bound), and reach = min v bounds the
-      float minimum from above. Only blocks with
-      min(v, MAX) * (1 - 2**-50) - 2**-1022 <= reach are scored, in their
-      order; the others provably score above reach, so the first block
-      that reaches the minimum is always among those scored. Orbit
-      representatives are tabulated only for a tie pattern that a scored
-      block has; search_space_size is the closed form
-      sum over c of c! * S(s, c) * (number of multisets of c words).
+    Each scored code is, in exact arithmetic, the lightest code of its
+    multiset and credited set. As each term rounds once, where terms nearly
+    tie another code can print a moment an ulp below the winner's while its
+    exact moment is higher.
 
-    A weight or a moment past float range reads as +inf, so it never wins;
-    such a block's moments are scored one by one. Raises TooLarge only when
-    every admissible code's moment overflows a float.
+    A weight or a moment past float range reads as +inf and never wins.
+    Raises TooLarge only when every admissible code's moment overflows, and,
+    before any weight is built, enumerate_kraft_length_multisets' TooLarge or
+    ValueError for a max_len out of range.
     """
     check_eps(eps)
     check_lambda(lam)
@@ -183,35 +142,37 @@ def optimal_code_bruteforce(
         limit = f"brute force limited to support {CODE_SEARCH_MAX_SUPPORT}"
         raise TooLarge(f"{limit}, got {count_text(s)}")
     probs = dist.probabilities()
+    # raises for a max_len out of range before any weight is built
+    multisets = {c: _cached_multisets(c, max_len) for c in range(1, s + 1)}
+    pows = [_pow2(lam * l) for l in range(max_len + 1)]
+    in_order = all(map(le, pows, pows[1:]))
 
     best_moment = math.inf
-    best_assign: tuple[int, ...] | None = None
-    best_lengths: tuple[int, ...] | None = None
+    best_row: tuple[int, ...] | None = None
+    best_lengths: tuple[int, ...] = ()
     overflowed = False
     space = 0
-    pows = [_pow2(lam * l) for l in range(max_len + 1)]
-    for c, (rows, blocks) in _scored_blocks(probs, eps, pows, max_len).items():
-        space += _onto(s, c) * len(_cached_multisets(c, max_len))
-        # a row ranks symbol 0 and each symbol outside its credited set 0 (_bound_rows)
-        passed = {sum(1 << i for i, r in enumerate(row) if r or not i) for row in rows}
-        for lengths in blocks:
-            ties = sum(1 << j for j in range(c - 1) if lengths[j] == lengths[j + 1])
-            keep = [a for a, kept in _orbits(s, c, ties) if kept in passed]
-            if not keep:
-                continue
-            moments = _moments(probs, list(map(pows.__getitem__, lengths)), keep)
+    for c, every in multisets.items():
+        space += _onto(s, c) * len(every)
+        if not every or not (rows := _rearranged_rows(probs, eps, c)):
+            continue
+        for lengths in _complete(c, max_len) if in_order else every:
+            moments = _moments(probs, sorted(map(pows.__getitem__, lengths)), rows)
             m = min(moments)
             overflowed = overflowed or m == math.inf
             if m < best_moment:
                 best_moment = m
-                best_assign = keep[moments.index(m)]
+                best_row = min(row for row, v in zip(rows, moments) if v == m)
                 best_lengths = lengths
-    if best_assign is None:
+    if best_row is None:
         if overflowed:
             msg = f"moments overflow a float at lambda={lam}, max_len={max_len}"
             raise TooLarge(msg)
         raise Infeasible(f"no code with at most {max_len}-bit words meets eps={eps}")
 
+    # the words by increasing weight, tied words in index order
+    ranked = sorted(range(len(best_lengths)), key=lambda j: pows[best_lengths[j]])
+    best_assign = tuple(ranked[r] for r in best_row)
     best_words = assign_canonical_codewords(best_lengths).codewords
     encoder = tuple(best_words[a] for a in best_assign)
     # a word decodes to its first symbol, the most probable one on it
@@ -222,45 +183,6 @@ def optimal_code_bruteforce(
         decoder=decoder,
         search_space_size=space,
     )
-
-
-def _scored_blocks(
-    probs: list[float], eps: float, pows: list[float], max_len: int
-) -> dict[int, tuple[list[tuple[int, ...]], list[tuple[int, ...]]]]:
-    """Per word count c that has length multisets, its _bound_rows and the blocks to score.
-
-    pows[l] is the weight of an l-bit word. A complete multiset (_complete)
-    is scored when min(v, MAX) * _BOUND_SHRINK - _BOUND_TINY <= reach, with
-    v its _block_bound bound and reach the least such bound; the multisets
-    come in enumeration order. Any other block B never holds the first minimum:
-    - its parent, its longest length one bit shorter, comes earlier (_complete);
-    - each assignment is admissible in both, as the credited set does not
-      depend on lengths;
-    - pows does not decrease in l, so the parent's sorted weights are
-      entry-wise no heavier than B's, and each term p * w, which rounds
-      monotonically and reads 0 where p is 0, is no lighter in B;
-    - fsum rounds the exact sum of its terms once, or reads +inf from an exact
-      sum past float range, so each moment, and the float minimum, is no
-      lower in B.
-    So B's chain of parents ends at an earlier complete block with a float
-    minimum no higher, which has an admissible code when B has one. reach is
-    a moment some block scores, so the block of the first minimum passes the
-    test, and with reach = +inf every one does. Where a libm pow breaks the
-    order of pows, every multiset is a candidate.
-    """
-    in_order = all(map(le, pows, pows[1:]))
-    rows, bounds = {}, {}
-    for c in range(1, len(probs) + 1):
-        if multisets := _cached_multisets(c, max_len):
-            rows[c] = _bound_rows(probs, eps, c)
-            for lengths in _complete(c, max_len) if in_order else multisets:
-                bounds[c, lengths] = _block_bound(probs, rows[c], pows, lengths)
-    reach = min(bounds.values(), default=math.inf)
-    scored = {c: (r, []) for c, r in rows.items()}
-    for (c, lengths), v in bounds.items():
-        if min(v, sys.float_info.max) * _BOUND_SHRINK - _BOUND_TINY <= reach:
-            scored[c][1].append(lengths)
-    return scored
 
 
 def _credited_sets(probs: list[float], eps: float, c: int) -> list[tuple[int, ...]]:
@@ -280,61 +202,15 @@ def _credited_sets(probs: list[float], eps: float, c: int) -> list[tuple[int, ..
     ]
 
 
-def _bound_rows(probs: list[float], eps: float, c: int) -> list[tuple[int, ...]]:
-    """Per credited set S of c symbols, its rearranged code (see _block_bound):
-    for each symbol, the rank of its word by weight, 0 for the lightest."""
+def _rearranged_rows(probs: list[float], eps: float, c: int) -> list[tuple[int, ...]]:
+    """Per credited set S of c symbols, its rearranged code: for each symbol,
+    the rank of its word by weight, 0 for the lightest. S takes ranks 0 to
+    c - 1 in order and every other symbol rank 0, after symbol 0, so the
+    code's credited set is S."""
     return [
         tuple(kept.index(i) if i in kept else 0 for i in range(len(probs)))
         for kept in _credited_sets(probs, eps, c)
     ]
-
-
-def _block_bound(
-    probs: list[float], rows: list[tuple[int, ...]], pows: list[float], lengths: tuple[int, ...]
-) -> float:
-    """The least moment of the rearranged codes of one length multiset, from _bound_rows.
-
-    A rearranged code decodes a credited set S of c symbols (_credited_sets).
-    It puts S, by decreasing probability, on the words by increasing weight
-    w = pows[l] = 2**(lam * l), and every other symbol on the lightest word,
-    beside the most probable one; so its credited set is S and it is an
-    admissible code of the block. Its moment F(S) is the _moments sum of its
-    own p * w terms, as the scorer sums that code's orbit. So the bound
-    v = min F(S), +inf where no S passes, is a moment the block scores.
-
-    Why a block with L = fl(fl(min(v, MAX) * (1 - 8u)) - 2**-1022) > reach
-    cannot hold the minimum, with u = 2**-53, MAX the largest float and s <= 5
-    symbols: let m be the block's float minimum, scored by a code A (a block
-    with no admissible code scores nothing and has nothing to lose).
-    - A's credited set is some S above. Over the extended reals with
-      0 * inf = 0, the exact sum of A's p * w terms is at least the exact
-      sum R of that S's terms: each other symbol's weight is at least the
-      lightest one, and the rearrangement inequality pairs decreasing p
-      with increasing w most cheaply.
-    - A product rounds once, fl(x) within u*x + 2**-1075 of x (the absolute
-      part for a subnormal result), or +inf from x >= Omega, the overflow
-      threshold above MAX. fsum rounds the exact sum of its terms once: a
-      relative u, no absolute part (floats that sum below 2**-1022 sum
-      exactly), or +inf (its OverflowError, read as +inf) from an exact sum
-      of at least Omega. So m >= (1 - u)**2 R - s * 2**-1075.
-    - If F(S) is finite, F(S) <= (1 + u)**2 R + (1 + u)s * 2**-1075, and as
-      (1 - u)**2 >= (1 - 4u)(1 + u)**2, m >= (1 - 4u) F(S) - s * 2**-1074.
-    - If F(S) is +inf, either a positive p meets an infinite weight, and then
-      one of A's does too (A's credited symbols on the infinite-weight words
-      would be zeros, which S would put there), so m = +inf; or the exact sum
-      of its rounded terms reached Omega, so (1 + u) R + s * 2**-1075 >=
-      Omega and m >= (1 - 3u) Omega - s * 2**-1074 > (1 - 4u) MAX - s * 2**-1074.
-    - Either way m >= (1 - 4u) min(F(S), MAX) - s * 2**-1074, and v <= F(S).
-      The test's own two roundings cost (1 - 8u)(1 + u)**2 <= 1 - 6u and an
-      absolute 2**-1075, which 2**-1022 covers with room for s * 2**-1074;
-      where fl(min(v, MAX) * (1 - 8u)) <= 2**-1022, L <= 0 <= m. So L <= m.
-    reach is a moment that some block scores, so m > reach puts the block
-    above the float minimum; with reach = +inf (no S passes anywhere) every
-    block is scored, so Infeasible and TooLarge are raised as before.
-    """
-    if not rows:
-        return math.inf
-    return min(_moments(probs, sorted(map(pows.__getitem__, lengths)), rows))
 
 
 def _moments(
@@ -380,7 +256,8 @@ def smoothing_feasible_search(
 
     Each trial removes a uniformly drawn total amount of mass (at most eps),
     split across symbols by random proportions and clipped at zero, so every
-    draw is feasible by construction. eps = 0 returns sum(P**alpha) exactly.
+    draw is feasible by construction. eps = 0 or trials = 0 returns
+    sum(P**alpha) exactly, and a negative trials raises ValueError.
     The trials * (support + 1) draws must fit the size cap (atom_cap()),
     so a huge trial count raises TooLarge before anything is allocated.
     Needs numpy, the package's one optional dependency (the oracle extra).
@@ -394,12 +271,14 @@ def smoothing_feasible_search(
 
     check_alpha(alpha)
     check_eps(eps)
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {count_text(trials)}")
     if (size := dist.support_size) > SMOOTHING_SEARCH_MAX_SUPPORT:
         limit = f"random search limited to support {SMOOTHING_SEARCH_MAX_SUPPORT}"
         raise TooLarge(f"{limit}, got {count_text(size)}")
     probs = np.asarray(dist.probabilities(), dtype=float)
     best = float(np.sum(probs**alpha))  # Q = P is always in the ball
-    if trials < 1 or eps == 0.0:
+    if trials == 0 or eps == 0.0:
         return best
     cap = atom_cap()
     cells = trials * (probs.size + 1)  # the draws numpy allocates below

@@ -284,6 +284,13 @@ def test_oracle_smoothing_trials_past_the_cap_exit_3(capsys, dist_file):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_oracle_smoothing_negative_trials_exit_2(capsys, dist_file):
+    argv = ["oracle", "--dist", dist_file, "--mode", "smoothing", "--alpha", "0.5"]
+    rc, out, err = run_cli(capsys, argv + ["--eps", "0.1", "--trials", "-1"])
+    assert rc == 2 and out == ""
+    assert err == "error: trials must be >= 0, got -1\n"
+
+
 def test_mixture_over_a_thousand_letters_exits_0(capsys, tmp_path):
     # the type-class walk once took one stack frame per letter, and this spec
     # exited 1 with a RecursionError traceback

@@ -1,13 +1,12 @@
 import math
 import os
-import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import smoothcode as sc
@@ -368,42 +367,6 @@ def test_bruteforce_at_the_margin_matches_unfactored_search():
         assert _fingerprint(sc.optimal_code_bruteforce, *case) == want, case
 
 
-def test_block_bound_is_below_the_block_minimum():
-    # each bound is a moment its block scores, and after the margin it lies
-    # below the block's least moment as the reference sums it
-    from smoothcode import oracle
-
-    rng = np.random.default_rng(101)
-    sources = [dist.probabilities() for dist in _margin_sources()]
-    for s in (3, 4, 5, 5):
-        probs = sorted(map(float, rng.dirichlet(np.ones(s))), reverse=True)
-        sources.append(probs)
-        # a near-tie: the second symbol one ulp below the first
-        sources.append([probs[0], math.nextafter(probs[0], 0.0)] + probs[2:])
-    max_len, scored = 5, 0
-    for probs in sources:
-        for eps in (0.0, 0.1, 0.3):
-            for lam in (0.5, 1.0, 204.7):
-                least = {}
-                for c, lengths, _, moment in _scored_pairs(probs, eps, lam, max_len):
-                    if moment is not None:
-                        least[c, lengths] = min(moment, least.get((c, lengths), math.inf))
-                pows = [oracle._pow2(lam * l) for l in range(max_len + 1)]
-                for c in range(1, len(probs) + 1):
-                    multisets = sc.enumerate_kraft_length_multisets(c, max_len)
-                    rows = oracle._bound_rows(probs, eps, c)
-                    bounds = [oracle._block_bound(probs, rows, pows, m) for m in multisets]
-                    for lengths, v in zip(multisets, bounds):
-                        if (c, lengths) not in least:
-                            assert v == math.inf
-                            continue
-                        m = least[c, lengths]
-                        floor = min(v, sys.float_info.max) * oracle._BOUND_SHRINK - oracle._BOUND_TINY
-                        assert floor <= m <= v, (probs, eps, lam, c, lengths)
-                        scored += 1
-    assert scored > 10000
-
-
 def _kraft_sum(lengths):
     return sum(Fraction(1, 2**l) for l in lengths)
 
@@ -451,76 +414,84 @@ def test_first_minimum_lies_in_a_complete_block():
     assert ties
 
 
-def test_search_scores_the_blocks_the_plain_rule_keeps(monkeypatch):
-    from smoothcode import oracle
-
-    def plain_rule(probs, eps, lam, max_len):
-        """Every multiset's bound, then the same test against the least of them."""
-        pows = [oracle._pow2(lam * l) for l in range(max_len + 1)]
-        bounds = {}
-        for c in range(1, len(probs) + 1):
-            multisets = sc.enumerate_kraft_length_multisets(c, max_len)
-            if multisets:
-                rows = oracle._bound_rows(probs, eps, c)
-                bounds[c] = [(m, oracle._block_bound(probs, rows, pows, m)) for m in multisets]
-        reach = min(v for pairs in bounds.values() for _, v in pairs)
-        floor = lambda v: min(v, sys.float_info.max) * oracle._BOUND_SHRINK - oracle._BOUND_TINY
-        return reach, {c: [m for m, v in pairs if floor(v) <= reach] for c, pairs in bounds.items()}
-
-    def scored(probs, eps, lam, max_len):
-        pows = [oracle._pow2(lam * l) for l in range(max_len + 1)]
-        blocks = {}
-        for c, (rows, kept) in oracle._scored_blocks(probs, eps, pows, max_len).items():
-            assert rows == oracle._bound_rows(probs, eps, c)
-            blocks[c] = kept
-        return blocks
-
-    rng = np.random.default_rng(103)
-    sources = [dist.probabilities() for dist in _margin_sources()]
-    sources += [sorted(map(float, rng.dirichlet(np.ones(s))), reverse=True) for s in (3, 4, 5, 5)]
-    sources.append(WORKED)  # no decoded set passes at eps 0 with 1-bit words
-    unreachable = 0
-    for case in product(sources, (0.0, 0.1, 0.3), (0.5, 1.0, 204.7), (1, 3, 5)):
-        reach, plain = plain_rule(*case)
-        unreachable += reach == math.inf
-        complete = {c: [m for m in kept if _kraft_sum(m) == 1] for c, kept in plain.items()}
-        assert scored(*case) == complete, case
-    assert unreachable
-    # only the complete multisets get a bound: at support 5 with 5-bit words,
-    # 8 of the 176 blocks
-    calls = []
-    block_bound = oracle._block_bound
-    monkeypatch.setattr(oracle, "_block_bound", lambda *args: calls.append(args) or block_bound(*args))
-    scored([0.3, 0.25, 0.2, 0.15, 0.1], 0.1, 1.0, 5)
-    assert len(calls) == 8
+def test_bruteforce_with_weights_out_of_order_matches_unfactored_search(monkeypatch):
     # weights out of order, as a pow that is not monotone could give: a block
-    # can score below its parent, so every block gets a bound
-    monkeypatch.setattr(oracle, "_pow2", lambda x: 2.0 ** (x if x % 2 else -x))
-    for probs in sources[-5:]:
-        _, plain = plain_rule(probs, 0.1, 1.0, 5)
-        calls.clear()
-        assert scored(probs, 0.1, 1.0, 5) == plain
-        multisets = [sc.enumerate_kraft_length_multisets(c, 5) for c in range(1, len(probs) + 1)]
-        assert len(calls) == sum(map(len, multisets))
-
-
-def test_bruteforce_tabulates_assignments_only_where_a_block_is_scored():
+    # can score below its parent, so the search scores every multiset
     from smoothcode import oracle
 
-    probs = [0.3, 0.25, 0.2, 0.15, 0.1]
-    pows = [oracle._pow2(l) for l in range(6)]
-    scored = oracle._scored_blocks(probs, 0.1, pows, 5)
-    with_blocks = sum(1 for _, blocks in scored.values() if blocks)
-    assert 0 < with_blocks < len(scored)
-    # one orbit table per (word count, tie pattern) that a scored block has
-    patterns = {
-        (c, tuple(a == b for a, b in zip(lengths, lengths[1:])))
-        for c, (_, blocks) in scored.items()
-        for lengths in blocks
-    }
-    oracle._orbits.cache_clear()
-    sc.optimal_code_bruteforce(sc.new_distribution(probs), 0.1, 1.0, 5)
-    assert oracle._orbits.cache_info().currsize == len(patterns)
+    skew = lambda x: 2.0 ** (x if x % 2 else -x)
+    monkeypatch.setattr(oracle, "_pow2", skew)
+    monkeypatch.setitem(globals(), "_weight", skew)
+    rng = np.random.default_rng(103)
+    sources = [sorted(map(float, rng.dirichlet(np.ones(s))), reverse=True) for s in (3, 4, 5, 5)]
+    sources.append(WORKED)
+    incomplete = 0
+    for probs, eps, lam in product(sources, (0.0, 0.1, 0.3), (0.5, 1.0)):
+        case = (sc.new_distribution(probs), eps, lam, 5)
+        want = _fingerprint(reference_code_search, *case)
+        assert _fingerprint(sc.optimal_code_bruteforce, *case) == want, case
+        incomplete += _kraft_sum(map(len, set(want[1]))) < 1
+    assert incomplete  # some winners lie in a block that is not complete
+
+
+def test_bruteforce_keeps_the_rearranged_code_where_rounding_reorders_near_ties():
+    # all four symbols are decoded; the code that puts symbol 1 on a 3-bit
+    # word prints a moment one ulp lower, yet is heavier in exact arithmetic
+    probs = [0.40862678135566477, 0.234060193139914, 0.22751506985720635, 0.1297979556472149]
+    eps, lam = 0.12540823355512984, 1.3694642031822436e-15
+    result = sc.optimal_code_bruteforce(_exact_source(probs), eps, lam)
+    assert result.encoder == ("0", "10", "110", "111")
+    assert result.best_moment.hex() == "0x1.0000000000009p+0"
+    weight = [2.0 ** (lam * l) for l in range(4)]
+    exact = lambda lengths: sum(Fraction(p) * Fraction(weight[l]) for p, l in zip(probs, lengths))
+    swapped = math.fsum(p * weight[l] for p, l in zip(probs, (1, 3, 2, 3)))
+    assert swapped.hex() == "0x1.0000000000008p+0"
+    assert Fraction(swapped) < exact((1, 2, 3, 3)) < exact((1, 3, 2, 3))
+
+
+@settings(deadline=None)
+@given(
+    weights=_weights,
+    moves=st.lists(st.integers(0, 4), min_size=5, max_size=5),
+    eps=st.floats(0.0, 0.6),
+    lam=st.sampled_from([1e-15, 0.5, 1.0, 2.0]),
+    max_len=st.integers(1, 5),
+)
+def test_bruteforce_winner_is_a_rearranged_code(weights, moves, eps, lam, max_len):
+    # near ties: equal weights, some moved a few ulps apart
+    total = math.fsum(weights)
+    try:
+        dist = _exact_source([_down(w / total, ulps) for w, ulps in zip(weights, moves)])
+    except StopIteration:  # exp of no float gives this probability back
+        reject()
+    probs = dist.probabilities()
+    try:
+        result = sc.optimal_code_bruteforce(dist, eps, lam, max_len)
+    except sc.Infeasible:
+        return
+    encoder = result.encoder
+    credited = sorted(result.decoder.values())
+    assert credited[0] == 0 and len(credited) == len(set(encoder))
+    # credited symbols by decreasing probability on nondecreasing lengths,
+    # every other symbol on symbol 0's word
+    lengths = [len(encoder[i]) for i in credited]
+    assert lengths == sorted(lengths)
+    assert all(encoder[i] == encoder[0] for i in range(len(probs)) if i not in credited)
+    terms = [p * 2.0 ** (lam * len(w)) for p, w in zip(probs, encoder)]
+    assert result.best_moment == math.fsum(terms)
+
+
+def test_bruteforce_checks_max_len_before_any_weight(monkeypatch):
+    from smoothcode import oracle
+
+    calls = []
+    monkeypatch.setattr(oracle, "_pow2", lambda x: calls.append(x) or 2.0**x)
+    dist = sc.new_distribution(WORKED)
+    with pytest.raises(sc.TooLarge, match=r"^search limited to k <= 8, max_len <= 8$"):
+        sc.optimal_code_bruteforce(dist, 0.1, 1.0, max_len=10**6)
+    with pytest.raises(ValueError, match=r"^need k >= 1 and max_len >= 1$"):
+        sc.optimal_code_bruteforce(dist, 0.1, 1.0, max_len=0)
+    assert calls == []
 
 
 def test_bruteforce_takes_each_credited_set_list_and_weight_once(monkeypatch):
@@ -531,41 +502,9 @@ def test_bruteforce_takes_each_credited_set_list_and_weight_once(monkeypatch):
         f = getattr(oracle, name)
         monkeypatch.setattr(oracle, name, lambda *a, f=f, name=name: calls.update([name]) or f(*a))
     sc.optimal_code_bruteforce(sc.new_distribution([0.3, 0.25, 0.2, 0.15, 0.1]), 0.1, 1.0, 5)
-    # one list per word count, shared by the bounds and the scorer, and one
-    # weight per word length, shared by every block
+    # one list of decoded sets per word count and one weight per word length,
+    # shared by every block
     assert calls == Counter({"_credited_sets": 5, "_pow2": 6})
-
-
-def test_orbit_table_has_one_entry_per_orbit_of_tied_words():
-    from smoothcode import oracle
-
-    for s in range(1, 6):
-        for c in range(1, s + 1):
-            onto = [a for a in product(range(c), repeat=s) if len(set(a)) == c]
-            assert len(onto) == oracle._onto(s, c)
-            for ties in range(2 ** (c - 1)):
-                # maximal runs of tied words: bit j ties word j to word j + 1
-                runs = [[0]]
-                for j in range(1, c):
-                    if ties >> (j - 1) & 1:
-                        runs[-1].append(j)
-                    else:
-                        runs.append([j])
-                table = oracle._orbits(s, c, ties)
-                assigns = [a for a, _ in table]
-                assert assigns == sorted(set(assigns))
-                assert len(table) * math.prod(map(math.factorial, map(len, runs))) == len(onto)
-                for a, credited in table:
-                    assert credited == sum(1 << a.index(j) for j in range(c))
-                hits = Counter()
-                for a in onto:
-                    # relabel each run's words in order of first use
-                    relabel = {}
-                    for run in runs:
-                        used = sorted(run, key=a.index)
-                        relabel.update(zip(used, run))
-                    hits[tuple(map(relabel.__getitem__, a))] += 1
-                assert set(hits) == set(assigns)
 
 
 def _stirling2(n, k):
@@ -595,6 +534,14 @@ def test_smoothing_search_at_eps_zero_is_exact():
     dist = sc.new_distribution(WORKED)
     expected = math.fsum(p**0.5 for p in WORKED)
     assert sc.smoothing_feasible_search(dist, 0.5, 0.0) == expected
+
+
+def test_smoothing_search_rejects_negative_trials():
+    dist = sc.new_distribution(WORKED)
+    with pytest.raises(ValueError, match=r"^trials must be >= 0, got -5$"):
+        sc.smoothing_feasible_search(dist, 0.5, 0.1, trials=-5)
+    # no trial leaves Q = P, the power sum of the source itself
+    assert sc.smoothing_feasible_search(dist, 0.5, 0.1, trials=0) == math.fsum(p**0.5 for p in WORKED)
 
 
 def test_smoothing_search_examples():
