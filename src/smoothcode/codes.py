@@ -33,11 +33,11 @@ from .smooth_renyi import SubDistribution, optimal_smoothing
 LENGTH_SNAP = 1e-9
 
 
-def _tilt(log_probs: Sequence[float], mults: Sequence[int], lam: float) -> list[float]:
+def _tilt(log_probs: Sequence[float], log_mults: Sequence[float], lam: float) -> list[float]:
     """log-prob of one symbol of each level of Q**(1/(1+lam)), normalized over the levels of Q."""
     beta = 1.0 / (1.0 + lam)
     scaled = list(map(mul, itertools.repeat(beta), log_probs))
-    norm = logsumexp(_log_masses(scaled, mults))
+    norm = logsumexp(_log_masses(scaled, log_mults))
     return list(map(sub, scaled, itertools.repeat(norm)))
 
 
@@ -87,7 +87,7 @@ def shannon_lengths(sub: SubDistribution, lam: float) -> list[int]:
     binary tree.
     """
     check_lambda(lam)
-    lengths = _level_lengths(_tilt(sub.log_probs, sub.mults, lam), sub.mults)
+    lengths = _level_lengths(_tilt(sub.log_probs, sub._log_mults, lam), sub.mults)
     return _expand_levels(lengths, sub.mults)
 
 
@@ -98,7 +98,7 @@ def ideal_real_lengths(sub: SubDistribution, lam: float) -> list[float]:
     condition with equality: sum(exp(-length)) == 1.
     """
     check_lambda(lam)
-    tilted = _tilt(sub.log_probs, sub.mults, lam)
+    tilted = _tilt(sub.log_probs, sub._log_mults, lam)
     return _expand_levels(list(map(neg, tilted)), sub.mults)
 
 
@@ -362,23 +362,21 @@ def _reject_target(dist: Distribution, mults: Sequence[int], last_gamma: float) 
 
 
 def _flag_code(
-    dist: Distribution,
-    log_probs: Sequence[float],
-    mults: Sequence[int],
-    last_gamma: float,
-    lam: float,
+    dist: Distribution, sub: SubDistribution, levels: int, last_gamma: float, lam: float
 ) -> StochasticCode:
-    """Code whose words go to the leading levels (log_probs, mults) of the smoothing truncation.
+    """Code whose words go to the first `levels` levels of the smoothing truncation sub.
 
     One length per tilted level. The symbols of the last coded level are
     accepted with probability last_gamma, the others surely; every later
     symbol of dist rejects.
     """
+    mults = sub.mults[:levels]
     runs = []
     if mults:
         # tilting keeps the sorted order, so the lengths are nondecreasing as
         # canonical numbering needs
-        accept_bits = [l + 1 for l in _level_lengths(_tilt(log_probs, mults, lam), mults)]
+        tilted = _tilt(sub.log_probs[:levels], sub._log_mults[:levels], lam)
+        accept_bits = [l + 1 for l in _level_lengths(tilted, mults)]
         runs = list(zip(mults, itertools.repeat(1.0), accept_bits))
         runs[-1] = (mults[-1], last_gamma, runs[-1][2])
     rest = dist.support_size - sum(mults)
@@ -407,7 +405,7 @@ def build_stochastic_code(dist: Distribution, eps: float, lam: float) -> Stochas
     sub = optimal_smoothing(dist, eps)
     boundary_p = math.exp(_level_at(dist, sub.k_star - 1))
     gamma_b = 1.0 if boundary_p == 0.0 else min(sub.gamma_eps / boundary_p, 1.0)
-    return _flag_code(dist, sub.log_probs, sub.mults, gamma_b, lam)
+    return _flag_code(dist, sub, len(sub.mults), gamma_b, lam)
 
 
 def build_deterministic_code(dist: Distribution, eps: float, lam: float) -> StochasticCode:
@@ -421,7 +419,7 @@ def build_deterministic_code(dist: Distribution, eps: float, lam: float) -> Stoc
     check_lambda(lam)
     sub = optimal_smoothing(dist, eps)
     # everything except the clipped boundary symbol
-    return _flag_code(dist, sub.log_probs[:-1], sub.mults[:-1], 1.0, lam)
+    return _flag_code(dist, sub, len(sub.mults) - 1, 1.0, lam)
 
 
 def codebook_to_json(code: StochasticCode) -> dict:

@@ -17,7 +17,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, partial
-from operator import add, gt, mul, neg, sub
+from operator import add, gt, mul, sub
 from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 from .errors import BadMixture, EmptyDistribution, NotNormalized, TooLarge, count_text
@@ -72,9 +72,9 @@ def _check_size(size: int) -> None:
         raise TooLarge(f"support of size {count_text(size)} exceeds cap {cap}")
 
 
-def _log_masses(log_probs: Iterable[float], mults: Iterable[int]) -> map:
+def _log_masses(log_probs: Iterable[float], log_mults: Iterable[float]) -> map:
     """log(multiplicity) + log_prob of each level: the log of its total mass."""
-    return map(add, map(math.log, mults), log_probs)
+    return map(add, log_mults, log_probs)
 
 
 class WeightedAtom(NamedTuple):
@@ -93,8 +93,8 @@ class Distribution:
     levels make equal distributions whatever order they were given in. `n`
     is the blocklength the distribution lives on (1 for a single letter).
     The total mass must be 1 within MASS_TOL, or the constructor raises
-    NotNormalized. Beside the fields sits one cache, the column of level
-    masses (_masses).
+    NotNormalized. Beside the fields sit two caches, the column of log
+    multiplicities (_log_mults) and the column of level masses (_masses).
     """
 
     log_probs: tuple[float, ...]
@@ -114,15 +114,20 @@ class Distribution:
         _check_mass(self)
 
     @cached_property
+    def _log_mults(self) -> tuple[float, ...]:
+        """log(multiplicity) of each level; optimal_smoothing passes on its kept prefix."""
+        return tuple(map(math.log, self.mults))
+
+    @cached_property
     def _masses(self) -> tuple[float, ...]:
         """exp(log(multiplicity) + log_prob) of each level: its total mass.
 
         Built by the mass check at construction and kept, since the
-        smoothing and the spectrum read it whole as well. It is not a field:
-        ==, hash and repr never see it, and __getstate__ leaves it out of
-        pickles and copies.
+        smoothing and the spectrum read it whole as well. Neither cache is a
+        field: ==, hash and repr never see them, and __getstate__ leaves them
+        out of pickles and copies.
         """
-        return tuple(map(math.exp, _log_masses(self.log_probs, self.mults)))
+        return tuple(map(math.exp, _log_masses(self.log_probs, self._log_mults)))
 
     def __getstate__(self) -> dict:
         return {"log_probs": self.log_probs, "mults": self.mults, "n": self.n}
@@ -137,7 +142,7 @@ class Distribution:
         return sum(self.mults)
 
     def log_total_mass(self) -> float:
-        return logsumexp(_log_masses(self.log_probs, self.mults))
+        return logsumexp(_log_masses(self.log_probs, self._log_mults))
 
     def total_mass(self) -> float:
         return math.exp(self.log_total_mass())
@@ -153,27 +158,31 @@ def _expand_levels(values: Sequence[T], counts: Sequence[int]) -> list[T]:
 
 
 def _normalize_atoms(
-    neg_lps: Sequence[float], mults: Sequence[int]
+    log_probs: Sequence[float], mults: Sequence[int]
 ) -> tuple[tuple[float, ...], tuple[int, ...]]:
-    """Merge equal levels of (-log_prob, multiplicity) columns.
+    """Merge equal levels of (log_prob, multiplicity) columns.
 
     Returns the (log_probs, mults) columns of a Distribution. A merged level
-    takes the smallest -log_prob of its run and the exact sum of its counts,
-    so the result depends only on the input levels, not on their order.
+    takes the largest log_prob of its run, the first in input order among
+    equal ones, and the exact sum of its counts, so the result depends only
+    on the input levels, not on their order. A level no other entry joins
+    keeps its count object as it is.
     """
-    order = sorted(range(len(neg_lps)), key=neg_lps.__getitem__)
+    # a reversed sort is stable too: equal log-probs keep their input order
+    order = sorted(range(len(log_probs)), key=log_probs.__getitem__, reverse=True)
     out_lps: list[float] = []
     out_mults: list[int] = []
     put_lp, put_mult = out_lps.append, out_mults.append
-    run_lp, run_mult = neg_lps[order[0]], 0
-    for i in order:
-        neg_lp = neg_lps[i]
-        if neg_lp - run_lp > MERGE_TOL:  # sorted, so never negative
-            put_lp(-run_lp)
+    run_lp, run_mult = log_probs[order[0]], mults[order[0]]
+    for i in itertools.islice(order, 1, None):
+        lp = log_probs[i]
+        if run_lp - lp > MERGE_TOL:  # sorted, so never negative
+            put_lp(run_lp)
             put_mult(run_mult)
-            run_lp, run_mult = neg_lp, 0
-        run_mult += mults[i]
-    put_lp(-run_lp)
+            run_lp, run_mult = lp, mults[i]
+        else:
+            run_mult += mults[i]
+    put_lp(run_lp)
     put_mult(run_mult)
     del order  # freed before the columns are copied into tuples
     return tuple(out_lps), tuple(out_mults)
@@ -249,16 +258,16 @@ def new_distribution(probs: Sequence[float]) -> Distribution:
     atoms come out sorted with the largest probability first.
     """
     probs = _checked_probs(probs)
-    neg_lps = [-math.log(p) for p in probs if p > 0.0]
-    if not neg_lps:
+    lps = [math.log(p) for p in probs if p > 0.0]
+    if not lps:
         raise EmptyDistribution("no strictly positive probability entry")
     # the constructor checks the total mass
-    return Distribution(*_normalize_atoms(neg_lps, [1] * len(neg_lps)), n=1)
+    return Distribution(*_normalize_atoms(lps, [1] * len(lps)), n=1)
 
 
 def distribution_from_atoms(pairs: Sequence[tuple[float, int]], n: int = 1) -> Distribution:
     """Build a distribution from (log_prob, multiplicity) pairs, validating total mass."""
-    neg_lps: list[float] = []
+    lps: list[float] = []
     mults: list[int] = []
     for pair in pairs:
         try:
@@ -278,11 +287,11 @@ def distribution_from_atoms(pairs: Sequence[tuple[float, int]], n: int = 1) -> D
         if not whole or mult < 1:
             shown = count_text(mult) if isinstance(mult, int) else repr(mult)
             raise NotNormalized(f"multiplicities must be positive integers, got {shown}")
-        neg_lps.append(-lp)
+        lps.append(lp)
         mults.append(int(mult))
-    if not neg_lps:
+    if not lps:
         raise EmptyDistribution("no atoms supplied")
-    return Distribution(*_normalize_atoms(neg_lps, mults), n=n)
+    return Distribution(*_normalize_atoms(lps, mults), n=n)
 
 
 def shannon_entropy(probs: Sequence[float]) -> float:
@@ -466,12 +475,15 @@ def _mixture_column(parts: Sequence[_RowPart], rem: int, lo: int, hi: int) -> li
 
     The logsumexp per class runs as column operations, bit-identical to
     logspace.logsumexp, since fsum is exactly rounded and exp(-inf) is 0. A
-    class of zero mass has max -inf and comes out nan.
+    class of zero mass has max -inf and comes out nan. The max keeps the
+    first greatest entry, as builtin max does, by one comparison pass per column.
     """
     cols = [_column(part, rem, lo, hi) for part in parts]
     if len(cols) == 1:
         return cols[0]
-    mx = list(map(max, *cols))
+    mx = cols[0]
+    for col in cols[1:]:
+        mx = [y if y > x else x for x, y in zip(mx, col)]
     shifted = [map(math.exp, map(sub, col, mx)) for col in cols]
     return list(map(add, mx, map(math.log, map(math.fsum, zip(*shifted)))))
 
@@ -482,7 +494,7 @@ def _type_class_atoms(
     level_log_probs: Sequence[Sequence[float]],
     level_mults: Sequence[int],
 ) -> tuple[list[float], list[int]]:
-    """Columns (-log_prob, multiplicity), one entry per type class of positive mass.
+    """Columns (log_prob, multiplicity), one entry per type class of positive mass.
 
     The source is a mixture of memoryless components over bins: component c
     has log weight log_weights[c] and gives each of the level_mults[j]
@@ -521,7 +533,7 @@ def _type_class_atoms(
         # one class: the rule below for rem = 0, on the sums 0.0 + t[n] it would carry
         sums = [0.0 + n * comp[0] for comp in level_log_probs]
         lp = logsumexp(map(add, log_weights, sums))
-        return ([-lp], [level_mults[0] ** n]) if lp > -math.inf else ([], [])
+        return ([lp], [level_mults[0] ** n]) if lp > -math.inf else ([], [])
     m_pen, m_last = level_mults[-2], level_mults[-1]
     tables = [[_scaled_logs(comp[j], n) for comp in level_log_probs] for j in range(bins)]
     pen_tables, last_tables = tables[-2], tables[-1]
@@ -529,7 +541,7 @@ def _type_class_atoms(
     # node with rem = 0 is a single class that never gets there
     rows = _count_rows(n, n if bins == 2 else 1, m_pen, m_last)
     gap = 53 * LN2 + math.log(len(log_weights) - 1 or 1) + 1.0
-    neg_lps: list[float] = []
+    log_probs: list[float] = []
     counts: list[int] = []
 
     def leaves(rem: int, prefix: int, sums: list[float]) -> None:
@@ -543,15 +555,15 @@ def _type_class_atoms(
             # every class of the row is finite, so none is dropped
             for lo, hi, c in _dominant_spans(ends, rem, gap):
                 if c is None:
-                    neg_lps.extend(map(neg, _mixture_column(parts, rem, lo, hi)))
+                    log_probs.extend(_mixture_column(parts, rem, lo, hi))
                 else:
-                    neg_lps.extend(map(neg, _column(parts[c], rem, lo, hi)))
+                    log_probs.extend(_column(parts[c], rem, lo, hi))
             counts.extend(row_counts)
             return
         # a zero-probability letter: classes of zero mass come out -inf or nan
         lps = _mixture_column(parts, rem, 0, rem + 1)
         keep = list(map(math.isfinite, lps))
-        neg_lps.extend(map(neg, itertools.compress(lps, keep)))
+        log_probs.extend(itertools.compress(lps, keep))
         counts.extend(itertools.compress(row_counts, keep))
 
     stack = [(0, n, 1, [0.0] * len(log_weights))]
@@ -562,7 +574,7 @@ def _type_class_atoms(
             # sum that starts at 0.0 is never -0.0, so it would stay as it is
             lp = logsumexp(map(add, log_weights, sums))
             if lp > -math.inf:
-                neg_lps.append(-lp)
+                log_probs.append(lp)
                 counts.append(prefix)
             continue
         if j == bins - 2:
@@ -575,7 +587,7 @@ def _type_class_atoms(
                 prefix = prefix * (m * (rem - h + 1)) // h
             children.append((j + 1, rem - h, prefix, [s + t[h] for s, t in zip(sums, bin_tables)]))
         stack.extend(reversed(children))  # popped in order of h, as a recursive walk visits them
-    return neg_lps, counts
+    return log_probs, counts
 
 
 def _power_of_two_groups(
@@ -670,7 +682,7 @@ def _lattice_size(n: int, polys: Sequence[Sequence[int]]) -> int:
 def _lattice_atoms(
     n: int, refs: Sequence[float], polys: Sequence[list[int]], unit: int
 ) -> tuple[list[float], list[int]]:
-    """Columns (-log_prob, multiplicity), one entry per nonempty lattice point.
+    """Columns (log_prob, multiplicity), one entry per nonempty lattice point.
 
     A type class of the n-fold product puts c_g positions in group g, and its
     probability is fixed by those counts and its total shift T:
@@ -685,7 +697,7 @@ def _lattice_atoms(
         powers = [list(itertools.accumulate([poly] * n, _poly_mul, initial=[1])) for poly in polys]
     else:
         powers = [{n: _poly_power(polys[0], n)}]
-    neg_lps: list[float] = []
+    log_probs: list[float] = []
     counts: list[int] = []
 
     def split(g: int, rem: int, factor: int, coefs: list[int], log_prob: float) -> None:
@@ -697,14 +709,14 @@ def _lattice_atoms(
                 continue
             shifts = map(mul, range(0, unit * len(here), unit), itertools.repeat(LN2))
             lps = map(sub, itertools.repeat(lp), shifts)
-            neg_lps.extend(map(neg, itertools.compress(lps, here)))
+            log_probs.extend(itertools.compress(lps, here))
             counts.extend(map(mul, itertools.repeat(factor), filter(None, here)))
 
     split(0, n, 1, [1], 0.0)
     # split reaches itself through its closure; without this cycle the columns
     # are freed as soon as the caller drops them, not at the next collection
     del split
-    return neg_lps, counts
+    return log_probs, counts
 
 
 def _guard_class_count(count: int, n: int, what: str = "type classes") -> None:

@@ -13,6 +13,7 @@ import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from operator import mul
 
 from .distributions import Distribution, _expand_levels, _log_masses
@@ -34,7 +35,8 @@ class SubDistribution:
     full probability, the symbol at k_star keeps only gamma_eps, and
     everything after is dropped. The clipped symbol is always stored as the
     final entry with multiplicity 1, even when gamma_eps happens to equal its
-    full probability.
+    full probability. Beside the fields sits one cache, the column of log
+    multiplicities (_log_mults).
     """
 
     log_probs: tuple[float, ...]
@@ -42,10 +44,23 @@ class SubDistribution:
     k_star: int
     gamma_eps: float
 
+    @cached_property
+    def _log_mults(self) -> tuple[float, ...]:
+        """log(multiplicity) of each level, set from the parent's by optimal_smoothing.
+
+        Any other instance takes the logs of its own counts on first use.
+        As on Distribution, __getstate__ leaves it out of pickles and copies.
+        """
+        return tuple(map(math.log, self.mults))
+
+    def __getstate__(self) -> dict:
+        return {"log_probs": self.log_probs, "mults": self.mults,
+                "k_star": self.k_star, "gamma_eps": self.gamma_eps}
+
     @property
     def total_mass(self) -> float:
         """Kept mass, exactly rounded over the levels."""
-        return math.fsum(map(math.exp, _log_masses(self.log_probs, self.mults)))
+        return math.fsum(map(math.exp, _log_masses(self.log_probs, self._log_mults)))
 
     def probabilities(self) -> list[float]:
         """Expand to one kept mass per symbol; TooLarge beyond atom_cap()."""
@@ -63,8 +78,9 @@ def optimal_smoothing(dist: Distribution, eps: float) -> SubDistribution:
     target = 1.0 - eps
     lps, mults, masses = dist.log_probs, dist.mults, dist._masses
 
-    # the first level whose left-to-right running sum reaches the target
-    b = bisect_left(list(itertools.accumulate(masses)), target)
+    # the first level whose left-to-right running sum reaches the target; the
+    # sum of nonnegative masses never falls, so it stops there
+    b = len(list(itertools.takewhile(target.__gt__, itertools.accumulate(masses))))
     if b == len(masses):
         # float deficit: the parent's mass fell a hair short of the target
         b -= 1
@@ -99,7 +115,7 @@ def optimal_smoothing(dist: Distribution, eps: float) -> SubDistribution:
         # target mass to resolve a partial clip; solve for j in logs and treat
         # the clipped symbol as fully kept
         log_j = math.log(need) - boundary_lp
-        if log_j >= math.log(mult):
+        if log_j >= dist._log_mults[b]:
             j = mult
         else:
             j = min(max(ceil_exp(log_j), 1), mult)
@@ -109,17 +125,20 @@ def optimal_smoothing(dist: Distribution, eps: float) -> SubDistribution:
     # the boundary level keeps j - 1 whole symbols, then the clipped one
     tail_lps = (boundary_lp, log_gamma) if j > 1 else (log_gamma,)
     tail_mults = (j - 1, 1) if j > 1 else (1,)
-    return SubDistribution(
+    kept = SubDistribution(
         log_probs=tuple(lps[:b]) + tail_lps,
         mults=tuple(mults[:b]) + tail_mults,
         k_star=sum(mults[:b]) + j,
         gamma_eps=gamma,
     )
+    # the kept levels' logs of counts, the parent's own ahead of the boundary
+    vars(kept)["_log_mults"] = dist._log_mults[:b] + tuple(map(math.log, tail_mults))
+    return kept
 
 
 def log_power_sum(sub: SubDistribution, alpha: float) -> float:
     """log of sum(Q(x)**alpha) over the sub-distribution's support."""
-    return logsumexp(_log_masses(map(mul, itertools.repeat(alpha), sub.log_probs), sub.mults))
+    return logsumexp(_log_masses(map(mul, itertools.repeat(alpha), sub.log_probs), sub._log_mults))
 
 
 def log_r_alpha_eps(dist: Distribution, alpha: float, eps: float) -> float:

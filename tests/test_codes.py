@@ -44,7 +44,7 @@ def test_tilted_is_normalized_on_random_inputs():
         s = int(rng.integers(2, 9))
         dist = sc.new_distribution(rng.dirichlet(np.ones(s)))
         sub = sc.optimal_smoothing(dist, float(rng.uniform(0.0, 0.6)))
-        tilted = codes._tilt(sub.log_probs, sub.mults, float(rng.uniform(0.1, 5.0)))
+        tilted = codes._tilt(sub.log_probs, sub._log_mults, float(rng.uniform(0.1, 5.0)))
         total = math.fsum(m * math.exp(lp) for lp, m in zip(tilted, sub.mults))
         assert total == pytest.approx(1.0, abs=1e-12)
         # tilting preserves the ordering

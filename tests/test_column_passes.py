@@ -5,7 +5,9 @@ became columns, over (log_prob, multiplicity) pairs. Same float operations
 in the same order, so every result must agree exactly, sign bit included.
 """
 
+import dataclasses
 import math
+import operator
 import pickle
 import random
 
@@ -19,7 +21,7 @@ from smoothcode.asymptotics import spectrum_probability
 from smoothcode.codes import LENGTH_SNAP, _level_lengths, _tilt
 from smoothcode.distributions import MASS_TOL, Distribution, _normalize_atoms
 from smoothcode.logspace import LN2, ceil_exp
-from smoothcode.smooth_renyi import NEED_ULPS, log_power_sum
+from smoothcode.smooth_renyi import NEED_ULPS, SubDistribution, log_power_sum
 
 
 def reference_logsumexp(values):
@@ -188,7 +190,7 @@ def test_column_passes_match_per_atom_references(data):
     for alpha in (0.1, 0.5, data.draw(st.floats(0.01, 0.99))):
         assert same([log_power_sum(sub, alpha)], [reference_log_power_sum(kept, alpha)])
     lam = data.draw(st.sampled_from([0.25, 1.0, 2.0]) | st.floats(0.01, 20.0))
-    tilted = _tilt(sub.log_probs, sub.mults, lam)
+    tilted = _tilt(sub.log_probs, sub._log_mults, lam)
     expected = reference_tilt(kept, lam)
     assert same(tilted, [lp for lp, _ in expected])
     assert list(sub.mults) == [m for _, m in expected]
@@ -298,8 +300,8 @@ def near_edge_levels(draw):
 @settings(deadline=None, max_examples=40)
 @given(pairs=near_edge_levels())
 def test_mass_check_decides_as_the_exact_check(pairs):
-    neg_lps, mults = zip(*((-lp, m) for lp, m in pairs))
-    expected = reference_check_mass(list(zip(*_normalize_atoms(neg_lps, mults))))
+    lps, mults = zip(*pairs)
+    expected = reference_check_mass(list(zip(*_normalize_atoms(lps, mults))))
     try:
         sc.distribution_from_atoms(pairs)
         got = None
@@ -323,10 +325,14 @@ def test_mass_check_accepts_from_the_plain_sum(monkeypatch):
     assert abs(sum(dist._masses) - 1.0) < 1e-12
 
 
+CACHES = ("_log_mults", "_masses")
+
+
 def cold_copy(dist):
-    """An equal distribution, less the mass column the constructor's mass check built."""
+    """An equal distribution, less the columns the constructor's mass check built."""
     copy = Distribution(dist.log_probs, dist.mults, dist.n)
-    del vars(copy)["_masses"]
+    for name in CACHES:
+        del vars(copy)[name]
     return copy
 
 
@@ -336,14 +342,46 @@ def test_mass_column_is_invisible(data):
     dist = data.draw(sources())
     fresh, warm = cold_copy(dist), cold_copy(dist)
     assert warm._masses == dist._masses
+    assert same(list(warm._log_mults), list(dist._log_mults))
+    assert all(name in vars(warm) and name not in vars(fresh) for name in CACHES)
     assert warm == fresh and hash(warm) == hash(fresh) and repr(warm) == repr(fresh)
     assert pickle.dumps(warm) == pickle.dumps(fresh)
-    assert "_masses" not in vars(pickle.loads(pickle.dumps(warm)))
+    assert not set(CACHES) & set(vars(pickle.loads(pickle.dumps(warm))))
     eps = data.draw(eps_values(dist))
     cold_sub, warm_sub = sc.optimal_smoothing(fresh, eps), sc.optimal_smoothing(warm, eps)
     assert same(list(cold_sub.log_probs) + [cold_sub.gamma_eps],
                 list(warm_sub.log_probs) + [warm_sub.gamma_eps])
     assert (cold_sub.mults, cold_sub.k_star) == (warm_sub.mults, warm_sub.k_star)
+    # the kept prefix of the log column rides on the smoothing's result, unseen
+    by_hand = SubDistribution(warm_sub.log_probs, warm_sub.mults, warm_sub.k_star,
+                              warm_sub.gamma_eps)
+    assert "_log_mults" in vars(warm_sub) and "_log_mults" not in vars(by_hand)
+    assert warm_sub == by_hand and hash(warm_sub) == hash(by_hand)
+    assert repr(warm_sub) == repr(by_hand)
+    assert pickle.dumps(warm_sub) == pickle.dumps(by_hand)
+    assert "_log_mults" not in vars(pickle.loads(pickle.dumps(warm_sub)))
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_log_column_follows_the_counts_beside_it(data):
+    # a sub-distribution built by hand, or copied with other counts, takes the
+    # logs of its own counts: none reads a column left from another
+    dist = data.draw(sources())
+    sub = sc.optimal_smoothing(dist, data.draw(eps_values(dist)))
+    by_hand = SubDistribution(sub.log_probs, sub.mults, sub.k_star, sub.gamma_eps)
+    factors = data.draw(st.lists(st.sampled_from([1, 2, 3, 2**40]),
+                                 min_size=len(sub.mults), max_size=len(sub.mults)))
+    replaced = dataclasses.replace(sub, mults=tuple(map(operator.mul, sub.mults, factors)))
+    alpha = data.draw(st.floats(0.01, 0.99))
+    lam = data.draw(st.floats(0.01, 20.0))
+    for kept_sub in (sub, by_hand, replaced):
+        kept = list(zip(kept_sub.log_probs, kept_sub.mults))
+        assert same(list(kept_sub._log_mults), [math.log(m) for m in kept_sub.mults])
+        for a in (0.5, alpha):
+            assert same([log_power_sum(kept_sub, a)], [reference_log_power_sum(kept, a)])
+        tilted = _tilt(kept_sub.log_probs, kept_sub._log_mults, lam)
+        assert same(tilted, [lp for lp, _ in reference_tilt(kept, lam)])
 
 
 @pytest.mark.parametrize("direction, threshold, gamma", [

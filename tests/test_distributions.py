@@ -14,8 +14,10 @@ from smoothcode import distributions
 from smoothcode.distributions import (
     MERGE_TOL,
     WeightedAtom,
+    _column,
     _count_rows,
     _lattice_atoms,
+    _mixture_column,
     _normalize_atoms,
     _poly_mul,
     _power_of_two_groups,
@@ -287,8 +289,8 @@ def test_engine_counts_match_comb_products(pairs, mults):
             if lp != -math.inf:
                 expected.append((lp, comb_product(counts, mults)))
         assert [m for _, m in entries] == [m for _, m in expected]
-        for (neg_lp, _), (lp, _) in zip(entries, expected):
-            assert -neg_lp == pytest.approx(lp, abs=1e-12)
+        for (got_lp, _), (lp, _) in zip(entries, expected):
+            assert got_lp == pytest.approx(lp, abs=1e-12)
 
 
 @pytest.mark.parametrize("probs", [[0.25, 0.25, 0.5], [0.7, 0.3], [0.4, 0.3, 0.2, 0.1]])
@@ -567,8 +569,8 @@ def test_column_engine_matches_reference_walk(source, n):
     columns = _type_class_atoms(n, log_weights, level_log_probs, mults)
     expected = reference_walk(n, log_weights, level_log_probs, mults)
     got = list(zip(*columns))
-    assert got == [(neg_lp, count) for neg_lp, _, count in expected]
-    assert [float_bits(e[0]) for e in got] == [float_bits(e[0]) for e in expected]
+    assert got == [(-neg_lp, count) for neg_lp, _, count in expected]
+    assert [float_bits(e[0]) for e in got] == [float_bits(-e[0]) for e in expected]
     merged = map(WeightedAtom, *_normalize_atoms(*columns))
     assert atom_bits(merged) == atom_bits(reference_merge(expected))
 
@@ -587,8 +589,95 @@ def mixture_engine_args(pairs):
 def assert_engine_matches_reference(n, log_weights, level_log_probs, mults):
     columns = _type_class_atoms(n, log_weights, level_log_probs, mults)
     expected = reference_walk(n, log_weights, level_log_probs, mults)
-    assert list(zip(*columns)) == [(neg_lp, count) for neg_lp, _, count in expected]
-    assert [float_bits(x) for x in columns[0]] == [float_bits(e[0]) for e in expected]
+    assert list(zip(*columns)) == [(-neg_lp, count) for neg_lp, _, count in expected]
+    assert [float_bits(x) for x in columns[0]] == [float_bits(-e[0]) for e in expected]
+
+
+@st.composite
+def raw_columns(draw):
+    """(log_probs, counts) as an engine emits them, unsorted and unmerged.
+
+    Entries chain 0.4e-12 to 1.1e-12 apart, so that runs form within
+    MERGE_TOL of their first entry and break just past it; with exact
+    duplicates, 0.0 beside -0.0, and counts up to 2**200.
+    """
+    size = draw(st.integers(1, 30))
+    lps = []
+    for _ in range(size):
+        kind = draw(st.sampled_from(["fresh", "step", "step", "duplicate", "zero"]))
+        if kind == "fresh" or not lps:
+            lps.append(draw(st.floats(-40.0, 0.0)))
+        elif kind == "step":
+            step = draw(st.floats(0.4e-12, 1.1e-12)) * draw(st.sampled_from([-1.0, 1.0]))
+            lps.append(draw(st.sampled_from(lps)) + step)
+        elif kind == "duplicate":
+            lps.append(draw(st.sampled_from(lps)))
+        else:
+            lps.append(draw(st.sampled_from([0.0, -0.0])))
+    counts = draw(st.lists(st.integers(1, 2**200), min_size=size, max_size=size))
+    return lps, counts
+
+
+@given(columns=raw_columns())
+def test_merge_matches_reference_merge_on_raw_columns(columns):
+    lps, counts = columns
+    entries = [(-lp, i, count) for i, (lp, count) in enumerate(zip(lps, counts))]
+    merged = map(WeightedAtom, *_normalize_atoms(lps, counts))
+    assert atom_bits(merged) == atom_bits(reference_merge(entries))
+
+
+def test_a_level_no_entry_joins_keeps_the_engines_count():
+    # a level no other entry joins keeps the engine's int object, not a copy of it
+    lps, counts = _type_class_atoms(300, *mixture_engine_args(MIX3))
+    merged_lps, merged_counts = _normalize_atoms(lps, counts)
+    # entries per merged level: the reference merge of the same column with unit counts
+    runs = dict(reference_merge([(-lp, i, 1) for i, lp in enumerate(lps)]))
+    engine_ids = set(map(id, counts))
+    alone = 0
+    for lp, count in zip(merged_lps, merged_counts):
+        if count.bit_length() > 64:  # past the interpreter's cache of small ints
+            assert (id(count) in engine_ids) == (runs[lp] == 1)
+            alone += runs[lp] == 1
+    assert alone > 40_000
+    # by hand: the first and the last level stand alone, the middle two merge
+    big = [3**200, 5**150, 7**100, 11**80]
+    got = _normalize_atoms([-1.0, -2.0, -2.0 - 4e-13, -3.0], big)
+    assert got[1][0] is big[0] and got[1][2] is big[3]
+    assert got[1][1] == big[1] + big[2]
+
+
+def mixture_row_parts(pairs, n, h0, picks):
+    """The _RowPart of components `picks` of a three-letter mixture, below first-letter count h0."""
+    log_weights, level_log_probs, _ = mixture_engine_args(pairs)
+    return [
+        (log_weights[c], 0.0 + _scaled_logs(level_log_probs[c][0], n)[h0],
+         _scaled_logs(level_log_probs[c][1], n), _scaled_logs(level_log_probs[c][2], n))
+        for c in picks
+    ]
+
+
+@pytest.mark.parametrize("pairs, picks", [
+    (MIX3, (0, 0)), (MIX3, (1, 1, 1)), (MIX3, (0, 2, 2)), (MIX3, (2, 0, 2)),
+    # component 1 gives the last letter no mass: -inf there on every class with h < rem
+    ([(0.5, [0.4, 0.3, 0.3]), (0.5, [0.9, 0.1, 0.0])], (0, 1)),
+    ([(0.5, [0.4, 0.3, 0.3]), (0.5, [0.9, 0.1, 0.0])], (1, 0, 1)),
+    # both do: those classes have zero mass and come out nan, for the caller to drop
+    ([(0.5, [0.6, 0.4, 0.0]), (0.5, [0.9, 0.1, 0.0])], (0, 1, 1)),
+])
+def test_mixture_column_on_tied_and_infinite_components_is_logsumexp(pairs, picks):
+    # ties between components and -inf entries: the comparison max picks the
+    # float builtin max picks, so each class equals logspace.logsumexp to the bit
+    n, h0 = 40, 7
+    rem = n - h0
+    parts = mixture_row_parts(pairs, n, h0, picks)
+    got = _mixture_column(parts, rem, 0, rem + 1)
+    cols = [_column(part, rem, 0, rem + 1) for part in parts]
+    expected = [logsumexp(col[h] for col in cols) for h in range(rem + 1)]
+    zero = [lp == -math.inf for lp in expected]
+    assert [math.isnan(lp) for lp in got] == zero
+    assert [float_bits(x) for x, z in zip(got, zero) if not z] == [
+        float_bits(x) for x, z in zip(expected, zero) if not z
+    ]
 
 
 @pytest.mark.parametrize("pairs, n", [(MIX3, 300), (MIX2, 4096)])
@@ -678,7 +767,7 @@ def test_walk_depth_and_cost_do_not_grow_with_the_bins():
     # the classes of n=2 are the pairs i <= j, at lp_i + lp_j, 2 sequences each for i < j
     lps = base.log_probs
     pairs = [(lps[i] + lps[j], 2 - (i == j)) for i in range(1000) for j in range(i, 1000)]
-    expected = _normalize_atoms([-lp for lp, _ in pairs], [m for _, m in pairs])
+    expected = _normalize_atoms([lp for lp, _ in pairs], [m for _, m in pairs])
     assert (dist.log_probs, dist.mults) == expected
     assert sum(dist.mults) == 1000**2
 
