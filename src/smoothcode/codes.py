@@ -16,11 +16,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, partial
-from operator import itemgetter, lshift, mul, neg, sub, truediv
+from functools import cached_property, partial, reduce
+from operator import add, itemgetter, lshift, mul, neg, sub, truediv
 from typing import Iterable, NamedTuple, Sequence
 
 from .distributions import Distribution, _check_size, _expand, _expand_levels, _log_masses
@@ -203,16 +202,12 @@ class CodeRun(NamedTuple):
 
 
 class Segment(NamedTuple):
-    """Symbols that share one probability level and the same coding.
-
-    first is the position of the segment's first symbol in the sorted order.
-    """
+    """Symbols that share one probability level and the same coding."""
 
     log_prob: float
     count: int
     gamma: float
     accept_bits: int | None
-    first: int
 
 
 _COUNT, _CODING = itemgetter(0), itemgetter(1, 2)
@@ -222,10 +217,11 @@ def _packed(runs: Iterable[tuple[int, float, int | None]]) -> tuple[CodeRun, ...
     """Join neighbouring (count, gamma, accept_bits) runs that code alike.
 
     Packed runs are maximal, so cutting them at level boundaries gives the
-    same segments however the code was made.
+    same segments however the code was made. A run joined to no other keeps
+    its count object.
     """
     return tuple(
-        CodeRun(sum(map(_COUNT, group)), gamma, bits)
+        CodeRun(reduce(add, map(_COUNT, group)), gamma, bits)
         for (gamma, bits), group in itertools.groupby(runs, key=_CODING)
     )
 
@@ -233,26 +229,30 @@ def _packed(runs: Iterable[tuple[int, float, int | None]]) -> tuple[CodeRun, ...
 def _segments(runs: Sequence[CodeRun], dist: Distribution) -> list[Segment]:
     """Cut the runs at the level boundaries of the distribution they cover.
 
-    Raises Misaligned when the runs and the distribution count different
-    numbers of symbols.
+    One walk down both by counts: each segment takes what is left of the
+    current run or of the current level, whichever ends first. Raises
+    Misaligned when the runs and the distribution count different numbers
+    of symbols.
     """
-    run_ends = list(itertools.accumulate(map(_COUNT, runs)))
-    level_ends = list(itertools.accumulate(dist.mults))
-    coded = run_ends[-1] if run_ends else 0
-    support = level_ends[-1]
+    coded = sum(map(_COUNT, runs))
+    support = dist.support_size
     if coded != support:
         raise Misaligned(
             f"code covers {count_text(coded)} symbols, distribution has {count_text(support)}"
         )
-    # a segment ends wherever a run or a level ends
-    ends = sorted(set(run_ends).union(level_ends))
-    firsts = [0, *ends[:-1]]
-    levels = map(bisect_right, itertools.repeat(level_ends), firsts)
-    codings = map(runs.__getitem__, map(bisect_right, itertools.repeat(run_ends), firsts))
-    return [
-        Segment(dist.log_probs[level], count, run.gamma, run.accept_bits, first)
-        for level, run, count, first in zip(levels, codings, map(sub, ends, firsts), firsts)
-    ]
+    segments = []
+    append = segments.append
+    levels = zip(dist.log_probs, dist.mults)
+    left = 0  # symbols of the current level not yet cut
+    for count, gamma, bits in runs:
+        while count:
+            if not left:
+                log_prob, left = next(levels)
+            take = count if count < left else left
+            append(Segment(log_prob, take, gamma, bits))
+            count -= take
+            left -= take
+    return segments
 
 
 @dataclass(frozen=True)
@@ -338,27 +338,15 @@ class StochasticCode:
         return _segments(self.runs, dist)
 
 
-def _reject_target(dist: Distribution, mults: Sequence[int], last_gamma: float) -> int:
-    """First symbol with the largest rejected mass P(x) * (1 - gamma(x)) in a flag code.
+def _reject_target(runs: Sequence[CodeRun], dist: Distribution) -> int:
+    """First symbol with the largest rejected mass P(x) * (1 - gamma(x)).
 
-    The code accepts the symbols before its last coded run surely, those of
-    that run with probability last_gamma, and none after. Probabilities do
-    not increase along the sorted order, so within each of these three
-    stretches the first symbol's rejected mass is the largest, and only
-    those three symbols are compared, in order, by the same products and
-    the same strict > from -1.0 as a scan over every segment.
+    The symbols of a segment share their mass, so this is the first symbol
+    of the first segment where the mass is largest.
     """
-    level_ends = list(itertools.accumulate(dist.mults))
-    coded = sum(mults)
-    last = coded - mults[-1] if mults else 0
-    best, target = -1.0, 0
-    for first in (0, last, coded):
-        if first < level_ends[-1]:
-            gamma = 1.0 if first < last else last_gamma if first < coded else 0.0
-            rejected = math.exp(dist.log_probs[bisect_right(level_ends, first)]) * (1.0 - gamma)
-            if rejected > best:
-                best, target = rejected, first
-    return target
+    segments = _segments(runs, dist)
+    rejected = [math.exp(s.log_prob) * (1.0 - s.gamma) for s in segments]
+    return sum(s.count for s in segments[: rejected.index(max(rejected))])
 
 
 def _flag_code(
@@ -382,16 +370,17 @@ def _flag_code(
     rest = dist.support_size - sum(mults)
     if rest:
         runs.append((rest, 0.0, None))
-    decoder = _reject_target(dist, mults, last_gamma)
-    return StochasticCode(runs=_packed(runs), decoder_for_reject=decoder)
+    runs = _packed(runs)
+    return StochasticCode(runs=runs, decoder_for_reject=_reject_target(runs, dist))
 
 
 def _level_at(dist: Distribution, index: int) -> float:
     """log-prob of the symbol at a position of the sorted order."""
-    level_ends = list(itertools.accumulate(dist.mults))
-    if not 0 <= index < level_ends[-1]:
-        raise IndexError("position beyond the support")
-    return dist.log_probs[bisect_right(level_ends, index)]
+    for log_prob, mult in zip(dist.log_probs, dist.mults):
+        if 0 <= index < mult:
+            return log_prob
+        index -= mult
+    raise IndexError("position beyond the support")
 
 
 def build_stochastic_code(dist: Distribution, eps: float, lam: float) -> StochasticCode:

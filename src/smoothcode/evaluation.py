@@ -74,17 +74,22 @@ def _walk(code: StochasticCode, dist: Distribution, lam: float) -> tuple[float, 
     rejected = []
     forgiven = 0.0
     terms = []
-    for s in code.segments(dist):
+    target = code.decoder_for_reject  # counted down until it lands in a segment
+    segments = code.segments(dist)
+    for i, s in enumerate(segments):
         log_mass = s.log_prob + math.log(s.count)
         if s.gamma > 0.0:
             if s.accept_bits is None:
-                raise Misaligned(f"symbol {s.first} has gamma > 0 but no codeword")
+                first = sum(seg.count for seg in segments[:i])
+                raise Misaligned(f"symbol {first} has gamma > 0 but no codeword")
             terms.append(log_mass + math.log(s.gamma) + lam * s.accept_bits * LN2)
         if s.gamma < 1.0:
             rejected.append(math.exp(log_mass) * (1.0 - s.gamma))
             terms.append(log_mass + math.log1p(-s.gamma) + reject_nats)
-            if s.first <= code.decoder_for_reject < s.first + s.count:
+        if target >= 0:
+            if target < s.count and s.gamma < 1.0:
                 forgiven = math.exp(s.log_prob) * (1.0 - s.gamma)
+            target -= s.count
     raw = math.fsum(rejected)
     return raw, max(raw - forgiven, 0.0), logsumexp(terms)
 

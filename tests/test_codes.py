@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import json
 import math
+import operator
 import random
 import re
 from fractions import Fraction
@@ -265,14 +266,10 @@ def test_decode_every_word_of_a_large_code():
                 c.decode(word)
 
 
-def _reject_target_by_segments(code, dist):
-    """First symbol with the largest rejected mass, scanned over every segment."""
-    best, target = -1.0, 0
-    for seg in code.segments(dist):
-        rejected = math.exp(seg.log_prob) * (1.0 - seg.gamma)
-        if rejected > best:
-            best, target = rejected, seg.first
-    return target
+def _reject_target_by_symbols(code, dist):
+    """First symbol with the largest rejected mass p * (1 - gamma), symbol by symbol."""
+    rejected = [p * (1.0 - g) for p, g in zip(dist.probabilities(), code.gamma)]
+    return rejected.index(max(rejected))
 
 
 def _dirichlet(rng, k):
@@ -299,7 +296,7 @@ _reject_sources = st.one_of(
     eps=st.one_of(st.just(0.0), st.floats(0.0, 0.99), st.sampled_from([0.05, 0.1, 0.2])),
     deterministic=st.booleans(),
 )
-def test_reject_target_matches_a_scan_over_segments(source, eps, deterministic):
+def test_reject_target_matches_a_scan_over_symbols(source, eps, deterministic):
     if isinstance(source, int):
         dist = sc.iid_extension(sc.new_distribution(WORKED), source)
     else:
@@ -308,7 +305,73 @@ def test_reject_target_matches_a_scan_over_segments(source, eps, deterministic):
     for budget in (eps, 1.0 - math.exp(dist.log_probs[0])):  # the second codes no symbol
         if 0.0 <= budget < 1.0:
             code = build(dist, budget, 1.0)
-            assert code.decoder_for_reject == _reject_target_by_segments(code, dist)
+            assert code.decoder_for_reject == _reject_target_by_symbols(code, dist)
+
+
+def _levels(mults, scale=1):
+    """A distribution with these multiplicities times scale, on strictly decreasing levels."""
+    weights = range(len(mults), 0, -1)
+    total = sum(w * m for w, m in zip(weights, mults))
+    return sc.distribution_from_atoms(
+        [(math.log(w / total / scale), m * scale) for w, m in zip(weights, mults)]
+    )
+
+
+_codings = st.tuples(st.sampled_from([0.0, 0.25, 1.0]), st.sampled_from([None, 3, 4]))
+
+
+@settings(deadline=None)
+@given(
+    mults=st.lists(st.integers(1, 6), min_size=1, max_size=8),
+    cuts=st.lists(st.integers(0, 48), max_size=12),
+    codings=st.lists(_codings, min_size=13, max_size=13),
+)
+def test_segments_cut_runs_at_levels_by_counts(mults, cuts, codings):
+    # runs end at arbitrary cuts, repeated ones giving empty runs, so a run
+    # may span several levels and a level several runs
+    total = sum(mults)
+    ends = [*sorted(min(c, total) for c in cuts), total]
+    counts = list(map(operator.sub, ends, [0, *ends[:-1]]))
+    runs = [CodeRun(c, g, bits) for c, (g, bits) in zip(counts, codings)]
+    dist = _levels(mults)
+    segments = codes._segments(runs, dist)
+    assert all(type(s) is codes.Segment and s.count > 0 for s in segments)
+    levels = sc.distributions._expand_levels(dist.log_probs, dist.mults)
+    run_codings = sc.distributions._expand_levels([r[1:] for r in runs], counts)
+    expanded = [(s.log_prob, (s.gamma, s.accept_bits)) for s in segments for _ in range(s.count)]
+    assert expanded == list(zip(levels, run_codings))
+    # a segment ends exactly where a run or a level ends
+    cut_at = sorted({*ends, *itertools.accumulate(mults)} - {0})
+    assert list(itertools.accumulate(s.count for s in segments)) == cut_at
+    # the same walk with every count 2**70 times larger
+    scale = 2**70
+    big = codes._segments([r._replace(count=r.count * scale) for r in runs], _levels(mults, scale))
+    assert [s.count for s in big] == [s.count * scale for s in segments]
+    assert [s[2:] for s in big] == [s[2:] for s in segments]
+    # totals off by one either way
+    last = max(i for i, c in enumerate(counts) if c)
+    shorter = [*runs[:last], runs[last]._replace(count=counts[last] - 1), *runs[last + 1 :]]
+    for off, covered in ((runs + [CodeRun(1, 0.0, None)], total + 1), (shorter, total - 1)):
+        with pytest.raises(
+            sc.Misaligned, match=f"^code covers {covered} symbols, distribution has {total}$"
+        ):
+            codes._segments(off, dist)
+
+
+def test_level_at_counts_down_the_levels():
+    dist = _levels([1, 3, 2])
+    by_symbol = sc.distributions._expand_levels(dist.log_probs, dist.mults)
+    assert [codes._level_at(dist, i) for i in range(6)] == by_symbol
+    for index in (-1, 6, 2**70):
+        with pytest.raises(IndexError, match="^position beyond the support$"):
+            codes._level_at(dist, index)
+
+
+def test_packed_keeps_the_count_of_a_lone_run():
+    big = 2**4000 + 1
+    runs = codes._packed([(big, 1.0, 3), (2, 0.5, 3), (big, 0.0, None), (5, 0.0, None)])
+    assert runs == (CodeRun(big, 1.0, 3), CodeRun(2, 0.5, 3), CodeRun(big + 5, 0.0, None))
+    assert runs[0].count is big
 
 
 def test_ideal_real_lengths_worked_instance():

@@ -5,6 +5,7 @@ import pytest
 
 import smoothcode as sc
 from smoothcode import evaluation
+from smoothcode.codes import CodeRun
 
 WORKED = [0.5, 0.3, 0.2]
 R_WORKED = math.sqrt(0.5) + math.sqrt(0.3) + math.sqrt(0.1)
@@ -230,6 +231,41 @@ def test_level_sums_match_per_symbol_sums():
                 # credited = raw - forgiven can cancel, so measure it against raw
                 assert abs(got_credited - max(credited, 0.0)) <= 1e-12 * raw
                 assert sc.exponential_moment(code, dist, lam) == pytest.approx(moment, rel=1e-12)
+
+
+def test_credited_error_forgives_the_decode_target_wherever_it_lands():
+    # levels of 1, 3 and 2 symbols; the codes cut them into segments of one
+    # to three symbols, so the target lands on a segment's first, middle and
+    # last symbol and on the last symbol of the source, and in a surely
+    # accepted segment right after a rejected one
+    dist = sc.new_distribution([0.3, 0.15, 0.15, 0.15, 0.125, 0.125])
+    layouts = [
+        ((1, 1.0, 2), (3, 0.5, 4), (2, 0.0, None)),
+        ((2, 0.75, 3), (4, 0.0, None)),
+        ((2, 0.5, 3), (1, 1.0, 3), (3, 0.0, None)),
+        ((6, 0.0, None),),
+    ]
+    for layout in layouts:
+        runs = tuple(CodeRun(*r) for r in layout)
+        for target in range(dist.support_size):
+            code = sc.StochasticCode(runs=runs, decoder_for_reject=target)
+            raw, credited, moment = per_symbol_error_and_moment(code, dist, 1.0)
+            got_raw, got_credited = sc.error_probability(code, dist)
+            assert got_raw == pytest.approx(raw, rel=1e-12)
+            assert abs(got_credited - max(credited, 0.0)) <= 1e-12 * raw, (layout, target)
+
+
+def test_gamma_without_a_codeword_names_its_first_symbol():
+    dist = sc.new_distribution([0.3, 0.15, 0.15, 0.15, 0.125, 0.125])
+    for runs, first in (
+        (((1, 1.0, 2), (5, 0.5, None)), 1),
+        (((1, 1.0, 2), (3, 1.0, 4), (2, 0.5, None)), 4),
+    ):
+        code = sc.StochasticCode(runs=tuple(CodeRun(*r) for r in runs), decoder_for_reject=0)
+        with pytest.raises(
+            sc.Misaligned, match=f"^symbol {first} has gamma > 0 but no codeword$"
+        ):
+            sc.error_probability(code, dist)
 
 
 def test_built_and_read_codes_evaluate_alike():
