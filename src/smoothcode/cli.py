@@ -15,7 +15,7 @@ import sys
 from . import __version__
 from .asymptotics import SpectrumQuery, entropy_rate_series, spectrum_probability
 from .codes import (
-    _codebook_from_text,
+    _codebook_from_bytes,
     _codebook_text,
     _json_loads,
     build_deterministic_code,
@@ -94,7 +94,8 @@ def _cmd_code(args) -> int:
 def _cmd_evaluate(args) -> int:
     dist = distribution_from_json(_load_json(args.dist))
     if args.code is not None:
-        code = _codebook_from_text(_read_text(args.code))
+        with open(args.code, "rb") as f:  # the reader decodes only what it hands to json
+            code = _codebook_from_bytes(f.read())
     else:
         code = _build_code(args, dist)
     report = evaluate_code(code, dist, args.eps, args.lam)

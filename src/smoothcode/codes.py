@@ -19,7 +19,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
-from operator import add, itemgetter, lshift, mul, neg, sub, truediv
+from operator import add, itemgetter, lshift, mul, ne, neg, sub, truediv
 from typing import Iterable, NamedTuple, Sequence
 
 from .distributions import Distribution, _check_size, _expand, _expand_levels, _log_masses
@@ -59,11 +59,16 @@ def _level_lengths(log_probs: Sequence[float], mults: Sequence[int]) -> list[int
     rounded = list(map(round, xs))
     near = map(LENGTH_SNAP.__ge__, map(abs, map(sub, xs, rounded)))
     snapped = [max(r, 0) if close else c for r, c, close in zip(rounded, ceiled, near)]
-    if _kraft_excess(mults, snapped) <= 0:
+    excess = _kraft_excess(mults, snapped)
+    if excess <= 0:
         return snapped
-    excess = _kraft_excess(mults, ceiled)
-    # in units of 2**-(top + 1), one more bit on level i frees mults[i] << (top - l_i)
+    # the same excess for the ceiled lengths, in units of 2**-top: a length
+    # that snapped down gives back half its share as it is ceiled
     top = max(ceiled)
+    excess <<= top - max(snapped)
+    for i in itertools.compress(range(len(ceiled)), map(ne, snapped, ceiled)):
+        excess -= mults[i] << (top - ceiled[i])
+    # in units of 2**-(top + 1), one more bit on level i frees mults[i] << (top - l_i)
     excess <<= 1
     i = len(ceiled)
     while excess > 0 and i:
@@ -160,7 +165,8 @@ def _canonical_starts(runs: Sequence[tuple[int, int]]) -> list[int]:
     A run takes the count smallest values of its length that extend no
     earlier word: the first-fit words of assign_canonical_codewords. The
     lengths must be nondecreasing, else ValueError. Kraft is checked
-    exactly, in integers, as each run closes.
+    exactly, in integers, as each run closes: the next free word may reach
+    2**length only by being it, which the bit length settles short of that.
     """
     starts: list[int] = []
     value = prev = 0  # value: first free word at the previous run's length
@@ -168,12 +174,12 @@ def _canonical_starts(runs: Sequence[tuple[int, int]]) -> list[int]:
         if length < prev:
             raise ValueError("canonical words need nondecreasing lengths")
         value <<= length - prev
-        if value + count > 1 << length:
+        starts.append(value)
+        value += count
+        if value.bit_length() > length and value != 1 << length:
             raise KraftViolated(
                 f"{count_text(count)} words of length {length} overfill the binary tree"
             )
-        starts.append(value)
-        value += count
         prev = length
     return starts
 
@@ -232,26 +238,30 @@ def _segments(runs: Sequence[CodeRun], dist: Distribution) -> list[Segment]:
     One walk down both by counts: each segment takes what is left of the
     current run or of the current level, whichever ends first. Raises
     Misaligned when the runs and the distribution count different numbers
-    of symbols.
+    of symbols, which shows as one side running out before the other; only
+    then are the totals summed, for the message.
     """
-    coded = sum(map(_COUNT, runs))
-    support = dist.support_size
-    if coded != support:
-        raise Misaligned(
-            f"code covers {count_text(coded)} symbols, distribution has {count_text(support)}"
-        )
     segments = []
     append = segments.append
     levels = zip(dist.log_probs, dist.mults)
     left = 0  # symbols of the current level not yet cut
-    for count, gamma, bits in runs:
-        while count:
-            if not left:
-                log_prob, left = next(levels)
-            take = count if count < left else left
-            append(Segment(log_prob, take, gamma, bits))
-            count -= take
-            left -= take
+    try:
+        for count, gamma, bits in runs:
+            while count:
+                if not left:
+                    log_prob, left = next(levels)
+                take = count if count < left else left
+                append(Segment(log_prob, take, gamma, bits))
+                count -= take
+                left -= take
+        aligned = not left and next(levels, None) is None
+    except StopIteration:  # runs left over after the last level
+        aligned = False
+    if not aligned:
+        coded, support = sum(map(_COUNT, runs)), dist.support_size
+        raise Misaligned(
+            f"code covers {count_text(coded)} symbols, distribution has {count_text(support)}"
+        )
     return segments
 
 
@@ -338,28 +348,28 @@ class StochasticCode:
         return _segments(self.runs, dist)
 
 
-def _reject_target(runs: Sequence[CodeRun], dist: Distribution) -> int:
-    """First symbol with the largest rejected mass P(x) * (1 - gamma(x)).
-
-    The symbols of a segment share their mass, so this is the first symbol
-    of the first segment where the mass is largest.
-    """
-    segments = _segments(runs, dist)
-    rejected = [math.exp(s.log_prob) * (1.0 - s.gamma) for s in segments]
-    return sum(s.count for s in segments[: rejected.index(max(rejected))])
-
-
 def _flag_code(
-    dist: Distribution, sub: SubDistribution, levels: int, last_gamma: float, lam: float
+    dist: Distribution, sub: SubDistribution, b: int, levels: int, last_gamma: float, lam: float
 ) -> StochasticCode:
     """Code whose words go to the first `levels` levels of the smoothing truncation sub.
 
     One length per tilted level. The symbols of the last coded level are
     accepted with probability last_gamma, the others surely; every later
-    symbol of dist rejects.
+    symbol of dist rejects. b is the level of dist the smoothing clipped;
+    the last coded level lies in it when last_gamma is below 1.
+
+    The reject word decodes to the first symbol whose rejected mass
+    P(x) * (1 - gamma(x)) is largest. That mass is 0 on surely coded
+    symbols, P * (1 - last_gamma) on the last coded level, and P on the
+    rejected symbols, whose P never grows along the sorted order. So the
+    first symbol of the last coded level and the first rejected symbol are
+    the only candidates, and where both masses are 0 it is symbol 0.
     """
     mults = sub.mults[:levels]
+    coded = sub.k_star - sum(sub.mults[levels:])  # the clipped symbol, or none
+    rest = dist.support_size - coded
     runs = []
+    candidates = []  # (rejected mass, first symbol)
     if mults:
         # tilting keeps the sorted order, so the lengths are nondecreasing as
         # canonical numbering needs
@@ -367,20 +377,27 @@ def _flag_code(
         accept_bits = [l + 1 for l in _level_lengths(tilted, mults)]
         runs = list(zip(mults, itertools.repeat(1.0), accept_bits))
         runs[-1] = (mults[-1], last_gamma, runs[-1][2])
-    rest = dist.support_size - sum(mults)
+        candidates.append((math.exp(dist.log_probs[b]) * (1.0 - last_gamma), coded - mults[-1]))
     if rest:
         runs.append((rest, 0.0, None))
-    runs = _packed(runs)
-    return StochasticCode(runs=runs, decoder_for_reject=_reject_target(runs, dist))
+        # the boundary level's symbols that are not coded reject first
+        first = b if dist.mults[b] > sum(sub.mults[b:levels]) else b + 1
+        candidates.append((math.exp(dist.log_probs[first]), coded))
+    mass, target = max(candidates, key=itemgetter(0))  # the first of equal masses
+    return StochasticCode(runs=_packed(runs), decoder_for_reject=target if mass > 0.0 else 0)
 
 
-def _level_at(dist: Distribution, index: int) -> float:
-    """log-prob of the symbol at a position of the sorted order."""
-    for log_prob, mult in zip(dist.log_probs, dist.mults):
-        if 0 <= index < mult:
-            return log_prob
-        index -= mult
-    raise IndexError("position beyond the support")
+def _boundary_level(dist: Distribution, sub: SubDistribution) -> int:
+    """The level of dist whose symbol optimal_smoothing clipped, read off its kept prefix.
+
+    sub keeps the levels before it whole, then the clipped symbol, with the
+    boundary's j - 1 whole symbols between them when j > 1. Those are fewer
+    than the boundary level has, where a level kept whole has them all.
+    """
+    b = len(sub.mults) - 1
+    if b and sub.mults[b - 1] != dist.mults[b - 1]:
+        b -= 1
+    return b
 
 
 def build_stochastic_code(dist: Distribution, eps: float, lam: float) -> StochasticCode:
@@ -392,9 +409,10 @@ def build_stochastic_code(dist: Distribution, eps: float, lam: float) -> Stochas
     """
     check_lambda(lam)
     sub = optimal_smoothing(dist, eps)
-    boundary_p = math.exp(_level_at(dist, sub.k_star - 1))
+    b = _boundary_level(dist, sub)
+    boundary_p = math.exp(dist.log_probs[b])
     gamma_b = 1.0 if boundary_p == 0.0 else min(sub.gamma_eps / boundary_p, 1.0)
-    return _flag_code(dist, sub, len(sub.mults), gamma_b, lam)
+    return _flag_code(dist, sub, b, len(sub.mults), gamma_b, lam)
 
 
 def build_deterministic_code(dist: Distribution, eps: float, lam: float) -> StochasticCode:
@@ -408,7 +426,7 @@ def build_deterministic_code(dist: Distribution, eps: float, lam: float) -> Stoc
     check_lambda(lam)
     sub = optimal_smoothing(dist, eps)
     # everything except the clipped boundary symbol
-    return _flag_code(dist, sub, len(sub.mults) - 1, 1.0, lam)
+    return _flag_code(dist, sub, _boundary_level(dist, sub), len(sub.mults) - 1, 1.0, lam)
 
 
 def codebook_to_json(code: StochasticCode) -> dict:
@@ -425,44 +443,50 @@ def codebook_to_json(code: StochasticCode) -> dict:
     }
 
 
-# the fixed text of the canonical layout around each entry's word and gamma
-_HEAD = '{\n  "decoder_for_reject": '
-_ENTRIES = ',\n  "entries": [\n'
-_REJECT = '\n  ],\n  "reject": '
-_WORD = '    {\n      "codeword": "0'
-_NULL = '    {\n      "codeword": null,\n      "gamma": '
-_WORD_END = '",\n      "gamma": '
-_CLOSE = "\n    }"
+# the fixed bytes of the canonical layout around each entry's word and gamma
+_HEAD = b'{\n  "decoder_for_reject": '
+_ENTRIES = b',\n  "entries": [\n'
+_REJECT = b'\n  ],\n  "reject": '
+_WORD = b'    {\n      "codeword": "0'
+_NULL = b'    {\n      "codeword": null,\n      "gamma": '
+_WORD_END = b'",\n      "gamma": '
+_CLOSE = b"\n    }"
 
 
 def _codebook_text(code: StochasticCode) -> str:
-    """json.dumps(codebook_to_json(code), indent=2, sort_keys=True), byte for byte.
+    """json.dumps(codebook_to_json(code), indent=2, sort_keys=True), byte for byte."""
+    return _codebook_bytes(code).decode("ascii")
+
+
+def _codebook_bytes(code: StochasticCode) -> bytes | bytearray:
+    """The codebook text of code as bytes, which json.dumps keeps ASCII.
 
     The entries of one word run differ only in their word, so a word run is
     count fixed-width records: its first word between its fixed entry text.
-    A run without words is count copies of one fixed entry. The text is
-    written into one bytearray of its exact length, each run by doubling its
-    first record in place, and decoded to str once: two full-size
-    allocations. What is left are the words after each word run's first.
-    They are consecutive values, and bit k of consecutive values is a
-    periodic 0/1 pattern, so each bit that changes within the run is one
-    strided write of a _bit_column down the run's records. A word run with
-    fewer than _WORDS_PER_COLUMN words per changing bit is spelled word by
-    word with bin instead and written over its records in one piece. The
-    size cap is checked on the whole support before anything is allocated.
+    A run without words is count copies of one fixed entry. The bytes are
+    written into one bytearray of their exact length, each run by doubling
+    its first record in place. What is left are the words after each word
+    run's first. They are consecutive values, and bit k of consecutive
+    values is a periodic 0/1 pattern, so each bit that changes within the
+    run is one strided write of a _bit_column down the run's records. A word
+    run with fewer than _WORDS_PER_COLUMN words per changing bit is spelled
+    word by word with bin instead and written over its records in one piece.
+    The size cap is checked on the whole support before anything is
+    allocated.
     """
     _check_size(code.num_symbols)
-    decoder, reject = _json_number(code.decoder_for_reject), json.dumps(code.reject)
+    decoder = _json_number(code.decoder_for_reject).encode()
+    reject = json.dumps(code.reject).encode()
     if not code.runs:  # json.dumps writes an empty list inline
-        return f'{_HEAD}{decoder},\n  "entries": [],\n  "reject": {reject}\n}}'
+        return b'%b%b,\n  "entries": [],\n  "reject": %b\n}' % (_HEAD, decoder, reject)
     word_runs = iter(code.word_runs)
     # per record: count, record, word length, and the words: a range of
     # values to write as columns, words to spell, or None
     plan = []
     for run in code.runs:
-        gamma = _json_number(run.gamma)
+        gamma = _json_number(run.gamma).encode()
         if run.accept_bits is None:
-            plan.append((run.count, f"{_NULL}{gamma}{_CLOSE},\n", 0, None))
+            plan.append((run.count, b"%b%b%b,\n" % (_NULL, gamma, _CLOSE), 0, None))
             continue
         left = run.count  # the word runs of one run cover it
         while left > 0:
@@ -472,10 +496,11 @@ def _codebook_text(code: StochasticCode) -> str:
             # the low bits that change within the word run
             if count < _WORDS_PER_COLUMN * (start ^ words[-1]).bit_length():
                 words = _run_words(length, start, count)
-            first = _CUT_MARK(bin((1 << length) + start))
-            plan.append((count, f"{_WORD}{first}{_WORD_END}{gamma}{_CLOSE},\n", length, words))
-    head = f"{_HEAD}{decoder}{_ENTRIES}".encode()
-    tail = f"{_REJECT}{reject}\n}}".encode()  # in place of the last record's ",\n"
+            first = _CUT_MARK(bin((1 << length) + start)).encode()
+            record = b"%b%b%b%b%b,\n" % (_WORD, first, _WORD_END, gamma, _CLOSE)
+            plan.append((count, record, length, words))
+    head = _HEAD + decoder + _ENTRIES
+    tail = _REJECT + reject + b"\n}"  # in place of the last record's ",\n"
     buf = bytearray(len(head) + sum(c * len(r) for c, r, _, _ in plan) - 2 + len(tail))
     with memoryview(buf) as view:
         view[: len(head)] = head
@@ -483,19 +508,19 @@ def _codebook_text(code: StochasticCode) -> str:
         for count, record, length, words in plan:
             width, end = len(record), pos + count * len(record)
             if words is None:
-                _repeat_record(view, pos, record.encode(), count)
+                _repeat_record(view, pos, record, count)
             elif isinstance(words, range):
-                _repeat_record(view, pos, record.encode(), count)
+                _repeat_record(view, pos, record, count)
                 # bit k of every word, written from the word's last character back
                 last = pos + len(_WORD) + length - 1
                 for bit in range((words.start ^ words[-1]).bit_length()):
                     buf[last - bit : end : width] = _bit_column(bit, words.start, count)
             else:
                 rest = record[len(_WORD) + length :]
-                view[pos:end] = f"{_WORD}{(rest + _WORD).join(words)}{rest}".encode()
+                view[pos:end] = _WORD + (rest + _WORD).join(map(str.encode, words)) + rest
             pos = end
         view[pos - 2 :] = tail
-    return buf.decode("ascii")
+    return buf
 
 
 # a word run is written as bit columns when it has at least this many words
@@ -541,26 +566,27 @@ def _bit_column(bit: int, start: int, count: int) -> bytearray:
     return column
 
 
-def _codebook_from_text(text: str) -> StochasticCode:
-    """codebook_from_json(json.loads(text)), reading the writer's layout directly.
+def _codebook_from_bytes(data: bytes) -> StochasticCode:
+    """codebook_from_json(json.loads(data)), reading the writer's layout directly.
 
-    A code is guessed from the text and kept only when it passes every check
-    of codebook_from_json and _codebook_text writes it back as the text, byte
-    for byte, up to one trailing newline. The writer prints
-    codebook_to_json(code), so json.loads(text) is then that object, which
-    codebook_from_json reads back to an equal code. Any other text, valid
-    JSON in another layout or not, goes through json.loads and
-    codebook_from_json.
+    A code is guessed from the bytes and kept only when it passes every
+    check of codebook_from_json and _codebook_bytes writes it back as the
+    bytes, exactly, up to one trailing newline. The writer prints
+    codebook_to_json(code), so json.loads is then that object, which
+    codebook_from_json reads back to an equal code. Any other input, valid
+    JSON in another layout or not, is decoded as strict UTF-8 and goes
+    through json.loads and codebook_from_json.
     """
-    code = _guess_code(text)
+    code = _guess_code(data)
     if code is not None:
         try:
-            written = _codebook_text(code)
+            written = _codebook_bytes(code)
         except TooLarge:  # a cap set lower than the one the codebook was written under
             written = None
-        if written is not None and text.startswith(written) and text[len(written) :] in ("", "\n"):
-            return code
-    return codebook_from_json(_json_loads(text))
+        if written is not None and data.startswith(written):
+            if data[len(written) :] in (b"", b"\n"):
+                return code
+    return codebook_from_json(_json_loads(data.decode("utf-8")))
 
 
 def _json_loads(text: str):
@@ -571,27 +597,27 @@ def _json_loads(text: str):
         raise ValueError("JSON nested too deeply to read") from None
 
 
-def _guess_code(text: str) -> StochasticCode | None:
-    """The built code whose codebook text would be this text, if it plainly may be one.
+def _guess_code(data: bytes) -> StochasticCode | None:
+    """The built code whose codebook bytes would be these bytes, if they plainly may be.
 
     The entries of one run have one width, so each run ends where a binary
     search over entry starts first finds an entry of another shape. None
-    where the text does not look like the writer's layout, or the code fails
+    where the bytes do not look like the writer's layout, or the code fails
     a check of codebook_from_json. The guess is only a candidate: the caller
-    keeps it only if it writes back to the text.
+    keeps it only if it writes back to the bytes.
     """
-    entries = text.find(_ENTRIES)
-    end = text.rfind(_REJECT)
-    if not text.startswith(_HEAD) or not 0 < entries < end:
+    entries = data.find(_ENTRIES)
+    end = data.rfind(_REJECT)
+    if not data.startswith(_HEAD) or not 0 < entries < end:
         return None
-    decoder = text[len(_HEAD) : entries]
+    decoder = data[len(_HEAD) : entries]
     quote = end + len(_REJECT)
-    reject = text[quote + 1 : text.find('"', quote + 1)]
+    reject = data[quote + 1 : data.find(b'"', quote + 1)]
     runs = []
     pos = entries + len(_ENTRIES)
     try:
         while pos < end:
-            entry = text[pos : text.find(_CLOSE, pos) + len(_CLOSE)]
+            entry = data[pos : data.find(_CLOSE, pos) + len(_CLOSE)]
             # an entry of this run starts with head and has tail from offset cut on
             if entry.startswith(_NULL):
                 head, cut, bits = entry, len(entry), None
@@ -607,15 +633,17 @@ def _guess_code(text: str) -> StochasticCode | None:
             while lo < hi:
                 mid = (lo + hi) // 2
                 at = pos + mid * width
-                if text.startswith(head, at) and text.startswith(tail, at + cut):
+                if data.startswith(head, at) and data.startswith(tail, at + cut):
                     lo = mid + 1
                 else:
                     hi = mid
             runs.append((lo, float(gamma), bits))
             pos += lo * width
-        if pos != end + 2:
+        if pos != end + 2 or reject.translate(None, b"01"):
             return None
-        code = StochasticCode(runs=_packed(runs), decoder_for_reject=int(decoder), reject=reject)
+        code = StochasticCode(
+            runs=_packed(runs), decoder_for_reject=int(decoder), reject=reject.decode()
+        )
     except (ValueError, KraftViolated):  # unreadable numbers, or lengths no canonical words fit
         return None
     coded = [r for r in code.runs if r.accept_bits is not None]
@@ -625,8 +653,7 @@ def _guess_code(text: str) -> StochasticCode | None:
         and not any(r.gamma for r in code.runs[len(coded) :])
         and 0 <= code.decoder_for_reject < code.num_symbols
         and reject
-        and _is_binary(reject)
-        and (reject[0] == "1" or not coded)  # no flagged word extends it or is its prefix
+        and (reject[:1] == b"1" or not coded)  # no flagged word extends it or is its prefix
     ):
         return None
     return code

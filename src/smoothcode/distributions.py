@@ -93,8 +93,10 @@ class Distribution:
     levels make equal distributions whatever order they were given in. `n`
     is the blocklength the distribution lives on (1 for a single letter).
     The total mass must be 1 within MASS_TOL, or the constructor raises
-    NotNormalized. Beside the fields sit two caches, the column of log
-    multiplicities (_log_mults) and the column of level masses (_masses).
+    NotNormalized. Beside the fields sit the caches: the column of log
+    multiplicities (_log_mults), the column of level masses (_masses), the
+    support size, and the last smoothing optimal_smoothing made of it
+    (_smoothing).
     """
 
     log_probs: tuple[float, ...]
@@ -123,7 +125,7 @@ class Distribution:
         """exp(log(multiplicity) + log_prob) of each level: its total mass.
 
         Built by the mass check at construction and kept, since the
-        smoothing and the spectrum read it whole as well. Neither cache is a
+        smoothing and the spectrum read it whole as well. No cache is a
         field: ==, hash and repr never see them, and __getstate__ leaves them
         out of pickles and copies.
         """
@@ -137,8 +139,9 @@ class Distribution:
         """The levels as (log_prob, multiplicity) records, largest first."""
         return tuple(map(WeightedAtom, self.log_probs, self.mults))
 
-    @property
+    @cached_property
     def support_size(self) -> int:
+        """Number of symbols, summed once: a count has about n bits at blocklength n."""
         return sum(self.mults)
 
     def log_total_mass(self) -> float:

@@ -128,6 +128,8 @@ def _lambda_entropy(dist: Distribution, eps: float, lam: float) -> float:
     The budget eps + gamma_eps of the all-or-nothing code can equal 1 exactly
     (when even the single most probable symbol already covers 1 - eps), so
     unlike the rest of the package the bounds accept the closed endpoint.
+    The smoothing is the one dist keeps, so a code built at this eps and
+    its bounds share it.
     """
     if not 0.0 <= eps <= 1.0 + 1e-12:
         raise BadEpsilon("eps must be in [0, 1] for the moment bounds")

@@ -73,8 +73,22 @@ def optimal_smoothing(dist: Distribution, eps: float) -> SubDistribution:
     Returns the minimizer of sum(Q**alpha) over the smoothing ball, which does
     not depend on alpha in (0, 1). k_star is the number of symbols kept and
     gamma_eps = 1 - eps - (mass of the k_star - 1 most probable symbols).
+
+    The distribution keeps its last smoothing, so a code and its bounds at
+    one budget share one. Like its other caches, that one is no field.
     """
     check_eps(eps)
+    kept = vars(dist).get("_smoothing")
+    # an equal eps of another type (an int, a numpy float) may give other float types
+    if kept is not None and type(kept[0]) is type(eps) and kept[0] == eps:
+        return kept[1]
+    sub = _smooth(dist, eps)
+    vars(dist)["_smoothing"] = (eps, sub)
+    return sub
+
+
+def _smooth(dist: Distribution, eps: float) -> SubDistribution:
+    """optimal_smoothing(dist, eps) computed afresh, for an eps already checked."""
     target = 1.0 - eps
     lps, mults, masses = dist.log_probs, dist.mults, dist._masses
 

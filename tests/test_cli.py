@@ -1,9 +1,11 @@
 import argparse
 import contextlib
+import copy
 import io
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tempfile
@@ -830,6 +832,57 @@ def test_entropy_report_smooths_once(capsys, dist_file, monkeypatch):
     assert err == "error: eps must be in [0, 1)\n"
 
 
+def test_a_report_smooths_once_per_eps(capsys, tmp_path, dist_file, monkeypatch):
+    # every smoothing computed makes one SubDistribution; one a distribution
+    # kept from before makes none, so this counts computations, not lookups
+    made = []
+    sub_distribution = smooth_renyi.SubDistribution
+
+    def counted(*args, **kwargs):
+        made.append(kwargs)
+        return sub_distribution(*args, **kwargs)
+
+    monkeypatch.setattr(smooth_renyi, "SubDistribution", counted)
+
+    def smoothings(argv):
+        made.clear()
+        rc, out, err = run_cli(capsys, argv)
+        assert rc == 0 and err == "", err
+        return len(made), out
+
+    base = ["--dist", dist_file, "--eps", "0.1", "--lambda", "1"]
+    book = tmp_path / "code.json"
+    book.write_text(smoothings(["code"] + base)[1])
+    # the builder and the converse bound share one smoothing, and a codebook
+    # read back needs the bound's alone
+    assert smoothings(["evaluate"] + base)[0] == 1
+    assert smoothings(["evaluate"] + base + ["--mode", "deterministic"])[0] == 1
+    assert smoothings(["evaluate", "--code", str(book)] + base)[0] == 1
+    assert smoothings(["entropy", "--dist", dist_file, "--alpha", "0.5", "--eps", "0.1"])[0] == 1
+    # one per eps across the lambda grid
+    grid = ["sweep", "--dist", dist_file, "--epsilons", "0.1,0.3", "--lambdas", "0.5,1,2"]
+    assert smoothings(grid)[0] == 2
+
+    dist, fresh = sc.distribution_from_json(WORKED), sc.distribution_from_json(WORKED)
+    made.clear()
+    sc.sandwich_report(dist, 0.1, 1.0)
+    assert len(made) == 1
+    assert sc.optimal_smoothing(dist, 0.1) == sc.optimal_smoothing(fresh, 0.1)
+    assert len(made) == 2  # fresh smooths for itself
+    sc.optimal_smoothing(dist, 0.3)
+    assert len(made) == 3 and vars(dist)["_smoothing"][0] == 0.3  # the last one is kept
+
+    # the kept smoothing and the support size are no fields: ==, hash, repr
+    # and pickles never see them
+    kept = ("_smoothing", "support_size")
+    cold = sc.distribution_from_json(WORKED)
+    assert all(name in vars(dist) and name not in vars(cold) for name in kept)
+    assert dist == cold and hash(dist) == hash(cold) and repr(dist) == repr(cold)
+    assert pickle.dumps(dist) == pickle.dumps(cold)
+    for clone in (pickle.loads(pickle.dumps(dist)), copy.copy(dist), copy.deepcopy(dist)):
+        assert clone == dist and not set(kept) & set(vars(clone))
+
+
 def test_code_with_a_tilted_probability_just_below_one(capsys, tmp_path):
     # the 0.2 level keeps 1e-10 of mass, so at lambda 0.01 the 0.3 level's
     # tilted probability falls 4e-10 below 1; snapping its length down to the
@@ -956,6 +1009,34 @@ def test_evaluate_reads_a_printed_codebook_without_json(capsys, tmp_path, monkey
     rc_text, fast, _ = run_cli(capsys, ["evaluate", "--code", str(printed)] + base)
     assert rc == rc_json == rc_text == 0
     assert fast == report
+
+
+def test_evaluate_reads_a_codebook_as_bytes(capsys, tmp_path, dist_file):
+    # only input that is not the printed layout is decoded, as strict UTF-8,
+    # for json: CRLF line ends read to the same report, a byte order mark
+    # and a byte that is no UTF-8 are input errors
+    base = ["evaluate", "--dist", dist_file, "--eps", "0.1", "--lambda", "1", "--code"]
+    rc, out, _ = run_cli(capsys, ["code"] + base[1:-1])
+    printed = out.encode()
+    copies = {
+        "printed": printed,
+        "crlf": printed.replace(b"\n", b"\r\n"),
+        "bom": b"\xef\xbb\xbf" + printed,
+        "not_utf8": printed[:40] + b"\xff" + printed[40:],
+    }
+    outcomes = {}
+    for name, data in copies.items():
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(data)
+        outcomes[name] = run_cli(capsys, base + [str(path)])
+    assert outcomes["printed"][0] == 0 and outcomes["printed"][2] == ""
+    assert outcomes["crlf"] == outcomes["printed"]
+    assert outcomes["bom"] == (
+        2, "", "error: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)\n"
+    )
+    assert outcomes["not_utf8"] == (
+        2, "", "error: 'utf-8' codec can't decode byte 0xff in position 40: invalid start byte\n"
+    )
 
 
 def test_code_prints_the_codebook_as_json_dumps_does(capsys, tmp_path):

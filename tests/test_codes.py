@@ -278,11 +278,30 @@ def _dirichlet(rng, k):
     return [x / total for x in draws]
 
 
-# tied levels, random levels, and the benchmark's sources: small_many's
-# seeded Dirichlet draws over supports 3-64 and product_codes' [0.5,0.3,0.2]^n
+def _underflowing(weights, log_prob, mult, deficit):
+    """Weights normalized to 1 - deficit, then mult symbols of probability exp(log_prob).
+
+    Below about exp(-745) that probability underflows to 0.0, and so does
+    every rejected mass on its level.
+    """
+    total = sum(weights)
+    atoms = [(math.log(w / total * (1.0 - deficit)), 1) for w in weights]
+    return sc.distribution_from_atoms(atoms + [(log_prob, mult)])
+
+
+# tied levels, random levels, levels whose masses underflow, and the
+# benchmark's sources: small_many's seeded Dirichlet draws over supports 3-64
+# and product_codes' [0.5,0.3,0.2]^n
 _reject_sources = st.one_of(
     st.lists(st.integers(1, 4), min_size=1, max_size=12).map(lambda w: [x / sum(w) for x in w]),
     st.lists(st.floats(0.01, 1.0), min_size=1, max_size=12).map(lambda w: [x / sum(w) for x in w]),
+    st.builds(
+        _underflowing,
+        st.lists(st.integers(1, 4), min_size=1, max_size=6),
+        st.floats(-900.0, -700.0),
+        st.integers(1, 5),
+        st.sampled_from([0.0, 1e-12, 1e-10]),
+    ),
     st.tuples(st.integers(0, 2**32), st.integers(3, 64)).map(
         lambda a: _dirichlet(random.Random(a[0]), a[1])
     ),
@@ -293,16 +312,33 @@ _reject_sources = st.one_of(
 @settings(deadline=None)
 @given(
     source=_reject_sources,
-    eps=st.one_of(st.just(0.0), st.floats(0.0, 0.99), st.sampled_from([0.05, 0.1, 0.2])),
+    eps=st.one_of(
+        st.just(0.0),
+        st.floats(0.0, 0.99),
+        st.sampled_from([0.05, 0.1, 0.2]),
+        st.integers(1, 8).map(lambda k: 1.0 - k * 2.0**-53),  # within ulps of 1
+    ),
+    level=st.integers(0, 2**16),
     deterministic=st.booleans(),
 )
-def test_reject_target_matches_a_scan_over_symbols(source, eps, deterministic):
+def test_reject_target_matches_a_scan_over_symbols(source, eps, level, deterministic):
     if isinstance(source, int):
         dist = sc.iid_extension(sc.new_distribution(WORKED), source)
+    elif isinstance(source, sc.Distribution):
+        dist = source
     else:
         dist = sc.new_distribution(source)
     build = sc.build_deterministic_code if deterministic else sc.build_stochastic_code
-    for budget in (eps, 1.0 - math.exp(dist.log_probs[0])):  # the second codes no symbol
+    i = level % len(dist.mults)
+    before, p = math.fsum(dist._masses[:i]), math.exp(dist.log_probs[i])
+    budgets = (
+        eps,
+        1.0 - math.exp(dist.log_probs[0]),  # the first symbol alone: k_star = 1
+        1.0 - 0.5 * math.exp(dist.log_probs[0]),  # k_star = 1, clipped to half
+        1.0 - before - p,  # level i clipped at its first symbol, j = 1
+        1.0 - before - dist._masses[i],  # level i clipped at its last symbol, j = mult
+    )
+    for budget in budgets:
         if 0.0 <= budget < 1.0:
             code = build(dist, budget, 1.0)
             assert code.decoder_for_reject == _reject_target_by_symbols(code, dist)
@@ -358,13 +394,22 @@ def test_segments_cut_runs_at_levels_by_counts(mults, cuts, codings):
             codes._segments(off, dist)
 
 
-def test_level_at_counts_down_the_levels():
-    dist = _levels([1, 3, 2])
-    by_symbol = sc.distributions._expand_levels(dist.log_probs, dist.mults)
-    assert [codes._level_at(dist, i) for i in range(6)] == by_symbol
-    for index in (-1, 6, 2**70):
-        with pytest.raises(IndexError, match="^position beyond the support$"):
-            codes._level_at(dist, index)
+@settings(deadline=None)
+@given(
+    mults=st.lists(st.integers(1, 6), min_size=1, max_size=8),
+    eps=st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
+)
+def test_boundary_level_is_read_off_the_kept_prefix(mults, eps):
+    # the level holding symbol k_star - 1, counted down the levels; the
+    # boundary may be clipped at its first symbol, its last, or between
+    dist = _levels(mults)
+    sub = sc.optimal_smoothing(dist, eps)
+    index = sub.k_star - 1
+    for level, mult in enumerate(dist.mults):
+        if index < mult:
+            break
+        index -= mult
+    assert codes._boundary_level(dist, sub) == level
 
 
 def test_packed_keeps_the_count_of_a_lone_run():
@@ -443,8 +488,8 @@ def test_codebook_round_trip_on_drawn_sources(weights, eps, lam, deterministic):
     clones = [
         sc.codebook_from_json(json.loads(text)),
         sc.codebook_from_json(json.loads(compact)),
-        codes._codebook_from_text(text),
-        codes._codebook_from_text(compact),
+        codes._codebook_from_bytes(text.encode()),
+        codes._codebook_from_bytes(compact.encode()),
     ]
     for clone in clones:
         assert clone == code
@@ -751,7 +796,7 @@ def test_printed_codebooks_are_read_without_json(monkeypatch):
     monkeypatch.setattr(codes.json, "loads", no_json)
     for (code, text), want in zip(cases, expected):
         for printed in (text, text[:-1]):  # with and without print's newline
-            got = codes._codebook_from_text(printed)
+            got = codes._codebook_from_bytes(printed.encode())
             assert got == want == code
             assert got.gamma == want.gamma and got.inner.codewords == want.inner.codewords
             assert got.decoder_for_reject == want.decoder_for_reject and got.reject == want.reject
@@ -847,7 +892,7 @@ def test_text_reader_matches_the_json_reader_on_mutated_texts(monkeypatch):
                 break
         expected = read_outcome(lambda t: sc.codebook_from_json(json.loads(t)), text)
         fallbacks.clear()
-        got = read_outcome(codes._codebook_from_text, text)
+        got = read_outcome(lambda t: codes._codebook_from_bytes(t.encode()), text)
         assert got == expected, (text[:300], expected[:2], got[:2])
         kinds.add(expected[0])
         fast += got[0] is sc.StochasticCode and not fallbacks
@@ -927,7 +972,7 @@ def test_read_back_words_keep_their_order_in_maximal_word_runs(
     for (_, start, count), (_, after, _), end in zip(read.word_runs, read.word_runs[1:], word_ends):
         assert end in run_ends or after != start + count
     assert codes._codebook_text(read) == text
-    for again in (codes._codebook_from_text(text), sc.codebook_from_json(book)):
+    for again in (codes._codebook_from_bytes(text.encode()), sc.codebook_from_json(book)):
         assert again == read and hash(again) == hash(read)
     assert (read == code) == (read.inner.codewords == code.inner.codewords)
     if read == code:
