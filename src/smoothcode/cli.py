@@ -22,7 +22,7 @@ from .codes import (
     build_stochastic_code,
 )
 from .distributions import atom_cap, distribution_from_json, mixture_from_json
-from .errors import SmoothcodeError, TooLarge, check_alpha
+from .errors import SmoothcodeError, TooLarge, check_alpha, check_eps
 from .evaluation import evaluate_code, sandwich_report
 from .logspace import LN2
 from .oracle import optimal_code_bruteforce, smoothing_feasible_search
@@ -94,6 +94,7 @@ def _cmd_code(args) -> int:
 def _cmd_evaluate(args) -> int:
     dist = distribution_from_json(_load_json(args.dist))
     if args.code is not None:
+        check_eps(args.eps)  # the builder's check, which a read code skips
         with open(args.code, "rb") as f:  # the reader decodes only what it hands to json
             code = _codebook_from_bytes(f.read())
     else:

@@ -18,11 +18,11 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, partial, reduce
+from functools import cached_property, reduce
 from operator import add, itemgetter, lshift, mul, ne, neg, sub, truediv
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .distributions import Distribution, _check_size, _expand, _expand_levels, _log_masses
+from .distributions import Distribution, _check_size, _expand_levels, _log_masses
 from .errors import KraftViolated, Misaligned, TooLarge, check_lambda, count_text
 from .logspace import LN2, logsumexp
 from .smooth_renyi import SubDistribution, optimal_smoothing
@@ -207,15 +207,6 @@ class CodeRun(NamedTuple):
     accept_bits: int | None
 
 
-class Segment(NamedTuple):
-    """Symbols that share one probability level and the same coding."""
-
-    log_prob: float
-    count: int
-    gamma: float
-    accept_bits: int | None
-
-
 _COUNT, _CODING = itemgetter(0), itemgetter(1, 2)
 
 
@@ -232,17 +223,17 @@ def _packed(runs: Iterable[tuple[int, float, int | None]]) -> tuple[CodeRun, ...
     )
 
 
-def _segments(runs: Sequence[CodeRun], dist: Distribution) -> list[Segment]:
+def _segments(runs: Sequence[CodeRun], dist: Distribution) -> Iterator[tuple]:
     """Cut the runs at the level boundaries of the distribution they cover.
 
-    One walk down both by counts: each segment takes what is left of the
-    current run or of the current level, whichever ends first. Raises
-    Misaligned when the runs and the distribution count different numbers
-    of symbols, which shows as one side running out before the other; only
-    then are the totals summed, for the message.
+    Yields (log_prob, count, gamma, accept_bits) for the symbols of one
+    level that one run codes, as one walk down both by counts makes them:
+    each segment takes what is left of the current run or of the current
+    level, whichever ends first. Raises Misaligned, once consumed that far,
+    when the runs and the distribution count different numbers of symbols,
+    which shows as one side running out before the other; only then are the
+    totals summed, for the message.
     """
-    segments = []
-    append = segments.append
     levels = zip(dist.log_probs, dist.mults)
     left = 0  # symbols of the current level not yet cut
     try:
@@ -251,7 +242,7 @@ def _segments(runs: Sequence[CodeRun], dist: Distribution) -> list[Segment]:
                 if not left:
                     log_prob, left = next(levels)
                 take = count if count < left else left
-                append(Segment(log_prob, take, gamma, bits))
+                yield log_prob, take, gamma, bits
                 count -= take
                 left -= take
         aligned = not left and next(levels, None) is None
@@ -262,24 +253,24 @@ def _segments(runs: Sequence[CodeRun], dist: Distribution) -> list[Segment]:
         raise Misaligned(
             f"code covers {count_text(coded)} symbols, distribution has {count_text(support)}"
         )
-    return segments
 
 
 @dataclass(frozen=True)
 class StochasticCode:
     """Flag-bit code: accepted symbols emit '0' + inner word, rejects emit '1'.
 
-    runs covers the symbols in the distribution's sorted order; only a
-    leading block of runs carries words. word_runs holds the inner words as
-    (inner length, first value, count) runs of consecutive values, each a
-    maximal run within one CodeRun. Left out, it is the canonical numbering
-    along the runs, checked against the tree exactly, so no code whose words
-    overfill it is made; codebook_from_json gives the runs of the words it
-    read. The per-symbol views gamma and inner are expanded on first use,
-    within atom_cap(), and so is the word index decode looks words up in.
-    The reject word decodes to decoder_for_reject, the symbol whose rejected
-    mass is largest. Two codes are equal when their fields are, so a built
-    code equals its codebook round trip, compared without expanding it.
+    runs covers the symbols in the distribution's sorted order. Checked in
+    one pass at construction: only a leading block of runs carries words,
+    every gamma lies in [0, 1], and a run without words has gamma 0.
+    word_runs holds the inner words as (inner length, first value, count)
+    runs of consecutive values, each a maximal run within one CodeRun. Left
+    out, it is the canonical numbering along the runs, checked against the
+    tree exactly, so no code whose words overfill it is made. The per-symbol
+    views gamma and inner are expanded on first use, within atom_cap(), and
+    so is the word index decode looks words up in. The reject word decodes
+    to decoder_for_reject (>= 0), the symbol whose rejected mass is largest.
+    Two codes are equal when their fields are, so a built code equals its
+    codebook round trip, compared without expanding it.
     """
 
     runs: tuple[CodeRun, ...]
@@ -288,8 +279,21 @@ class StochasticCode:
     word_runs: tuple[tuple[int, int, int], ...] | None = None
 
     def __post_init__(self) -> None:
+        if self.decoder_for_reject < 0:
+            raise ValueError("decoder_for_reject must be >= 0")
+        coded = []  # (inner length, count) of the leading runs with words
+        for i, (count, gamma, bits) in enumerate(self.runs):
+            if not 0.0 <= gamma <= 1.0:
+                raise ValueError(f"gamma out of [0, 1] in run {i}")
+            if bits is None:
+                if gamma > 0.0:
+                    first = sum(map(_COUNT, self.runs[:i]))
+                    raise Misaligned(f"symbol {first} has gamma > 0 but no codeword")
+            elif len(coded) != i:
+                raise ValueError("coded runs must form a leading block of the runs")
+            else:
+                coded.append((bits - 1, count))
         if self.word_runs is None:
-            coded = [(r.accept_bits - 1, r.count) for r in self.runs if r.accept_bits is not None]
             starts = _canonical_starts(coded)
             canonical = ((length, start, count) for (length, count), start in zip(coded, starts))
             object.__setattr__(self, "word_runs", tuple(canonical))
@@ -310,12 +314,8 @@ class StochasticCode:
     @cached_property
     def inner(self) -> PrefixCode:
         """Inner words, flag bit excluded, of the leading symbols that have one."""
-        words = _expand(
-            [
-                (count, partial(_run_words, length, start, count))
-                for length, start, count in self.word_runs
-            ]
-        )
+        _check_size(sum(count for _, _, count in self.word_runs))
+        words = itertools.chain.from_iterable(itertools.starmap(_run_words, self.word_runs))
         return PrefixCode(tuple(words))
 
     def accept_word(self, i: int) -> str | None:
@@ -342,10 +342,6 @@ class StochasticCode:
             if index is not None:
                 return index
         raise ValueError(f"not a codeword: {word!r}")
-
-    def segments(self, dist: Distribution) -> list[Segment]:
-        """The runs cut at the distribution's levels; Misaligned if the sizes differ."""
-        return _segments(self.runs, dist)
 
 
 def _flag_code(
@@ -644,19 +640,14 @@ def _guess_code(data: bytes) -> StochasticCode | None:
         code = StochasticCode(
             runs=_packed(runs), decoder_for_reject=int(decoder), reject=reject.decode()
         )
-    except (ValueError, KraftViolated):  # unreadable numbers, or lengths no canonical words fit
+    except (ValueError, KraftViolated, Misaligned):  # not a code the writer prints
         return None
-    coded = [r for r in code.runs if r.accept_bits is not None]
-    if not (
-        code.runs[: len(coded)] == tuple(coded)
-        and all(0.0 <= r.gamma <= 1.0 for r in code.runs)
-        and not any(r.gamma for r in code.runs[len(coded) :])
-        and 0 <= code.decoder_for_reject < code.num_symbols
-        and reject
-        and (reject[:1] == b"1" or not coded)  # no flagged word extends it or is its prefix
-    ):
-        return None
-    return code
+    # what the record cannot know: the support, and that no flagged word
+    # extends the reject word or is its prefix
+    if code.decoder_for_reject < code.num_symbols and reject:
+        if reject[:1] == b"1" or not code.word_runs:
+            return code
+    return None
 
 
 def codebook_from_json(obj: dict) -> StochasticCode:

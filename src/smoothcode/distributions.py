@@ -16,9 +16,9 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from operator import add, gt, mul, sub
-from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
+from typing import Iterable, NamedTuple, Sequence, TypeVar
 
 from .errors import BadMixture, EmptyDistribution, NotNormalized, TooLarge, count_text
 from .logspace import LN2, logsumexp
@@ -50,19 +50,6 @@ def atom_cap() -> int:
     if cap < 1:
         raise ValueError(f"SMOOTHCODE_CAP must be >= 1, got {cap}")
     return cap
-
-
-def _expand(runs: Sequence[tuple[int, Callable[[], Iterable[T]]]]) -> list[T]:
-    """One entry per symbol, concatenated from (count, make_values) runs.
-
-    make_values() yields the run's count entries. The size cap (atom_cap())
-    is checked on the counts before any make_values is called, so a run too
-    long to expand raises TooLarge rather than failing inside the iterator
-    it would build. Every per-symbol expansion in the package goes through
-    here, except the codebook writer, which checks the same cap itself.
-    """
-    _check_size(sum(count for count, _ in runs))
-    return list(itertools.chain.from_iterable(make() for _, make in runs))
 
 
 def _check_size(size: int) -> None:
@@ -156,8 +143,9 @@ class Distribution:
 
 
 def _expand_levels(values: Sequence[T], counts: Sequence[int]) -> list[T]:
-    """Each value repeated its count times, through the capped _expand."""
-    return _expand([(c, partial(itertools.repeat, v, c)) for v, c in zip(values, counts)])
+    """Each value repeated its count times, the size cap checked on the counts first."""
+    _check_size(sum(counts))
+    return list(itertools.chain.from_iterable(map(itertools.repeat, values, counts)))
 
 
 def _normalize_atoms(
@@ -797,18 +785,17 @@ def distribution_from_json(obj: dict) -> Distribution:
     - {"atoms": [{"log_prob": r, "multiplicity": k}, ...]}: levels already
       built, which live on blocklength "n".
 
-    "n" is an integer >= 1, 1 when absent, and belongs to one form, so an
-    object holding it beside two of them is rejected. Input of the wrong
-    shape raises NotNormalized (BadMixture for a mixture), a missing key
-    KeyError.
+    "n" is an integer >= 1, 1 when absent. An object holding more than one
+    form is rejected. Input of the wrong shape raises NotNormalized
+    (BadMixture for a mixture), a missing key KeyError.
     """
     if not isinstance(obj, dict):
         raise NotNormalized("distribution JSON must be an object")
     n = obj.get("n", 1)
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise NotNormalized("'n' must be an integer >= 1")
-    if "n" in obj and sum(key in obj for key in ("probs", "atoms", "components")) > 1:
-        raise NotNormalized("'n' belongs to one of 'probs', 'atoms' and 'components', not several")
+    if sum(key in obj for key in ("probs", "atoms", "components")) > 1:
+        raise NotNormalized("use one of 'probs', 'atoms' and 'components', not several")
     if "probs" in obj:
         probs = obj["probs"]
         if not isinstance(probs, list):

@@ -5,9 +5,9 @@ the source and the encoder's acceptance coin. The converse bound exp(lam * H)
 uses the smooth Renyi entropy of order 1/(1 + lam) at the same budget; the
 direct bound adds the two-bit overhead factor and the reject-word term.
 
-Every sum runs over segments (StochasticCode.segments): the symbols of one
-probability level that the code treats alike, weighted by their count, so
-no source is ever expanded symbol by symbol.
+Every sum runs over segments, consumed as codes._segments cuts them: the
+symbols of one probability level that the code treats alike, weighted by
+their count, so no source is ever expanded symbol by symbol.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .codes import StochasticCode, build_stochastic_code
+from .codes import StochasticCode, _segments, build_stochastic_code
 from .distributions import Distribution
 from .errors import BadEpsilon, Misaligned, SandwichViolated, check_lambda
 from .logspace import LN2, logsumexp
@@ -75,21 +75,19 @@ def _walk(code: StochasticCode, dist: Distribution, lam: float) -> tuple[float, 
     forgiven = 0.0
     terms = []
     target = code.decoder_for_reject  # counted down until it lands in a segment
-    segments = code.segments(dist)
-    for i, s in enumerate(segments):
-        log_mass = s.log_prob + math.log(s.count)
-        if s.gamma > 0.0:
-            if s.accept_bits is None:
-                first = sum(seg.count for seg in segments[:i])
-                raise Misaligned(f"symbol {first} has gamma > 0 but no codeword")
-            terms.append(log_mass + math.log(s.gamma) + lam * s.accept_bits * LN2)
-        if s.gamma < 1.0:
-            rejected.append(math.exp(log_mass) * (1.0 - s.gamma))
-            terms.append(log_mass + math.log1p(-s.gamma) + reject_nats)
+    for log_prob, count, gamma, bits in _segments(code.runs, dist):
+        log_mass = log_prob + math.log(count)
+        if gamma > 0.0:
+            terms.append(log_mass + math.log(gamma) + lam * bits * LN2)
+        if gamma < 1.0:
+            rejected.append(math.exp(log_mass) * (1.0 - gamma))
+            terms.append(log_mass + math.log1p(-gamma) + reject_nats)
         if target >= 0:
-            if target < s.count and s.gamma < 1.0:
-                forgiven = math.exp(s.log_prob) * (1.0 - s.gamma)
-            target -= s.count
+            if target < count and gamma < 1.0:
+                forgiven = math.exp(log_prob) * (1.0 - gamma)
+            target -= count
+    if target >= 0:
+        raise Misaligned(f"decode target {code.decoder_for_reject} is past the last symbol")
     raw = math.fsum(rejected)
     return raw, max(raw - forgiven, 0.0), logsumexp(terms)
 
@@ -131,9 +129,9 @@ def _lambda_entropy(dist: Distribution, eps: float, lam: float) -> float:
     The smoothing is the one dist keeps, so a code built at this eps and
     its bounds share it.
     """
-    if not 0.0 <= eps <= 1.0 + 1e-12:
+    if not 0.0 <= eps <= 1.0:
         raise BadEpsilon("eps must be in [0, 1] for the moment bounds")
-    if eps >= 1.0:
+    if eps == 1.0:
         return -math.inf
     alpha = 1.0 / (1.0 + lam)
     # lam * H equals (1 + lam) * log r, since 1 - alpha = lam / (1 + lam). alpha

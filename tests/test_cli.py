@@ -971,6 +971,9 @@ BAD_INPUTS = [
     ("dist", {**MIXTURE, "n": "4"}),
     ("dist", {"components": [{"weight": 1.0, "probs": "1"}], "n": 2}),
     ("dist", {"probs": [1.0], "atoms": [{"log_prob": 0.0, "multiplicity": 1}], "n": 1}),
+    # and without "n" an object holding two forms is as ambiguous
+    ("dist", {"probs": [0.5, 0.5], "components": [{"weight": 1.0, "probs": [0.9, 0.1]}]}),
+    ("dist", {"probs": [1.0], "atoms": [{"log_prob": 0.0, "multiplicity": 1}]}),
 ]
 
 
@@ -1009,6 +1012,43 @@ def test_evaluate_reads_a_printed_codebook_without_json(capsys, tmp_path, monkey
     rc_text, fast, _ = run_cli(capsys, ["evaluate", "--code", str(printed)] + base)
     assert rc == rc_json == rc_text == 0
     assert fast == report
+
+
+def test_evaluate_checks_eps_before_it_reads_a_codebook(capsys, tmp_path, dist_file):
+    # a read codebook skips the builder, whose eps check evaluate then makes
+    # itself: the same calls exit alike with a codebook, a missing one, or none
+    rc, out, _ = run_cli(capsys, ["code", "--dist", dist_file, "--eps", "0.1", "--lambda", "1"])
+    book = tmp_path / "code.json"
+    book.write_text(out)
+    base = ["evaluate", "--dist", dist_file, "--lambda", "1"]
+    for eps in ("1", "1.0000000000005", "-0.1", "nan"):
+        for extra in ([], ["--code", str(book)], ["--code", str(tmp_path / "missing.json")]):
+            got = run_cli(capsys, base + ["--eps", eps] + extra)
+            assert got == (2, "", "error: eps must be in [0, 1)\n"), (eps, extra)
+    rc, out, err = run_cli(capsys, base + ["--eps", "0.1", "--code", str(book)])
+    assert rc == 0 and err == "" and json.loads(out)["error_prob"] == 0.0
+
+
+def test_a_codebook_past_the_cap_is_read_through_json(capsys, tmp_path, monkeypatch, dist_file):
+    # the printed layout is recognised by writing the guess back; with the
+    # cap below the support the writer refuses, and json reads the same code
+    base = ["--dist", dist_file, "--eps", "0.1", "--lambda", "1"]
+    rc, out, _ = run_cli(capsys, ["code"] + base)
+    book = tmp_path / "code.json"
+    book.write_text(out)
+    reads = []
+
+    def counted(obj, read=codes.codebook_from_json):
+        reads.append(obj)
+        return read(obj)
+
+    monkeypatch.setattr(codes, "codebook_from_json", counted)
+    evaluate = ["evaluate", "--code", str(book)] + base
+    expected = run_cli(capsys, evaluate)
+    assert expected[0] == 0 and reads == []
+    monkeypatch.setenv("SMOOTHCODE_CAP", "2")
+    assert run_cli(capsys, evaluate) == expected
+    assert reads == [json.loads(out)]
 
 
 def test_evaluate_reads_a_codebook_as_bytes(capsys, tmp_path, dist_file):

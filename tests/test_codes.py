@@ -370,19 +370,21 @@ def test_segments_cut_runs_at_levels_by_counts(mults, cuts, codings):
     counts = list(map(operator.sub, ends, [0, *ends[:-1]]))
     runs = [CodeRun(c, g, bits) for c, (g, bits) in zip(counts, codings)]
     dist = _levels(mults)
-    segments = codes._segments(runs, dist)
-    assert all(type(s) is codes.Segment and s.count > 0 for s in segments)
+    # (log_prob, count, gamma, accept_bits) tuples, yielded as the cut is made
+    segments = list(codes._segments(runs, dist))
+    assert all(type(s) is tuple and len(s) == 4 and s[1] > 0 for s in segments)
     levels = sc.distributions._expand_levels(dist.log_probs, dist.mults)
     run_codings = sc.distributions._expand_levels([r[1:] for r in runs], counts)
-    expanded = [(s.log_prob, (s.gamma, s.accept_bits)) for s in segments for _ in range(s.count)]
+    expanded = [(lp, (gamma, bits)) for lp, count, gamma, bits in segments for _ in range(count)]
     assert expanded == list(zip(levels, run_codings))
     # a segment ends exactly where a run or a level ends
     cut_at = sorted({*ends, *itertools.accumulate(mults)} - {0})
-    assert list(itertools.accumulate(s.count for s in segments)) == cut_at
+    assert list(itertools.accumulate(s[1] for s in segments)) == cut_at
     # the same walk with every count 2**70 times larger
     scale = 2**70
     big = codes._segments([r._replace(count=r.count * scale) for r in runs], _levels(mults, scale))
-    assert [s.count for s in big] == [s.count * scale for s in segments]
+    big = list(big)
+    assert [s[1] for s in big] == [s[1] * scale for s in segments]
     assert [s[2:] for s in big] == [s[2:] for s in segments]
     # totals off by one either way
     last = max(i for i, c in enumerate(counts) if c)
@@ -391,7 +393,7 @@ def test_segments_cut_runs_at_levels_by_counts(mults, cuts, codings):
         with pytest.raises(
             sc.Misaligned, match=f"^code covers {covered} symbols, distribution has {total}$"
         ):
-            codes._segments(off, dist)
+            list(codes._segments(off, dist))
 
 
 @settings(deadline=None)
@@ -764,11 +766,11 @@ def test_huge_counts_print_their_size_in_error_messages():
     with pytest.raises(sc.KraftViolated, match="^3 words of length 1 "):
         _canonical_starts([(1, 3)])
     with pytest.raises(sc.TooLarge, match=r"^support of size 2\*\*20000 or more exceeds"):
-        sc.distributions._expand([(2**20000, lambda: iter(()))])
+        sc.distributions._expand_levels([0.0], [2**20000])
     with pytest.raises(sc.TooLarge, match=r"^2\*\*\d+ or more type classes at blocklength 20000 "):
         sc.distributions._guard_class_count(math.comb(39999, 20000), 20000)
     with pytest.raises(sc.Misaligned, match=r"^code covers 2\*\*20000 or more symbols"):
-        sc.codes._segments([CodeRun(2**20000, 0.0, None)], sc.new_distribution([1.0]))
+        list(sc.codes._segments([CodeRun(2**20000, 0.0, None)], sc.new_distribution([1.0])))
 
 
 def printed_codebooks():
@@ -1037,3 +1039,41 @@ def test_the_cap_is_checked_before_the_codebook_buffer(monkeypatch):
     monkeypatch.setattr(codes, "bytearray", no_buffer, raising=False)
     with pytest.raises(sc.TooLarge, match="^support of size 81 exceeds cap 80$"):
         codes._codebook_text(code)
+
+
+def test_a_code_record_checks_its_runs():
+    # a word after a run without one: accept_word would give symbol 1 the word
+    # of symbol 2, and symbol 2 none, so the record refuses it
+    runs = (CodeRun(1, 1.0, 2), CodeRun(1, 0.0, None), CodeRun(1, 1.0, 2))
+    with pytest.raises(ValueError, match="^coded runs must form a leading block of the runs$"):
+        sc.StochasticCode(runs=runs, decoder_for_reject=0)
+    for gamma in (-0.5, 1.5, math.nan, math.inf, -math.inf):
+        for bits in (2, None):
+            bad = (CodeRun(1, 1.0, 2), CodeRun(2, gamma, bits))
+            with pytest.raises(ValueError, match=r"^gamma out of \[0, 1\] in run 1$"):
+                sc.StochasticCode(runs=bad, decoder_for_reject=0)
+    # word runs given, as a codebook reader gives them, are no way round the checks
+    with pytest.raises(ValueError, match="^coded runs must form a leading block of the runs$"):
+        sc.StochasticCode(runs=runs, decoder_for_reject=0, word_runs=((1, 0, 1), (1, 1, 1)))
+    unworded = (CodeRun(1, 1.0, 2), CodeRun(2, 0.5, None))
+    with pytest.raises(sc.Misaligned, match="^symbol 1 has gamma > 0 but no codeword$"):
+        sc.StochasticCode(runs=unworded, decoder_for_reject=0, word_runs=((1, 0, 1),))
+    runs = (CodeRun(1, 1.0, 2), CodeRun(2, -0.0, None))
+    code = sc.StochasticCode(runs=runs, decoder_for_reject=2)
+    assert code.gamma == (1.0, -0.0, -0.0) and code.inner.codewords == ("0",)
+
+
+def test_a_codebook_that_breaks_the_run_rules_is_refused_in_both_readers():
+    # in the writer's layout, so the guess runs; it leaves the rules to the
+    # record, and the per-entry reader names the entry
+    for rows, message in (
+        ([("00", 1.0), (None, 0.0), ("01", 1.0)], "coded symbols must form a leading block"),
+        ([("00", 1.0), (None, 0.5), (None, 0.0)], "entry 1 can be accepted but has no codeword"),
+        ([("00", 1.0), ("01", 1.5), (None, 0.0)], r"gamma out of \[0, 1\] at entry 1"),
+    ):
+        entries = [{"codeword": w, "gamma": g} for w, g in rows]
+        book = {"decoder_for_reject": 0, "entries": entries, "reject": "1"}
+        data = (json.dumps(book, indent=2, sort_keys=True) + "\n").encode()
+        assert codes._guess_code(data) is None
+        with pytest.raises(ValueError, match=f"^{message}"):
+            codes._codebook_from_bytes(data)

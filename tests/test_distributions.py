@@ -1112,3 +1112,30 @@ def test_unrelated_bases_keep_the_walk_bit_for_bit(weights, mults, data):
     got = sc.iid_extension(base, n)
     expected = reference_merge(reference_walk(n, [0.0], [base.log_probs], base.mults))
     assert atom_bits(got.atoms) == atom_bits(expected)
+
+
+def test_distribution_checks_its_columns():
+    half = math.log(0.5)
+    with pytest.raises(sc.EmptyDistribution, match="^distribution needs at least one atom$"):
+        sc.Distribution((), ())
+    with pytest.raises(sc.NotNormalized, match="^level columns must have equal lengths$"):
+        sc.Distribution((0.0,), (1, 1))
+    unsorted = "^atoms must be sorted by strictly decreasing log-prob$"
+    for log_probs, mults in (((math.log(0.25), half), (2, 1)), ((half, half), (1, 1))):
+        with pytest.raises(sc.NotNormalized, match=unsorted):
+            sc.Distribution(log_probs, mults)
+    for mult in (0, -1):
+        with pytest.raises(sc.NotNormalized, match="^atom multiplicities must be >= 1$"):
+            sc.Distribution((half, math.log(0.25)), (1, mult))
+    assert sc.Distribution((half, math.log(0.25)), (1, 2)).support_size == 3
+
+
+def test_mixture_checks_its_components_and_blocklength():
+    with pytest.raises(sc.BadMixture, match="^component probabilities must sum to 1 within 1e-12$"):
+        sc.MixtureSpec((1.0,), ((0.5, 0.4),))
+    with pytest.raises(sc.BadMixture, match="^component probabilities must sum to 1 within 1e-12$"):
+        sc.mixture_spec([(0.5, [0.5, 0.5]), (0.5, [0.9, 0.1 + 1e-9])])
+    spec = sc.mixture_spec([(0.6, [0.5, 0.5]), (0.4, [0.89, 0.11])])
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="^blocklength must be >= 1$"):
+            sc.mixture_extension(spec, n)

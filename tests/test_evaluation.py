@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -256,16 +257,15 @@ def test_credited_error_forgives_the_decode_target_wherever_it_lands():
 
 
 def test_gamma_without_a_codeword_names_its_first_symbol():
-    dist = sc.new_distribution([0.3, 0.15, 0.15, 0.15, 0.125, 0.125])
     for runs, first in (
         (((1, 1.0, 2), (5, 0.5, None)), 1),
         (((1, 1.0, 2), (3, 1.0, 4), (2, 0.5, None)), 4),
     ):
-        code = sc.StochasticCode(runs=tuple(CodeRun(*r) for r in runs), decoder_for_reject=0)
+        # the code record raises at construction, before any evaluation
         with pytest.raises(
             sc.Misaligned, match=f"^symbol {first} has gamma > 0 but no codeword$"
         ):
-            sc.error_probability(code, dist)
+            sc.StochasticCode(runs=tuple(CodeRun(*r) for r in runs), decoder_for_reject=0)
 
 
 def test_built_and_read_codes_evaluate_alike():
@@ -320,3 +320,32 @@ def test_sandwich_keeps_the_logs_past_float_range():
     assert [x / n for x in logs] == pytest.approx([0.69268, 0.69285, 0.69302], abs=1e-5)
     assert logs[0] <= logs[1] <= logs[2]
     assert report.exp_moment == report.converse_bound == report.direct_bound == math.inf
+
+
+def test_a_decode_target_outside_the_code_is_refused():
+    # the built code forgives its target 2; a target past the last symbol
+    # forgives nothing and a negative one is no symbol, so neither is scored
+    dist = sc.new_distribution(WORKED)
+    code = sc.build_stochastic_code(dist, 0.1, 1.0)
+    assert code.decoder_for_reject == 2
+    assert sc.error_probability(code, dist) == pytest.approx((0.1, 0.0), abs=1e-15)
+    for target in (3, 4, 2**70):
+        past = dataclasses.replace(code, decoder_for_reject=target)
+        message = f"^decode target {target} is past the last symbol$"
+        with pytest.raises(sc.Misaligned, match=message):
+            sc.error_probability(past, dist)
+        with pytest.raises(sc.Misaligned):
+            sc.evaluate_code(past, dist, 0.1, 1.0)
+    for target in (-1, -(2**70)):
+        with pytest.raises(ValueError, match="^decoder_for_reject must be >= 0$"):
+            dataclasses.replace(code, decoder_for_reject=target)
+
+
+def test_the_bounds_take_no_eps_above_1():
+    # the closed endpoint is 1 exactly, not 1 within a tolerance
+    dist = sc.new_distribution(WORKED)
+    message = r"^eps must be in \[0, 1\] for the moment bounds$"
+    for eps in (math.nextafter(1.0, 2.0), 1.0000000000005, math.nan):
+        for bound in (sc.converse_bound, sc.direct_bound):
+            with pytest.raises(sc.BadEpsilon, match=message):
+                bound(dist, eps, 1.0)
