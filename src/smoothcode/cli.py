@@ -18,6 +18,7 @@ from .codes import (
     _codebook_from_bytes,
     _codebook_text,
     _json_loads,
+    _json_number,
     build_deterministic_code,
     build_stochastic_code,
 )
@@ -43,7 +44,49 @@ def _load_json(path: str) -> dict:
 
 
 def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    print(_json_text(obj))
+
+
+def _json_text(obj) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), byte for byte.
+
+    json.dumps encodes in pure Python whenever indent is set; a report is a
+    few dicts and lists of strings and numbers, which _indented writes in one
+    call per value. Any other type, or a dict key that is not a str, is
+    json.dumps's own, error included.
+    """
+    try:
+        return _indented(obj, "\n")
+    except TypeError:
+        return json.dumps(obj, indent=2, sort_keys=True)
+
+
+_ENCODE = json.encoder.encode_basestring_ascii
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+
+def _indented(obj, newline: str) -> str:
+    """obj as json.dumps writes it at the depth whose line break and indent is newline."""
+    kind = type(obj)
+    if kind is str:
+        return _ENCODE(obj)
+    if kind is float or kind is int:
+        return _json_number(obj)
+    if kind is bool or obj is None:
+        return _LITERALS[obj]
+    inner = newline + "  "
+    if kind is dict:
+        if not obj:
+            return "{}"
+        # _ENCODE raises TypeError on a key that is not a str
+        items = [_ENCODE(key) + ": " + _indented(obj[key], inner) for key in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        items = [_indented(item, inner) for item in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    raise TypeError(f"{kind.__name__} is left to json.dumps")
 
 
 def _int_list(text: str) -> list[int]:
@@ -195,92 +238,145 @@ def _cmd_sweep(args) -> int:
 
 
 @functools.cache  # built on first use, not at import; parsing keeps no state
-def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The full parser and each subcommand's own parser, by name."""
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
+    """The full parser and, by subcommand name, (own parser, options, defaults).
+
+    options maps each option string of the subcommand to the Action that
+    add_argument returned for it; defaults maps each dest to its default and
+    "handler" to the subcommand's handler, as its own parser fills them in.
+    """
     parser = argparse.ArgumentParser(
         prog="smoothcode",
         description="Smooth Renyi entropies, error-tolerant prefix codes, and moment bounds.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    subcommands = {}
 
     def add(name, handler, help):
+        """Declare a subcommand; the function returned declares one of its options."""
         p = sub.add_parser(name, help=help)
         p.set_defaults(handler=handler)
-        return p
+        options, defaults = {}, {"handler": handler}
+        subcommands[name] = (p, options, defaults)
 
-    def common(p, unit=False, fmt=False, seed=False):
+        def option(flag, **kwargs):
+            action = p.add_argument(flag, **kwargs)
+            options[flag] = action
+            defaults[action.dest] = action.default
+
+        return option
+
+    def common(option, unit=False, fmt=False, seed=False):
         if unit:
-            p.add_argument("--unit", choices=("nats", "bits"), default="nats")
+            option("--unit", choices=("nats", "bits"), default="nats")
         if fmt:
-            p.add_argument("--format", choices=("json", "csv"), default="json")
+            option("--format", choices=("json", "csv"), default="json")
         if seed:
-            p.add_argument("--seed", type=int, default=0)
+            option("--seed", type=int, default=0)
 
-    p = add("entropy", _cmd_entropy, "smooth Renyi and smooth max entropy of a distribution")
-    p.add_argument("--dist", required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--eps", type=float, required=True)
-    common(p, unit=True)
+    opt = add("entropy", _cmd_entropy, "smooth Renyi and smooth max entropy of a distribution")
+    opt("--dist", required=True)
+    opt("--alpha", type=float, required=True)
+    opt("--eps", type=float, required=True)
+    common(opt, unit=True)
 
-    p = add("code", _cmd_code, "construct a flag-bit codebook")
-    p.add_argument("--dist", required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--mode", choices=("stochastic", "deterministic"), default="stochastic")
+    opt = add("code", _cmd_code, "construct a flag-bit codebook")
+    opt("--dist", required=True)
+    opt("--eps", type=float, required=True)
+    opt("--lambda", dest="lam", type=float, required=True)
+    opt("--mode", choices=("stochastic", "deterministic"), default="stochastic")
 
-    p = add("evaluate", _cmd_evaluate, "error probability, exact moment, and bounds")
-    p.add_argument("--dist", required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--mode", choices=("stochastic", "deterministic"), default="stochastic")
-    p.add_argument("--code", default=None, help="evaluate this codebook instead of building one")
+    opt = add("evaluate", _cmd_evaluate, "error probability, exact moment, and bounds")
+    opt("--dist", required=True)
+    opt("--eps", type=float, required=True)
+    opt("--lambda", dest="lam", type=float, required=True)
+    opt("--mode", choices=("stochastic", "deterministic"), default="stochastic")
+    opt("--code", default=None, help="evaluate this codebook instead of building one")
 
-    p = add("oracle", _cmd_oracle, "brute-force optimal code or random smoothing search")
-    p.add_argument("--dist", required=True)
-    p.add_argument("--mode", choices=("code", "smoothing"), default="code")
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--max-len", type=int, default=5)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--trials", type=int, default=1000)
-    common(p, seed=True)
+    opt = add("oracle", _cmd_oracle, "brute-force optimal code or random smoothing search")
+    opt("--dist", required=True)
+    opt("--mode", choices=("code", "smoothing"), default="code")
+    opt("--eps", type=float, required=True)
+    opt("--lambda", dest="lam", type=float, default=1.0)
+    opt("--max-len", type=int, default=5)
+    opt("--alpha", type=float, default=None)
+    opt("--trials", type=int, default=1000)
+    common(opt, seed=True)
 
-    p = add("mixture", _cmd_mixture, "per-symbol entropy series of a mixture source")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--n-list", required=True, help="comma-separated blocklengths")
-    common(p, unit=True, fmt=True)
+    opt = add("mixture", _cmd_mixture, "per-symbol entropy series of a mixture source")
+    opt("--spec", required=True)
+    opt("--alpha", type=float, required=True)
+    opt("--eps", type=float, required=True)
+    opt("--n-list", required=True, help="comma-separated blocklengths")
+    common(opt, unit=True, fmt=True)
 
-    p = add("spectrum", _cmd_spectrum, "exact mass of a self-information rate predicate")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--direction", choices=("ge", "le", "within"), required=True)
-    p.add_argument("--threshold", type=float, required=True)
-    p.add_argument("--gamma", type=float, default=None)
+    opt = add("spectrum", _cmd_spectrum, "exact mass of a self-information rate predicate")
+    opt("--spec", required=True)
+    opt("--n", type=int, required=True)
+    opt("--direction", choices=("ge", "le", "within"), required=True)
+    opt("--threshold", type=float, required=True)
+    opt("--gamma", type=float, default=None)
 
-    p = add("sweep", _cmd_sweep, "sandwich reports over an (eps, lambda) grid")
-    p.add_argument("--dist", required=True)
-    p.add_argument("--epsilons", required=True, help="comma-separated eps values")
-    p.add_argument("--lambdas", required=True, help="comma-separated lambda values")
-    common(p, fmt=True)
+    opt = add("sweep", _cmd_sweep, "sandwich reports over an (eps, lambda) grid")
+    opt("--dist", required=True)
+    opt("--epsilons", required=True, help="comma-separated eps values")
+    opt("--lambdas", required=True, help="comma-separated lambda values")
+    common(opt, fmt=True)
 
-    return parser, sub.choices
+    return parser, subcommands
+
+
+def _plain_options(
+    options: dict[str, argparse.Action], defaults: dict, tokens: list[str]
+) -> argparse.Namespace | None:
+    """The namespace a subcommand's parser makes of tokens, when they are plain.
+
+    Plain tokens are --option value pairs, each option named in full and
+    given once, no value starting with "-", every value one that the
+    option's type and choices take, and every required option given. For
+    those the parser would only convert and store each value over the
+    defaults. Anything else is None, and left to the parser.
+    """
+    if len(tokens) % 2:
+        return None
+    values = dict(defaults)
+    given = set()
+    for flag, text in zip(tokens[::2], tokens[1::2]):
+        action = options.get(flag)
+        if action is None or flag in given or text.startswith("-"):
+            return None
+        given.add(flag)
+        try:
+            value = text if action.type is None else action.type(text)
+        except (TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    if any(action.required and flag not in given for flag, action in options.items()):
+        return None
+    return argparse.Namespace(**values)
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse argv once when it starts with a subcommand its own parser takes whole.
+    """Parse argv, reading it once when it starts with a subcommand.
 
-    The full parser would hand the same strings to that parser after reading
-    them itself. Anything else (no arguments, help, version, an unknown
-    subcommand, a string the subcommand does not take) goes through the full
-    parser, so every usage line and message is argparse's own.
+    A call made only of plain --option value pairs is read off the
+    subcommand's option table; any other call of a subcommand goes to its
+    own parser, to which the full parser would hand the same strings after
+    reading them itself. Anything else (no arguments, help, version, an
+    unknown subcommand, a string the subcommand does not take) goes through
+    the full parser, so every usage line and message is argparse's own.
     """
-    parser, subparsers = _parser()
-    own = subparsers.get(argv[0]) if argv else None
+    parser, subcommands = _parser()
+    own = subcommands.get(argv[0]) if argv else None
     if own is not None:
-        args, extras = own.parse_known_args(argv[1:])
+        own_parser, options, defaults = own
+        args = _plain_options(options, defaults, argv[1:])
+        if args is not None:
+            return args
+        args, extras = own_parser.parse_known_args(argv[1:])
         if not extras:
             return args
     return parser.parse_args(argv)

@@ -260,8 +260,9 @@ class StochasticCode:
     """Flag-bit code: accepted symbols emit '0' + inner word, rejects emit '1'.
 
     runs covers the symbols in the distribution's sorted order. Checked in
-    one pass at construction: only a leading block of runs carries words,
-    every gamma lies in [0, 1], and a run without words has gamma 0.
+    one pass at construction: every run counts an int >= 1 of symbols, only
+    a leading block of runs carries words, every gamma lies in [0, 1], and a
+    run without words has gamma 0.
     word_runs holds the inner words as (inner length, first value, count)
     runs of consecutive values, each a maximal run within one CodeRun. Left
     out, it is the canonical numbering along the runs, checked against the
@@ -283,6 +284,8 @@ class StochasticCode:
             raise ValueError("decoder_for_reject must be >= 0")
         coded = []  # (inner length, count) of the leading runs with words
         for i, (count, gamma, bits) in enumerate(self.runs):
+            if type(count) is not int or count < 1:
+                raise ValueError(f"count must be an int >= 1 in run {i}")
             if not 0.0 <= gamma <= 1.0:
                 raise ValueError(f"gamma out of [0, 1] in run {i}")
             if bits is None:

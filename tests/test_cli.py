@@ -800,11 +800,118 @@ def test_a_subcommand_call_is_parsed_once(capsys, dist_file, monkeypatch):
         return parse_known_args(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
-    rc, _, _ = run_cli(capsys, ["entropy", "--dist", dist_file, "--alpha", "0.5", "--eps", "0.1"])
-    assert rc == 0 and parsed == ["smoothcode entropy"]  # the full parser would add "smoothcode"
-    parsed.clear()
+    # plain --option value pairs are read off the option table, with no argparse call
+    argv = ["entropy", "--dist", dist_file, "--alpha", "0.5", "--eps", "0.1"]
+    rc, plain, _ = run_cli(capsys, argv)
+    assert rc == 0 and parsed == []
     rc, _, _ = run_cli(capsys, ["code", "--dist", dist_file, "--eps", "0.1", "--lambda", "1"])
-    assert rc == 0 and parsed == ["smoothcode code"]
+    assert rc == 0 and parsed == []
+    # any other call is parsed once, by the subcommand's own parser: the full
+    # parser would add "smoothcode"
+    rc, out, _ = run_cli(capsys, ["entropy", f"--dist={dist_file}", "--alpha=0.5", "--eps=0.1"])
+    assert rc == 0 and parsed == ["smoothcode entropy"] and out == plain
+
+
+# values a subcommand's parser takes for an option of each type, values its
+# type refuses, and values argparse reads as something other than a value
+_GOOD_VALUES = {
+    float: ["0.1", "0.5", "1", "nan", "inf", "1e400", " 2 ", "1_0"],
+    int: ["0", "3", "1_000", " 4 "],
+    None: ["DIST", "a=b", "", "x y"],
+}
+_REFUSED_VALUES = {float: ["half", "1.5.2", ""], int: ["2.5", "x", ""], None: []}
+_DASH_VALUES = ["-1", "-0.5", "-inf", "--", "-h", "-", "--eps"]
+_BENDS = ["value", "equals", "abbreviated", "repeated", "left out", "extra"]
+
+
+@st.composite
+def option_tokens(draw):
+    """(subcommand, tokens after it), drawn from the subcommand's own options.
+
+    A call is plain --option value pairs with values the options take, and
+    most calls then bend one of them in one way that argparse reads
+    otherwise or refuses.
+    """
+    name = draw(st.sampled_from(sorted(cli._parser()[1])))
+    _, options, _ = cli._parser()[1][name]
+    given = [flag for flag, action in options.items() if action.required or draw(st.booleans())]
+    values = {}
+    for flag in given:
+        action = options[flag]
+        values[flag] = draw(st.sampled_from(action.choices or _GOOD_VALUES[action.type]))
+    pieces = {flag: [flag, value] for flag, value in values.items()}
+    bend, flag = draw(st.sampled_from([None] + _BENDS)), draw(st.sampled_from(given))
+    action = options[flag]
+    if bend == "value":
+        refused = ["octal"] if action.choices else _REFUSED_VALUES[action.type]
+        odd = refused if refused and draw(st.booleans()) else _DASH_VALUES
+        pieces[flag] = [flag, draw(st.sampled_from(odd))]
+    elif bend == "equals":
+        pieces[flag] = [f"{flag}={values[flag]}"]
+    elif bend == "abbreviated" and len(flag) > 3:
+        pieces[flag] = [flag[: draw(st.integers(3, len(flag) - 1))], values[flag]]
+    elif bend == "repeated":
+        pieces[flag] *= 2
+    elif bend == "left out":
+        del pieces[flag]
+    elif bend == "extra":
+        extra = [["--"], ["-h"], ["--bogus"], ["junk"], ["--bogus", "1"], ["--unit"]]
+        pieces["extra"] = draw(st.sampled_from(extra))
+    return name, [tok for piece in draw(st.permutations(list(pieces.values()))) for tok in piece]
+
+
+@given(option_tokens())
+@settings(max_examples=400, deadline=None)
+def test_plain_options_match_the_subcommand_parser(call):
+    name, tokens = call
+    own, options, defaults = cli._parser()[1][name]
+    args = cli._plain_options(options, defaults, tokens)
+    if args is not None:
+        try:
+            parsed, extras = own.parse_known_args(tokens)
+        except SystemExit:
+            pytest.fail(f"plain options took {tokens}, which argparse refuses")
+        # by repr, so that nan equals nan and 1 differs from 1.0
+        assert {k: repr(v) for k, v in vars(args).items()} == {
+            k: repr(v) for k, v in vars(parsed).items()
+        }
+        assert extras == []
+
+
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([2**64, 2**64 + 1, -(2**70), 10**30]),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308]),
+    st.text(),
+    st.sampled_from(['"', "\\", "\x00\x1f\x7f\n\t", "é☃\U0001d11e\ud800", ""]),
+)
+
+
+def _json_containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+        # keys json.dumps converts or refuses, and a type it refuses
+        st.dictionaries(st.integers() | st.text(max_size=2), children, max_size=2),
+        st.sets(st.integers(), max_size=2),
+    )
+
+
+@given(st.recursive(_JSON_LEAVES, _json_containers, max_leaves=25))
+@settings(max_examples=400, deadline=None)
+def test_report_writer_matches_json_dumps(obj):
+    def outcome(write):
+        try:
+            return write()
+        except TypeError as exc:
+            return type(exc)
+
+    expected = outcome(lambda: json.dumps(obj, indent=2, sort_keys=True))
+    assert outcome(lambda: cli._json_text(obj)) == expected
 
 
 def test_entropy_report_smooths_once(capsys, dist_file, monkeypatch):

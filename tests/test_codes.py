@@ -1052,6 +1052,15 @@ def test_a_code_record_checks_its_runs():
             bad = (CodeRun(1, 1.0, 2), CodeRun(2, gamma, bits))
             with pytest.raises(ValueError, match=r"^gamma out of \[0, 1\] in run 1$"):
                 sc.StochasticCode(runs=bad, decoder_for_reject=0)
+    # a count that is no int >= 1 would be scored (-1, 0) or fail in the word numbering (1.5)
+    for bad, i in (
+        ((CodeRun(-1, 0.0, None),), 0),
+        ((CodeRun(1.5, 1.0, 2),), 0),
+        ((CodeRun(0, 1.0, 2), CodeRun(3, 0.0, None)), 0),
+        ((CodeRun(1, 1.0, 2), CodeRun(True, 0.0, None)), 1),
+    ):
+        with pytest.raises(ValueError, match=f"^count must be an int >= 1 in run {i}$"):
+            sc.StochasticCode(runs=bad, decoder_for_reject=0)
     # word runs given, as a codebook reader gives them, are no way round the checks
     with pytest.raises(ValueError, match="^coded runs must form a leading block of the runs$"):
         sc.StochasticCode(runs=runs, decoder_for_reject=0, word_runs=((1, 0, 1), (1, 1, 1)))
