@@ -373,35 +373,38 @@ def _scaled(values: Iterable[int], m: int) -> Iterable[int]:
     return values if m == 1 else map(mul, values, itertools.repeat(m))
 
 
-def _count_rows(n: int, low: int, m_pen: int, m_last: int) -> dict[int, list[int]]:
-    """rows[rem][h] = C(rem, h) * m_pen**h * m_last**(rem - h) for low <= rem <= n.
+def _count_rows(n: int, m_pen: int, m_last: int) -> list[list[int]]:
+    """rows[rem][h] = C(rem, h) * m_pen**h * m_last**(rem - h) for 0 <= rem <= n.
 
-    Exact integers: the last two bins' share of a class count. When
-    m_pen == m_last, every row is a palindrome, C(rem, h) * m**rem, and keeps
-    only its entries h <= rem // 2; entry h > rem // 2 is entry rem - h. A
-    lone top row (low == n) raises h by one as it goes: multiply by
-    m_pen * (n - h + 1), divide exactly by h * m_last. Otherwise rows 1 to n
-    are built upward by Pascal's rule, row[h] = m_last * below[h] +
-    m_pen * below[h - 1], which is additions alone when both are 1.
+    Exact integers: the last two bins' share of a class count, built upward
+    by Pascal's rule, row[h] = m_last * below[h] + m_pen * below[h - 1],
+    which is additions alone when both are 1. When m_pen == m_last, every
+    row is a palindrome, C(rem, h) * m**rem, and keeps only its entries
+    h <= rem // 2; entry h > rem // 2 is entry rem - h.
     """
     half = m_pen == m_last
-    if low == n:
-        row = [m_last**n]
-        for h in range(1, (n // 2 if half else n) + 1):
-            row.append(row[-1] * (m_pen * (n - h + 1)) // (h * m_last))
-        return {n: row}
-    rows = {}
-    row = [1]
+    rows = [[1]]
     for rem in range(1, n + 1):
+        row = rows[-1]
         # below[h] one past the kept entries: 0 past a full row's end, and
         # in a half row the mirror of its last entry (used when rem is even)
         below = itertools.chain(row, (row[-1] if half else 0,))
         shifted = itertools.chain((0,), row)
         step = map(add, _scaled(below, m_last), _scaled(shifted, m_pen))
-        row = list(itertools.islice(step, rem // 2 + 1 if half else rem + 1))
-        if rem >= low:
-            rows[rem] = row
+        rows.append(list(itertools.islice(step, rem // 2 + 1 if half else rem + 1)))
     return rows
+
+
+def _grow(row: list[int], n: int, size: int, m_up: int, m_down: int) -> None:
+    """Extend row, entry i C(n, i) * m_up**i * m_down**(n - i), to `size` entries.
+
+    Entry i is entry i - 1 times m_up * (n - i + 1), divided exactly by
+    i * m_down. With (m_up, m_down) = (m_pen, m_last) these are a two-bin
+    row's entries h = i from h = 0 up; swapped, its entries h = n - i from
+    h = n down.
+    """
+    for i in range(len(row), size):
+        row.append(row[-1] * (m_up * (n - i + 1)) // (i * m_down))
 
 
 def _dominant_spans(
@@ -461,15 +464,14 @@ def _column(part: _RowPart, rem: int, lo: int, hi: int) -> list[float]:
     return list(map(add, itertools.repeat(w), map(add, pen_sums, lasts)))
 
 
-def _mixture_column(parts: Sequence[_RowPart], rem: int, lo: int, hi: int) -> list[float]:
-    """The mixture's log-probs of the classes lo <= h < hi of a row.
+def _logsumexp_columns(cols: list[list[float]]) -> list[float]:
+    """The logsumexp of each class's entries, one per column, as column operations.
 
-    The logsumexp per class runs as column operations, bit-identical to
-    logspace.logsumexp, since fsum is exactly rounded and exp(-inf) is 0. A
-    class of zero mass has max -inf and comes out nan. The max keeps the
-    first greatest entry, as builtin max does, by one comparison pass per column.
+    Bit-identical to logspace.logsumexp, since fsum is exactly rounded and
+    exp(-inf) is 0. A class of zero mass has max -inf and comes out nan. The
+    max keeps the first greatest entry, as builtin max does, by one
+    comparison pass per column.
     """
-    cols = [_column(part, rem, lo, hi) for part in parts]
     if len(cols) == 1:
         return cols[0]
     mx = cols[0]
@@ -477,6 +479,114 @@ def _mixture_column(parts: Sequence[_RowPart], rem: int, lo: int, hi: int) -> li
         mx = [y if y > x else x for x, y in zip(mx, col)]
     shifted = [map(math.exp, map(sub, col, mx)) for col in cols]
     return list(map(add, mx, map(math.log, map(math.fsum, zip(*shifted)))))
+
+
+def _mixture_column(parts: Sequence[_RowPart], rem: int, lo: int, hi: int) -> list[float]:
+    """The mixture's log-probs of the classes lo <= h < hi of a row (_logsumexp_columns)."""
+    return _logsumexp_columns([_column(part, rem, lo, hi) for part in parts])
+
+
+def _span_columns(
+    parts: Sequence[_RowPart], rem: int, gap: float
+) -> list[tuple[int, int, int | None, list[float]]] | None:
+    """(lo, hi, c, log-probs) per span of a row, or None if a row end is -inf.
+
+    A span dominated by component c takes c's column, a contested one
+    (c None) the mixture's (see _dominant_spans and _type_class_atoms).
+    """
+    ends = [(w + ((s + pen[0]) + last[rem]), w + ((s + pen[rem]) + last[0]))
+            for w, s, pen, last in parts]
+    if not all(map(math.isfinite, itertools.chain.from_iterable(ends))):
+        return None
+    return [
+        (lo, hi, c, _column(parts[c], rem, lo, hi) if c is not None
+         else _mixture_column(parts, rem, lo, hi))
+        for lo, hi, c in _dominant_spans(ends, rem, gap)
+    ]
+
+
+def _finite_classes(
+    log_probs: list[float], counts: Iterable[int]
+) -> tuple[list[float], list[int]]:
+    """The classes of positive mass: a zero-mass class comes out -inf or nan."""
+    keep = list(map(math.isfinite, log_probs))
+    return list(itertools.compress(log_probs, keep)), list(itertools.compress(counts, keep))
+
+
+def _two_bin_atoms(
+    n: int, parts: list[_RowPart], flat: Sequence[bool], gap: float, m_pen: int, m_last: int
+) -> tuple[list[float], list[int]]:
+    """Columns of a two-bin source, whose one row (rem = n) is the whole distribution.
+
+    The counts are built from both ends of the row inward (_grow), only as
+    far as the classes that take their own entry: `low` holds h = 0, 1, ...
+    and `high` h = n, n - 1, ..., one list when the row is a palindrome.
+
+    A dominated span (lo, hi, c) with hi - lo >= 2 is flat when component c
+    gives both bins one finite log-prob: its classes share one probability
+    up to rounding. A flat component has equal row ends, so against another
+    flat one it holds all of the row or none of it: a row has at most one
+    flat span. That span becomes one entry, its largest float M with the
+    exact count (m_pen + m_last)**n less the counts outside it (the binomial
+    theorem), so its own counts are never built, wherever this leaves the
+    merged levels bit for bit as they are. _normalize_atoms scans the entries
+    largest first; a run from r takes the next entry x while
+    r - x <= MERGE_TOL, a float test monotone in x, and the first x that
+    fails starts the next run. So M joins the run of some r = M, or of an
+    entry r > M outside the span with r - M <= MERGE_TOL; let X be the
+    largest of these. If X - m <= MERGE_TOL for the span's smallest float m,
+    every span class joins M's run, whatever its start. Dropping entries
+    that start no run moves no run start, and the folded entry, of value M
+    in the span's place in the input, stands where M stood: every level
+    keeps its log-prob and its exact count. Where the check fails, the
+    span's floats may straddle two runs, and it goes class by class.
+    """
+    low = [m_last**n]
+    high = low if m_pen == m_last else [m_pen**n]
+
+    def build(a: int, b: int) -> None:
+        """Build entries h < a and h > n - b."""
+        if high is low:  # entry h > n // 2 of a palindrome is entry n - h
+            _grow(low, n, min(max(a, b), n // 2 + 1), m_pen, m_last)
+        else:
+            _grow(low, n, a, m_pen, m_last)
+            _grow(high, n, b, m_last, m_pen)
+
+    def take(lo: int, hi: int) -> list[int]:
+        """Entries lo <= h < hi, all built: from low while it reaches, then from high."""
+        split = min(max(lo, len(low)), hi)
+        entries = low[lo:split]
+        entries.extend(reversed(high[n + 1 - hi : n + 1 - split]))
+        return entries
+
+    pieces = _span_columns(parts, n, gap)
+    if pieces is None:
+        build(n + 1, 0)
+        return _finite_classes(_mixture_column(parts, n, 0, n + 1), take(0, n + 1))
+    lo = hi = -1  # the folded span, if one passes the check
+    for span_lo, span_hi, c, col in pieces:
+        if c is not None and flat[c] and span_hi - span_lo >= 2:
+            top, bottom = max(col), min(col)
+            if top - bottom <= MERGE_TOL:  # else X - m > MERGE_TOL too, since X >= M
+                outside = itertools.chain.from_iterable(p[3] for p in pieces if p[3] is not col)
+                # the entries whose run M can join pass the merge's own float test,
+                # x - M <= MERGE_TOL, which puts x at or below the float M + 2 * MERGE_TOL
+                window = filter(top.__lt__, filter((top + 2 * MERGE_TOL).__ge__, outside))
+                start = max((x for x in window if x - top <= MERGE_TOL), default=top)
+                if start - bottom <= MERGE_TOL:
+                    lo, hi = span_lo, span_hi
+            break
+    if lo < 0:
+        build(n + 1, 0)
+        counts = take(0, n + 1)
+    else:
+        build(lo, n + 1 - hi)
+        before, after = take(0, lo), take(hi, n + 1)
+        counts = [*before, (m_pen + m_last) ** n - sum(before) - sum(after), *after]
+    log_probs: list[float] = []
+    for span_lo, _, _, col in pieces:
+        log_probs.extend((top,) if span_lo == lo else col)
+    return log_probs, counts
 
 
 def _type_class_atoms(
@@ -487,6 +597,8 @@ def _type_class_atoms(
 ) -> tuple[list[float], list[int]]:
     """Columns (log_prob, multiplicity), one entry per type class of positive mass.
 
+    A two-bin source may fold one flat span of classes into a single entry,
+    where the merge would make one level of them anyway (_two_bin_atoms).
     The source is a mixture of memoryless components over bins: component c
     has log weight log_weights[c] and gives each of the level_mults[j]
     symbols of bin j the log-prob level_log_probs[c][j] (-inf for zero). A
@@ -504,8 +616,10 @@ def _type_class_atoms(
     form a row and are taken at once as columns: log-probs by table lookups
     and column operations, and the counts as the prefix times row rem of
     _count_rows; a half row's products are mirrored, so a palindrome's
-    repeated entries are the same ints. Per node of the walk the Python work
-    is constant; per class it runs inside the builtins.
+    repeated entries are the same ints. A node higher up with one position
+    left has one class per bin from its own to the last, and takes them at
+    once as a column too. Per node of the walk the Python work is constant;
+    per class it runs inside the builtins.
 
     Along a row each of the k components' log-probs is affine in h. Where one
     component lies at least gap = 53 ln 2 + ln(k - 1) + 1 above every other,
@@ -528,34 +642,33 @@ def _type_class_atoms(
     m_pen, m_last = level_mults[-2], level_mults[-1]
     tables = [[_scaled_logs(comp[j], n) for comp in level_log_probs] for j in range(bins)]
     pen_tables, last_tables = tables[-2], tables[-1]
-    # a two-bin walk reaches the second-to-last bin only with rem = n, and a
-    # node with rem = 0 is a single class that never gets there
-    rows = _count_rows(n, n if bins == 2 else 1, m_pen, m_last)
     gap = 53 * LN2 + math.log(len(log_weights) - 1 or 1) + 1.0
+    if bins == 2:
+        # the walk would reach the second-to-last bin at once, with rem = n
+        parts = list(zip(log_weights, [0.0] * len(log_weights), pen_tables, last_tables))
+        flat = [math.isfinite(comp[0]) and comp[0] == comp[1] for comp in level_log_probs]
+        return _two_bin_atoms(n, parts, flat, gap, m_pen, m_last)
+    rows = _count_rows(n, m_pen, m_last)
+    # t[1] = 1 * log p of each bin, which is log p itself, last bin first; and
+    # the bins' multiplicities alike
+    reversed_ones = [comp[::-1] for comp in level_log_probs]
+    reversed_mults = level_mults[::-1]
     log_probs: list[float] = []
     counts: list[int] = []
 
     def leaves(rem: int, prefix: int, sums: list[float]) -> None:
         parts = list(zip(log_weights, sums, pen_tables, last_tables))
-        ends = [(w + ((s + pen[0]) + last[rem]), w + ((s + pen[rem]) + last[0]))
-                for w, s, pen, last in parts]
         kept = list(_scaled(rows[rem], prefix))
         # a palindrome row keeps h <= rem // 2; its other entries are the same ints
         row_counts = itertools.chain(kept, reversed(kept[: rem + 1 - len(kept)]))
-        if all(map(math.isfinite, itertools.chain.from_iterable(ends))):
-            # every class of the row is finite, so none is dropped
-            for lo, hi, c in _dominant_spans(ends, rem, gap):
-                if c is None:
-                    log_probs.extend(_mixture_column(parts, rem, lo, hi))
-                else:
-                    log_probs.extend(_column(parts[c], rem, lo, hi))
-            counts.extend(row_counts)
-            return
-        # a zero-probability letter: classes of zero mass come out -inf or nan
-        lps = _mixture_column(parts, rem, 0, rem + 1)
-        keep = list(map(math.isfinite, lps))
-        log_probs.extend(itertools.compress(lps, keep))
-        counts.extend(itertools.compress(row_counts, keep))
+        pieces = _span_columns(parts, rem, gap)
+        if pieces is None:  # a zero-probability letter
+            lps, row_counts = _finite_classes(_mixture_column(parts, rem, 0, rem + 1), row_counts)
+            log_probs.extend(lps)
+        else:  # every class of the row is finite, so none is dropped
+            for piece in pieces:
+                log_probs.extend(piece[3])
+        counts.extend(row_counts)
 
     stack = [(0, n, 1, [0.0] * len(log_weights))]
     while stack:
@@ -570,6 +683,19 @@ def _type_class_atoms(
             continue
         if j == bins - 2:
             leaves(rem, prefix, sums)
+            continue
+        if rem == 1:
+            # one position left, in bin i = bins - 1 down to j in walk order:
+            # class w + (s + t_i[1]), count prefix * m_i, by that same rule
+            cols = [
+                list(map(add, itertools.repeat(w), map(add, itertools.repeat(s), ones[: bins - j])))
+                for w, s, ones in zip(log_weights, sums, reversed_ones)
+            ]
+            lps, cs = _finite_classes(
+                _logsumexp_columns(cols), _scaled(reversed_mults[: bins - j], prefix)
+            )
+            log_probs.extend(lps)
+            counts.extend(cs)
             continue
         m, bin_tables = level_mults[j], tables[j]
         children = []
