@@ -489,10 +489,11 @@ def _mixture_column(parts: Sequence[_RowPart], rem: int, lo: int, hi: int) -> li
 def _span_columns(
     parts: Sequence[_RowPart], rem: int, gap: float
 ) -> list[tuple[int, int, int | None, list[float]]] | None:
-    """(lo, hi, c, log-probs) per span of a row, or None if a row end is -inf.
+    """(lo, hi, c, log-probs) per span of a walk's row, or None if a row end is -inf.
 
     A span dominated by component c takes c's column, a contested one
-    (c None) the mixture's (see _dominant_spans and _type_class_atoms).
+    (c None) the mixture's (see _dominant_spans and _type_class_atoms). The
+    walk's rows all read one set of tables of h * log p (_RowPart).
     """
     ends = [(w + ((s + pen[0]) + last[rem]), w + ((s + pen[rem]) + last[0]))
             for w, s, pen, last in parts]
@@ -513,33 +514,41 @@ def _finite_classes(
     return list(itertools.compress(log_probs, keep)), list(itertools.compress(counts, keep))
 
 
+def _two_bin_column(w: float, a: float, b: float, n: int, lo: int, hi: int) -> list[float]:
+    """One component's log-probs w + (h * a + (n - h) * b) of a two-bin row, lo <= h < hi.
+
+    With letter log-probs a and b finite, these are the walk's sums to the bit:
+    h * a is the product _scaled_logs tabulates, and the walk's 0.0 + before
+    it adds nothing, as n * b != 0 stands beside h * a = 0.
+    """
+    pens = map(mul, range(lo, hi), itertools.repeat(a))
+    lasts = map(mul, range(n - lo, n - hi, -1), itertools.repeat(b))
+    return list(map(add, itertools.repeat(w), map(add, pens, lasts)))
+
+
 def _two_bin_atoms(
-    n: int, parts: list[_RowPart], flat: Sequence[bool], gap: float, m_pen: int, m_last: int
+    n: int, log_weights: Sequence[float], letters: Sequence[Sequence[float]], gap: float,
+    m_pen: int, m_last: int,
 ) -> tuple[list[float], list[int]]:
     """Columns of a two-bin source, whose one row (rem = n) is the whole distribution.
 
-    The counts are built from both ends of the row inward (_grow), only as
-    far as the classes that take their own entry: `low` holds h = 0, 1, ...
-    and `high` h = n, n - 1, ..., one list when the row is a palindrome.
+    Component c has log weight log_weights[c] and letter log-probs letters[c].
+    Each span (_dominant_spans) takes its log-probs from the letters, over its
+    own classes only (_two_bin_column). A row with a zero-probability letter,
+    where h * log 0 must read as 0 at h = 0, reads the walk's tables
+    (_scaled_logs) instead, drops its classes of zero mass and never folds.
+    The counts are built from both ends inward (_grow), only as far as the
+    classes that take their own entry: `low` holds h = 0, 1, ... and `high`
+    h = n, n - 1, ..., one list when the row is a palindrome.
 
     A dominated span (lo, hi, c) with hi - lo >= 2 is flat when component c
-    gives both bins one finite log-prob: its classes share one probability
-    up to rounding. A flat component has equal row ends, so against another
-    flat one it holds all of the row or none of it: a row has at most one
-    flat span. That span becomes one entry, its largest float M with the
-    exact count (m_pen + m_last)**n less the counts outside it (the binomial
-    theorem), so its own counts are never built, wherever this leaves the
-    merged levels bit for bit as they are. _normalize_atoms scans the entries
-    largest first; a run from r takes the next entry x while
-    r - x <= MERGE_TOL, a float test monotone in x, and the first x that
-    fails starts the next run. So M joins the run of some r = M, or of an
-    entry r > M outside the span with r - M <= MERGE_TOL; let X be the
-    largest of these. If X - m <= MERGE_TOL for the span's smallest float m,
-    every span class joins M's run, whatever its start. Dropping entries
-    that start no run moves no run start, and the folded entry, of value M
-    in the span's place in the input, stands where M stood: every level
-    keeps its log-prob and its exact count. Where the check fails, the
-    span's floats may straddle two runs, and it goes class by class.
+    gives both bins one log-prob a: its classes share one probability and
+    differ only in how each sum is rounded. A flat component has equal row
+    ends, so against another flat one it holds all of the row or none of it:
+    a row has at most one flat span. It is one entry, at the log-prob a
+    one-bin source gives its class, w + (0.0 + n * a), and the exact count
+    (m_pen + m_last)**n less the counts outside it (the binomial theorem);
+    the span's own log-probs and counts are never built.
     """
     low = [m_last**n]
     high = low if m_pen == m_last else [m_pen**n]
@@ -559,33 +568,28 @@ def _two_bin_atoms(
         entries.extend(reversed(high[n + 1 - hi : n + 1 - split]))
         return entries
 
-    pieces = _span_columns(parts, n, gap)
-    if pieces is None:
+    comps = [(w, a, b) for w, (a, b) in zip(log_weights, letters)]
+    if not all(map(math.isfinite, itertools.chain.from_iterable(letters))):
+        parts = [(w, 0.0, _scaled_logs(a, n), _scaled_logs(b, n)) for w, a, b in comps]
         build(n + 1, 0)
         return _finite_classes(_mixture_column(parts, n, 0, n + 1), take(0, n + 1))
-    lo = hi = -1  # the folded span, if one passes the check
-    for span_lo, span_hi, c, col in pieces:
-        if c is not None and flat[c] and span_hi - span_lo >= 2:
-            top, bottom = max(col), min(col)
-            if top - bottom <= MERGE_TOL:  # else X - m > MERGE_TOL too, since X >= M
-                outside = itertools.chain.from_iterable(p[3] for p in pieces if p[3] is not col)
-                # the entries whose run M can join pass the merge's own float test,
-                # x - M <= MERGE_TOL, which puts x at or below the float M + 2 * MERGE_TOL
-                window = filter(top.__lt__, filter((top + 2 * MERGE_TOL).__ge__, outside))
-                start = max((x for x in window if x - top <= MERGE_TOL), default=top)
-                if start - bottom <= MERGE_TOL:
-                    lo, hi = span_lo, span_hi
-            break
-    if lo < 0:
-        build(n + 1, 0)
-        counts = take(0, n + 1)
-    else:
-        build(lo, n + 1 - hi)
-        before, after = take(0, lo), take(hi, n + 1)
-        counts = [*before, (m_pen + m_last) ** n - sum(before) - sum(after), *after]
+    # the row's ends, h = 0 and h = n, where the zero product adds nothing
+    spans = _dominant_spans([(w + n * b, w + n * a) for w, a, b in comps], n, gap)
+    fold = next((span for span in spans if span[2] is not None and span[1] - span[0] >= 2
+                 and comps[span[2]][1] == comps[span[2]][2]), None)  # flat: a == b
+    lo, hi = fold[:2] if fold else (n + 1, n + 1)
+    build(lo, n + 1 - hi)
+    before, after = take(0, lo), take(hi, n + 1)
+    middle = [(m_pen + m_last) ** n - sum(before) - sum(after)] if fold else []
+    counts = [*before, *middle, *after]
     log_probs: list[float] = []
-    for span_lo, _, _, col in pieces:
-        log_probs.extend((top,) if span_lo == lo else col)
+    for span in spans:
+        lo, hi, c = span
+        if span is fold:
+            log_probs.append(comps[c][0] + (0.0 + n * comps[c][1]))
+        else:  # c's own column where c dominates, the mixture's where none does
+            picks = comps if c is None else comps[c : c + 1]
+            log_probs.extend(_logsumexp_columns([_two_bin_column(*p, n, lo, hi) for p in picks]))
     return log_probs, counts
 
 
@@ -597,14 +601,13 @@ def _type_class_atoms(
 ) -> tuple[list[float], list[int]]:
     """Columns (log_prob, multiplicity), one entry per type class of positive mass.
 
-    A two-bin source may fold one flat span of classes into a single entry,
-    where the merge would make one level of them anyway (_two_bin_atoms).
     The source is a mixture of memoryless components over bins: component c
     has log weight log_weights[c] and gives each of the level_mults[j]
     symbols of bin j the log-prob level_log_probs[c][j] (-inf for zero). A
     type class counts how many of the n positions fall in each bin. Classes
     are walked in lexicographic order of their counts, which fixes the order
     of the entries, and classes of zero mass under every component are skipped.
+    A two-bin source's one row is built by _two_bin_atoms, which folds its flat span.
 
     The walk goes down the prefix tree of counts, depth first from an explicit
     stack, to the second-to-last bin. A node that has placed all but rem
@@ -613,13 +616,13 @@ def _type_class_atoms(
     bin j's count from h - 1 to h multiplies that prefix by m_j * (rem - h + 1)
     and divides it, exactly, by h. The rem + 1 classes below a
     second-to-last-bin node, h positions there and rem - h in the last bin,
-    form a row and are taken at once as columns: log-probs by table lookups
-    and column operations, and the counts as the prefix times row rem of
-    _count_rows; a half row's products are mirrored, so a palindrome's
-    repeated entries are the same ints. A node higher up with one position
-    left has one class per bin from its own to the last, and takes them at
-    once as a column too. Per node of the walk the Python work is constant;
-    per class it runs inside the builtins.
+    form a row and are taken at once as columns: log-probs by lookups in
+    tables of h * log p that all rows share, and column operations, and the
+    counts as the prefix times row rem of _count_rows; a half row's products
+    are mirrored, so a palindrome's repeated entries are the same ints. A
+    node higher up with one position left has one class per bin from its own
+    to the last, and takes them at once as a column too. Per node of the
+    walk the Python work is constant; per class it runs inside the builtins.
 
     Along a row each of the k components' log-probs is affine in h. Where one
     component lies at least gap = 53 ln 2 + ln(k - 1) + 1 above every other,
@@ -640,14 +643,11 @@ def _type_class_atoms(
         lp = logsumexp(map(add, log_weights, sums))
         return ([lp], [level_mults[0] ** n]) if lp > -math.inf else ([], [])
     m_pen, m_last = level_mults[-2], level_mults[-1]
+    gap = 53 * LN2 + math.log(len(log_weights) - 1 or 1) + 1.0
+    if bins == 2:  # the walk would reach the second-to-last bin at once: one row, rem = n
+        return _two_bin_atoms(n, log_weights, level_log_probs, gap, m_pen, m_last)
     tables = [[_scaled_logs(comp[j], n) for comp in level_log_probs] for j in range(bins)]
     pen_tables, last_tables = tables[-2], tables[-1]
-    gap = 53 * LN2 + math.log(len(log_weights) - 1 or 1) + 1.0
-    if bins == 2:
-        # the walk would reach the second-to-last bin at once, with rem = n
-        parts = list(zip(log_weights, [0.0] * len(log_weights), pen_tables, last_tables))
-        flat = [math.isfinite(comp[0]) and comp[0] == comp[1] for comp in level_log_probs]
-        return _two_bin_atoms(n, parts, flat, gap, m_pen, m_last)
     rows = _count_rows(n, m_pen, m_last)
     # t[1] = 1 * log p of each bin, which is log p itself, last bin first; and
     # the bins' multiplicities alike

@@ -266,6 +266,18 @@ def test_codes_fit_the_tree_at_large_blocklengths(large_mixtures, n, lam):
     assert report.error_prob <= 0.3 + 1e-12
 
 
+@pytest.mark.parametrize("n", [16384, 65536])
+def test_the_sandwich_holds_at_large_blocklengths(n):
+    # the k=2 mixture's flat span is one level at its one probability, so the
+    # model's total mass stays within float noise of 1 and the credited error,
+    # summed from the rejected tail, within sandwich_report's 1e-12 of eps
+    dist = sc.mixture_extension(sc.mixture_spec(MIXTURES[0]), n)
+    assert abs(dist.total_mass() - 1.0) < 1e-11
+    for eps in (0.1, 0.3, 0.7):
+        report = sc.sandwich_report(dist, eps, 1.0)
+        assert report.error_prob <= eps + 1e-12
+
+
 U = 2.0**-53
 
 

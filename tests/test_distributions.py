@@ -321,7 +321,8 @@ def test_mixture_extension_at_blocklength_16384():
     d = sc.mixture_extension(spec, 16384)
     assert d.support_size == 2**16384
     assert d.total_mass() == pytest.approx(1.0, abs=1e-9)
-    assert len(d.atoms) == 4535
+    # the flat span's 11,848 classes are one entry, at the span's one probability
+    assert len(d.mults) == 4534
 
 
 def test_mixture_validation():
@@ -578,6 +579,50 @@ def test_column_engine_matches_reference_walk(source, n):
     assert_engine_matches_reference(n, *source)
 
 
+@st.composite
+def long_two_bin_rows(draw):
+    """(n, log_weights, level_log_probs, level_mults) of a two-bin source, n up to 2,000.
+
+    One to three components, each flat (one probability in both bins) half
+    the time, over bins of unequal multiplicities, so that the row is no
+    palindrome and its counts are built from both ends; a component that is
+    not flat gives one bin zero mass now and then.
+    """
+    n = draw(st.integers(1000, 2000) | st.integers(2, 1000))
+    mults = draw(st.lists(st.integers(1, 3), min_size=2, max_size=2, unique=True))
+    n_comps = draw(st.integers(1, 3))
+    raw_w = draw(st.lists(st.floats(0.05, 1.0), min_size=n_comps, max_size=n_comps))
+    log_weights = [math.log(w / math.fsum(raw_w)) for w in raw_w]
+    level_log_probs = []
+    for _ in range(n_comps):
+        if draw(st.booleans()):
+            raw = [1.0, 1.0]
+        else:
+            raw = draw(st.lists(st.one_of(st.floats(0.01, 1.0), st.just(0.0)),
+                                min_size=2, max_size=2).filter(any))
+        total = math.fsum(m * p for m, p in zip(mults, raw))
+        level_log_probs.append([math.log(p / total) if p > 0.0 else -math.inf for p in raw])
+    return n, log_weights, level_log_probs, mults
+
+
+# a long row whose flat component holds most of it
+LONG_FOLD = (1999, [math.log(0.7), math.log(0.3)],
+             [[-math.log(3)] * 2, [math.log(0.9), math.log(0.05)]], [1, 2])
+
+
+@given(source=long_two_bin_rows())
+@example(source=LONG_FOLD)
+@settings(max_examples=60, deadline=None)  # the reference walk visits up to 2,001 classes one by one
+def test_long_two_bin_rows_fold_only_their_flat_span(source):
+    # outside the folded span the entries are the reference walk's, bit for bit;
+    # the span is one entry at w + (0.0 + n * a), with the exact sum of its counts
+    folded = assert_engine_matches_reference(*source)
+    if not all(map(math.isfinite, itertools.chain.from_iterable(source[2]))):
+        assert folded == 0
+    if source == LONG_FOLD:
+        assert folded > 1000
+
+
 MIX2 = [(0.6, [0.5, 0.5]), (0.4, [0.89, 0.11])]
 MIX3 = [(0.5, [0.4, 0.35, 0.25]), (0.3, [0.6, 0.3, 0.1]), (0.2, [0.8, 0.15, 0.05])]
 
@@ -593,10 +638,13 @@ def assert_engine_matches_reference(n, log_weights, level_log_probs, mults):
     """The engine's columns are the reference walk's, bit for bit, but for one folded span.
 
     A fold replaces a stretch of at least two classes of a two-bin source,
-    dominated by a component that gives both bins one finite log-prob, with
-    one entry: the largest of their floats and the exact sum of their
-    counts. Either way the merged levels are the reference merge's, bit for
-    bit. Returns the number of classes folded, 0 where none is.
+    dominated by a component (w, a) that gives both bins one finite log-prob
+    a, with one entry: the log-prob w + (0.0 + n * a) that a one-bin source
+    gives its class, and the exact sum of their counts. The span's floats lie
+    within rounding of it. The merged levels are the reference merge of
+    these columns, and the reference merge's own levels but for those that
+    start within MERGE_TOL above the span's floats or the folded entry.
+    Returns the number of classes folded, 0 where none is.
     """
     columns = _type_class_atoms(n, log_weights, level_log_probs, mults)
     expected = reference_walk(n, log_weights, level_log_probs, mults)
@@ -605,17 +653,29 @@ def assert_engine_matches_reference(n, log_weights, level_log_probs, mults):
     folded = len(want) - len(got) + 1 if len(got) < len(want) else 0
     if folded:
         assert len(mults) == 2 and folded >= 2
-        assert any(lp[0] == lp[1] > -math.inf for lp in level_log_probs)
+        assert all(map(math.isfinite, itertools.chain.from_iterable(level_log_probs)))
         # the folded entry's count exceeds each count it sums, so it is the first difference
         lo = next(i for i, (g, w) in enumerate(zip(got, want)) if g != w)
         span = [-neg_lp for neg_lp, _, _ in expected[lo : lo + folded]]
-        assert max(span) - min(span) <= MERGE_TOL
-        assert got[lo] == (float_bits(max(span)), sum(e[2] for e in expected[lo : lo + folded]))
+        top = got[lo][0][0]
+        flat = [w + (0.0 + n * a) for w, (a, b) in zip(log_weights, level_log_probs) if a == b]
+        assert top in flat
+        assert all(abs(lp - top) <= 4 * math.ulp(top) for lp in span)
+        assert got[lo] == (float_bits(top), sum(e[2] for e in expected[lo : lo + folded]))
         want[lo : lo + folded] = [got[lo]]
     assert got == want
     if expected:  # a source of zero mass everywhere has no classes to merge
-        merged = map(WeightedAtom, *_normalize_atoms(*columns))
-        assert atom_bits(merged) == atom_bits(reference_merge(expected))
+        merged = atom_bits(map(WeightedAtom, *_normalize_atoms(*columns)))
+        entries = [(-lp, i, count) for i, ((lp, _), count) in enumerate(got)]
+        assert merged == atom_bits(reference_merge(entries))
+        reference = atom_bits(reference_merge(expected))
+        if folded:
+            # a level that holds a span class or the folded entry starts at most
+            # MERGE_TOL above it; the levels outside that window must not move
+            low, high = min(*span, top), max(*span, top) + MERGE_TOL
+            merged, reference = ([a for a in levels if not low <= a[0] <= high]
+                                 for levels in (merged, reference))
+        assert merged == reference
     return folded
 
 
@@ -728,15 +788,34 @@ TIED = (
     (mixture_engine_args(MIX2), 512, 353),
     (mixture_engine_args(MIX2), 1024, 724),
     (mixture_engine_args(MIX2), 2048, 1466),
-    # past n=4096 the span's floats no longer fall in one merge run: class by class
-    (mixture_engine_args(MIX2), 5800, 0),
-    (mixture_engine_args(MIX2), 8192, 0),
+    # past n=4096 the span's floats straddle two merge levels, and it still folds
+    (mixture_engine_args(MIX2), 5800, 4183),
+    (mixture_engine_args(MIX2), 8192, 5915),
     # the counts outside the span come from the row's top end down
     (TIED, 512, 318),
-    (TIED, 1024, 0),
+    (TIED, 1024, 650),
 ])
 def test_a_flat_span_folds_where_the_merge_keeps_it_one_level(source, n, folded):
     assert assert_engine_matches_reference(n, *source) == folded
+
+
+@pytest.mark.parametrize("source, n, straddles", [
+    (mixture_engine_args(MIX2), 64, False),
+    (mixture_engine_args(MIX2), 2048, False),
+    (mixture_engine_args(MIX2), 4096, False),
+    (mixture_engine_args(MIX2), 5800, True),
+    (mixture_engine_args(MIX2), 8192, True),
+    (TIED, 512, False),
+    (TIED, 1024, True),
+])
+def test_the_merged_levels_change_only_where_a_flat_span_straddles_two(source, n, straddles):
+    # where the span's floats, rounded class by class, fall in one merge run,
+    # the folded entry joins that run and every merged level keeps its log-prob
+    # and its exact count; where they straddle two runs, the entry at the
+    # span's one probability joins one of them
+    merged = map(WeightedAtom, *_normalize_atoms(*_type_class_atoms(n, *source)))
+    reference = reference_merge(reference_walk(n, *source))
+    assert (atom_bits(merged) != atom_bits(reference)) == straddles
 
 
 @st.composite
