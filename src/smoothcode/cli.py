@@ -44,21 +44,7 @@ def _load_json(path: str) -> dict:
 
 
 def _emit_json(obj) -> None:
-    print(_json_text(obj))
-
-
-def _json_text(obj) -> str:
-    """json.dumps(obj, indent=2, sort_keys=True), byte for byte.
-
-    json.dumps encodes in pure Python whenever indent is set; a report is a
-    few dicts and lists of strings and numbers, which _indented writes in one
-    call per value. Any other type, or a dict key that is not a str, is
-    json.dumps's own, error included.
-    """
-    try:
-        return _indented(obj, "\n")
-    except TypeError:
-        return json.dumps(obj, indent=2, sort_keys=True)
+    print(_indented(obj, "\n"))
 
 
 _ENCODE = json.encoder.encode_basestring_ascii
@@ -66,7 +52,13 @@ _LITERALS = {True: "true", False: "false", None: "null"}
 
 
 def _indented(obj, newline: str) -> str:
-    """obj as json.dumps writes it at the depth whose line break and indent is newline."""
+    """obj as json.dumps(obj, indent=2, sort_keys=True) writes it, byte for byte.
+
+    newline is the line break and indent of obj's depth. json.dumps encodes in
+    pure Python whenever indent is set; a report is a few dicts and lists of
+    strings and numbers, which this writes in one call per value. Any other
+    type, or a dict key that is not a str, raises TypeError: no report holds one.
+    """
     kind = type(obj)
     if kind is str:
         return _ENCODE(obj)
@@ -78,7 +70,7 @@ def _indented(obj, newline: str) -> str:
     if kind is dict:
         if not obj:
             return "{}"
-        # _ENCODE raises TypeError on a key that is not a str
+        # sorted or _ENCODE raises TypeError on a key that is not a str
         items = [_ENCODE(key) + ": " + _indented(obj[key], inner) for key in sorted(obj)]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if kind is list or kind is tuple:
@@ -86,7 +78,7 @@ def _indented(obj, newline: str) -> str:
             return "[]"
         items = [_indented(item, inner) for item in obj]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
-    raise TypeError(f"{kind.__name__} is left to json.dumps")
+    raise TypeError(f"a report holds no {kind.__name__}")
 
 
 def _int_list(text: str) -> list[int]:
@@ -239,11 +231,12 @@ def _cmd_sweep(args) -> int:
 
 @functools.cache  # built on first use, not at import; parsing keeps no state
 def _parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
-    """The full parser and, by subcommand name, (own parser, options, defaults).
+    """The full parser and, by subcommand name, its option table (options, defaults).
 
     options maps each option string of the subcommand to the Action that
     add_argument returned for it; defaults maps each dest to its default and
-    "handler" to the subcommand's handler, as its own parser fills them in.
+    "handler" to the subcommand's handler, as the subcommand's parser fills
+    them in. The table reads plain calls; the parser reads every other call.
     """
     parser = argparse.ArgumentParser(
         prog="smoothcode",
@@ -258,7 +251,7 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
         p = sub.add_parser(name, help=help)
         p.set_defaults(handler=handler)
         options, defaults = {}, {"handler": handler}
-        subcommands[name] = (p, options, defaults)
+        subcommands[name] = (options, defaults)
 
         def option(flag, **kwargs):
             action = p.add_argument(flag, **kwargs)
@@ -360,24 +353,19 @@ def _plain_options(
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse argv, reading it once when it starts with a subcommand.
+    """Parse argv one of two ways.
 
-    A call made only of plain --option value pairs is read off the
-    subcommand's option table; any other call of a subcommand goes to its
-    own parser, to which the full parser would hand the same strings after
-    reading them itself. Anything else (no arguments, help, version, an
-    unknown subcommand, a string the subcommand does not take) goes through
-    the full parser, so every usage line and message is argparse's own.
+    A subcommand followed only by plain --option value pairs is read off that
+    subcommand's option table. Every other call (--opt=value, an abbreviated
+    or repeated option, a value starting with "-", no arguments, help,
+    version, an unknown subcommand, --) goes through the full parser, so
+    every usage line and message is argparse's own.
     """
     parser, subcommands = _parser()
-    own = subcommands.get(argv[0]) if argv else None
-    if own is not None:
-        own_parser, options, defaults = own
-        args = _plain_options(options, defaults, argv[1:])
+    table = subcommands.get(argv[0]) if argv else None
+    if table is not None:
+        args = _plain_options(*table, argv[1:])
         if args is not None:
-            return args
-        args, extras = own_parser.parse_known_args(argv[1:])
-        if not extras:
             return args
     return parser.parse_args(argv)
 

@@ -201,6 +201,19 @@ def test_moment_and_bounds_beyond_float_range():
     assert sc.direct_bound(dist, 1.0, 600.0) == pytest.approx(2.0**600, rel=1e-12)
 
 
+def test_a_moment_term_past_float_range_reads_as_infinite():
+    # at lambda 1e308 a 3-bit accept word's log term, 3 * lambda * ln 2, is
+    # itself past float range: the log moment is +inf, not inf - inf = nan,
+    # while the converse bound's log stays finite
+    dist = sc.new_distribution(WORKED)
+    code = sc.build_stochastic_code(dist, 0.1, 1e308)
+    assert code.runs[0].accept_bits == 3
+    report = sc.evaluate_code(code, dist, 0.1, 1e308)
+    assert report.log_exp_moment == math.inf
+    assert report.log_converse == pytest.approx(1.0986e308, rel=1e-4)
+    assert sc.sandwich_report(dist, 0.1, 1e308).log_exp_moment == math.inf
+
+
 def per_symbol_error_and_moment(code, dist, lam):
     """(raw, credited, moment) summed symbol by symbol with fsum."""
     probs = dist.probabilities()

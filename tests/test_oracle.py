@@ -1,5 +1,6 @@
 import math
 import os
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -115,6 +116,16 @@ def test_bruteforce_moment_past_float_range_is_too_large():
     assert dust.probabilities()[-1] == 0.0
     with pytest.raises(sc.TooLarge):
         sc.optimal_code_bruteforce(dust, 0.0, 1500.0, max_len=1)
+
+
+def test_bruteforce_moment_past_float_range_with_finite_weights_is_too_large():
+    # both words weigh 2**lam, just below the largest float, and the mass is
+    # 1 + 2.5e-10, within MASS_TOL: each term is finite, their fsum is not
+    dist = sc.distribution_from_atoms([(math.log(0.5) + 2.5e-10, 2)])
+    lam = math.log2(sys.float_info.max) - 1.5e-10
+    assert 2.0**lam < math.inf
+    with pytest.raises(sc.TooLarge, match=rf"^moments overflow a float at lambda={lam}, max_len=1$"):
+        sc.optimal_code_bruteforce(dist, 0.1, lam, max_len=1)
 
 
 def test_bruteforce_permutation_invariance():
