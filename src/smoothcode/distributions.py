@@ -416,13 +416,20 @@ def _dominant_spans(
     between it is affine in h, so the gap from c to each other component d
     crosses `gap` at most once. On lo <= h < hi, component c lies at least
     `gap` above every other one; c is None on the contested spans between.
-    Since gap > 0, no two components hold the same h.
+    Since gap > 0, no two components hold the same h. A -inf end is a zero
+    letter, used there and inside the row: that component has mass at its
+    other end class at most, so it holds no span and contests only that class.
     """
-    found = []
+    found, log_zero = [], -math.inf
     for c, (first, last) in enumerate(ends):
+        if first == log_zero or last == log_zero:
+            continue
         lo, hi = 0, rem
         for d, (first_d, last_d) in enumerate(ends):
             if d == c:
+                continue
+            if first_d == log_zero or last_d == log_zero:
+                lo, hi = max(lo, int(first_d > log_zero)), min(hi, rem - (last_d > log_zero))
                 continue
             a, b = first - first_d, last - last_d  # the gap to d at h = 0 and at h = rem
             if a == b:
@@ -487,9 +494,9 @@ def _mixture_column(parts: Sequence[_RowPart], rem: int, lo: int, hi: int) -> li
 
 
 def _span_columns(
-    parts: Sequence[_RowPart], rem: int, gap: float
-) -> list[tuple[int, int, int | None, list[float]]] | None:
-    """(lo, hi, c, log-probs) per span of a walk's row, or None if a row end is -inf.
+    parts: Sequence[_RowPart], rem: int, gap: float, counts: Iterable[int]
+) -> tuple[list[float], Iterable[int]]:
+    """The log-probs and counts of a walk's row, in order, but for its classes of zero mass.
 
     A span dominated by component c takes c's column, a contested one
     (c None) the mixture's (see _dominant_spans and _type_class_atoms). The
@@ -497,19 +504,19 @@ def _span_columns(
     """
     ends = [(w + ((s + pen[0]) + last[rem]), w + ((s + pen[rem]) + last[0]))
             for w, s, pen, last in parts]
-    if not all(map(math.isfinite, itertools.chain.from_iterable(ends))):
-        return None
-    return [
-        (lo, hi, c, _column(parts[c], rem, lo, hi) if c is not None
-         else _mixture_column(parts, rem, lo, hi))
-        for lo, hi, c in _dominant_spans(ends, rem, gap)
-    ]
+    log_probs: list[float] = []
+    for lo, hi, c in _dominant_spans(ends, rem, gap):
+        log_probs.extend(_column(parts[c], rem, lo, hi) if c is not None
+                         else _mixture_column(parts, rem, lo, hi))
+    return _finite_classes(log_probs, counts, ends)
 
 
 def _finite_classes(
-    log_probs: list[float], counts: Iterable[int]
-) -> tuple[list[float], list[int]]:
-    """The classes of positive mass: a zero-mass class comes out -inf or nan."""
+    log_probs: list[float], counts: Iterable[int], ends: Iterable[Iterable[float]]
+) -> tuple[list[float], Iterable[int]]:
+    """The classes of positive mass, looked for only where an end is -inf (a zero letter)."""
+    if -math.inf not in itertools.chain.from_iterable(ends):
+        return log_probs, counts
     keep = list(map(math.isfinite, log_probs))
     return list(itertools.compress(log_probs, keep)), list(itertools.compress(counts, keep))
 
@@ -517,13 +524,18 @@ def _finite_classes(
 def _two_bin_column(w: float, a: float, b: float, n: int, lo: int, hi: int) -> list[float]:
     """One component's log-probs w + (h * a + (n - h) * b) of a two-bin row, lo <= h < hi.
 
-    With letter log-probs a and b finite, these are the walk's sums to the bit:
-    h * a is the product _scaled_logs tabulates, and the walk's 0.0 + before
-    it adds nothing, as n * b != 0 stands beside h * a = 0.
+    These are the walk's sums to the bit: h * a is the product _scaled_logs
+    tabulates, and the walk's 0.0 + before it adds nothing, as n * b != 0
+    stands beside h * a = 0. A zero letter's 0 * log 0 comes out nan, at the
+    end class that uses only the other letter, and reads as 0 there.
     """
     pens = map(mul, range(lo, hi), itertools.repeat(a))
     lasts = map(mul, range(n - lo, n - hi, -1), itertools.repeat(b))
-    return list(map(add, itertools.repeat(w), map(add, pens, lasts)))
+    col = list(map(add, itertools.repeat(w), map(add, pens, lasts)))
+    for h, other in ((0, b), (n, a)):
+        if lo <= h < hi and math.isnan(col[h - lo]):
+            col[h - lo] = w + n * other
+    return col
 
 
 def _two_bin_atoms(
@@ -534,12 +546,10 @@ def _two_bin_atoms(
 
     Component c has log weight log_weights[c] and letter log-probs letters[c].
     Each span (_dominant_spans) takes its log-probs from the letters, over its
-    own classes only (_two_bin_column). A row with a zero-probability letter,
-    where h * log 0 must read as 0 at h = 0, reads the walk's tables
-    (_scaled_logs) instead, drops its classes of zero mass and never folds.
-    The counts are built from both ends inward (_grow), only as far as the
-    classes that take their own entry: `low` holds h = 0, 1, ... and `high`
-    h = n, n - 1, ..., one list when the row is a palindrome.
+    own classes only (_two_bin_column), and classes of zero mass are dropped
+    (_finite_classes). The counts are built from both ends inward (_grow),
+    only as far as the classes that take their own entry: `low` holds h = 0,
+    1, ... and `high` h = n, n - 1, ..., one list when the row is a palindrome.
 
     A dominated span (lo, hi, c) with hi - lo >= 2 is flat when component c
     gives both bins one log-prob a: its classes share one probability and
@@ -569,12 +579,8 @@ def _two_bin_atoms(
         return entries
 
     comps = [(w, a, b) for w, (a, b) in zip(log_weights, letters)]
-    if not all(map(math.isfinite, itertools.chain.from_iterable(letters))):
-        parts = [(w, 0.0, _scaled_logs(a, n), _scaled_logs(b, n)) for w, a, b in comps]
-        build(n + 1, 0)
-        return _finite_classes(_mixture_column(parts, n, 0, n + 1), take(0, n + 1))
     # the row's ends, h = 0 and h = n, where the zero product adds nothing
-    spans = _dominant_spans([(w + n * b, w + n * a) for w, a, b in comps], n, gap)
+    spans = _dominant_spans(ends := [(w + n * b, w + n * a) for w, a, b in comps], n, gap)
     fold = next((span for span in spans if span[2] is not None and span[1] - span[0] >= 2
                  and comps[span[2]][1] == comps[span[2]][2]), None)  # flat: a == b
     lo, hi = fold[:2] if fold else (n + 1, n + 1)
@@ -590,7 +596,7 @@ def _two_bin_atoms(
         else:  # c's own column where c dominates, the mixture's where none does
             picks = comps if c is None else comps[c : c + 1]
             log_probs.extend(_logsumexp_columns([_two_bin_column(*p, n, lo, hi) for p in picks]))
-    return log_probs, counts
+    return _finite_classes(log_probs, counts, ends)
 
 
 def _type_class_atoms(
@@ -661,13 +667,8 @@ def _type_class_atoms(
         kept = list(_scaled(rows[rem], prefix))
         # a palindrome row keeps h <= rem // 2; its other entries are the same ints
         row_counts = itertools.chain(kept, reversed(kept[: rem + 1 - len(kept)]))
-        pieces = _span_columns(parts, rem, gap)
-        if pieces is None:  # a zero-probability letter
-            lps, row_counts = _finite_classes(_mixture_column(parts, rem, 0, rem + 1), row_counts)
-            log_probs.extend(lps)
-        else:  # every class of the row is finite, so none is dropped
-            for piece in pieces:
-                log_probs.extend(piece[3])
+        lps, row_counts = _span_columns(parts, rem, gap, row_counts)
+        log_probs.extend(lps)
         counts.extend(row_counts)
 
     stack = [(0, n, 1, [0.0] * len(log_weights))]
@@ -692,7 +693,7 @@ def _type_class_atoms(
                 for w, s, ones in zip(log_weights, sums, reversed_ones)
             ]
             lps, cs = _finite_classes(
-                _logsumexp_columns(cols), _scaled(reversed_mults[: bins - j], prefix)
+                _logsumexp_columns(cols), _scaled(reversed_mults[: bins - j], prefix), cols
             )
             log_probs.extend(lps)
             counts.extend(cs)
@@ -879,7 +880,8 @@ def mixture_extension(spec: MixtureSpec, n: int) -> Distribution:
     atom per type class; classes whose mixture probabilities coincide merge
     into a single atom. Letters with equal probabilities under every component
     share one bin, in the order of their first letter, and a class counts
-    positions per bin. Classes of zero mass under every component are left out.
+    positions per bin. Classes of zero mass under every component are left
+    out, never all: the class of all n positions in a bin where a component is positive has mass.
     """
     if n < 1:
         raise ValueError("blocklength must be >= 1")
@@ -888,8 +890,6 @@ def mixture_extension(spec: MixtureSpec, n: int) -> Distribution:
     log_w = list(map(math.log, spec.weights))
     log_p = [[math.log(p) if p > 0.0 else -math.inf for p in comp] for comp in zip(*bins)]
     columns = _type_class_atoms(n, log_w, log_p, list(bins.values()))
-    if not columns[0]:
-        raise EmptyDistribution("mixture extension has empty support")
     return Distribution(*_normalize_atoms(*columns), n=n)
 
 

@@ -28,8 +28,6 @@ def logsumexp(values: Iterable[float]) -> float:
 
 def ceil_exp(log_x: float) -> int:
     """ceil(exp(log_x)) as an exact integer, tolerating log_x beyond float range."""
-    if log_x == -math.inf:
-        return 0
     if log_x < 700.0:
         return math.ceil(math.exp(log_x))
     # exp would overflow: peel off a power of two and rebuild as a big int

@@ -121,7 +121,8 @@ def _smooth(dist: Distribution, eps: float) -> SubDistribution:
         if gamma > 0.0:
             log_gamma = math.log(gamma)
         else:
-            # the subtraction could not resolve the clip against float noise
+            # the subtraction cancels: j - 1 whole symbols reach the target in floats
+            j -= 1
             gamma = p
             log_gamma = boundary_lp
     else:

@@ -80,7 +80,8 @@ def reference_smoothing(pairs, eps):
         gamma = min(need - (j - 1) * p, p)
         if gamma > 0.0:
             log_gamma = math.log(gamma)
-        else:
+        else:  # j - 1 whole symbols already reach the target in floats
+            j -= 1
             gamma = p
             log_gamma = boundary_lp
     else:

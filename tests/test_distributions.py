@@ -556,7 +556,8 @@ def engine_sources(draw):
     Components are often flat, one probability in the last two bins, so that
     two-bin sources fold their flat spans; the bins' own multiplicities differ
     as often, so that such a row is built from either end; and zero letters
-    make -inf components, flat ones among them, which must never fold.
+    make -inf components, flat ones among them, which hold no span, while a
+    finite flat component still folds the span it holds.
     """
     bins = draw(st.integers(1, 4))
     mults = draw(st.lists(st.integers(1, 3), min_size=bins, max_size=bins))
@@ -617,8 +618,6 @@ def test_long_two_bin_rows_fold_only_their_flat_span(source):
     # outside the folded span the entries are the reference walk's, bit for bit;
     # the span is one entry at w + (0.0 + n * a), with the exact sum of its counts
     folded = assert_engine_matches_reference(*source)
-    if not all(map(math.isfinite, itertools.chain.from_iterable(source[2]))):
-        assert folded == 0
     if source == LONG_FOLD:
         assert folded > 1000
 
@@ -653,12 +652,12 @@ def assert_engine_matches_reference(n, log_weights, level_log_probs, mults):
     folded = len(want) - len(got) + 1 if len(got) < len(want) else 0
     if folded:
         assert len(mults) == 2 and folded >= 2
-        assert all(map(math.isfinite, itertools.chain.from_iterable(level_log_probs)))
         # the folded entry's count exceeds each count it sums, so it is the first difference
         lo = next(i for i, (g, w) in enumerate(zip(got, want)) if g != w)
         span = [-neg_lp for neg_lp, _, _ in expected[lo : lo + folded]]
         top = got[lo][0][0]
-        flat = [w + (0.0 + n * a) for w, (a, b) in zip(log_weights, level_log_probs) if a == b]
+        flat = [w + (0.0 + n * a) for w, (a, b) in zip(log_weights, level_log_probs)
+                if a == b > -math.inf]
         assert top in flat
         assert all(abs(lp - top) <= 4 * math.ulp(top) for lp in span)
         assert got[lo] == (float_bits(top), sum(e[2] for e in expected[lo : lo + folded]))
@@ -772,6 +771,45 @@ def test_engine_matches_reference_walk_where_one_component_dominates(pairs, n):
     # MIX3 has no flat component, and MIX2's uniform one folds its 2,949 classes
     folded = assert_engine_matches_reference(n, *mixture_engine_args(pairs))
     assert folded == (2949 if pairs is MIX2 else 0)
+
+
+# the second component never emits the second letter; in ZERO3 the second
+# and the third component each never emit one letter
+ZERO2 = [(0.7, [0.5, 0.5]), (0.3, [1.0, 0.0])]
+ZERO3 = [(0.5, [0.4, 0.35, 0.25]), (0.3, [0.6, 0.4, 0.0]), (0.2, [0.8, 0.0, 0.2])]
+
+
+def test_a_zero_letter_row_folds_its_flat_span():
+    # ZERO2's second component has mass only at the class of n first letters,
+    # the one class it contests; the uniform component holds all the others,
+    # and they are one entry
+    n = 16384
+    source = mixture_engine_args(ZERO2)
+    assert assert_engine_matches_reference(n, *source) == n
+    log_probs, counts = _type_class_atoms(n, *source)
+    assert counts == [2**n - 1, 1]
+    assert log_probs[0] == math.log(0.7) + (0.0 + n * math.log(0.5))
+
+
+def test_zero_letter_rows_take_their_spans_bit_for_bit(monkeypatch):
+    # ZERO3's rows have -inf ends, yet finite components still hold spans,
+    # and the columns are the reference walk's to the bit
+    calls = []
+
+    def recording(ends, rem, gap, spans_of=distributions._dominant_spans):
+        spans = spans_of(ends, rem, gap)
+        calls.append(sum(hi - lo for lo, hi, c in spans if c is not None))
+        return spans
+
+    monkeypatch.setattr(distributions, "_dominant_spans", recording)
+    assert assert_engine_matches_reference(300, *mixture_engine_args(ZERO3)) == 0
+    assert 2 * sum(calls) >= math.comb(302, 2)
+    # [(0.5, [0.5, 0.5, 0.0]), (0.5, [0.0, 0.0, 1.0])] over its two bins: every
+    # component has a zero letter, so the classes between the row's two ends
+    # have no mass and are dropped
+    source = ([math.log(0.5)] * 2, [[math.log(0.5), -math.inf], [-math.inf, 0.0]], [2, 1])
+    assert assert_engine_matches_reference(50, *source) == 0
+    assert _type_class_atoms(50, *source)[1] == [1, 2**50]
 
 
 # [(0.6, [1/3] * 3), (0.4, [0.89, 0.055, 0.055])] as mixture_extension passes it:

@@ -323,6 +323,15 @@ def test_sandwich_compares_logs_beyond_float_range(monkeypatch):
         sc.sandwich_report(dist, 0.1, 600.0)
 
 
+def test_sandwich_refuses_a_code_that_rejects_more_than_eps(monkeypatch):
+    # a code built for eps 0.5 rejects more of the source than the budget 0.1
+    build = evaluation.build_stochastic_code
+    monkeypatch.setattr(evaluation, "build_stochastic_code",
+                        lambda dist, eps, lam: build(dist, 0.5, lam))
+    with pytest.raises(sc.SandwichViolated, match="^credited error .* exceeds budget 0.1$"):
+        sc.sandwich_report(sc.new_distribution(WORKED), 0.1, 1.0)
+
+
 def test_sandwich_keeps_the_logs_past_float_range():
     # ROADMAP item 2's n=4096 row: moment, converse and direct bound per letter
     # of the k=2 mixture at eps 0.3, lambda 1, all about exp(2838) as floats

@@ -122,6 +122,24 @@ def test_mass_missing_by_float_noise_counts_as_reached():
     assert sub.k_star == 2 and sub.gamma_eps == pytest.approx(1e-10, rel=1e-5)
 
 
+def test_a_clip_that_cancels_keeps_its_symbols_whole():
+    # need / p is 436,271,090 and a hair, so j is 436,271,091, and need - (j - 1) * p
+    # cancels to 0.0: in floats the j - 1 whole symbols already reach the target,
+    # and the last of them is the clipped one; j whole symbols would keep
+    # p = 1.6e-9 more mass than 1 - eps
+    dist = sc.distribution_from_atoms([
+        (float.fromhex("-0x1.793b575b65cc8p+0"), 1),
+        (float.fromhex("-0x1.43dbc3d48a7b7p+4"), 476008633),
+    ])
+    eps = float.fromhex("0x1.0798b523de9a5p-4")
+    sub = sc.optimal_smoothing(dist, eps)
+    assert (sub.k_star, sub.mults) == (1 + 436_271_090, (1, 436_271_089, 1))
+    assert sub.gamma_eps == math.exp(dist.log_probs[1])
+    assert abs(sub.total_mass - (1.0 - eps)) <= NEED_ULPS * math.ulp(1.0)
+    report = sc.sandwich_report(dist, eps, 1.0)
+    assert abs(report.error_prob_raw - eps) <= NEED_ULPS * math.ulp(1.0)
+
+
 def test_parameter_validation():
     dist = sc.new_distribution(WORKED)
     for eps in (-0.01, 1.0, 1.5):
